@@ -1,62 +1,47 @@
 """Exact coefficient fields: the rationals and small real extensions Q(theta).
 
-Rational scalars are plain ``fractions.Fraction``; extension scalars are
-``AlgNum`` instances holding coordinates in the power basis 1, theta, ...,
-theta^(deg-1).  All arithmetic is exact.  Irreducibility of the catalogued
-minimal polynomials is asserted, not computed.
+Rational scalars are plain ``fractions.Fraction``.  An extension scalar is
+an ``AlgNum``: a tuple of integer numerators in the power basis 1, theta,
+..., theta^(deg-1) over one positive integer denominator, kept in lowest
+terms, so equal values have equal representations and zero is
+``(0, ..., 0)/1``.  The minimal polynomials are monic with integer
+coefficients, so theta^deg has integer coordinates; products are reduced
+with them and never leave the integers, and inverses come from
+fraction-free elimination on the same integers.  All arithmetic is exact.
+Irreducibility of the catalogued minimal polynomials is asserted, not
+computed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
-
-
-def _poly_divmod(num, den):
-    """Divide rational coefficient lists (low-to-high), exact Euclid step."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dl = len(den) - 1
-    dlead = den[-1]
-    for i in range(len(num) - 1, dl - 1, -1):
-        c = num[i] / dlead
-        q[i - dl] = c
-        if c:
-            for j in range(dl + 1):
-                num[i - dl + j] -= c * den[j]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
 
 
 class Field:
     """Q (``degree == 1``) or Q(theta) with a monic integer minimal polynomial.
 
-    ``min_poly`` is given low-to-high including the leading 1.
+    ``min_poly`` is given low-to-high including the leading 1; a polynomial
+    that is not monic or has a non-integral coefficient raises ValueError.
     ``embedding`` is a float locating which real root theta denotes; it is
     used only for documentation/positivity reporting, never for arithmetic.
     """
 
     def __init__(self, name: str, min_poly: Sequence[int] = (0, 1),
                  embedding: float = 0.0):
+        coeffs = [Fraction(c) for c in min_poly]
+        if coeffs[-1] != 1:
+            raise ValueError("minimal polynomial must be monic")
+        if any(c.denominator != 1 for c in coeffs):
+            raise ValueError("minimal polynomial must have integer "
+                             "coefficients")
         self.name = name
-        self.min_poly = tuple(Fraction(c) for c in min_poly)
-        assert self.min_poly[-1] == 1, "minimal polynomial must be monic"
-        self.degree = len(self.min_poly) - 1
+        self.min_poly = tuple(int(c) for c in coeffs)
+        self.degree = len(coeffs) - 1
         self.embedding = embedding
-        if self.degree > 1:
-            # theta^k for k = degree .. 2*degree-2 in the power basis
-            self._pow_table = []
-            cur = [-c for c in self.min_poly[:-1]]
-            self._pow_table.append(tuple(cur))
-            for _ in range(self.degree - 2):
-                cur = [Fraction(0)] + list(cur)
-                top = cur[self.degree] if len(cur) > self.degree else Fraction(0)
-                cur = cur[:self.degree]
-                if top:
-                    red = self._pow_table[0]
-                    cur = [cur[i] + top * red[i] for i in range(self.degree)]
-                self._pow_table.append(tuple(cur))
+        # integer coordinates of theta^degree
+        self._top = tuple(-c for c in self.min_poly[:-1])
         self._zero = None
         self._one = None
 
@@ -92,7 +77,9 @@ class Field:
             return Fraction(coords[0])
         cs = [Fraction(c) for c in coords]
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return AlgNum(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return AlgNum(self, [c.numerator * (den // c.denominator)
+                             for c in cs], den)
 
     def coerce(self, x) -> "Scalar":
         if isinstance(x, AlgNum):
@@ -105,7 +92,7 @@ class Field:
     def coords(self, x) -> tuple:
         """Coordinates of a scalar in the power basis, length = degree."""
         if isinstance(x, AlgNum):
-            return x.coords
+            return tuple(Fraction(n, x.den) for n in x.num)
         if self.degree == 1:
             return (Fraction(x),)
         return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
@@ -118,18 +105,6 @@ class Field:
         """Float value in the designated real embedding (documentation only)."""
         cs = self.coords(x)
         return float(sum(float(c) * self.embedding ** i for i, c in enumerate(cs)))
-
-    def _reduce(self, coeffs):
-        """Reduce a coordinate list of length <= 2*degree-1 modulo min_poly."""
-        d = self.degree
-        out = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = self._pow_table[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
 
 
 QQ = Field("QQ")
@@ -145,43 +120,70 @@ QCOSPI7 = Field("Q(2cos(pi/7))", (1, -2, -1, 1), embedding=1.8019377358048383)
 
 
 class AlgNum:
-    """Element of a simple extension, coordinates in the power basis."""
+    """Element ``num / den`` of a simple extension.
 
-    __slots__ = ("field", "coords")
+    ``num`` holds integer coordinates in the power basis and ``den`` is a
+    positive integer; the constructor brings any integer input to lowest
+    terms, ``gcd(*num, den) == 1``.
+    """
 
-    def __init__(self, field: Field, coords: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: Field, num: Sequence[int], den: int = 1):
+        if den <= 0:
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            num = [-n for n in num]
+            den = -den
+        g = gcd(*num, den)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
         self.field = field
-        self.coords = coords
+        self.num = tuple(num)
+        self.den = den
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, AlgNum):
-            return self.field == other.field and self.coords == other.coords
+            return (self.field == other.field and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.coords[0] == other and not any(self.coords[1:])
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        if any(self.num[1:]):
+            return hash((self.num, self.den))
+        # a rational value hashes like the equal Fraction
+        return hash(Fraction(self.num[0], self.den))
 
     def __repr__(self):
+        cs = self.field.coords(self)
         return "(" + "+".join(f"{c}*t^{i}" if i else f"{c}"
-                              for i, c in enumerate(self.coords) if c) + ")" \
-            if any(self.coords) else "(0)"
+                              for i, c in enumerate(cs) if c) + ")" \
+            if any(cs) else "(0)"
 
     def __neg__(self):
-        return AlgNum(self.field, tuple(-c for c in self.coords))
+        return AlgNum(self.field, [-n for n in self.num], self.den)
 
     def __add__(self, other):
         if isinstance(other, AlgNum):
-            return AlgNum(self.field, tuple(a + b for a, b in
-                                            zip(self.coords, other.coords)))
+            da, db = self.den, other.den
+            if da == db:
+                return AlgNum(self.field, [x + y for x, y in
+                                           zip(self.num, other.num)], da)
+            return AlgNum(self.field, [x * db + y * da for x, y in
+                                       zip(self.num, other.num)], da * db)
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coords)
-            cs[0] += other
-            return AlgNum(self.field, tuple(cs))
+            q = other.denominator
+            num = [n * q for n in self.num]
+            num[0] += other.numerator * self.den
+            return AlgNum(self.field, num, self.den * q)
         return NotImplemented
 
     __radd__ = __add__
@@ -194,49 +196,56 @@ class AlgNum:
 
     def __mul__(self, other):
         if isinstance(other, AlgNum):
-            a, b = self.coords, other.coords
-            d = self.field.degree
-            prod = [Fraction(0)] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] += ai * bj
-            return AlgNum(self.field, self.field._reduce(prod))
+            field = self.field
+            d = field.degree
+            if d == 2:
+                # written out: every H3 and I2(5) scalar is quadratic
+                (a0, a1), (b0, b1) = self.num, other.num
+                r0, r1 = field._top
+                hi = a1 * b1
+                return AlgNum(field, (a0 * b0 + hi * r0,
+                                      a0 * b1 + a1 * b0 + hi * r1),
+                              self.den * other.den)
+            num = [0] * d
+            for bj, col in zip(other.num, self._columns()):
+                if bj:
+                    num = [x + bj * y for x, y in zip(num, col)]
+            return AlgNum(field, num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return AlgNum(self.field, tuple(c * other for c in self.coords))
+            return AlgNum(self.field, [n * other.numerator for n in self.num],
+                          self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
+    def _columns(self):
+        """Integer coordinates of num * theta^j for j = 0 .. degree-1."""
+        top = self.field._top
+        cols = [self.num]
+        for _ in range(len(top) - 1):
+            c = cols[-1]
+            cols.append(tuple(x + c[-1] * t
+                              for x, t in zip((0,) + c[:-1], top)))
+        return cols
+
     def inverse(self) -> "AlgNum":
         if not self:
             raise ZeroDivisionError("zero divisor")
-        # extended Euclid of the coordinate polynomial with min_poly over Q[t]
-        r0 = list(self.field.min_poly)
-        r1 = list(self.coords)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s[i + j] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        assert r1, "minimal polynomial not coprime with element"
-        inv = [c / r1[0] for c in s1]
-        return AlgNum(self.field, self.field._reduce(inv))
+        # Solve num * x = den for x on the integer matrix of multiplication
+        # by num (column j = num * theta^j), augmented by the right-hand side.
+        d = self.field.degree
+        cols = self._columns()
+        a = [[col[i] for col in cols] + [self.den if i == 0 else 0]
+             for i in range(d)]
+        pivot = bareiss_jordan(a, d)
+        return AlgNum(self.field, [row[d] for row in a], pivot)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("zero divisor")
-            return AlgNum(self.field, tuple(c / other for c in self.coords))
+            # a zero divisor makes den zero, which the constructor rejects
+            q = other.denominator
+            return AlgNum(self.field, [n * q for n in self.num],
+                          self.den * other.numerator)
         if isinstance(other, AlgNum):
             return self * other.inverse()
         return NotImplemented
@@ -248,26 +257,31 @@ class AlgNum:
 Scalar = Union[Fraction, AlgNum]
 
 
-def field_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact binary field operation, op in '+', '-', '*', '/'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if not b:
-            raise ZeroDivisionError("zero divisor")
-        if isinstance(b, Fraction) and not isinstance(a, AlgNum):
-            return Fraction(a) / b
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
+def bareiss_jordan(a: list, n: int) -> int:
+    """Fraction-free Gauss-Jordan, in place, on integer rows ``a``.
+
+    Eliminates the first ``n`` columns of the ``n`` rows (any further
+    columns are carried along).  Every row ends as zeros there except its
+    diagonal entry, which is the returned last pivot, so the carried columns
+    hold pivot times the solution.  Raises ValueError for singular input.
+    """
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix not invertible")
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k][k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(pk * x - aik * y) // prev
+                        for x, y in zip(a[i], a[k])]
+        prev = pk
+    return prev
 
 
 def scalar_inverse(a: Scalar) -> Scalar:
-    if not a:
-        raise ZeroDivisionError("zero divisor")
     if isinstance(a, AlgNum):
         return a.inverse()
     return 1 / Fraction(a)

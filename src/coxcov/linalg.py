@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import AlgNum, Field, Scalar, scalar_inverse
+from .fields import AlgNum, Field, Scalar, bareiss_jordan, scalar_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -135,30 +135,8 @@ def bareiss_jordan_inverse(mat):
     n = len(mat)
     a = [list(map(int, row)) + [1 if j == i else 0 for j in range(n)]
          for i, row in enumerate(mat)]
-    width = 2 * n
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            aik = a[i][k]
-            row = a[i]
-            rk = a[k]
-            if aik:
-                for j in range(width):
-                    row[j] = (pk * row[j] - aik * rk[j]) // prev
-            else:
-                for j in range(width):
-                    row[j] = (pk * row[j]) // prev
-        prev = pk
-    den = a[0][0]
-    for i in range(1, n):
+    den = bareiss_jordan(a, n)
+    for i in range(n):
         assert a[i][i] == den, "fraction-free elimination lost diagonal"
     inv = [row[n:] for row in a]
     # exact certification
@@ -226,11 +204,9 @@ def field_prime_and_root(field: Field, start: int = 99991):
         if _is_prime(p):
             if field.degree == 1:
                 return p, 0
-            coeffs = [int(c) for c in field.min_poly]
-            assert all(c.denominator == 1 for c in field.min_poly)
             for x in range(p):
                 acc = 0
-                for c in reversed(coeffs):
+                for c in reversed(field.min_poly):
                     acc = (acc * x + c) % p
                 if acc == 0:
                     return p, x
@@ -241,11 +217,9 @@ def scalar_mod(x: Scalar, p: int, root: int, field: Field) -> int:
     """Image of a scalar in Z/p under theta -> root."""
     if isinstance(x, AlgNum):
         acc = 0
-        powr = 1
-        for c in x.coords:
-            acc = (acc + c.numerator % p * pow(c.denominator, -1, p) % p * powr) % p
-            powr = powr * root % p
-        return acc
+        for c in reversed(x.num):
+            acc = (acc * root + c) % p
+        return acc * pow(x.den, -1, p) % p
     f = Fraction(x)
     return f.numerator % p * pow(f.denominator, -1, p) % p
 

@@ -18,7 +18,7 @@ SCHEMA = "coxcov-report/1"
 def scalar_str(x):
     """Exact fraction string; extension scalars as coordinate lists."""
     if isinstance(x, AlgNum):
-        return [str(Fraction(c)) for c in x.coords]
+        return [str(c) for c in x.field.coords(x)]
     return str(Fraction(x))
 
 
