@@ -1,17 +1,17 @@
-"""Versioned on-disk cache of group data and coinvariant table layouts.
+"""Versioned on-disk cache of coinvariant table layouts.
 
-One JSON document per group; key = (type code, field, format version).
-Absent or version-mismatched files are regenerated.  The recorded layout
-(derivative multi-indices and standard monomials per degree) lets the
-coinvariant tables skip their pivot searches on reload; every exact
-certification still runs.
+One JSON document per group, holding the format version, the group's
+code, field and order, and the recorded layout of its coinvariant tables
+(derivative multi-indices and standard monomials per degree).  Absent or
+version-mismatched files are regenerated.  The group itself is rebuilt on
+every load; the layout lets the tables skip their pivot searches, and
+every exact certification still runs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from pathlib import Path
 
 from .coinvariants import CoinvariantBasis
@@ -29,14 +29,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "coxcov"
 
 
-def _scalar_doc(x, field):
-    return [str(Fraction(c)) for c in field.coords(x)]
-
-
-def _scalar_load(doc, field):
-    return field.scalar(*[Fraction(c) for c in doc])
-
-
 def cache_path(cache_dir: Path, code: str) -> Path:
     safe = code.replace("(", "_").replace(")", "")
     return Path(cache_dir) / f"group_{safe}.json"
@@ -46,27 +38,11 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
                cb: CoinvariantBasis | None = None) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    f = group.field
     doc = {
         "version": CACHE_VERSION,
         "code": group.code,
-        "field": f.name,
-        "rank": group.rank,
+        "field": group.field.name,
         "order": group.order,
-        "degrees": list(group.degrees),
-        "gram": [[_scalar_doc(v, f) for v in row] for row in group.gram],
-        "simple_roots": [[_scalar_doc(v, f) for v in a]
-                         for a in group.simple_roots],
-        "positive_roots": [[_scalar_doc(v, f) for v in a]
-                           for a in group.positive_roots],
-        "elements": [[[_scalar_doc(v, f) for v in row] for row in m]
-                     for m in group.elements],
-        "reflections": [[idx, [_scalar_doc(v, f) for v in root]]
-                        for idx, root in group.reflections],
-        "reflection_classes": group.reflection_classes,
-        "invariants": [
-            [[list(e), _scalar_doc(c, f)] for e, c in psi.sorted_terms()]
-            for psi in group.basic_invariants()],
     }
     if cb is not None:
         doc["tables"] = {

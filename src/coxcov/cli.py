@@ -41,11 +41,6 @@ class UsageError(ValueError):
     pass
 
 
-def _build_stack(code, c_values, cache_dir, allow_long):
-    group, cb, _ = cache_mod.load_stack(cache_dir, code, allow_long=allow_long)
-    return CovariantStack(group, c_values=c_values, cb=cb)
-
-
 def _c_values_for(group, c_long, c_short):
     if c_long is None and c_short is None:
         return None
@@ -91,10 +86,11 @@ def run_suite(config: dict) -> Report:
         code = canonical_code(code)
         stack = None
         if group_checks:
-            group = build_group(code, allow_long=allow_long)
+            group, cb, _ = cache_mod.load_stack(cache_dir, code,
+                                                allow_long=allow_long)
             c_values = _c_values_for(group, config.get("c_long"),
                                      config.get("c_short"))
-            stack = _build_stack(code, c_values, cache_dir, allow_long)
+            stack = CovariantStack(group, c_values=c_values, cb=cb)
         constants_rec = None
         for check in group_checks:
             if check == "differentials":
@@ -260,17 +256,19 @@ def cmd_series(args) -> int:
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
     for code in groups:
         code = canonical_code(code)
-        group = build_group(code, allow_long=args.allow_long)
         if args.char == "little-adjoint":
+            group, cb, _ = cache_mod.load_stack(cache_dir, code,
+                                                allow_long=args.allow_long)
             if len(group.reflection_classes) != 2:
                 raise UsageError(f"{code} has a single reflection class")
-            stack = _build_stack(code, None, cache_dir, args.allow_long)
+            stack = CovariantStack(group, cb=cb)
             from .little_adjoint import (split_group, subgroup_invariants,
                                          u_target_space, ubar_decomposition)
             split = split_group(stack.group)
             dec = ubar_decomposition(split, subgroup_invariants(split))
             chi = u_target_space(stack, dec).character(stack.group)
         else:
+            group = build_group(code, allow_long=args.allow_long)
             chi = group.character(args.char)
         series = graded_multiplicity_series(group, chi)
         out[code] = series.as_list()
@@ -288,9 +286,10 @@ def cmd_constants(args) -> int:
     records = []
     for code in groups:
         code = canonical_code(code)
-        group = build_group(code, allow_long=args.allow_long)
+        group, cb, _ = cache_mod.load_stack(cache_dir, code,
+                                            allow_long=args.allow_long)
         c_values = _c_values_for(group, args.c_long, args.c_short)
-        stack = _build_stack(code, c_values, cache_dir, args.allow_long)
+        stack = CovariantStack(group, c_values=c_values, cb=cb)
         records.append(constants_table(stack))
     report = Report(config={"groups": [canonical_code(g) for g in groups],
                             "checks": ["constants"], "seed": args.seed,

@@ -31,10 +31,11 @@ from math import factorial
 
 import numpy as np
 
-from .fields import Field, Scalar
+from .fields import Scalar
 from .groups import ReflectionGroup
-from .linalg import (bareiss_jordan_inverse, field_prime_and_root,
-                     invert_field_matrix, modp_greedy_pivots, scalar_mod)
+from .linalg import (SparseSolver, bareiss_jordan_inverse,
+                     field_prime_and_root, inverse, modp_greedy_pivots,
+                     scalar_mod)
 from .poly import Poly, grevlex_key
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
 
@@ -95,8 +96,8 @@ class _DegreeTable:
         self.mono_pos = {m: i for i, m in enumerate(monos)}
         self.harms = harms          # selected derivative polynomials
         self.indices = indices      # their derivative multi-indices
-        self.inv = inv              # exact inverse data of pairing matrix
-        self.den = den              # denominator (rational case), else None
+        self.inv = inv              # pairing matrix inverse is inv / den:
+        self.den = den              # integers over Q, den = 1 over Q(theta)
 
 
 class CoinvariantBasis:
@@ -208,10 +209,10 @@ class CoinvariantBasis:
             p, root = field_prime_and_root(self.field, p + 2)
 
     def _invert_pairing(self, harms, monos):
-        """Exact inverse of P[i][j] = <h_i, m_j>.
+        """Exact inverse of P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den.
 
-        Rational case: returns (M, den) integer with P^{-1} = M / den.
-        Field case: returns (M, None) with M the exact inverse matrix.
+        Over Q, M and den are integers from fraction-free elimination; over
+        Q(theta), M is the inverse itself and den = 1.
         """
         from math import gcd
         k = len(monos)
@@ -230,12 +231,10 @@ class CoinvariantBasis:
             if den_l != 1:
                 inv = [[v * den_l for v in row] for row in inv]
             return (inv, den)
-        inv = invert_field_matrix(rows, field)
-        return (inv, None)
+        return (inverse(rows, field), 1)
 
     def _build_degree_exact(self, d, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""
-        from .linalg import SparseSolver
         solver = SparseSolver()
         chosen = []
         for a, h in cands:
@@ -290,30 +289,15 @@ class CoinvariantBasis:
         t = self.tables[d]
         k = len(t.monos)
         v = [_pairing(h, p) for h in t.harms]
-        field = self.field
         out = {}
-        if field.is_rational:
-            inv, den = t.inv, t.den
-            for j in range(k):
-                num = 0
-                row = inv[j]
-                for i in range(k):
-                    vi = v[i]
-                    if vi:
-                        num += row[i] * vi
-                if num:
-                    out[t.monos[j]] = Fraction(num, 1) / den
-            return Poly(self.rank, field, out)
-        inv = t.inv
         for j in range(k):
-            acc = field.zero
-            row = inv[j]
-            for i in range(k):
-                if v[i]:
-                    acc = acc + row[i] * v[i]
-            if acc:
-                out[t.monos[j]] = acc
-        return Poly(self.rank, field, out)
+            num = 0
+            for mij, vi in zip(t.inv[j], v):
+                if vi:
+                    num += mij * vi
+            if num:
+                out[t.monos[j]] = num / t.den
+        return Poly(self.rank, self.field, out)
 
     def nf_poly(self, p: Poly) -> Poly:
         """Normal form of p modulo J, supported on standard monomials."""
@@ -370,13 +354,3 @@ class CoinvariantBasis:
         forms = [Poly.linear_form(self.group.gram[i], self.field)
                  for i in range(self.rank)]
         return [h.substitute(forms) for h in self.plain_harmonics(d)]
-
-    def pairing_with_class(self, harmonic: Poly, rep: Poly) -> Scalar:
-        """Invariant pairing of a classical harmonic with a coinvariant class.
-
-        <a, pi(p)> = plain pairing of (a composed with G^{-1}) and p; for a
-        from ``invariant_harmonics`` that recovers the stored plain harmonic.
-        """
-        ginv_forms = [Poly.linear_form(self.group.gram_inv[i], self.field)
-                      for i in range(self.rank)]
-        return _pairing(harmonic.substitute(ginv_forms), rep)

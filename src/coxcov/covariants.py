@@ -21,8 +21,8 @@ from fractions import Fraction
 from .coinvariants import CoinvariantBasis, monomials_of_degree
 from .differentials import DunklParams, de_rham, dunkl
 from .fields import scalar_inverse
-from .groups import ReflectionGroup, _dense_det
-from .linalg import SparseSolver
+from .groups import ReflectionGroup
+from .linalg import SparseSolver, det
 from .molien import (GradedSeries, covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
 from .poly import Poly
@@ -279,7 +279,7 @@ def solomon_check(stack: CovariantStack) -> CheckRecord:
         failures.append("Molien series != product formula")
     # prod_j p_j = det(G^{-1}) (b_1^...^b_r tensor pi(Delta))
     top = stack.p_product((1 << r) - 1)
-    detginv = _dense_det([list(row) for row in g.gram_inv], g.field)
+    detginv = det(g.gram_inv, g.field)
     delta_nf = stack.cb.nf_poly(g.jacobian_delta())
     expected = Weil(r, g.field, {(1 << r) - 1: delta_nf.scale(detginv)},
                     B_QUOTIENT)

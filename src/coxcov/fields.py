@@ -71,10 +71,19 @@ class Field:
         return self.degree == 1
 
     def scalar(self, *coords) -> "Scalar":
-        """Build a scalar from rational coordinates (padded with zeros)."""
+        """Build a scalar from rational coordinates (padded with zeros).
+
+        Q takes exactly one coordinate and Q(theta) at most its degree;
+        any other count raises ValueError.
+        """
         if self.degree == 1:
-            assert len(coords) == 1
+            if len(coords) != 1:
+                raise ValueError("a scalar of Q has one coordinate, "
+                                 f"got {len(coords)}")
             return Fraction(coords[0])
+        if len(coords) > self.degree:
+            raise ValueError(f"a scalar of {self.name} has at most "
+                             f"{self.degree} coordinates, got {len(coords)}")
         cs = [Fraction(c) for c in coords]
         cs += [Fraction(0)] * (self.degree - len(cs))
         den = lcm(*(c.denominator for c in cs))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
-from .linalg import invert_field_matrix
+from .linalg import det, inverse
 from .poly import Poly
 from .weil import Weil, wedge_mul
 
@@ -156,13 +156,11 @@ class InnerProduct:
         n = len(rows)
         assert all(self.gram[i][j] == self.gram[j][i]
                    for i in range(n) for j in range(n)), "gram not symmetric"
-        self.inverse = tuple(tuple(r) for r in
-                             invert_field_matrix(self.gram, field))
+        self.inverse = tuple(tuple(r) for r in inverse(self.gram, field))
         # positive definiteness via leading principal minors: exact over
         # the rationals, through the designated real embedding otherwise
         for k in range(1, n + 1):
-            minor = _dense_det([[self.gram[i][j] for j in range(k)]
-                                for i in range(k)], field)
+            minor = det([row[:k] for row in self.gram[:k]], field)
             if field.is_rational:
                 assert minor > 0, "gram not positive definite"
             else:
@@ -177,26 +175,6 @@ class InnerProduct:
                     if vj:
                         total = total + ui * self.gram[i][j] * vj
         return total
-
-
-def _dense_det(rows, field: Field):
-    n = len(rows)
-    a = [[field.coerce(v) for v in row] for row in rows]
-    det = field.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = scalar_inverse(a[col][col])
-        for i in range(col + 1, n):
-            if a[i][col]:
-                c = a[i][col] * inv
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +392,7 @@ class ReflectionGroup:
         return self.mul(self.mul(g, w), self.inv(g))
 
     def det(self, i: int) -> Scalar:
-        return _dense_det([list(r) for r in self.elements[i]], self.field)
+        return det(self.elements[i], self.field)
 
     def trace(self, i: int) -> Scalar:
         w = self.elements[i]
@@ -578,9 +556,6 @@ class ReflectionGroup:
     def reflection_class_sizes(self):
         return tuple(len(c) for c in self.reflection_classes)
 
-    def reflections_in_class(self, class_idx: int):
-        return [self.reflections[k] for k in self.reflection_classes[class_idx]]
-
     # -- basic invariants ---------------------------------------------------
 
     def basic_invariants(self):
@@ -605,7 +580,7 @@ class ReflectionGroup:
             pt = [f.coerce(point[i]) for i in range(self.rank)]
             rows = [[psis[j].partial(i).eval_scalars(pt)
                      for j in range(self.rank)] for i in range(self.rank)]
-            if _dense_det(rows, f):
+            if det(rows, f):
                 return True
         return not self.jacobian_delta().is_zero()
 

@@ -21,54 +21,12 @@ from itertools import permutations
 from .coinvariants import CoinvariantBasis
 from .covariants import weil_vec
 from .fields import QQ
-from .groups import ReflectionGroup, _dense_det, build_custom_group
-from .linalg import SparseSolver, invert_field_matrix
+from .groups import ReflectionGroup, build_custom_group
+from .linalg import SparseSolver, det, inverse
 from .molien import GradedSeries, graded_multiplicity_series
 from .poly import Poly
 from .reports import FAIL, FINDING, PASS, CheckRecord
-from .weil import B_QUOTIENT, Weil, merge_sign
-
-
-# ---------------------------------------------------------------------------
-# exterior algebra of g over bitmasks
-# ---------------------------------------------------------------------------
-
-def ext_wedge(a: dict, b: dict) -> dict:
-    out = {}
-    for s, x in a.items():
-        for t, y in b.items():
-            sign = merge_sign(s, t)
-            if sign == 0:
-                continue
-            v = x * y
-            if sign < 0:
-                v = -v
-            key = s | t
-            cur = out.get(key)
-            cur = v if cur is None else cur + v
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-    return out
-
-
-def ext_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        cur = v if cur is None else cur + v
-        if cur:
-            out[k] = cur
-        else:
-            out.pop(k, None)
-    return out
-
-
-def ext_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+from .weil import B_QUOTIENT, Weil, add_terms, merge_sign, wedge_terms
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +171,7 @@ def build_lie(code: str) -> LieAlgebraData:
         if c != 1:
             mats[fi] = _mscale(mats[fi], Fraction(1, c))
     form = [[_mtrace_prod(a, b) for b in mats] for a in mats]
-    form_inv = [[Fraction(x) for x in row] for row in
-                invert_field_matrix(form, QQ)]
+    form_inv = inverse(form, QQ)
     # expansion of arbitrary matrices in the basis
     solver = SparseSolver()
     n = len(mats[0])
@@ -300,9 +257,8 @@ def _s_images(L: LieAlgebraData):
             br = L.bracket_vec(dual, {i: Fraction(1)})
             if not br:
                 continue
-            term = ext_wedge({1 << a: Fraction(1)},
-                             {1 << k: c for k, c in br.items()})
-            acc = ext_add(acc, ext_scale(term, half))
+            acc = add_terms(acc, wedge_terms(
+                {1 << a: half}, {1 << k: c for k, c in br.items()}))
         out.append(acc)
     return out
 
@@ -319,19 +275,19 @@ def tau_map(L: LieAlgebraData, p: Poly) -> dict:
         for j in range(L.rank):
             c = ginv[i][j]
             if c:
-                acc = ext_add(acc, ext_scale(simgs[j], c))
+                acc = add_terms(acc, {m: v * c for m, v in simgs[j].items()})
         var_imgs.append(acc)
     out: dict = {}
     for e, coeff in p.terms.items():
         term = {0: Fraction(coeff)}
         for i, k in enumerate(e):
             for _ in range(k):
-                term = ext_wedge(term, var_imgs[i])
+                term = wedge_terms(term, var_imgs[i])
                 if not term:
                     break
             if not term:
                 break
-        out = ext_add(out, term)
+        out = add_terms(out, term)
     return out
 
 
@@ -357,8 +313,8 @@ def tau_closed_form(L: LieAlgebraData, root_coords) -> dict:
     for coords, ei, fi in L.pos_roots:
         c = L.pair_roots(coords, root_coords)
         if c:
-            acc = ext_add(acc, ext_scale({(1 << ei) | (1 << fi):
-                                          merge_sign(1 << ei, 1 << fi)}, c))
+            acc = add_terms(acc, {(1 << ei) | (1 << fi):
+                                  merge_sign(1 << ei, 1 << fi) * c})
     return acc
 
 
@@ -378,8 +334,8 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     img = tau_map(L, P)
     blocks = {0: Fraction(1)}
     for coords, ei, fi in L.pos_roots:
-        blocks = ext_wedge(blocks, {(1 << ei) | (1 << fi):
-                                    Fraction(merge_sign(1 << ei, 1 << fi))})
+        blocks = wedge_terms(blocks, {(1 << ei) | (1 << fi):
+                                      Fraction(merge_sign(1 << ei, 1 << fi))})
     amat = [[L.pair_roots(a[0], b[0]) for b in L.pos_roots]
             for a in L.pos_roots]
     per = Fraction(0)
@@ -389,7 +345,7 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
         for i in range(n):
             term *= amat[i][sigma[i]]
         per += term
-    if img != ext_scale(blocks, per):
+    if img != wedge_terms({0: per}, blocks):
         failures.append("tau(P) != permanent * product of root planes")
     details["permanent"] = str(per)
     # lower bound N!/(rho,rho)^N * prod (alpha, rho)^2 <= per(A)
@@ -450,7 +406,7 @@ def _ext_pairing(L: LieAlgebraData, a: dict, b: dict) -> Fraction:
                 continue
             kt = [i for i in range(L.dim) if t & (1 << i)]
             sub = [[L.form[i][j] for j in kt] for i in ks]
-            d = _dense_det(sub, QQ)
+            d = det(sub, QQ)
             if d:
                 total += x * y * d
     return total
@@ -536,8 +492,8 @@ def ext_act(L: LieAlgebraData, z_idx: int, xi: dict) -> dict:
             sign = -1 if pos % 2 else 1
             one = {1 << k: cc for k, cc in enumerate(br) if cc}
             if one:
-                term = ext_wedge(one, {rest: Fraction(c * sign)})
-                out = ext_add(out, term)
+                out = add_terms(out, wedge_terms(
+                    one, {rest: Fraction(c * sign)}))
             pos += 1
     return out
 

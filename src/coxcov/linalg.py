@@ -1,8 +1,18 @@
-"""Exact linear algebra helpers.
+"""Exact linear algebra: three elimination kernels and a mod-p preselector.
 
-Sparse vectors are dicts keyed by hashable, comparable column labels.
-Rational dense work goes through fraction-free (Bareiss-style) integer
-elimination; small dense field work uses straightforward exact Gauss-Jordan.
+* ``gauss_jordan`` (with ``det``, ``inverse`` and ``nullspace`` on top) is
+  the dense elimination over a field, Q or Q(theta), for small matrices
+  given as rows: Gram matrices and their minors, determinants of group
+  elements, the Molien principal minors, the Lie-side form, the Q(theta)
+  pairing tables and the nullspaces of the little-adjoint construction.
+* ``bareiss_jordan_inverse`` over ``fields.bareiss_jordan`` is the
+  fraction-free integer elimination, for integer matrices: the rational
+  pairing tables of the coinvariant basis after clearing denominators
+  (``fields`` runs the same core for ``AlgNum.inverse``).
+* ``SparseSolver`` is the incremental echelon over dicts keyed by
+  hashable, comparable column labels, for spans that grow one vector at a
+  time: ranks, membership and solving in the span.
+
 A mod-p path (numpy) preselects pivots for the big rational eliminations;
 every mod-p choice is certified exactly afterwards.
 """
@@ -95,35 +105,73 @@ class SparseSolver:
         return not self.reduce_only(vec)
 
 
-def sparse_rank(vectors) -> int:
-    s = SparseSolver()
-    for v in vectors:
-        s.add(v)
-    return s.rank
-
-
 # ---------------------------------------------------------------------------
-# dense exact inverses
+# dense elimination: Gauss-Jordan over a field, Bareiss over the integers
 # ---------------------------------------------------------------------------
 
-def invert_field_matrix(rows, field: Field):
-    """Exact Gauss-Jordan inverse of a small dense matrix over a field."""
-    n = len(rows)
-    aug = [[field.coerce(rows[i][j]) for j in range(n)]
-           + [field.one if j == i else field.zero for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
+def gauss_jordan(rows, field: Field, ncols: int | None = None):
+    """Reduced row echelon form of a dense matrix over a field.
+
+    Eliminates the first ``ncols`` columns (default: all), carrying any
+    further columns along, with the pivot of each column in the first
+    remaining row that is nonzero there.  Returns ``(rref, pivots, det)``:
+    the reduced rows (pivot entries 1, the rest of a pivot column 0), the
+    pivot columns in order, and, for square input, the determinant.
+    """
+    a = [[field.coerce(v) for v in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    det = field.one
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
-            raise ValueError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = scalar_inverse(aug[col][col])
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+            det = field.zero
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det = det * a[r][col]
+        inv = scalar_inverse(a[r][col])
+        prow = a[r] = [x * inv for x in a[r]]
+        for i, row in enumerate(a):
+            c = row[col]
+            if c and i != r:
+                a[i] = [x - c * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def det(rows, field: Field):
+    """Exact determinant of a square matrix over the field."""
+    return gauss_jordan(rows, field)[2]
+
+
+def inverse(rows, field: Field):
+    """Exact inverse of a square matrix over the field; ValueError if
+    singular."""
+    n = len(rows)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(rows)]
+    rref, pivots, _ = gauss_jordan(aug, field, n)
+    if len(pivots) < n:
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in rref]
+
+
+def nullspace(rows, ncols: int, field: Field):
+    """Basis of {x : rows . x = 0}: one vector per non-pivot column, equal
+    to 1 there and 0 on the other non-pivot columns."""
+    rref, pivots, _ = gauss_jordan(rows, field, ncols)
+    out = []
+    for fj in sorted(set(range(ncols)) - set(pivots)):
+        vec = [field.zero] * ncols
+        vec[fj] = field.one
+        for row, pj in zip(rref, pivots):
+            vec[pj] = -row[fj]
+        out.append(vec)
+    return out
 
 
 def bareiss_jordan_inverse(mat):
@@ -146,28 +194,6 @@ def bareiss_jordan_inverse(mat):
             s = sum(mrow[t] * inv[t][j] for t in range(n))
             assert s == (den if i == j else 0), "inverse certification failed"
     return inv, den
-
-
-def det_int(mat) -> int:
-    """Exact determinant of an integer matrix by forward Bareiss."""
-    n = len(mat)
-    a = [list(map(int, row)) for row in mat]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

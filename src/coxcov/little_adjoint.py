@@ -21,7 +21,7 @@ from .covariants import (CovariantMap, CovariantStack, TargetSpace, form_e,
 from .differentials import dunkl, koszul_delta
 from .fields import Scalar, scalar_inverse
 from .groups import ReflectionGroup, _jacobian_det, _poly_det
-from .linalg import SparseSolver, invert_field_matrix
+from .linalg import SparseSolver, inverse, nullspace
 from .molien import GradedSeries, graded_multiplicity_series
 from .poly import Poly
 from .reports import FAIL, PASS, CheckRecord, scalar_str
@@ -151,7 +151,7 @@ def subgroup_invariants(split: SplitGroupData):
             if cand.is_zero():
                 continue
             cand = cand.content_normalized()
-            if _jacobian_rank(psibars + [cand], group) == len(psibars) + 1:
+            if _jacobian_full_rank(psibars + [cand], group.rank, group.field):
                 psibars.append(cand)
                 found += 1
         assert found == needed, f"could not find degree-{d} H-invariants"
@@ -160,16 +160,13 @@ def subgroup_invariants(split: SplitGroupData):
     return psibars
 
 
-def _jacobian_rank(polys, group: ReflectionGroup) -> int:
+def _jacobian_full_rank(polys, nv, field) -> bool:
+    """Whether the Jacobian matrix of ``polys`` in ``nv`` variables has
+    full column rank: some maximal minor is a nonzero polynomial."""
     k = len(polys)
-    if k == 0:
-        return 0
-    jac = [[polys[j].partial(i) for j in range(k)] for i in range(group.rank)]
-    for rows in combinations(range(group.rank), k):
-        sub = [[jac[i][j] for j in range(k)] for i in rows]
-        if not _poly_det(sub, k, group.field).is_zero():
-            return k
-    return k - 1  # rank defect (only full-vs-not matters to callers)
+    jac = [[p.partial(i) for p in polys] for i in range(nv)]
+    return any(not _poly_det([jac[i] for i in rows], k, field).is_zero()
+               for rows in combinations(range(nv), k))
 
 
 @dataclass
@@ -232,7 +229,7 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
         coeff_rows = []
         for z in j2_reduced:
             coeff_rows.append([twisted_pairing(group, b, z) for b in basis])
-        null = _nullspace(coeff_rows, len(basis), field)
+        null = nullspace(coeff_rows, len(basis), field)
         assert len(null) == len(gens_d)
         for vec in null:
             v = Poly.zero(group.rank, field)
@@ -274,29 +271,6 @@ def _psibar_monomials(psibars, degree):
             rec(i, d - psibars[i].degree(), acc * psibars[i])
 
     rec(0, degree, Poly.constant(1, psibars[0].nv, psibars[0].field))
-    return out
-
-
-def _nullspace(rows, ncols, field):
-    """Nullspace basis of a small dense system, deterministic."""
-    solver = SparseSolver()
-    for row in rows:
-        solver.add({j: v for j, v in enumerate(row) if v})
-    pivots = set(solver.pivots.keys())
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for fj in free:
-        vec = [field.zero] * ncols
-        vec[fj] = field.one
-        # back-substitute: for each pivot row, solve pivot coordinate
-        for pivot, idx in sorted(solver.pivots.items(), reverse=True):
-            _, rvec, _ = solver.rows[idx]
-            s = field.zero
-            for j, c in rvec.items():
-                if j != pivot:
-                    s = s + c * vec[j]
-            vec[pivot] = -s
-        out.append(vec)
     return out
 
 
@@ -352,7 +326,7 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
             if cand.is_zero():
                 continue
             cand = cand.content_normalized()
-            if _jacobian_rank_y(phis_y + [cand], s, field) == len(phis_y) + 1:
+            if _jacobian_full_rank(phis_y + [cand], s, field):
                 phis_y.append(cand)
                 found = True
                 break
@@ -361,24 +335,12 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
     return TildeInvariants(dec, phis_y, phis)
 
 
-def _jacobian_rank_y(polys, nv, field) -> int:
-    k = len(polys)
-    if k == 0:
-        return 0
-    jac = [[polys[j].partial(i) for j in range(k)] for i in range(nv)]
-    for rows in combinations(range(nv), k):
-        sub = [[jac[i][j] for j in range(k)] for i in rows]
-        if not _poly_det(sub, k, field).is_zero():
-            return k
-    return k - 1
-
-
 def u_target_space(stack: CovariantStack, dec: UbarDecomposition) -> TargetSpace:
     group = stack.group
     s = len(dec.u_basis)
     gram = [[twisted_pairing(group, a, b) for b in dec.u_basis]
             for a in dec.u_basis]
-    gram_inv = invert_field_matrix(gram, group.field)
+    gram_inv = inverse(gram, group.field)
     action_cache = {}
 
     def action(widx):

@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .fields import Field, scalar_inverse
 from .groups import ClassFunction, ReflectionGroup
+from .linalg import det
 
 
 class GradedSeries:
@@ -113,25 +114,10 @@ def _exterior_traces(w, field: Field):
     for k in range(1, r + 1):
         total = field.zero
         for rows in combinations(range(r), k):
-            total = total + _minor_det(w, rows, field)
+            total = total + det([[w[i][j] for j in rows] for i in rows],
+                                field)
         out.append(total)
     return out
-
-
-def _minor_det(w, rows, field: Field):
-    k = len(rows)
-    sub = [[w[i][j] for j in rows] for i in rows]
-    if k == 1:
-        return sub[0][0]
-    if k == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    total = field.zero
-    for j in range(k):
-        m = _minor_det([row[:j] + row[j + 1:] for row in sub[1:]],
-                       tuple(range(k - 1)), field)
-        term = sub[0][j] * m
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def graded_multiplicity_series(group: ReflectionGroup,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import QQ, AlgNum, Field, Scalar, scalar_inverse
+from .fields import QQ, Field, Scalar, scalar_inverse
 
 
 def grevlex_key(expo: tuple) -> tuple:
@@ -92,9 +92,6 @@ class Poly:
         return Poly(self.nv, self.field,
                     {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nv, self.field.zero)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
 
@@ -111,7 +108,8 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        assert self.nv == other.nv, "mismatched variable count"
+        if self.nv != other.nv:
+            raise ValueError("mismatched variable count")
         if len(self.terms) < len(other.terms):
             self, other = other, self
         out = dict(self.terms)
@@ -135,7 +133,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            assert self.nv == other.nv, "mismatched variable count"
+            if self.nv != other.nv:
+                raise ValueError("mismatched variable count")
             if not self.terms or not other.terms:
                 return Poly.zero(self.nv, self.field)
             out = {}
@@ -268,16 +267,6 @@ class Poly:
                     v = v * point[i]
             total = total + v
         return total
-
-
-def poly_arithmetic(p: Poly, q: Poly, op: str) -> Poly:
-    if p.nv != q.nv or p.field != q.field:
-        raise ValueError("mismatched variable count or field")
-    if op == "+":
-        return p + q
-    if op == "*":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
 
 
 def divide_by_linear_form(p: Poly, alpha) -> Poly:

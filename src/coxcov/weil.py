@@ -31,6 +31,53 @@ def merge_sign(s: int, t: int) -> int:
     return sign
 
 
+# -- exterior algebra on mask -> coefficient dicts ---------------------------
+#
+# The coefficients are Polys for Weil elements and plain scalars for the
+# exterior algebra of a Lie algebra; no stored coefficient is zero.
+
+def add_terms(a: dict, b: dict) -> dict:
+    """Sum of two exterior elements."""
+    out = dict(a)
+    for mask, c in b.items():
+        cur = out.get(mask)
+        if cur is None:
+            out[mask] = c
+        else:
+            cur = cur + c
+            if cur:
+                out[mask] = cur
+            else:
+                del out[mask]
+    return out
+
+
+def wedge_terms(a: dict, b: dict) -> dict:
+    """Graded-commutative product of two exterior elements."""
+    out = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            sign = merge_sign(s, t)
+            if sign == 0:
+                continue
+            prod = x * y
+            if sign < 0:
+                prod = -prod
+            if not prod:
+                continue
+            mask = s | t
+            cur = out.get(mask)
+            if cur is None:
+                out[mask] = prod
+            else:
+                cur = cur + prod
+                if cur:
+                    out[mask] = cur
+                else:
+                    del out[mask]
+    return out
+
+
 class Weil:
     __slots__ = ("r", "field", "ambient", "terms")
 
@@ -132,18 +179,8 @@ class Weil:
 
     def __add__(self, other: "Weil") -> "Weil":
         self._assert_compatible(other)
-        out = dict(self.terms)
-        for mask, p in other.terms.items():
-            s = out.get(mask)
-            if s is None:
-                out[mask] = p
-            else:
-                s = s + p
-                if s:
-                    out[mask] = s
-                else:
-                    del out[mask]
-        return Weil(self.r, self.field, out, self.ambient)
+        return Weil(self.r, self.field, add_terms(self.terms, other.terms),
+                    self.ambient)
 
     def __neg__(self):
         return Weil(self.r, self.field,
@@ -171,34 +208,4 @@ class Weil:
 def wedge_mul(a: Weil, b: Weil) -> Weil:
     """Graded-commutative product; sign from merging index blocks."""
     a._assert_compatible(b)
-    out = {}
-    for s, p in a.terms.items():
-        for t, q in b.terms.items():
-            sign = merge_sign(s, t)
-            if sign == 0:
-                continue
-            prod = p * q
-            if sign < 0:
-                prod = -prod
-            if not prod:
-                continue
-            mask = s | t
-            cur = out.get(mask)
-            if cur is None:
-                out[mask] = prod
-            else:
-                cur = cur + prod
-                if cur:
-                    out[mask] = cur
-                else:
-                    del out[mask]
-    return Weil(a.r, a.field, out, a.ambient)
-
-
-def wedge_power_list(factors) -> Weil:
-    """Left-to-right wedge product of a list of Weil elements."""
-    assert factors
-    out = factors[0]
-    for f in factors[1:]:
-        out = wedge_mul(out, f)
-    return out
+    return Weil(a.r, a.field, wedge_terms(a.terms, b.terms), a.ambient)

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +286,25 @@ def test_canonical_zero():
     assert not QQ.zero
     assert not QSQRT5.scalar(0, 0)
     assert QSQRT5.scalar(0, 1)
+
+
+def test_scalar_rejects_wrong_coordinate_count():
+    for field, coords in ((QQ, (1, 2)), (QQ, ()), (QSQRT5, (1, 2, 3)),
+                          (QCOSPI8, (1, 2, 3, 4, 5))):
+        with pytest.raises(ValueError):
+            field.scalar(*coords)
+    assert QSQRT5.scalar(3) == 3
+    assert QCOSPI8.scalar(1, 2, 3, 4) == \
+        QCOSPI8.scalar(1) + QCOSPI8.theta() * QCOSPI8.scalar(2, 3, 4)
+    # a raise, unlike an assert, survives python -O
+    code = ("from coxcov.fields import QQ, QSQRT5\n"
+            "for f, cs in ((QQ, (1, 2)), (QSQRT5, (1, 2, 3))):\n"
+            "    try:\n"
+            "        f.scalar(*cs)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0

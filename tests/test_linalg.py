@@ -1,12 +1,37 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from coxcov.fields import QQ, QSQRT5
-from coxcov.linalg import (SparseSolver, bareiss_jordan_inverse, det_int,
-                           field_prime_and_root, invert_field_matrix,
-                           modp_greedy_pivots, scalar_mod, sparse_rank)
+from coxcov.linalg import (SparseSolver, bareiss_jordan_inverse, det,
+                           field_prime_and_root, inverse, modp_greedy_pivots,
+                           nullspace, scalar_mod)
+
+
+def _rand_scalar(rng, field):
+    c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
+    return c if field.is_rational else field.scalar(c, rng.randrange(-2, 3))
+
+
+def _rand_matrix(rng, field, n, m):
+    return [[_rand_scalar(rng, field) for _ in range(m)] for _ in range(n)]
+
+
+def _rank_deficient(rng, field, n, m, rank):
+    """An n x m matrix of rank <= rank: products of random factors."""
+    left = _rand_matrix(rng, field, n, rank)
+    right = _rand_matrix(rng, field, rank, m)
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), field.zero)
+             for j in range(m)] for i in range(n)]
+
+
+def _sparse_rank(rows):
+    s = SparseSolver()
+    for row in rows:
+        s.add({j: v for j, v in enumerate(row) if v})
+    return s.rank
 
 
 def test_bareiss_inverse_vs_fraction_gauss():
@@ -14,30 +39,69 @@ def test_bareiss_inverse_vs_fraction_gauss():
     for _ in range(30):
         n = rng.randrange(1, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        if det_int(mat) == 0:
+        if det(mat, QQ) == 0:
             with pytest.raises(ValueError):
                 bareiss_jordan_inverse(mat)
+            with pytest.raises(ValueError):
+                inverse(mat, QQ)
             continue
         inv, den = bareiss_jordan_inverse(mat)
-        oracle = invert_field_matrix(mat, QQ)
+        oracle = inverse(mat, QQ)
         for i in range(n):
             for j in range(n):
                 assert Fraction(inv[i][j], den) == oracle[i][j]
 
 
 def test_det_against_permutation_expansion():
-    from itertools import permutations
     rng = random.Random(3)
-    for _ in range(20):
-        mat = [[rng.randrange(-5, 6) for _ in range(3)] for _ in range(3)]
-        per = 0
-        for sigma in permutations(range(3)):
-            sign = 1 if sigma in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-            term = sign
-            for i in range(3):
-                term *= mat[i][sigma[i]]
-            per += term
-        assert det_int(mat) == per
+    for field, n in product((QQ, QSQRT5), (1, 2, 3, 4)):
+        for _ in range(10):
+            mat = _rand_matrix(rng, field, n, n)
+            if rng.random() < 0.3:        # a repeated row: determinant 0
+                mat[-1] = list(mat[0])
+            per = field.zero
+            for sigma in permutations(range(n)):
+                inversions = sum(sigma[i] > sigma[j] for i in range(n)
+                                 for j in range(i + 1, n))
+                term = field.one if inversions % 2 == 0 else -field.one
+                for i in range(n):
+                    term = term * mat[i][sigma[i]]
+                per = per + term
+            assert det(mat, field) == per
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5], ids=["QQ", "sqrt5"])
+def test_inverse_and_nullspace_fuzz(field):
+    rng = random.Random(13)
+    for _ in range(25):
+        n = rng.randrange(1, 5)
+        mat = _rand_matrix(rng, field, n, n)
+        if det(mat, field):
+            inv = inverse(mat, field)
+            for i in range(n):
+                for j in range(n):
+                    s = sum((mat[i][t] * inv[t][j] for t in range(n)),
+                            field.zero)
+                    assert s == (field.one if i == j else field.zero)
+        else:
+            with pytest.raises(ValueError):
+                inverse(mat, field)
+        rows, ncols = rng.randrange(0, 5), rng.randrange(1, 6)
+        a = _rank_deficient(rng, field, rows, ncols, rng.randrange(0, 4))
+        solver = SparseSolver()
+        for row in a:
+            solver.add({j: v for j, v in enumerate(row) if v})
+        null = nullspace(a, ncols, field)
+        assert len(null) == ncols - solver.rank
+        # each vector ends at its own free (non-pivot) column with a 1 and
+        # is 0 on the other free columns
+        free = [max(j for j, v in enumerate(x) if v) for x in null]
+        assert free == sorted(set(range(ncols)) - set(solver.pivots))
+        for x, fj in zip(null, free):
+            assert [x[j] for j in free] == \
+                [field.one if j == fj else field.zero for j in free]
+            for row in a:
+                assert not sum((r * v for r, v in zip(row, x)), field.zero)
 
 
 def test_sparse_solver_solve():
@@ -63,7 +127,6 @@ def test_sparse_rank_fuzz():
         n, m = rng.randrange(1, 5), rng.randrange(1, 6)
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(m)]
                 for _ in range(n)]
-        vecs = [{j: v for j, v in enumerate(row) if v} for row in rows]
         # oracle: rank by plain elimination over Fractions
         dense = [list(r) for r in rows]
         rank = 0
@@ -78,7 +141,7 @@ def test_sparse_rank_fuzz():
                     dense[i] = [a - c * b for a, b in
                                 zip(dense[i], dense[rank])]
             rank += 1
-        assert sparse_rank(vecs) == rank
+        assert _sparse_rank(rows) == rank
 
 
 def test_modp_pivots_match_exact_rank():
@@ -90,9 +153,8 @@ def test_modp_pivots_match_exact_rank():
         p, _ = field_prime_and_root(QQ)
         mat = np.array(rows, dtype=np.int64)
         piv_rows, piv_cols = modp_greedy_pivots(mat, p, min(n, m))
-        vecs = [{j: Fraction(v) for j, v in enumerate(row) if v}
-                for row in rows]
-        assert len(piv_rows) == sparse_rank(vecs)
+        assert len(piv_rows) == _sparse_rank([[Fraction(v) for v in row]
+                                              for row in rows])
 
 
 def test_scalar_mod_extension():

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from coxcov.fields import QQ, QSQRT5
-from coxcov.poly import Poly, divide_by_linear_form, poly_arithmetic
+from coxcov.poly import Poly, divide_by_linear_form
 
 
 def xvar(i, nv=2, field=QQ):
@@ -18,7 +22,8 @@ def test_difference_of_squares():
 
 def test_add_zero_identity():
     p = xvar(0) * xvar(1) + Poly.constant(3, 2)
-    assert poly_arithmetic(p, Poly.zero(2), "+") == p
+    assert p + Poly.zero(2) == p
+    assert Poly.zero(2) + p == p
 
 
 def test_monomial_product():
@@ -108,8 +113,25 @@ def test_distributivity_over_extension_fuzz():
 
 
 def test_mismatched_variables_error():
-    with pytest.raises(ValueError):
-        poly_arithmetic(Poly.zero(2), Poly.zero(3), "+")
+    for a, b in ((Poly.variable(0, 2), Poly.variable(0, 3)),
+                 (Poly.zero(2), Poly.zero(3))):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            b + a
+        with pytest.raises(ValueError):
+            a * b
+    # a raise, unlike an assert, survives python -O
+    code = ("from coxcov.poly import Poly\n"
+            "try:\n"
+            "    Poly.variable(0, 2) + Poly.variable(0, 3)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0
 
 
 def test_content_normalization():
