@@ -18,6 +18,17 @@ standard-monomial combination agreeing with p against every harmonic;
 p minus its normal form lies in J_d.  Homogeneous polynomials of degree
 above |T| reduce to zero outright.
 
+Every harmonic is kept as the vector {e: c * e!}, with the apolar weight
+multiplied in; in this form a derivative only shifts exponents, so every
+entry of every harmonic is an entry of the weighted Xi.  Over Q the whole
+normal form runs on integers.  Xi is content-normalised, so the weighted
+Xi is integral (the build raises ValueError if it is not), and the
+pairing inverse is kept as integers M / den from fraction-free
+elimination.  The input's coefficients are brought over one common
+denominator D once, the pairing vector and M times it are integer sums,
+and each output coefficient is one Fraction(num, den * D).  Over
+Q(theta) the same loops run on AlgNum scalars with den = D = 1.
+
 Pivot selection runs modulo a prime for speed; the choice is certified by
 the exact invertibility of the resulting pairing matrix.
 """
@@ -31,7 +42,7 @@ from math import factorial
 
 import numpy as np
 
-from .fields import Scalar
+from .fields import Scalar, clear_denominators
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
                      field_prime_and_root, inverse, modp_greedy_pivots,
@@ -88,16 +99,70 @@ def _pairing(h: Poly, p: Poly) -> Scalar:
     return total
 
 
-class _DegreeTable:
-    __slots__ = ("monos", "mono_pos", "harms", "indices", "inv", "den")
+def _weighted(h: Poly) -> dict:
+    """h as {e: c * e!}, so that <h, p> = sum_e p[e] * weighted[e].
 
-    def __init__(self, monos, harms, indices, inv, den):
+    Over Q the entries must be integers (Xi is content-normalised); a
+    non-integral one raises ValueError.
+    """
+    out = {e: c * _weight(e) for e, c in h.terms.items()}
+    if not h.field.is_rational:
+        return out
+    if any(c.denominator != 1 for c in out.values()):
+        raise ValueError("harmonic with a non-integral coefficient")
+    return {e: c.numerator for e, c in out.items()}
+
+
+class _DegreeTable:
+    __slots__ = ("monos", "weighted", "indices", "inv", "den", "rational")
+
+    def __init__(self, monos, weighted, indices, inv, den, rational):
         self.monos = monos          # standard monomials (expo tuples)
-        self.mono_pos = {m: i for i, m in enumerate(monos)}
-        self.harms = harms          # selected derivative polynomials
+        self.weighted = weighted    # selected harmonics, in _weighted form
         self.indices = indices      # their derivative multi-indices
         self.inv = inv              # pairing matrix inverse is inv / den:
         self.den = den              # integers over Q, den = 1 over Q(theta)
+        self.rational = rational
+
+    def cleared(self, terms: dict):
+        """(integer terms, D) with terms = integer terms / D over Q;
+        (terms, 1) over Q(theta)."""
+        if not self.rational:
+            return terms, 1
+        nums, scale = clear_denominators(list(terms.values()))
+        return dict(zip(terms, nums)), scale
+
+    def pairing_vector(self, terms: dict) -> list:
+        """<h_i, p> for every harmonic h_i, p given by its terms."""
+        out = []
+        for wh in self.weighted:
+            s = 0
+            if len(terms) <= len(wh):
+                for e, c in terms.items():
+                    w = wh.get(e)
+                    if w is not None:
+                        s += c * w
+            else:
+                for e, w in wh.items():
+                    c = terms.get(e)
+                    if c is not None:
+                        s += c * w
+            out.append(s)
+        return out
+
+    def solve(self, v: list, scale=1) -> dict:
+        """Standard-monomial terms of the class whose pairing vector is
+        v / scale (v integer and scale a positive int over Q)."""
+        nz = [(i, vi) for i, vi in enumerate(v) if vi]
+        div = self.den * scale
+        out = {}
+        for mono, row in zip(self.monos, self.inv):
+            num = 0
+            for i, vi in nz:
+                num += row[i] * vi
+            if num:
+                out[mono] = Fraction(num, div) if self.rational else num
+        return out
 
 
 class CoinvariantBasis:
@@ -114,13 +179,9 @@ class CoinvariantBasis:
         assert self.h_dims[self.top] == 1
         self.xi = group.root_form_product().content_normalized()
         self._certify_xi()
-        self._deriv_memo = {(0,) * self.rank: self.xi}
         self.tables: dict[int, _DegreeTable] = {}
         self._prime, self._root = field_prime_and_root(self.field)
-        if precomputed:
-            self._build_from_recorded(precomputed)
-        else:
-            self._build_all()
+        self._build_tables(precomputed)
 
     # -- certification ------------------------------------------------------
 
@@ -143,18 +204,35 @@ class CoinvariantBasis:
 
     # -- derivative bookkeeping ---------------------------------------------
 
-    def _derivative(self, index: tuple) -> Poly:
+    def _derivative(self, index: tuple) -> dict:
+        """The derivative d^index Xi in _weighted form.
+
+        d/dx_i (c x^e) = c e_i x^(e - 1_i) and e_i (e - 1_i)! = e!, so in
+        _weighted form a derivative only shifts the exponents: every entry
+        of every harmonic is an entry of the weighted Xi.
+        """
         memo = self._deriv_memo
         got = memo.get(index)
         if got is None:
             i = next(k for k, v in enumerate(index) if v)
             parent = list(index)
             parent[i] -= 1
-            got = self._derivative(tuple(parent)).partial(i)
+            got = {e[:i] + (e[i] - 1,) + e[i + 1:]: w
+                   for e, w in self._derivative(tuple(parent)).items()
+                   if e[i]}
             memo[index] = got
         return got
 
     # -- table construction ---------------------------------------------------
+
+    def _build_tables(self, recorded=None):
+        """Build every degree table, from the recorded layout if given."""
+        self._deriv_memo = {(0,) * self.rank: _weighted(self.xi)}
+        if recorded:
+            self._build_from_recorded(recorded)
+        else:
+            self._build_all()
+        del self._deriv_memo        # the tables keep what they need
 
     def _build_all(self):
         n = self.top
@@ -182,95 +260,74 @@ class CoinvariantBasis:
         k = self.h_dims[d]
         monos = monomials_of_degree(self.rank, d)
         cands = [(a, self._derivative(a)) for a in cand_indices]
-        cands = [(a, h) for a, h in cands if h]
+        cands = [(a, wh) for a, wh in cands if wh]
         mono_pos = {m: i for i, m in enumerate(monos)}
         p, root = self._prime, self._root
         tries = 0
         while True:
             mat = np.zeros((len(cands), len(monos)), dtype=np.int64)
-            for i, (_, h) in enumerate(cands):
-                for e, c in h.terms.items():
-                    mat[i, mono_pos[e]] = scalar_mod(c * _weight(e), p, root,
-                                                     self.field)
+            for i, (_, wh) in enumerate(cands):
+                for e, c in wh.items():
+                    mat[i, mono_pos[e]] = scalar_mod(c, p, root, self.field)
             rows, cols = modp_greedy_pivots(mat, p, k)
             if len(rows) == k:
-                sel_harms = [cands[i][1] for i in rows]
-                sel_idx = [cands[i][0] for i in rows]
-                sel_monos = [monos[j] for j in cols]
                 try:
-                    inv, den = self._invert_pairing(sel_harms, sel_monos)
+                    return self._table([cands[i] for i in rows],
+                                       [monos[j] for j in cols])
                 except ValueError:
-                    inv = None
-                if inv is not None:
-                    return _DegreeTable(sel_monos, sel_harms, sel_idx, inv, den)
+                    pass
             tries += 1
             if tries >= 3:
-                return self._build_degree_exact(d, cands, monos, k)
+                return self._build_degree_exact(cands, monos, k)
             p, root = field_prime_and_root(self.field, p + 2)
 
-    def _invert_pairing(self, harms, monos):
-        """Exact inverse of P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den.
+    def _table(self, chosen, monos) -> _DegreeTable:
+        """Table of the chosen (index, weighted harmonic) pairs against
+        the standard monomials, with the exact inverse of the pairing matrix
+        P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den; ValueError if P
+        is singular.
 
         Over Q, M and den are integers from fraction-free elimination; over
         Q(theta), M is the inverse itself and den = 1.
         """
-        from math import gcd
-        k = len(monos)
-        field = self.field
-        rows = [[harms[i].terms.get(m, field.zero) * _weight(m)
-                 for m in monos] for i in range(k)]
-        if field.is_rational:
-            den_l = 1
-            for row in rows:
-                for v in row:
-                    f = Fraction(v)
-                    den_l = den_l * f.denominator // gcd(den_l, f.denominator)
-            scaled = [[int(Fraction(v) * den_l) for v in row] for row in rows]
-            inv, den = bareiss_jordan_inverse(scaled)
-            # P = scaled/den_l, hence P^{-1} = den_l * inv / den
-            if den_l != 1:
-                inv = [[v * den_l for v in row] for row in inv]
-            return (inv, den)
-        return (inverse(rows, field), 1)
+        weighted = [wh for _, wh in chosen]
+        rows = [[wh.get(m, 0) for m in monos] for wh in weighted]
+        if self.field.is_rational:
+            inv, den = bareiss_jordan_inverse(rows)
+        else:
+            inv, den = inverse(rows, self.field), 1
+        return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den,
+                            self.field.is_rational)
 
-    def _build_degree_exact(self, d, cands, monos, k) -> _DegreeTable:
+    def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""
         solver = SparseSolver()
         chosen = []
-        for a, h in cands:
-            vec = {e: c * _weight(e) for e, c in h.terms.items()}
-            if solver.add(vec):
-                chosen.append((a, h))
+        for cand in cands:
+            if solver.add(cand[1]):
+                chosen.append(cand)
             if len(chosen) == k:
                 break
         if len(chosen) != k:
             raise AssertionError("derivative span rank defect")
-        sel_harms = [h for _, h in chosen]
-        sel_idx = [a for a, _ in chosen]
         # greedy standard monomials against the chosen harmonics
         cols = []
         colsolver = SparseSolver()
-        for j, m in enumerate(monos):
-            col = {i: sel_harms[i].terms.get(m, self.field.zero) * _weight(m)
-                   for i in range(k)}
-            col = {i: v for i, v in col.items() if v}
+        for m in monos:
+            col = {i: wh[m] for i, (_, wh) in enumerate(chosen) if m in wh}
             if colsolver.add(col):
                 cols.append(m)
             if len(cols) == k:
                 break
         assert len(cols) == k
-        inv, den = self._invert_pairing(sel_harms, cols)
-        return _DegreeTable(cols, sel_harms, sel_idx, inv, den)
+        return self._table(chosen, cols)
 
     def _build_from_recorded(self, recorded):
         """Rebuild tables from cached (degree -> (indices, monos)) data."""
         for d in range(self.top, -1, -1):
             idxs, monos = recorded[d]
-            idxs = [tuple(a) for a in idxs]
-            monos = [tuple(m) for m in monos]
-            harms = [self._derivative(a) for a in idxs]
-            inv, den = self._invert_pairing(harms, monos)
-            self.tables[d] = _DegreeTable(monos, harms, idxs, inv, den)
+            chosen = [(tuple(a), self._derivative(tuple(a))) for a in idxs]
+            self.tables[d] = self._table(chosen, [tuple(m) for m in monos])
 
     def recorded_tables(self):
         return {d: (t.indices, t.monos) for d, t in self.tables.items()}
@@ -285,42 +342,34 @@ class CoinvariantBasis:
     def dim_h(self, d: int) -> int:
         return self.h_dims[d] if 0 <= d <= self.top else 0
 
-    def _nf_homogeneous(self, p: Poly, d: int) -> Poly:
-        t = self.tables[d]
-        k = len(t.monos)
-        v = [_pairing(h, p) for h in t.harms]
-        out = {}
-        for j in range(k):
-            num = 0
-            for mij, vi in zip(t.inv[j], v):
-                if vi:
-                    num += mij * vi
-            if num:
-                out[t.monos[j]] = num / t.den
-        return Poly(self.rank, self.field, out)
+    def _parts(self, p: Poly):
+        """(degree, terms) of the homogeneous parts of p of degree <= top,
+        in increasing degree."""
+        parts: dict[int, dict] = {}
+        for e, c in p.terms.items():
+            d = sum(e)
+            if d <= self.top:
+                parts.setdefault(d, {})[e] = c
+        return sorted(parts.items())
 
     def nf_poly(self, p: Poly) -> Poly:
         """Normal form of p modulo J, supported on standard monomials."""
         if p.is_zero():
             return p
         out = Poly.zero(self.rank, self.field)
-        degs = sorted({sum(e) for e in p.terms})
-        for d in degs:
-            if d > self.top:
-                continue
-            out = out + self._nf_homogeneous(p.homogeneous_part(d), d)
+        for d, terms in self._parts(p):
+            t = self.tables[d]
+            terms, scale = t.cleared(terms)
+            out = out + Poly(self.rank, self.field,
+                             t.solve(t.pairing_vector(terms), scale))
         return out
 
     def in_j(self, p: Poly) -> bool:
         """Exact ideal membership through the harmonic pairing."""
-        degs = sorted({sum(e) for e in p.terms})
-        for d in degs:
-            if d > self.top:
-                continue
-            part = p.homogeneous_part(d)
-            for h in self.tables[d].harms:
-                if _pairing(h, part):
-                    return False
+        for d, terms in self._parts(p):
+            t = self.tables[d]
+            if any(t.pairing_vector(t.cleared(terms)[0])):
+                return False
         return True
 
     def nf_weil(self, w: Weil) -> Weil:
@@ -347,7 +396,10 @@ class CoinvariantBasis:
         """Basis of the inverse system of J in degree d (plain pairing)."""
         if d > self.top:
             return []
-        return list(self.tables[d].harms)
+        return [Poly(self.rank, self.field,
+                     {e: self.field.coerce(c) / _weight(e)
+                      for e, c in wh.items()})
+                for wh in self.tables[d].weighted]
 
     def invariant_harmonics(self, d: int):
         """Basis of classical W-harmonics: plain harmonics composed with G."""

@@ -86,9 +86,7 @@ class Field:
                              f"{self.degree} coordinates, got {len(coords)}")
         cs = [Fraction(c) for c in coords]
         cs += [Fraction(0)] * (self.degree - len(cs))
-        den = lcm(*(c.denominator for c in cs))
-        return AlgNum(self, [c.numerator * (den // c.denominator)
-                             for c in cs], den)
+        return AlgNum(self, *clear_denominators(cs))
 
     def coerce(self, x) -> "Scalar":
         if isinstance(x, AlgNum):
@@ -152,6 +150,16 @@ class AlgNum:
         self.num = tuple(num)
         self.den = den
 
+    @classmethod
+    def _lowest(cls, field: Field, num: tuple, den: int) -> "AlgNum":
+        """Build from a numerator tuple and ``den > 0`` already in lowest
+        terms, skipping the gcd pass of the constructor."""
+        x = object.__new__(cls)
+        x.field = field
+        x.num = num
+        x.den = den
+        return x
+
     def __bool__(self):
         return any(self.num)
 
@@ -178,7 +186,8 @@ class AlgNum:
             if any(cs) else "(0)"
 
     def __neg__(self):
-        return AlgNum(self.field, [-n for n in self.num], self.den)
+        return AlgNum._lowest(self.field, tuple(-n for n in self.num),
+                              self.den)
 
     def __add__(self, other):
         if isinstance(other, AlgNum):
@@ -190,6 +199,11 @@ class AlgNum:
                                        zip(self.num, other.num)], da * db)
         if isinstance(other, (int, Fraction)):
             q = other.denominator
+            if q == 1:
+                # gcd(n0 + k*den, n1, ..., den) = gcd(n0, n1, ..., den) = 1
+                num = list(self.num)
+                num[0] += other.numerator * self.den
+                return AlgNum._lowest(self.field, tuple(num), self.den)
             num = [n * q for n in self.num]
             num[0] += other.numerator * self.den
             return AlgNum(self.field, num, self.den * q)
@@ -264,6 +278,13 @@ class AlgNum:
 
 
 Scalar = Union[Fraction, AlgNum]
+
+
+def clear_denominators(values: Sequence) -> tuple[list, int]:
+    """Integers ``nums`` and the least ``den > 0`` with ``values[i] ==
+    nums[i] / den``, for rational values (``int`` or ``Fraction``)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def bareiss_jordan(a: list, n: int) -> int:

@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .coinvariants import CoinvariantBasis
 from .covariants import weil_vec
-from .fields import QQ
+from .fields import QQ, clear_denominators
 from .groups import ReflectionGroup, build_custom_group
 from .linalg import SparseSolver, det, inverse
 from .molien import GradedSeries, graded_multiplicity_series
@@ -417,24 +417,17 @@ def phi_even_to_h(L: LieAlgebraData, xi: dict) -> Poly:
     by_deg: dict[int, dict] = {}
     for mask, c in xi.items():
         by_deg.setdefault(bin(mask).count("1"), {})[mask] = c
-    out = Poly.zero(L.rank, QQ)
+    terms = {}
     cb = L.cb
     for deg, part in by_deg.items():
         assert deg % 2 == 0, "phi applied off the even part"
         m = deg // 2
         if m > cb.top:
             continue
-        table = cb.tables[m]
         harms = cb.invariant_harmonics(m)
         vals = [_ext_pairing(L, tau_map(L, a), part) for a in harms]
-        k = len(vals)
-        inv, den = table.inv, table.den
-        for j in range(k):
-            num = sum(inv[j][i] * vals[i] for i in range(k))
-            if num:
-                out = out + Poly.monomial(table.monos[j],
-                                          Fraction(num, 1) / den, QQ)
-    return out
+        terms.update(cb.tables[m].solve(*clear_denominators(vals)))
+    return Poly(L.rank, QQ, terms)
 
 
 def phi_map(L: LieAlgebraData, xi: dict) -> Weil:

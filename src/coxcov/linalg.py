@@ -223,19 +223,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_ROOT_BLOCK = 1 << 12
+
+
 def field_prime_and_root(field: Field, start: int = 99991):
-    """Deterministic prime p (and a root of min_poly mod p) for reduction."""
+    """Deterministic prime p (and a root of min_poly mod p) for reduction.
+
+    p is the first prime >= start at which min_poly has a root mod p, and
+    the root is the smallest one.  min_poly is evaluated at a block of
+    consecutive x at once, by Horner's rule on int64 residues: each step
+    stays below p^2 + |c|, far from 2^63 for the primes used here
+    (p ~ 10^5).  Blocks of _ROOT_BLOCK values keep the arrays, and so the
+    peak memory of the process, small.
+    """
     p = start if start % 2 else start + 1
     while True:
         if _is_prime(p):
             if field.degree == 1:
                 return p, 0
-            for x in range(p):
-                acc = 0
+            for lo in range(0, p, _ROOT_BLOCK):
+                xs = np.arange(lo, min(lo + _ROOT_BLOCK, p), dtype=np.int64)
+                acc = np.zeros_like(xs)
                 for c in reversed(field.min_poly):
-                    acc = (acc * x + c) % p
-                if acc == 0:
-                    return p, x
+                    acc = (acc * xs + c) % p
+                roots = np.flatnonzero(acc == 0)
+                if roots.size:
+                    return p, lo + int(roots[0])
         p += 2
 
 

@@ -4,9 +4,11 @@ For a character chi the series is
 
   (1/|W|) sum_w chi(w) det(1 + u w) prod_i (1 - u^{2 d_i}) / det(1 - u^2 w),
 
-evaluated per element with exact polynomial division (each factor divides by
+evaluated with exact polynomial division (each factor divides by
 Springer's eigenvalue bound) and summed to a polynomial with nonnegative
-integer coefficients.
+integer coefficients.  The summand is a class function, so it is
+evaluated once per conjugacy class, at the class representative, and
+weighted by the class size.
 """
 
 from __future__ import annotations
@@ -133,11 +135,12 @@ def graded_multiplicity_series(group: ReflectionGroup,
         numer = _u_mul(numer, fac, field)
     top = 2 * group.n_reflections + group.rank
     acc = [field.zero] * (top + 1)
-    for idx in range(group.order):
-        cw = chi.at(idx)
+    for ci, (rep_idx, members) in enumerate(group.conjugacy_classes()):
+        cw = chi.values[ci]
         if not cw:
             continue
-        traces = _exterior_traces(group.elements[idx], field)
+        cw = cw * len(members)
+        traces = _exterior_traces(group.elements[rep_idx], field)
         det_plus = traces[:]                      # det(1 + u w), coeff of u^k
         det_sq = [field.zero] * (2 * group.rank + 1)
         for k, t in enumerate(traces):            # det(1 - u^2 w)

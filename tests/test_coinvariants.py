@@ -1,11 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
+
+import pytest
 
 from coxcov.coinvariants import (CoinvariantBasis, hilbert_coinvariants,
                                  monomials_of_degree)
+from coxcov.fields import QQ
 from coxcov.linalg import SparseSolver
 from coxcov.poly import Poly
 from coxcov.weil import B_QUOTIENT, Weil
+
+# the rational groups the unit layer builds
+RATIONAL_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "G2"]
 
 
 def j_span_solver(g, d):
@@ -163,3 +174,155 @@ def test_harmonics_are_annihilated(stack_of):
                     for m in monomials_of_degree(g.rank, rest):
                         q = psi * Poly.monomial(m, 1, g.field)
                         assert not _pairing(q, h)
+
+
+# -- slow-path oracle: Fraction pairing and the inv / den solve ---------------
+
+def oracle_pairing(h, p):
+    """Apolar pairing on Fraction coefficients, <x^e, x^e> = e!."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        other = h.terms.get(e)
+        if other is not None:
+            w = 1
+            for k in e:
+                w *= factorial(k)
+            total += c * other * w
+    return total
+
+
+def oracle_solve(table, vals):
+    """Standard-monomial terms with pairing vector vals, through inv / den."""
+    out = {}
+    for j, mono in enumerate(table.monos):
+        num = sum(table.inv[j][i] * v for i, v in enumerate(vals))
+        if num:
+            out[mono] = Fraction(num) / table.den
+    return out
+
+
+def oracle_nf(cb, p):
+    out = Poly.zero(cb.rank, cb.field)
+    for d in sorted({sum(e) for e in p.terms}):
+        if d > cb.top:
+            continue
+        t = cb.tables[d]
+        part = p.homogeneous_part(d)
+        vals = [oracle_pairing(h, part) for h in cb.plain_harmonics(d)]
+        out = out + Poly(cb.rank, cb.field, oracle_solve(t, vals))
+    return out
+
+
+def oracle_in_j(cb, p):
+    for d in sorted({sum(e) for e in p.terms}):
+        if d <= cb.top and any(oracle_pairing(h, p.homogeneous_part(d))
+                               for h in cb.plain_harmonics(d)):
+            return False
+    return True
+
+
+def _big_fraction(rng):
+    num = 0
+    while not num:
+        num = rng.randrange(-10**6, 10**6 + 1)
+    return Fraction(num, rng.randrange(1, 10**6 + 1))
+
+
+def _random_poly(rng, cb, degrees, nterms):
+    terms = {}
+    for _ in range(nterms):
+        d = rng.choice(degrees)
+        terms[rng.choice(monomials_of_degree(cb.rank, d))] = \
+            _big_fraction(rng)
+    return Poly(cb.rank, QQ, terms)
+
+
+@pytest.mark.parametrize("code", RATIONAL_GROUPS)
+def test_integer_normal_form_matches_fraction_oracle(stack_of, code):
+    rng = random.Random(code)
+    st = stack_of(code)
+    g, cb = st.group, st.cb
+    top = cb.top
+    psis = g.basic_invariants()
+    for _ in range(12):
+        # mixed degrees: 0, top, above top and a few in between
+        degrees = [0, top, top + 1, top + 2] + \
+            [rng.randrange(top + 1) for _ in range(3)]
+        p = _random_poly(rng, cb, degrees, rng.randrange(1, 12))
+        # an element of J, and the same element shifted by p
+        j_elt = Poly.zero(g.rank, QQ)
+        for psi in psis:
+            rest = rng.randrange(max(top - psi.degree(), 0) + 2)
+            j_elt = j_elt + psi * _random_poly(rng, cb, [rest], 3)
+        for q, in_j in ((p, None), (j_elt, True), (j_elt + p, None)):
+            got = cb.nf_poly(q)
+            assert got == oracle_nf(cb, q), (code, q)
+            assert all(isinstance(c, Fraction) for c in got.terms.values())
+            assert cb.in_j(q) == oracle_in_j(cb, q)
+            if in_j:
+                assert got.is_zero() and cb.in_j(q)
+
+
+def test_non_integral_harmonic_raises(group_of):
+    cb = CoinvariantBasis(group_of("A1"))
+    cb.xi = cb.xi.scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match="non-integral"):
+        cb._build_tables()
+    # a raise, unlike an assert, survives python -O
+    code = ("from fractions import Fraction\n"
+            "from coxcov.coinvariants import CoinvariantBasis\n"
+            "from coxcov.groups import build_group\n"
+            "cb = CoinvariantBasis(build_group('A1'))\n"
+            "cb.xi = cb.xi.scale(Fraction(1, 2))\n"
+            "try:\n"
+            "    cb._build_tables()\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0
+
+
+@pytest.mark.parametrize("code", ["A1", "A2"])
+def test_phi_even_to_h_matches_oracle_solve(code):
+    from coxcov.lie_bridge import (_ext_pairing, build_lie, phi_even_to_h,
+                                   tau_map)
+    rng = random.Random(31)
+    L = build_lie(code)
+    cb = L.cb
+    even = [m for m in range(1 << L.dim) if bin(m).count("1") % 2 == 0]
+    for _ in range(6):
+        xi = {m: _big_fraction(rng)
+              for m in rng.sample(even, min(len(even), 12))}
+        want = Poly.zero(L.rank, QQ)
+        by_deg = {}
+        for mask, c in xi.items():
+            by_deg.setdefault(bin(mask).count("1") // 2, {})[mask] = c
+        for m, part in by_deg.items():
+            if m > cb.top:
+                continue
+            vals = [_ext_pairing(L, tau_map(L, a), part)
+                    for a in cb.invariant_harmonics(m)]
+            want = want + Poly(L.rank, QQ, oracle_solve(cb.tables[m], vals))
+        assert phi_even_to_h(L, xi) == want
+
+
+@pytest.mark.parametrize("code", ["A2", "B2", "I2(5)"])
+def test_exact_fallback_build(group_of, monkeypatch, code):
+    # force the exact greedy build that runs when the mod-p selection fails
+    import coxcov.coinvariants as coinvariants
+    monkeypatch.setattr(coinvariants, "modp_greedy_pivots",
+                        lambda mat, p, k: ([], []))
+    g = group_of(code)
+    cb = CoinvariantBasis(g)
+    for d in range(cb.top + 1):
+        solver = j_span_solver(g, d)
+        for m in monomials_of_degree(g.rank, d):
+            p = Poly.monomial(m, 1, g.field)
+            nf = cb.nf_poly(p)
+            assert set(nf.terms) <= set(cb.std_monomials(d))
+            diff = p - nf
+            if diff:
+                assert solver.contains(dict(diff.terms)), (code, d, m)

@@ -209,7 +209,7 @@ def test_integer_kernel_matches_fraction_oracle(field):
             with pytest.raises(ZeroDivisionError):
                 a / b
         for n in (rng.randrange(-10**20, 10**20), -3, -1, 0, 1,
-                  _big_rational(rng), Fraction(-7, 3)):
+                  _big_rational(rng), Fraction(-7, 3), Fraction(4)):
             shifted = [ca[0] + n] + list(ca[1:])
             cases += [
                 (a + n, shifted),

@@ -4,10 +4,10 @@ from itertools import permutations, product
 
 import pytest
 
-from coxcov.fields import QQ, QSQRT5
-from coxcov.linalg import (SparseSolver, bareiss_jordan_inverse, det,
-                           field_prime_and_root, inverse, modp_greedy_pivots,
-                           nullspace, scalar_mod)
+from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
+from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
+                           det, field_prime_and_root, inverse,
+                           modp_greedy_pivots, nullspace, scalar_mod)
 
 
 def _rand_scalar(rng, field):
@@ -155,6 +155,37 @@ def test_modp_pivots_match_exact_rank():
         piv_rows, piv_cols = modp_greedy_pivots(mat, p, min(n, m))
         assert len(piv_rows) == _sparse_rank([[Fraction(v) for v in row]
                                               for row in rows])
+
+
+def loop_prime_and_root(field, start=99991):
+    """Oracle: the first prime >= start with a root of min_poly mod p, and
+    the smallest root, by evaluating at each x in turn."""
+    p = start if start % 2 else start + 1
+    while True:
+        if _is_prime(p):
+            if field.degree == 1:
+                return p, 0
+            for x in range(p):
+                acc = 0
+                for c in reversed(field.min_poly):
+                    acc = (acc * x + c) % p
+                if acc == 0:
+                    return p, x
+        p += 2
+
+
+# test-only, reducible on purpose: two roots 5000 and 5003 in one block
+# that does not start at 0, so the smallest root and its offset both count
+TWO_ROOTS = Field("(t-5000)(t-5003)", (5000 * 5003, -10003, 1))
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5, QCOSPI7, QCOSPI8, TWO_ROOTS],
+                         ids=lambda f: f.name)
+def test_field_prime_and_root_matches_loop(field):
+    for start in (99991, 99993):
+        got = field_prime_and_root(field, start)
+        assert got == loop_prime_and_root(field, start)
+        assert all(isinstance(v, int) for v in got)
 
 
 def test_scalar_mod_extension():

@@ -1,8 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from coxcov.molien import (GradedSeries, covariant_series_product_formula,
+from coxcov.molien import (GradedSeries, _exterior_traces, _u_divide_exact,
+                           _u_mul, covariant_series_product_formula,
                            graded_multiplicity_series, invariants_series,
                            reeder_series_check)
+
+# every group the unit layer builds (tests/test_groups.py)
+UNIT_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
+               "G2", "I2(7)", "I2(8)", "F4", "H3"]
 
 
 def test_a1_series(group_of):
@@ -90,3 +97,45 @@ def test_graded_series_arithmetic():
     assert (a * b).as_list() == [0, 1, 2]
     assert GradedSeries.monomial(3, 2).as_list() == [0, 0, 0, 2]
     assert GradedSeries([]).as_list() == []
+
+
+def per_element_series(g, chis):
+    """Oracle: the Molien sum over every element of W, one series per
+    character; each element's summand is computed once."""
+    field = g.field
+    numer = [field.one]
+    for d in g.degrees:
+        fac = [field.zero] * (2 * d + 1)
+        fac[0] = field.one
+        fac[2 * d] = -field.one
+        numer = _u_mul(numer, fac, field)
+    top = 2 * g.n_reflections + g.rank
+    accs = [[field.zero] * (top + 1) for _ in chis]
+    for idx in range(g.order):
+        traces = _exterior_traces(g.elements[idx], field)
+        det_sq = [field.zero] * (2 * g.rank + 1)
+        for k, t in enumerate(traces):
+            det_sq[2 * k] = t if k % 2 == 0 else -t
+        contrib = _u_mul(traces, _u_divide_exact(numer, det_sq, field), field)
+        for chi, acc in zip(chis, accs):
+            cw = chi.at(idx)
+            for i, c in enumerate(contrib):
+                acc[i] = acc[i] + c * cw
+    out = []
+    for acc in accs:
+        coeffs = []
+        for c in acc:
+            cs = field.coords(c * Fraction(1, g.order))
+            assert not any(cs[1:]) and cs[0].denominator == 1
+            coeffs.append(int(cs[0]))
+        out.append(GradedSeries(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("code", UNIT_GROUPS)
+def test_class_sum_matches_per_element_sum(group_of, code):
+    g = group_of(code)
+    chis = [g.character(c) for c in ("trivial", "sign", "reflection")]
+    want = per_element_series(g, chis)
+    for chi, series in zip(chis, want):
+        assert graded_multiplicity_series(g, chi) == series, chi.name
