@@ -99,21 +99,6 @@ def koszul_delta(group: ReflectionGroup, w: Weil,
     return out
 
 
-def _ext_image(group: ReflectionGroup, eidx: int, mask: int) -> Weil:
-    cache = getattr(group, "_ext_mask_cache", None)
-    if cache is None:
-        cache = {}
-        group._ext_mask_cache = cache
-    got = cache.get((eidx, mask))
-    if got is None:
-        got = Weil.one(group.rank, group.field)
-        for i in range(group.rank):
-            if mask & (1 << i):
-                got = wedge_mul(got, group._vector_images(eidx)[i])
-        cache[(eidx, mask)] = got
-    return got
-
-
 def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
             cb: CoinvariantBasis | None = None, alpha=None) -> Weil:
     """nabla_s(a tensor b) = (alpha wedge s(a)) tensor (1-s)(b)/(alpha, x).
@@ -128,9 +113,10 @@ def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
     eidx, stored_alpha = group.reflections[refl_idx]
     if alpha is None:
         alpha = stored_alpha
+        galpha = group.reflection_forms[refl_idx]
     else:
         alpha = tuple(group.field.coerce(c) for c in alpha)
-    galpha = mat_vec(group.gram, alpha, group.field)
+        galpha = mat_vec(group.gram, alpha, group.field)
     alpha_vec = Weil.vector(alpha, group.field)
     out = Weil.zero(group.rank, group.field, FULL_WEIL)
     for mask, p in w.terms.items():
@@ -138,7 +124,7 @@ def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
         if q.is_zero():
             continue
         q = divide_by_linear_form(q, galpha)
-        front = wedge_mul(alpha_vec, _ext_image(group, eidx, mask))
+        front = wedge_mul(alpha_vec, group.ext_image(eidx, mask))
         if front.is_zero():
             continue
         out = out + front.scale_poly(q)

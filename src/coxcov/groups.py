@@ -12,15 +12,18 @@ Realizations:
   H3, H4        standard geometric realization over Q(sqrt5); H4 is opt-in
   D4            rejected (repeated degrees; used only as a subgroup of F4)
 
-Group elements are dense matrices over the catalogue field, enumerated
-breadth-first from the simple reflections with a lexicographic tie-break.
+A group element is identified by the permutation it induces on the 2|T|
+roots (W acts faithfully on them), enumerated breadth-first from the simple
+reflections with each layer sorted by the element's matrix over the
+catalogue field.  That matrix, the action on V, is built once and kept in
+``elements``; products, inverses, conjugates and classes are permutation
+operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import det, inverse
@@ -116,15 +119,14 @@ def _catalogue_entry(code: str):
 
 def mat_mul(a, b, field: Field):
     n = len(a)
-    return tuple(tuple(reduce(lambda s, k: s + a[i][k] * b[k][j],
-                              range(n), field.zero)
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row) if x),
+                           field.zero)
+                       for j in range(n)) for row in a)
 
 
 def mat_vec(a, v, field: Field):
-    n = len(a)
-    return tuple(reduce(lambda s, k: s + a[i][k] * v[k], range(n), field.zero)
-                 for i in range(n))
+    return tuple(sum((row[k] * x for k, x in enumerate(v) if x), field.zero)
+                 for row in a)
 
 
 def mat_transpose(a):
@@ -132,19 +134,15 @@ def mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
 
 
-def _flatten_key(mat, field: Field):
-    out = []
-    for row in mat:
-        for v in row:
-            out.extend(field.coords(v))
-    return tuple(out)
+def _coords_key(scalars, field: Field) -> tuple:
+    """Lexicographic sort key of a sequence of scalars (a vector, or the
+    rows of a matrix flattened): their power-basis coordinates in turn."""
+    return tuple(q for v in scalars for q in field.coords(v))
 
 
-def _vec_key(vec, field: Field):
-    out = []
-    for v in vec:
-        out.extend(field.coords(v))
-    return tuple(out)
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p o q (first q, then p)."""
+    return tuple(map(p.__getitem__, q))
 
 
 class InnerProduct:
@@ -154,17 +152,17 @@ class InnerProduct:
         self.field = field
         self.gram = tuple(tuple(field.coerce(v) for v in row) for row in rows)
         n = len(rows)
-        assert all(self.gram[i][j] == self.gram[j][i]
-                   for i in range(n) for j in range(n)), "gram not symmetric"
-        self.inverse = tuple(tuple(r) for r in inverse(self.gram, field))
+        if any(self.gram[i][j] != self.gram[j][i]
+               for i in range(n) for j in range(n)):
+            raise CatalogueError("gram not symmetric")
         # positive definiteness via leading principal minors: exact over
         # the rationals, through the designated real embedding otherwise
         for k in range(1, n + 1):
             minor = det([row[:k] for row in self.gram[:k]], field)
-            if field.is_rational:
-                assert minor > 0, "gram not positive definite"
-            else:
-                assert field.approx(minor) > 0, "gram not positive definite"
+            if not (minor > 0 if field.is_rational
+                    else field.approx(minor) > 0):
+                raise CatalogueError("gram not positive definite")
+        self.inverse = tuple(tuple(r) for r in inverse(self.gram, field))
 
     def pair(self, u, v) -> Scalar:
         f = self.field
@@ -225,17 +223,18 @@ class ReflectionGroup:
         self.n_reflections = sum(d - 1 for d in degrees)
         self._strategy = strategy
         self.simple_roots = [tuple(field.coerce(c) for c in s) for s in simples]
-        self._build_elements()
-        self._build_roots_and_reflections()
-        self._classify_reflections()
         self._psis = None
         self._delta = None
         self._conj_classes = None
         self._class_of = None
         self._act_forms: dict = {}
-        self._act_vec_images: dict = {}
         self._act_pow_cache: dict = {}
         self._act_mono_cache: dict = {}
+        self._ext_images: dict = {}
+        gens = [self.reflection_matrix(a) for a in self.simple_roots]
+        self._build_roots(gens)
+        self._build_elements([self._root_perm(g) for g in gens])
+        self._build_reflections()
 
     # -- construction ---------------------------------------------------
 
@@ -253,109 +252,135 @@ class ReflectionGroup:
         return tuple(tuple(cols[j][i] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def _build_elements(self):
+    def _build_roots(self, gens):
+        """The orbit of the simple roots under the simple reflections
+        ``gens``: ``positive_roots`` (of each pair +-a the one with the
+        larger coordinate key, sorted by that key), then ``roots`` (the
+        positive roots, then their negatives in the same order)."""
         f = self.field
-        ident = tuple(tuple(f.one if i == j else f.zero
-                            for j in range(self.rank)) for i in range(self.rank))
-        gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        seen = {ident: 0}
-        elements = [ident]
+        orbit = list(dict.fromkeys(self.simple_roots))
+        seen = set(orbit)
+        for v in orbit:                   # grows while it is walked
+            for g in gens:
+                u = mat_vec(g, v, f)
+                if u not in seen:
+                    if len(orbit) == 2 * self.n_reflections:
+                        raise CatalogueError(
+                            f"{self.code}: root orbit passed "
+                            f"{2 * self.n_reflections} roots")
+                    seen.add(u)
+                    orbit.append(u)
+        negs = {v: tuple(-c for c in v) for v in orbit}
+        pos = sorted((v for v in orbit if _coords_key(v, f) >
+                      _coords_key(negs[v], f)),
+                     key=lambda v: _coords_key(v, f))
+        self.roots = pos + [negs[v] for v in pos]
+        if len(pos) != self.n_reflections or set(self.roots) != seen:
+            raise CatalogueError(
+                f"{self.code}: got {len(pos)} positive roots, expected "
+                f"{self.n_reflections}")
+        self.positive_roots = pos
+        self._root_index = {v: i for i, v in enumerate(self.roots)}
+
+    def _root_perm(self, m) -> tuple:
+        """The permutation of ``roots`` by the matrix m (None at a root
+        whose image is not a root)."""
+        return tuple(self._root_index.get(mat_vec(m, v, self.field))
+                     for v in self.roots)
+
+    def _build_elements(self, gen_perms):
+        """Breadth-first closure over root permutations, bounded by the
+        group order; elements new in a layer are sorted by their matrix.
+
+        The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
+        the simple roots a_i (S has them as columns), and w is orthogonal
+        exactly when (w a_i, w a_j) = (a_i, a_j) for all i, j.
+        """
+        f = self.field
+        r = self.rank
+        spos = [self.roots.index(a) for a in self.simple_roots]
+        s_inv = inverse(mat_transpose(self.simple_roots), f)
+        unit = all(s_inv[i][j] == (f.one if i == j else f.zero)
+                   for i in range(r) for j in range(r))
+
+        def matrix(p):
+            images = mat_transpose([self.roots[p[s]] for s in spos])
+            return images if unit else mat_mul(images, s_inv, f)
+
+        groots = [mat_vec(self.gram, v, f) for v in self.roots]
+        pairings: dict = {}
+
+        def pair(a, b):
+            if (a, b) not in pairings:
+                pairings[a, b] = sum((x * y for x, y in
+                                      zip(self.roots[a], groots[b]) if x),
+                                     f.zero)
+            return pairings[a, b]
+
+        ident = tuple(range(len(self.roots)))
+        index = {ident: 0}
+        perms = [ident]
+        elements = [matrix(ident)]
         layer = [ident]
         while layer:
             nxt = []
-            for w in layer:
-                for g in gens:
-                    m = mat_mul(w, g, f)
-                    if m not in seen:
-                        seen[m] = -1
-                        nxt.append(m)
-            nxt.sort(key=lambda m: _flatten_key(m, f))
-            for m in nxt:
-                seen[m] = len(elements)
+            for pw in layer:
+                for pg in gen_perms:
+                    p = _compose(pw, pg)
+                    if p not in index:
+                        if len(index) == self.order:
+                            raise CatalogueError(
+                                f"{self.code}: closure passed {self.order} "
+                                f"elements")
+                        index[p] = -1
+                        nxt.append((p, matrix(p)))
+            nxt.sort(key=lambda pm: _coords_key(
+                (v for row in pm[1] for v in row), f))
+            for p, m in nxt:
+                index[p] = len(perms)
+                perms.append(p)
                 elements.append(m)
-            layer = nxt
+            layer = [p for p, _ in nxt]
         if len(elements) != self.order:
             raise CatalogueError(
                 f"{self.code}: closure produced {len(elements)} elements, "
                 f"expected {self.order}")
+        for p in perms:
+            if any(pair(p[spos[i]], p[spos[j]]) != pair(spos[i], spos[j])
+                   for i in range(r) for j in range(i, r)):
+                raise CatalogueError(
+                    f"{self.code}: element not orthogonal for the Gram form")
         self.elements = elements
-        self.elt_index = seen
+        self.root_perms = perms
+        self.perm_index = index
         self.identity_index = 0
-        self.simple_indices = [seen[g] for g in gens]
-        ginv = self.gram_inv
-        gmat = self.gram
-        self.inverse_idx = []
-        for w in elements:
-            winv = mat_mul(mat_mul(ginv, mat_transpose(w), f), gmat, f)
-            self.inverse_idx.append(seen[winv])
-        # exact orthogonality of every element
-        for w in elements:
-            wt = mat_transpose(w)
-            assert mat_mul(mat_mul(wt, gmat, f), w, f) == gmat, \
-                "element not orthogonal for the Gram form"
+        self.simple_indices = [index[p] for p in gen_perms]
+        # the inverse permutation lists the roots in the order of their images
+        self.inverse_idx = [index[tuple(sorted(ident, key=p.__getitem__))]
+                            for p in perms]
 
-    def _build_roots_and_reflections(self):
-        f = self.field
-        seen = set()
-        queue = list(self.simple_roots)
-        gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        allroots = []
-        for v in queue:
-            if v not in seen:
-                seen.add(v)
-                allroots.append(v)
-        i = 0
-        while i < len(allroots):
-            v = allroots[i]
-            for g in gens:
-                u = mat_vec(g, v, f)
-                if u not in seen:
-                    seen.add(u)
-                    allroots.append(u)
-            i += 1
-        pos = {}
-        for v in allroots:
-            neg = tuple(-c for c in v)
-            if neg in pos:
-                continue
-            if v in pos:
-                continue
-            kv, kn = _vec_key(v, f), _vec_key(neg, f)
-            pos[v if kv > kn else neg] = True
-        pos_roots = sorted(pos.keys(), key=lambda v: _vec_key(v, f))
-        if len(pos_roots) != self.n_reflections:
-            raise CatalogueError(
-                f"{self.code}: got {len(pos_roots)} positive roots, expected "
-                f"{self.n_reflections}")
-        self.positive_roots = pos_roots
+    def _build_reflections(self):
+        """The reflection in each positive root, looked up by its root
+        permutation, and the reflection classes."""
         self.reflections = []
-        for alpha in pos_roots:
-            s = self.reflection_matrix(alpha)
-            idx = self.elt_index.get(s)
-            assert idx is not None, "reflection escaped the group closure"
-            assert mat_vec(s, alpha, f) == tuple(-c for c in alpha)
+        for k, alpha in enumerate(self.positive_roots):
+            perm = self._root_perm(self.reflection_matrix(alpha))
+            idx = self.perm_index.get(perm)
+            if idx is None:
+                raise CatalogueError(
+                    f"{self.code}: reflection escaped the group closure")
+            if perm[k] != k + self.n_reflections:
+                raise CatalogueError(
+                    f"{self.code}: reflection does not negate its root")
             self.reflections.append((idx, alpha))
-
-    def _classify_reflections(self):
-        refl_of_elt = {idx: k for k, (idx, _) in enumerate(self.reflections)}
-        unassigned = set(range(len(self.reflections)))
-        classes = []
-        while unassigned:
-            start = min(unassigned)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                k = frontier.pop()
-                eidx = self.reflections[k][0]
-                for gi in self.simple_indices:
-                    conj = self.conjugate(gi, eidx)
-                    k2 = refl_of_elt[conj]
-                    if k2 not in orbit:
-                        orbit.add(k2)
-                        frontier.append(k2)
-            classes.append(sorted(orbit))
-            unassigned -= orbit
-        classes.sort(key=lambda cls: cls[0])
+        # the geometric form (alpha, x) of each reflection's root
+        self.reflection_forms = [mat_vec(self.gram, alpha, self.field)
+                                 for alpha in self.positive_roots]
+        # the reflection classes are the conjugacy classes of reflections
+        by_class: dict = {}
+        for k, (idx, _) in enumerate(self.reflections):
+            by_class.setdefault(self.class_of_element(idx), []).append(k)
+        classes = sorted(by_class.values())
         if len(classes) > 2:
             raise CatalogueError("more than two reflection classes")
         self.reflection_classes = classes
@@ -367,23 +392,18 @@ class ReflectionGroup:
         if len(classes) == 1:
             self.class_ell, self.class_p = 0, None
         else:
-            code = self.code
-            if code.startswith("B"):
-                anchor = self.rank - 1      # reflection of e_r
-            else:
-                anchor = 0                  # reflection of the first simple root
-            anchor_root = self.simple_roots[anchor]
-            anchor_refl = next(k for k, (_, a) in enumerate(self.reflections)
-                               if a == anchor_root or
-                               a == tuple(-c for c in anchor_root))
+            # the reflection of e_r for B, else of the first simple root
+            anchor = self.rank - 1 if self.code.startswith("B") else 0
+            anchor_refl = self.roots.index(self.simple_roots[anchor]) \
+                % self.n_reflections
             self.class_ell = self.refl_class_of[anchor_refl]
             self.class_p = 1 - self.class_ell
 
     # -- elementary queries ----------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self.elt_index[mat_mul(self.elements[i], self.elements[j],
-                                      self.field)]
+        return self.perm_index[_compose(self.root_perms[i],
+                                        self.root_perms[j])]
 
     def inv(self, i: int) -> int:
         return self.inverse_idx[i]
@@ -393,13 +413,6 @@ class ReflectionGroup:
 
     def det(self, i: int) -> Scalar:
         return det(self.elements[i], self.field)
-
-    def trace(self, i: int) -> Scalar:
-        w = self.elements[i]
-        t = self.field.zero
-        for k in range(self.rank):
-            t = t + w[k][k]
-        return t
 
     def geometric_form(self, alpha) -> Poly:
         """The linear polynomial (alpha, x) w.r.t. the Gram form."""
@@ -462,30 +475,30 @@ class ReflectionGroup:
             out = out + self.act_monomial(w_idx, e).scale(c)
         return out
 
-    def _vector_images(self, w_idx: int):
-        imgs = self._act_vec_images.get(w_idx)
-        if imgs is None:
+    def ext_image(self, w_idx: int, mask: int) -> Weil:
+        """Image under w of the exterior monomial ``mask``: the wedge of
+        the columns of w it selects; cached per element and mask."""
+        key = (w_idx, mask)
+        got = self._ext_images.get(key)
+        if got is None:
             w = self.elements[w_idx]
-            imgs = [Weil.vector([w[i][j] for i in range(self.rank)], self.field)
-                    for j in range(self.rank)]
-            self._act_vec_images[w_idx] = imgs
-        return imgs
+            got = Weil.one(self.rank, self.field)
+            for j in range(self.rank):
+                if mask & (1 << j):
+                    col = [w[i][j] for i in range(self.rank)]
+                    got = wedge_mul(got, Weil.vector(col, self.field))
+            self._ext_images[key] = got
+        return got
 
     def act_weil(self, w_idx: int, a: Weil) -> Weil:
         """Geometric action on a full-ambient Weil element."""
         if w_idx == self.identity_index:
             return a
-        imgs = self._vector_images(w_idx)
         out = Weil.zero(self.rank, self.field, a.ambient)
         for mask, p in a.terms.items():
-            wedge = Weil.one(self.rank, self.field, a.ambient)
-            for i in range(self.rank):
-                if mask & (1 << i):
-                    img = imgs[i]
-                    if img.ambient != a.ambient:
-                        img = Weil(img.r, img.field, img.terms, a.ambient)
-                    wedge = wedge_mul(wedge, img)
-            out = out + wedge.scale_poly(self.act_poly(w_idx, p))
+            ext = Weil(self.rank, self.field,
+                       self.ext_image(w_idx, mask).terms, a.ambient)
+            out = out + ext.scale_poly(self.act_poly(w_idx, p))
         return out
 
     def reynolds(self, p: Poly, elt_indices=None) -> Poly:
@@ -534,27 +547,19 @@ class ReflectionGroup:
         elif name == "sign":
             vals = tuple(self.det(rep) for rep, _ in classes)
         elif name == "reflection":
-            vals = tuple(self.trace(rep) for rep, _ in classes)
+            return self.character_from_action(self.elements.__getitem__,
+                                              name)
         else:
             raise ValueError(f"unknown character {name!r}")
         return ClassFunction(self, vals, name)
 
     def character_from_action(self, matrices_at, name="") -> ClassFunction:
         """Character from a callable elt_idx -> square matrix over the field."""
-        classes = self.conjugacy_classes()
         vals = []
-        for rep, _ in classes:
+        for rep, _ in self.conjugacy_classes():
             m = matrices_at(rep)
-            t = self.field.zero
-            for k in range(len(m)):
-                t = t + m[k][k]
-            vals.append(t)
+            vals.append(sum((m[k][k] for k in range(len(m))), self.field.zero))
         return ClassFunction(self, tuple(vals), name)
-
-    # -- reflection class info ---------------------------------------------
-
-    def reflection_class_sizes(self):
-        return tuple(len(c) for c in self.reflection_classes)
 
     # -- basic invariants ---------------------------------------------------
 

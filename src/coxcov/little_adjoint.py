@@ -14,29 +14,21 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .coinvariants import CoinvariantBasis, _pairing, monomials_of_degree
+from .coinvariants import (CoinvariantBasis, _pairing, hilbert_coinvariants,
+                           monomials_of_degree)
 from .covariants import (CovariantMap, CovariantStack, TargetSpace, form_e,
                          map_vec)
 from .differentials import dunkl, koszul_delta
 from .fields import Scalar, scalar_inverse
 from .groups import ReflectionGroup, _jacobian_det, _poly_det
 from .linalg import SparseSolver, inverse, nullspace
-from .molien import GradedSeries, graded_multiplicity_series
+from .molien import (GradedSeries, _exterior_traces,
+                     graded_multiplicity_series)
 from .poly import Poly
 from .reports import FAIL, PASS, CheckRecord, scalar_str
 from .weil import Weil
-
-_H_DEGREE_TABLE = {
-    # (code, role-class size profile is implied): degrees of A^H generators
-    "B2": {0: (2, 2), 1: (2, 2)},
-    "B3": {"coord": (2, 2, 2), "diag": (2, 3, 4)},
-    "B4": {"coord": (2, 2, 2, 2), "diag": (2, 4, 4, 6)},
-    "I2(4)": {0: (2, 2), 1: (2, 2)},
-    "G2": {0: (2, 3), 1: (2, 3)},
-    "I2(8)": {0: (2, 4), 1: (2, 4)},
-    "F4": {0: (2, 4, 4, 6), 1: (2, 4, 4, 6)},
-}
 
 
 def twisted_pairing(group: ReflectionGroup, p: Poly, q: Poly) -> Scalar:
@@ -53,10 +45,10 @@ class SplitGroupData:
     h_elements: list
     h_set: set
     wp_elements: list
-    wp_set: set
+    p_simple: list                 # positions of the simple roots of class p
     r_ell: int
     r_p: int
-    quotient: dict                 # elt_idx -> W_p representative elt_idx
+    quotient: list                 # elt_idx -> W_p representative elt_idx
 
     @property
     def p_class(self) -> int:
@@ -64,19 +56,14 @@ class SplitGroupData:
 
 
 def _subgroup_closure(group: ReflectionGroup, gen_indices):
-    seen = {group.identity_index}
     out = [group.identity_index]
-    frontier = [group.identity_index]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gen_indices:
-                m = group.mul(w, g)
-                if m not in seen:
-                    seen.add(m)
-                    out.append(m)
-                    nxt.append(m)
-        frontier = nxt
+    seen = set(out)
+    for w in out:                         # grows while it is walked
+        for g in gen_indices:
+            m = group.mul(w, g)
+            if m not in seen:
+                seen.add(m)
+                out.append(m)
     return sorted(out)
 
 
@@ -90,55 +77,76 @@ def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGr
               for k in group.reflection_classes[use_class]]
     h_elements = _subgroup_closure(group, h_gens)
     h_set = set(h_elements)
-    simple_refl = []
-    for si, root in zip(group.simple_indices, group.simple_roots):
-        k = next(k for k, (eidx, _) in enumerate(group.reflections)
-                 if eidx == si)
-        simple_refl.append((si, group.refl_class_of[k]))
-    wp_gens = [si for si, cls in simple_refl if cls == other]
+    refl_of_elt = {eidx: k for k, (eidx, _) in enumerate(group.reflections)}
+    p_simple = [j for j, si in enumerate(group.simple_indices)
+                if group.refl_class_of[refl_of_elt[si]] == other]
+    wp_gens = [group.simple_indices[j] for j in p_simple]
     r_p = len(wp_gens)
     r_ell = group.rank - r_p
     wp_elements = _subgroup_closure(group, wp_gens)
-    wp_set = set(wp_elements)
     assert len(h_elements) * len(wp_elements) == group.order, \
         "order identity |W| = |H| |W_p| fails"
-    assert h_set & wp_set == {group.identity_index}
     # normality of H
     for g in group.simple_indices:
         for h in h_gens:
             assert group.conjugate(g, h) in h_set, "H not normal"
-    quotient = {}
-    for w in range(group.order):
-        wp = next(x for x in wp_elements
-                  if group.mul(group.inv(x), w) in h_set)
-        quotient[w] = wp
-    return SplitGroupData(group, use_class, h_elements, h_set,
-                          wp_elements, wp_set, r_ell, r_p, quotient)
+    # coset table: w = x h with x in W_p, h in H; filling all |W| entries
+    # from |W_p| |H| products also shows that W_p and H meet trivially
+    quotient = [None] * group.order
+    for x in wp_elements:
+        for h in h_elements:
+            quotient[group.mul(x, h)] = x
+    assert None not in quotient, "W != W_p H"
+    return SplitGroupData(group, use_class, h_elements, h_set, wp_elements,
+                          p_simple, r_ell, r_p, quotient)
 
 
-def _expected_h_degrees(split: SplitGroupData):
-    code = split.group.code
-    table = _H_DEGREE_TABLE.get(code)
-    if table is None:
-        raise ValueError(f"little adjoint not catalogued for {code}")
-    if code in ("B3", "B4"):
-        # primary orientation: coordinate reflections (class of size rank)
-        size = len(split.group.reflection_classes[split.use_class])
-        key = "coord" if size == split.group.rank else "diag"
-        return table[key]
-    return table[split.use_class]
+def h_invariant_degrees(split: SplitGroupData):
+    """Degrees of the generators of A^H, read off the Molien series
+    (1/|H|) sum_{h in H} 1/det(1 - t h) = prod_i 1/(1 - t^{d_i}).
+
+    H is normal, so it is a union of classes of W and the summand is a
+    class function; the series is expanded to degree |H|, which bounds
+    every d_i since prod_i d_i = |H|.
+    """
+    group = split.group
+    field = group.field
+    top = len(split.h_elements)
+    series = [field.zero] * (top + 1)
+    for rep, members in group.conjugacy_classes():
+        if rep not in split.h_set:
+            continue
+        # 1/det(1 - t h) as a power series; det(1 - t h) has constant term 1
+        traces = _exterior_traces(group.elements[rep], field)
+        den = [t if k % 2 == 0 else -t for k, t in enumerate(traces)]
+        inv = [field.one]
+        for k in range(1, top + 1):
+            inv.append(-sum((den[j] * inv[k - j]
+                             for j in range(1, min(k, group.rank) + 1)),
+                            field.zero))
+        series = [s + c * len(members) for s, c in zip(series, inv)]
+    dims = [field.coords(c / top) for c in series]
+    if any(any(q[1:]) or q[0].denominator != 1 for q in dims):
+        raise ValueError("Molien series of H is not integral")
+    dims = [int(q[0]) for q in dims]
+    # peel off prod_i 1/(1 - t^{d_i}) degree by degree
+    degrees = []
+    have = [1] + [0] * top
+    for d in range(1, top + 1):
+        while have[d] < dims[d] and len(degrees) < group.rank:
+            degrees.append(d)
+            for k in range(d, top + 1):
+                have[k] += have[k - d]
+    if len(degrees) != group.rank or prod(degrees) != top:
+        raise ValueError(f"H degrees {degrees}: prod d_i != |H| = {top}")
+    return tuple(degrees)
 
 
 def subgroup_invariants(split: SplitGroupData):
     """Homogeneous generators of A^H, Reynolds-averaged from deterministic
     seeds, with exact Jacobian certification."""
     group = split.group
-    degrees = _expected_h_degrees(split)
-    assert len(degrees) == group.rank
-    prod = 1
-    for d in degrees:
-        prod *= d
-    assert prod == len(split.h_elements), "H degree table inconsistent"
+    degrees = h_invariant_degrees(split)
     psibars = []
     for d in sorted(set(degrees)):
         needed = degrees.count(d)
@@ -302,12 +310,9 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
     group = dec.split.group
     field = group.field
     s = len(dec.u_basis)
-    # induced action matrices of W on the y-variables (the image group)
-    mats = {}
-    for w in range(group.order):
-        m = dec.u_action_matrix(dec.split.quotient[w])
-        mats[m] = True
-    action_group = list(mats.keys())
+    # induced action matrices of W_p on the y-variables (the image group)
+    action_group = list(dict.fromkeys(
+        dec.u_action_matrix(x) for x in dec.split.wp_elements))
     assert len(action_group) == len(dec.split.wp_elements), \
         "U action does not factor through W_p"
     # basic invariants of the induced reflection action on K[U]
@@ -395,13 +400,7 @@ def _wp_reflection_character(split: SplitGroupData):
     """Character of the reflection representation of W_p pulled back to W."""
     group = split.group
     field = group.field
-    other = split.p_class
-    basis = []
-    for si, root in zip(group.simple_indices, group.simple_roots):
-        k = next(k for k, (eidx, _) in enumerate(group.reflections)
-                 if eidx == si)
-        if group.refl_class_of[k] == other:
-            basis.append(root)
+    basis = [group.simple_roots[j] for j in split.p_simple]
     solver = SparseSolver()
     for v in basis:
         solver.add({i: c for i, c in enumerate(v) if c})
@@ -420,12 +419,6 @@ def _wp_reflection_character(split: SplitGroupData):
                      for i in range(len(basis)))
 
     return group.character_from_action(matrix_at, name="refl_Wp"), matrix_at
-
-
-def hilbert_quotient(y_degrees, nvars):
-    """Coefficients of prod (1-t^{d}) / (1-t)^nvars for the H-tilde grading."""
-    from .coinvariants import hilbert_coinvariants
-    return hilbert_coinvariants(tuple(y_degrees), nvars)
 
 
 def little_adjoint_suite(stack: CovariantStack,
@@ -522,7 +515,7 @@ def little_adjoint_suite(stack: CovariantStack,
 
     # H-tilde embeds in H with the correct graded dimensions
     y_degs = tuple(i + 1 for i in range(1, s + 1))
-    htilde = hilbert_quotient(y_degs, s)
+    htilde = hilbert_coinvariants(y_degs, s)
     for k, dim_k in enumerate(htilde):
         ymonos = monomials_of_degree(s, k)
         rk_solver = SparseSolver()

@@ -8,6 +8,7 @@ lexicographic (grevlex).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .fields import QQ, Field, Scalar, scalar_inverse
@@ -269,6 +270,24 @@ class Poly:
         return total
 
 
+@lru_cache(maxsize=256)
+def _linear_divisor(field: Field, alpha: tuple):
+    """(pivot, inverse pivot coefficient, the other terms as a Poly) of the
+    linear form sum_i alpha[i] x_i; the pivot is its last nonzero
+    coordinate."""
+    alpha = [field.coerce(a) for a in alpha]
+    if not any(alpha):
+        raise ValueError("alpha must be nonzero")
+    piv = max(i for i, a in enumerate(alpha) if a)
+    rest = {}
+    for i, a in enumerate(alpha):
+        if a and i != piv:
+            e = [0] * len(alpha)
+            e[i] = 1
+            rest[tuple(e)] = a
+    return piv, scalar_inverse(alpha[piv]), Poly(len(alpha), field, rest)
+
+
 def divide_by_linear_form(p: Poly, alpha) -> Poly:
     """Exact quotient of p by the linear form sum_i alpha[i] x_i.
 
@@ -276,13 +295,9 @@ def divide_by_linear_form(p: Poly, alpha) -> Poly:
     ("not divisible") when a remainder survives.
     """
     field = p.field
-    alpha = [field.coerce(a) for a in alpha]
-    if not any(alpha):
-        raise ValueError("alpha must be nonzero")
+    piv, apiv_inv, rest = _linear_divisor(field, tuple(alpha))
     if not p.terms:
         return p
-    piv = max(i for i, a in enumerate(alpha) if a)
-    apiv_inv = scalar_inverse(alpha[piv])
     # p as a polynomial in x_piv with Poly coefficients in the other variables
     by_deg: dict[int, dict] = {}
     for e, c in p.terms.items():
@@ -291,13 +306,6 @@ def divide_by_linear_form(p: Poly, alpha) -> Poly:
         e2[piv] = 0
         by_deg.setdefault(k, {})[tuple(e2)] = c
     top = max(by_deg)
-    rest_terms = {}
-    for i, a in enumerate(alpha):
-        if a and i != piv:
-            e = [0] * p.nv
-            e[i] = 1
-            rest_terms[tuple(e)] = a
-    rest = Poly(p.nv, field, rest_terms)
 
     quot_levels: dict[int, Poly] = {}
     carry = {k: Poly(p.nv, field, t) for k, t in by_deg.items()}

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from coxcov.groups import (CatalogueError, build_group, canonical_code,
-                           mat_mul, mat_transpose, mat_vec)
+from coxcov.fields import QQ
+from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
+                           build_group, canonical_code, mat_mul,
+                           mat_transpose, mat_vec)
 from coxcov.poly import Poly
 
 CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
@@ -47,7 +52,8 @@ def test_h3_f4_degrees(group_of):
 ])
 def test_reflection_class_sizes(code, sizes, group_of):
     g = group_of(code)
-    assert tuple(sorted(g.reflection_class_sizes())) == tuple(sorted(sizes))
+    got = tuple(sorted(len(c) for c in g.reflection_classes))
+    assert got == tuple(sorted(sizes))
 
 
 def test_reflection_classes_conjugation_oracle(group_of):
@@ -69,7 +75,7 @@ def test_reflection_classes_conjugation_oracle(group_of):
             seen |= orbit
             orbits.append(orbit)
         assert sorted(len(o) for o in orbits) == \
-            sorted(g.reflection_class_sizes())
+            sorted(len(c) for c in g.reflection_classes)
 
 
 @pytest.mark.parametrize("code", CATALOGUE)
@@ -216,3 +222,199 @@ def test_characters(group_of):
     # sign is multiplicative on reflections
     for idx, _ in g.reflections:
         assert sgn.at(idx) == -g.field.one
+
+
+# ---------------------------------------------------------------------------
+# oracle: the matrix-keyed group layer that the root permutations replace
+# ---------------------------------------------------------------------------
+
+def _flat_key(values, field):
+    out = []
+    for v in values:
+        out.extend(field.coords(v))
+    return tuple(out)
+
+
+class _MatrixOracle:
+    """Elements as dense matrices: breadth-first closure over matrix
+    products with each layer sorted by the flattened matrix, products and
+    conjugates looked up by matrix, the Gram-formula inverse
+    G^{-1} w^T G, and the reflection classes by an orbit search under
+    conjugation by the simple reflections."""
+
+    def __init__(self, g):
+        f = g.field
+        self.field = f
+        gens = [g.reflection_matrix(a) for a in g.simple_roots]
+        ident = tuple(tuple(f.one if i == j else f.zero
+                            for j in range(g.rank)) for i in range(g.rank))
+        seen = {ident: 0}
+        elements = [ident]
+        layer = [ident]
+        while layer:
+            nxt = []
+            for w in layer:
+                for s in gens:
+                    m = mat_mul(w, s, f)
+                    if m not in seen:
+                        seen[m] = -1
+                        nxt.append(m)
+            nxt.sort(key=lambda m: _flat_key([v for row in m for v in row], f))
+            for m in nxt:
+                seen[m] = len(elements)
+                elements.append(m)
+            layer = nxt
+        self.elements = elements
+        self.index = seen
+        self.simple_indices = [seen[s] for s in gens]
+        self.inverse_idx = [
+            seen[mat_mul(mat_mul(g.gram_inv, mat_transpose(w), f), g.gram, f)]
+            for w in elements]
+        roots = list(dict.fromkeys(g.simple_roots))
+        found = set(roots)
+        for v in roots:
+            for s in gens:
+                u = mat_vec(s, v, f)
+                if u not in found:
+                    found.add(u)
+                    roots.append(u)
+        pos = set()
+        for v in roots:
+            neg = tuple(-c for c in v)
+            pos.add(v if _flat_key(v, f) > _flat_key(neg, f) else neg)
+        self.positive_roots = sorted(pos, key=lambda v: _flat_key(v, f))
+        self.reflections = [(seen[g.reflection_matrix(a)], a)
+                            for a in self.positive_roots]
+        # reflection classes: orbits of the reflections under conjugation
+        refl_of_elt = {idx: k for k, (idx, _) in enumerate(self.reflections)}
+        unassigned = set(range(len(self.reflections)))
+        classes = []
+        while unassigned:
+            start = min(unassigned)
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                eidx = self.reflections[frontier.pop()][0]
+                for s in self.simple_indices:
+                    k2 = refl_of_elt[self.conjugate(s, eidx)]
+                    if k2 not in orbit:
+                        orbit.add(k2)
+                        frontier.append(k2)
+            classes.append(sorted(orbit))
+            unassigned -= orbit
+        self.reflection_classes = sorted(classes, key=lambda c: c[0])
+        if len(classes) == 1:
+            self.class_ell, self.class_p = 0, None
+        else:
+            anchor = g.simple_roots[g.rank - 1 if g.code.startswith("B")
+                                    else 0]
+            k = next(k for k, (_, a) in enumerate(self.reflections)
+                     if a in (anchor, tuple(-c for c in anchor)))
+            self.class_ell = next(ci for ci, cls in
+                                  enumerate(self.reflection_classes)
+                                  if k in cls)
+            self.class_p = 1 - self.class_ell
+
+    def mul(self, i, j):
+        return self.index[mat_mul(self.elements[i], self.elements[j],
+                                  self.field)]
+
+    def conjugate(self, s, w):
+        return self.mul(self.mul(s, w), self.inverse_idx[s])
+
+    def conjugacy_classes(self):
+        order = len(self.elements)
+        class_of = [-1] * order
+        classes = []
+        for start in range(order):
+            if class_of[start] >= 0:
+                continue
+            members = [start]
+            class_of[start] = len(classes)
+            frontier = [start]
+            while frontier:
+                w = frontier.pop()
+                for s in self.simple_indices:
+                    c = self.conjugate(s, w)
+                    if class_of[c] < 0:
+                        class_of[c] = len(classes)
+                        members.append(c)
+                        frontier.append(c)
+            classes.append((start, sorted(members)))
+        return classes
+
+
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_root_permutations_match_matrix_oracle(code, group_of):
+    g = group_of(code)
+    o = _MatrixOracle(g)
+    assert g.elements == o.elements
+    assert g.inverse_idx == o.inverse_idx
+    assert g.simple_indices == o.simple_indices
+    assert g.positive_roots == o.positive_roots
+    assert g.reflections == o.reflections
+    assert g.reflection_classes == o.reflection_classes
+    assert (g.class_ell, g.class_p) == (o.class_ell, o.class_p)
+    assert g.conjugacy_classes() == o.conjugacy_classes()
+    if g.order <= 48:
+        pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
+    else:
+        rng = random.Random(11)
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order))
+                 for _ in range(2000)]
+    for i, j in pairs:
+        assert g.mul(i, j) == o.mul(i, j)
+
+
+def test_root_permutations_act_on_roots(group_of):
+    for code in ["B3", "G2", "I2(5)", "H3"]:
+        g = group_of(code)
+        for w, perm in zip(g.elements, g.root_perms):
+            assert [mat_vec(w, a, g.field) for a in g.roots] == \
+                [g.roots[k] for k in perm]
+
+
+def test_reflection_forms(group_of):
+    for code in ["A3", "G2", "H3"]:
+        g = group_of(code)
+        assert g.reflection_forms == [mat_vec(g.gram, a, g.field)
+                                      for _, a in g.reflections]
+
+
+# ---------------------------------------------------------------------------
+# build certificates
+# ---------------------------------------------------------------------------
+
+def test_infinite_realization_raises():
+    # the reflections of this realization generate an infinite group
+    with pytest.raises(CatalogueError, match="root orbit passed"):
+        build_custom_group("X", QQ, [[3, -1], [-1, 3]], [(1, 0), (0, 1)],
+                           (2, 3))
+
+
+def test_closure_bounded_by_order():
+    # the A3 realization with degrees of the same sum but product 20 < 24
+    gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    simples = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(CatalogueError, match="closure passed 20 elements"):
+        build_custom_group("X", QQ, gram, simples, (2, 2, 5))
+
+
+def test_gram_certificates():
+    with pytest.raises(CatalogueError, match="not positive definite"):
+        InnerProduct([[1, 2], [2, 1]], QQ)
+    with pytest.raises(CatalogueError, match="not symmetric"):
+        InnerProduct([[2, 1], [0, 2]], QQ)
+
+
+def test_gram_certificate_survives_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("from coxcov.fields import QQ\n"
+            "from coxcov.groups import CatalogueError, InnerProduct\n"
+            "try:\n"
+            "    InnerProduct([[1, 2], [2, 1]], QQ)\n"
+            "except CatalogueError:\n"
+            "    raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert got.returncode == 3

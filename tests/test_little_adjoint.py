@@ -2,11 +2,25 @@ import pytest
 
 from coxcov.covariants import form_e
 from coxcov.differentials import koszul_delta
-from coxcov.little_adjoint import (little_adjoint_suite, make_g, make_v,
-                                   split_group, subgroup_invariants,
-                                   tilde_invariants, twisted_pairing,
-                                   u_target_space, ubar_decomposition)
+from coxcov.little_adjoint import (h_invariant_degrees, little_adjoint_suite,
+                                   make_g, make_v, split_group,
+                                   subgroup_invariants, tilde_invariants,
+                                   twisted_pairing, u_target_space,
+                                   ubar_decomposition)
 from coxcov.poly import Poly
+
+# Degrees of the generators of A^H, by hand: H is generated by one
+# reflection class.  For B3 and B4 the class of the coordinate reflections
+# gives H = (Z/2)^r and the other class gives H = D_r.
+H_DEGREE_TABLE = {
+    "B2": {0: (2, 2), 1: (2, 2)},
+    "B3": {"coord": (2, 2, 2), "diag": (2, 3, 4)},
+    "B4": {"coord": (2, 2, 2, 2), "diag": (2, 4, 4, 6)},
+    "I2(4)": {0: (2, 2), 1: (2, 2)},
+    "G2": {0: (2, 3), 1: (2, 3)},
+    "I2(8)": {0: (2, 4), 1: (2, 4)},
+    "F4": {0: (2, 4, 4, 6), 1: (2, 4, 4, 6)},
+}
 
 
 def test_split_orders(stack_of):
@@ -103,3 +117,28 @@ def test_ungraded_hom_dimension(stack_of):
         chi = u_target_space(st, dec).character(st.group)
         series = graded_multiplicity_series(st.group, chi)
         assert series.total() == split.r_p * 2 ** st.group.rank
+
+
+@pytest.mark.parametrize("code", sorted(H_DEGREE_TABLE))
+def test_h_degrees_match_table(code, group_of):
+    g = group_of(code)
+    for use_class in (0, 1):
+        split = split_group(g, use_class)
+        table = H_DEGREE_TABLE[code]
+        if code in ("B3", "B4"):
+            size = len(g.reflection_classes[use_class])
+            want = table["coord" if size == g.rank else "diag"]
+        else:
+            want = table[use_class]
+        assert h_invariant_degrees(split) == want
+
+
+@pytest.mark.parametrize("code", ["B2", "G2", "B3", "I2(8)"])
+def test_coset_table_matches_scan(code, group_of):
+    g = group_of(code)
+    for use_class in (0, 1):
+        split = split_group(g, use_class)
+        for w in range(g.order):
+            want = next(x for x in split.wp_elements
+                        if g.mul(g.inv(x), w) in split.h_set)
+            assert split.quotient[w] == want
