@@ -300,12 +300,10 @@ class ReflectionGroup:
         r = self.rank
         spos = [self.roots.index(a) for a in self.simple_roots]
         s_inv = inverse(mat_transpose(self.simple_roots), f)
-        unit = all(s_inv[i][j] == (f.one if i == j else f.zero)
-                   for i in range(r) for j in range(r))
 
         def matrix(p):
             images = mat_transpose([self.roots[p[s]] for s in spos])
-            return images if unit else mat_mul(images, s_inv, f)
+            return mat_mul(images, s_inv, f)
 
         groots = [mat_vec(self.gram, v, f) for v in self.roots]
         pairings: dict = {}

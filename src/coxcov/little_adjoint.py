@@ -84,19 +84,21 @@ def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGr
     r_p = len(wp_gens)
     r_ell = group.rank - r_p
     wp_elements = _subgroup_closure(group, wp_gens)
-    assert len(h_elements) * len(wp_elements) == group.order, \
-        "order identity |W| = |H| |W_p| fails"
+    if len(h_elements) * len(wp_elements) != group.order:
+        raise ValueError("order identity |W| = |H| |W_p| fails")
     # normality of H
     for g in group.simple_indices:
         for h in h_gens:
-            assert group.conjugate(g, h) in h_set, "H not normal"
+            if group.conjugate(g, h) not in h_set:
+                raise ValueError("H not normal")
     # coset table: w = x h with x in W_p, h in H; filling all |W| entries
     # from |W_p| |H| products also shows that W_p and H meet trivially
     quotient = [None] * group.order
     for x in wp_elements:
         for h in h_elements:
             quotient[group.mul(x, h)] = x
-    assert None not in quotient, "W != W_p H"
+    if None in quotient:
+        raise ValueError("W != W_p H")
     return SplitGroupData(group, use_class, h_elements, h_set, wp_elements,
                           p_simple, r_ell, r_p, quotient)
 

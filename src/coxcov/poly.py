@@ -270,11 +270,11 @@ class Poly:
         return total
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _linear_divisor(field: Field, alpha: tuple):
     """(pivot, inverse pivot coefficient, the other terms as a Poly) of the
     linear form sum_i alpha[i] x_i; the pivot is its last nonzero
-    coordinate."""
+    coordinate.  The keys are the reflection forms that nabla_s passes."""
     alpha = [field.coerce(a) for a in alpha]
     if not any(alpha):
         raise ValueError("alpha must be nonzero")
