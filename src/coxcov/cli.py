@@ -25,7 +25,7 @@ from .groups import CatalogueError, build_group, canonical_code
 from .little_adjoint import little_adjoint_suite
 from .molien import (covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
-from .reports import FAIL, PASS, CheckRecord, Report
+from .reports import FAIL, PASS, CertificationError, CheckRecord, Report
 
 DEFAULT_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                   "I2(5)", "G2", "I2(8)", "F4", "H3"]
@@ -102,7 +102,7 @@ def run_suite(config: dict) -> Report:
                         n_samples=config.get("n_samples", 50))
                     records.append(CheckRecord("differentials", code, PASS,
                                                details, time.time() - t0))
-                except AssertionError as exc:
+                except CertificationError as exc:
                     records.append(CheckRecord(
                         "differentials", code, FAIL,
                         {"witness": [str(exc)]}, time.time() - t0))

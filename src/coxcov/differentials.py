@@ -18,6 +18,7 @@ from .coinvariants import CoinvariantBasis
 from .fields import Scalar, scalar_inverse
 from .groups import ClassFunction, ReflectionGroup, mat_vec
 from .poly import Poly, divide_by_linear_form
+from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil, merge_sign, wedge_mul
 
 
@@ -32,9 +33,6 @@ class DunklParams:
         vals = tuple(group.field.coerce(value)
                      for _ in group.reflection_classes)
         return DunklParams(group, vals)
-
-    def c(self, refl_idx: int) -> Scalar:
-        return self.values[self.group.refl_class_of[refl_idx]]
 
     def t_c(self) -> Scalar:
         total = self.group.field.zero
@@ -94,7 +92,8 @@ def koszul_delta(group: ReflectionGroup, w: Weil,
             pos += 1
     out = Weil(r, group.field, {m: p for m, p in acc.items() if p}, w.ambient)
     if w.ambient == B_QUOTIENT:
-        assert cb is not None, "need a coinvariant basis to reduce"
+        if cb is None:
+            raise ValueError("need a coinvariant basis to reduce")
         out = cb.nf_weil(CoinvariantBasis.lift(out))
     return out
 
@@ -107,7 +106,8 @@ def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
     root (same hyperplane required) so that invariance can be exercised.
     """
     if w.ambient == B_QUOTIENT:
-        assert cb is not None
+        if cb is None:
+            raise ValueError("need a coinvariant basis to reduce")
         return cb.nf_weil(nabla_s(group, refl_idx, CoinvariantBasis.lift(w),
                                   alpha=alpha))
     eidx, stored_alpha = group.reflections[refl_idx]
@@ -131,26 +131,44 @@ def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
     return out
 
 
+def class_sums(group: ReflectionGroup, w: Weil, classes=None) -> list:
+    """N_C(w) = sum over s in C of nabla_s(w) for each reflection class C
+    (all classes, or the class indices ``classes``), on the full ambient."""
+    if classes is None:
+        classes = range(len(group.reflection_classes))
+    zero = Weil.zero(group.rank, group.field, FULL_WEIL)
+    return [sum((nabla_s(group, k, w) for k in group.reflection_classes[ci]),
+                zero) for ci in classes]
+
+
 def dunkl(params: DunklParams, w: Weil,
-          cb: CoinvariantBasis | None = None,
-          refl_subset=None) -> Weil:
-    """D_c = sum over reflections of c(s) nabla_s; acts on both ambients."""
+          cb: CoinvariantBasis | None = None, classes=None) -> Weil:
+    """D_c = sum over classes C of c_C N_C, over all reflection classes or
+    the class indices ``classes``; acts on both ambients."""
     group = params.group
     was_quotient = w.ambient == B_QUOTIENT
     if was_quotient:
-        assert cb is not None
+        if cb is None:
+            raise ValueError("need a coinvariant basis to reduce")
         w = CoinvariantBasis.lift(w)
-    total = Weil.zero(group.rank, group.field, FULL_WEIL)
-    indices = range(len(group.reflections)) if refl_subset is None \
-        else refl_subset
-    for k in indices:
-        c = params.c(k)
-        if not c:
-            continue
-        total = total + nabla_s(group, k, w).scale(c)
-    if was_quotient:
-        return cb.nf_weil(total)
-    return total
+    if classes is None:
+        classes = range(len(group.reflection_classes))
+    classes = [ci for ci in classes if params.values[ci]]
+    total = sum((n.scale(params.values[ci]) for ci, n in
+                 zip(classes, class_sums(group, w, classes))),
+                Weil.zero(group.rank, group.field, FULL_WEIL))
+    return cb.nf_weil(total) if was_quotient else total
+
+
+def dunkl_squares(group: ReflectionGroup, w: Weil, params_list) -> list:
+    """D_c(D_c w) for every c in ``params_list`` (full ambient), from the
+    class sums: D_c^2 = sum over class pairs of c_C c_C' N_C N_C', so the
+    nabla images are computed once for all configurations."""
+    pairs = [(a, b, n) for a, f in enumerate(class_sums(group, w))
+             for b, n in enumerate(class_sums(group, f))]
+    zero = Weil.zero(group.rank, group.field, FULL_WEIL)
+    return [sum((n.scale(c.values[a] * c.values[b]) for a, b, n in pairs
+                 if c.values[a] * c.values[b]), zero) for c in params_list]
 
 
 def delta_d_eigenvalue(params: DunklParams, chi: ClassFunction) -> Scalar:
@@ -166,35 +184,6 @@ def delta_d_eigenvalue(params: DunklParams, chi: ClassFunction) -> Scalar:
             (group.field.one - chi.at(rep_elt) * inv1)
         total = total + term
     return total
-
-
-def delta_d_apply(params: DunklParams, x: Poly,
-                  cb: CoinvariantBasis | None = None) -> Poly:
-    """delta D_c applied to 1 tensor x, returned as a polynomial."""
-    group = params.group
-    w = Weil.from_poly(x)
-    out = koszul_delta(group, dunkl(params, w))
-    poly = out.terms.get(0, Poly.zero(group.rank, group.field))
-    for mask in out.terms:
-        assert mask == 0, "delta D_c left exterior degree nonzero"
-    if cb is not None:
-        poly = cb.nf_poly(poly)
-    return poly
-
-
-def delta_d_check(params: DunklParams, chi: ClassFunction, x: Poly,
-                  cb: CoinvariantBasis | None = None):
-    """Assert delta D_c(x) = gamma x with the closed-form gamma; returns gamma.
-
-    Raises ValueError when the image is not proportional to x (input does
-    not generate a chi-isotypic line).
-    """
-    gamma = delta_d_eigenvalue(params, chi)
-    img = delta_d_apply(params, x, cb=cb)
-    target = x if cb is None else cb.nf_poly(x)
-    if img - target.scale(gamma):
-        raise ValueError("input not isotypic-generating")
-    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +231,30 @@ def differential_identity_suite(group: ReflectionGroup, cb: CoinvariantBasis,
                                 seed: int, n_samples: int = 50,
                                 n_cfg: int = 5):
     """d^2 = 0, delta^2 = 0 and D_c^2 = 0 (c = 1 and random class functions)
-    on seeded random Weil elements; returns a details dict, raising on any
-    nonzero square."""
+    on seeded random Weil elements; returns a details dict, raising
+    CertificationError with a witness on the first nonzero square."""
     rng = random.Random(seed)
     params_list = [DunklParams.constant(group)]
     for _ in range(n_cfg):
         params_list.append(random_class_function(group, rng))
-    checked = 0
-    for _ in range(n_samples):
+
+    def certify(square: Weil, identity: str, sample: int, cfg=None):
+        if not square.is_zero():
+            where = "" if cfg is None else f", c configuration {cfg}"
+            raise CertificationError(
+                f"{identity} != 0 on {group.code}, seed {seed}, "
+                f"sample {sample}{where}")
+
+    for i in range(n_samples):
         w = random_weil(group, rng)
-        dd = de_rham(group, de_rham(group, w))
-        assert dd.is_zero(), "d^2 != 0"
-        ss = koszul_delta(group, koszul_delta(group, w))
-        assert ss.is_zero(), "delta^2 != 0"
+        certify(de_rham(group, de_rham(group, w)), "d^2", i)
+        certify(koszul_delta(group, koszul_delta(group, w)), "delta^2", i)
         wb = cb.nf_weil(w)
-        ssb = koszul_delta(group, koszul_delta(group, wb, cb), cb)
-        assert ssb.is_zero(), "delta^2 != 0 on the quotient"
-        for params in params_list:
-            dw = dunkl(params, w)
-            assert dunkl(params, dw).is_zero(), "D_c^2 != 0"
+        certify(koszul_delta(group, koszul_delta(group, wb, cb), cb),
+                "delta^2 on the quotient", i)
+        for cfg, sq in enumerate(dunkl_squares(group, w, params_list)):
+            certify(sq, "D_c^2", i, cfg)
         # D_c^2 = 0 on the quotient, first configuration only (cost)
         dwb = dunkl(params_list[0], wb, cb)
-        assert dunkl(params_list[0], dwb, cb).is_zero(), \
-            "D_c^2 != 0 on the quotient"
-        checked += 1
-    return {"samples": checked, "c_configurations": len(params_list)}
+        certify(dunkl(params_list[0], dwb, cb), "D_c^2 on the quotient", i, 0)
+    return {"samples": n_samples, "c_configurations": len(params_list)}

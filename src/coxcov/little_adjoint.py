@@ -385,11 +385,10 @@ def make_v(stack: CovariantStack, dec: UbarDecomposition, g: CovariantMap,
            uspace: TargetSpace) -> CovariantMap:
     group = stack.group
     p_class = dec.split.p_class
-    subset = list(group.reflection_classes[p_class])
-    t_p = len(subset)
+    t_p = len(group.reflection_classes[p_class])
     scale = group.field.coerce(Fraction(uspace.dim, 2 * t_p))
     params = stack.params
-    comps = tuple(dunkl(params, c, stack.cb, refl_subset=subset).scale(scale)
+    comps = tuple(dunkl(params, c, stack.cb, classes=[p_class]).scale(scale)
                   for c in g.comps)
     return CovariantMap(stack, uspace, comps, g.name.replace("g", "v"))
 

@@ -15,6 +15,10 @@ FINDING = "finding"
 SCHEMA = "coxcov-report/1"
 
 
+class CertificationError(ValueError):
+    """An exact identity failed; the message is the witness."""
+
+
 def scalar_str(x):
     """Exact fraction string; extension scalars as coordinate lists."""
     if isinstance(x, AlgNum):

@@ -1,14 +1,53 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from coxcov.differentials import (DunklParams, de_rham,
-                                  delta_d_check, delta_d_eigenvalue,
+import coxcov.differentials as differentials
+from coxcov.coinvariants import CoinvariantBasis
+from coxcov.differentials import (DunklParams, class_sums, de_rham,
+                                  delta_d_eigenvalue,
                                   differential_identity_suite, dunkl,
-                                  koszul_delta, nabla_s, random_weil)
+                                  dunkl_squares, koszul_delta, nabla_s,
+                                  random_class_function, random_weil)
 from coxcov.poly import Poly
-from coxcov.weil import B_QUOTIENT, Weil
+from coxcov.reports import CertificationError
+from coxcov.weil import B_QUOTIENT, FULL_WEIL, Weil
+
+
+def dunkl_by_reflection(params, w):
+    """Oracle: D_c(w) as the sum over single reflections of c(s) nabla_s(w),
+    on the full ambient."""
+    group = params.group
+    total = Weil.zero(group.rank, group.field, FULL_WEIL)
+    for c, cls in zip(params.values, group.reflection_classes):
+        if c:
+            for k in cls:
+                total = total + nabla_s(group, k, w).scale(c)
+    return total
+
+
+def delta_d_apply(params, x):
+    """delta D_c applied to 1 tensor x, returned as a polynomial."""
+    group = params.group
+    out = koszul_delta(group, dunkl(params, Weil.from_poly(x)))
+    if set(out.terms) - {0}:
+        raise ValueError("delta D_c left exterior degree nonzero")
+    return out.terms.get(0, Poly.zero(group.rank, group.field))
+
+
+def delta_d_check(params, chi, x):
+    """Check delta D_c(x) = gamma x with the closed-form gamma; returns
+    gamma.  Raises ValueError when the image is not proportional to x
+    (input does not generate a chi-isotypic line)."""
+    gamma = delta_d_eigenvalue(params, chi)
+    if delta_d_apply(params, x) - x.scale(gamma):
+        raise ValueError("input not isotypic-generating")
+    return gamma
 
 
 def test_de_rham_examples(stack_of):
@@ -131,6 +170,120 @@ def test_dunkl_conjugation_invariance(stack_of):
         widx = rng.randrange(g.order)
         lhs = g.act_weil(g.inv(widx), dunkl(params, g.act_weil(widx, w)))
         assert lhs == dunkl(params, w)
+
+
+def test_class_sums_match_reflection_sums(group_of):
+    rng = random.Random(59)
+    for code in ["A2", "B3", "I2(5)"]:
+        g = group_of(code)
+        for _ in range(4):
+            w = random_weil(g, rng)
+            sums = class_sums(g, w)
+            assert len(sums) == len(g.reflection_classes)
+            for cls, got in zip(g.reflection_classes, sums):
+                want = Weil.zero(g.rank, g.field, FULL_WEIL)
+                for k in cls:
+                    want = want + nabla_s(g, k, w)
+                assert got == want
+            for ci in range(len(sums)):
+                assert class_sums(g, w, [ci]) == [sums[ci]]
+
+
+def test_dunkl_squares_match_oracle(group_of):
+    """The class-pair D_c^2 equals D_c(D_c w) computed reflection by
+    reflection, exactly, for every configuration: one and two classes,
+    over Q and over Q(theta)."""
+    rng = random.Random(61)
+    for code, n_samples in [("A3", 3), ("B3", 3), ("G2", 4), ("I2(5)", 4),
+                            ("H3", 2)]:
+        g = group_of(code)
+        params_list = [DunklParams.constant(g)] + \
+            [random_class_function(g, rng) for _ in range(3)]
+        # a c that vanishes on one class exercises the skipped terms
+        params_list.append(DunklParams(
+            g, (g.field.zero,) + params_list[1].values[1:]))
+        for _ in range(n_samples):
+            w = random_weil(g, rng)
+            squares = dunkl_squares(g, w, params_list)
+            assert len(squares) == len(params_list)
+            for params, got in zip(params_list, squares):
+                once = dunkl_by_reflection(params, w)
+                assert dunkl(params, w) == once
+                assert got == dunkl_by_reflection(params, once)
+                assert got.is_zero()
+
+
+def test_dunkl_class_subset_matches_oracle(stack_of):
+    # the little-adjoint map v_i applies D_c restricted to one class
+    rng = random.Random(67)
+    st = stack_of("B2")
+    g = st.group
+    params = random_class_function(g, rng)
+    for ci in range(len(g.reflection_classes)):
+        only = DunklParams(g, tuple(v if i == ci else g.field.zero
+                                    for i, v in enumerate(params.values)))
+        for _ in range(3):
+            wb = st.cb.nf_weil(random_weil(g, rng))
+            want = st.cb.nf_weil(
+                dunkl_by_reflection(only, CoinvariantBasis.lift(wb)))
+            assert dunkl(params, wb, st.cb, classes=[ci]) == want
+
+
+def test_quotient_needs_basis(stack_of):
+    st = stack_of("A2")
+    wb = st.cb.nf_weil(Weil.vector([1, 0]))
+    params = DunklParams.constant(st.group)
+    for call in (lambda: koszul_delta(st.group, wb),
+                 lambda: nabla_s(st.group, 0, wb),
+                 lambda: dunkl(params, wb)):
+        with pytest.raises(ValueError, match="coinvariant basis"):
+            call()
+
+
+@pytest.mark.parametrize("code", ["A2", "B3", "H3"])
+def test_square_zero_suite_catches_doubled_nabla(stack_of, monkeypatch,
+                                                 code):
+    # D_c with nabla_0 counted twice is no longer a class function of the
+    # reflections, and its square is not zero
+    st = stack_of(code)
+    real = differentials.nabla_s
+
+    def doubled(group, refl_idx, w, cb=None, alpha=None):
+        out = real(group, refl_idx, w, cb, alpha)
+        if refl_idx == 0 and w.ambient == FULL_WEIL:
+            out = out + out
+        return out
+
+    monkeypatch.setattr(differentials, "nabla_s", doubled)
+    with pytest.raises(CertificationError, match="D_c\\^2") as exc:
+        differential_identity_suite(st.group, st.cb, seed=0)
+    assert f"on {code}, seed 0, sample " in str(exc.value)
+
+
+def test_square_zero_suite_catches_unsigned_koszul_optimized(tmp_path):
+    """The verdict does not rest on assert: under python -O, a Koszul
+    derivation without its sign still fails the CLI run with a witness."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import inspect, sys\n"
+        "import coxcov.differentials as d\n"
+        "from coxcov.cli import main\n"
+        "orig = inspect.getsource(d.koszul_delta)\n"
+        "mutant = orig.replace('if pos % 2 == 1:', 'if False:')\n"
+        "if mutant == orig:\n"
+        "    sys.exit(5)\n"
+        "exec(compile(mutant, d.__file__, 'exec'), d.__dict__)\n"
+        f"sys.exit(main(['verify', '--group', 'B2', '--checks',"
+        f" 'differentials', '--samples', '3', '--emit', 'json',"
+        f" '--cache-dir', {str(tmp_path)!r}]))\n")
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 1, got.stderr
+    rec, = json.loads(got.stdout)["results"]
+    assert rec["status"] == "fail"
+    witness, = rec["details"]["witness"]
+    assert witness.startswith("delta^2 != 0 on B2, seed 0, sample ")
 
 
 def test_square_zero_suite(stack_of):
