@@ -73,7 +73,7 @@ def load_stack(cache_dir: Path, code: str, allow_long=False):
         try:
             cb = CoinvariantBasis(group, precomputed=recorded)
             return group, cb, True
-        except (AssertionError, ValueError, KeyError):
+        except (ValueError, KeyError):
             pass  # stale layout: fall through and regenerate
     cb = CoinvariantBasis(group)
     save_group(Path(cache_dir), group, cb)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 from . import cache as cache_mod
 from .covariants import (CovariantStack, constants_table, freeness_check,
@@ -25,7 +26,7 @@ from .groups import CatalogueError, build_group, canonical_code
 from .little_adjoint import little_adjoint_suite
 from .molien import (covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
-from .reports import FAIL, PASS, CertificationError, CheckRecord, Report
+from .reports import CertificationError, Report, verdict
 
 DEFAULT_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                   "I2(5)", "G2", "I2(8)", "F4", "H3"]
@@ -56,8 +57,7 @@ def _c_values_for(group, c_long, c_short):
 
 
 def _molien_check(stack):
-    import time
-    t0 = time.time()
+    t0 = perf_counter()
     g = stack.group
     failures = []
     triv = graded_multiplicity_series(g, g.character("trivial"))
@@ -66,11 +66,8 @@ def _molien_check(stack):
     refl = graded_multiplicity_series(g, g.character("reflection"))
     if refl != covariant_series_product_formula(g):
         failures.append("reflection-character series != product formula")
-    details = {"series": refl.as_list()}
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("molien", g.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    return verdict("molien", g.code, failures, {"series": refl.as_list()},
+                   t0)
 
 
 def run_suite(config: dict) -> Report:
@@ -91,30 +88,25 @@ def run_suite(config: dict) -> Report:
             c_values = _c_values_for(group, config.get("c_long"),
                                      config.get("c_short"))
             stack = CovariantStack(group, c_values=c_values, cb=cb)
-        constants_rec = None
         for check in group_checks:
             if check == "differentials":
-                import time
-                t0 = time.time()
+                t0 = perf_counter()
                 try:
-                    details = differential_identity_suite(
+                    details, failures = differential_identity_suite(
                         stack.group, stack.cb, seed=seed,
-                        n_samples=config.get("n_samples", 50))
-                    records.append(CheckRecord("differentials", code, PASS,
-                                               details, time.time() - t0))
+                        n_samples=config.get("n_samples", 50)), []
                 except CertificationError as exc:
-                    records.append(CheckRecord(
-                        "differentials", code, FAIL,
-                        {"witness": [str(exc)]}, time.time() - t0))
+                    details, failures = {}, [str(exc)]
+                records.append(verdict("differentials", code, failures,
+                                       details, t0))
             elif check == "solomon":
                 records.append(solomon_check(stack))
             elif check == "constants":
-                constants_rec = constants_table(stack)
-                records.append(constants_rec)
+                records.append(constants_table(stack))
             elif check == "freeness":
                 records.append(freeness_check(stack))
             elif check == "structure":
-                records.append(pr_structure_check(stack, constants_rec))
+                records.append(pr_structure_check(stack))
             elif check == "j2-invariance":
                 records.append(j2_invariance_check(stack, seed=seed))
             elif check == "molien":

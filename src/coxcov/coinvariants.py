@@ -48,6 +48,7 @@ from .linalg import (SparseSolver, bareiss_jordan_inverse,
                      field_prime_and_root, inverse, modp_greedy_pivots,
                      scalar_mod)
 from .poly import Poly, grevlex_key
+from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
 
 
@@ -173,10 +174,12 @@ class CoinvariantBasis:
         self.psis = group.basic_invariants()
         self.top = group.n_reflections
         self.h_dims = hilbert_coinvariants(group.degrees, group.rank)
-        assert len(self.h_dims) == self.top + 1
-        assert sum(self.h_dims) == group.order, \
-            "invariants not a regular sequence"
-        assert self.h_dims[self.top] == 1
+        if len(self.h_dims) != self.top + 1:
+            raise CertificationError("sum (d_i - 1) != number of reflections")
+        if sum(self.h_dims) != group.order:
+            raise CertificationError("invariants not a regular sequence")
+        if self.h_dims[self.top] != 1:
+            raise CertificationError("top degree of H not one-dimensional")
         self.xi = group.root_form_product().content_normalized()
         self._certify_xi()
         self.tables: dict[int, _DegreeTable] = {}
@@ -199,8 +202,9 @@ class CoinvariantBasis:
                     v = xi_terms.get(key)
                     if v is not None:
                         total = total + c * v * _weight(key)
-                assert not total, \
-                    "root-form product is not annihilated by the invariants"
+                if total:
+                    raise CertificationError("root-form product is not "
+                                             "annihilated by the invariants")
 
     # -- derivative bookkeeping ---------------------------------------------
 
@@ -309,7 +313,7 @@ class CoinvariantBasis:
             if len(chosen) == k:
                 break
         if len(chosen) != k:
-            raise AssertionError("derivative span rank defect")
+            raise CertificationError("derivative span rank defect")
         # greedy standard monomials against the chosen harmonics
         cols = []
         colsolver = SparseSolver()
@@ -319,7 +323,8 @@ class CoinvariantBasis:
                 cols.append(m)
             if len(cols) == k:
                 break
-        assert len(cols) == k
+        if len(cols) != k:
+            raise CertificationError("standard monomial rank defect")
         return self._table(chosen, cols)
 
     def _build_from_recorded(self, recorded):
@@ -333,14 +338,6 @@ class CoinvariantBasis:
         return {d: (t.indices, t.monos) for d, t in self.tables.items()}
 
     # -- normal forms -----------------------------------------------------------
-
-    def std_monomials(self, d: int):
-        if d > self.top:
-            return []
-        return list(self.tables[d].monos)
-
-    def dim_h(self, d: int) -> int:
-        return self.h_dims[d] if 0 <= d <= self.top else 0
 
     def _parts(self, p: Poly):
         """(degree, terms) of the homogeneous parts of p of degree <= top,

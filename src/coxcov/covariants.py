@@ -14,9 +14,9 @@ Conventions (fixed here once):
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
 
 from .coinvariants import CoinvariantBasis, monomials_of_degree
 from .differentials import DunklParams, de_rham, dunkl
@@ -26,7 +26,7 @@ from .linalg import SparseSolver, det
 from .molien import (GradedSeries, covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
 from .poly import Poly
-from .reports import FAIL, PASS, CheckRecord, scalar_str
+from .reports import CheckRecord, scalar_str, verdict
 from .weil import B_QUOTIENT, Weil, wedge_mul
 
 
@@ -163,6 +163,7 @@ class CovariantStack:
         self._u: dict[int, CovariantMap] = {}
         self._p_products: dict[int, Weil] = {}
         self._vspace = None
+        self._constants = None
 
     # -- the reflection representation as a target space -------------------
 
@@ -223,6 +224,17 @@ class CovariantStack:
             self._u[i] = got
         return got
 
+    def constants(self):
+        """``pairing_constants`` of (u_i, f_i) with half-degrees d_i - 1,
+        computed once."""
+        if self._constants is None:
+            r = self.group.rank
+            self._constants = pairing_constants(
+                self, [self.u(i) for i in range(1, r + 1)],
+                [self.f(i) for i in range(1, r + 1)],
+                [d - 1 for d in self.group.degrees])
+        return self._constants
+
     # -- expressing invariants in the p-product basis -------------------------
 
     def express_in_p_basis(self, x: Weil):
@@ -251,10 +263,9 @@ class CovariantStack:
 # ---------------------------------------------------------------------------
 
 def solomon_check(stack: CovariantStack) -> CheckRecord:
-    t0 = time.time()
+    t0 = perf_counter()
     g = stack.group
     r = g.rank
-    details: dict = {}
     failures = []
     solver = SparseSolver()
     series = GradedSeries.zero()
@@ -285,81 +296,143 @@ def solomon_check(stack: CovariantStack) -> CheckRecord:
                     B_QUOTIENT)
     if top != expected:
         failures.append("product of all p_i != det(G^{-1}) top (x) Delta")
-    details["series"] = formula.as_list()
-    details["dim_bw"] = solver.rank
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("solomon", g.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    return verdict("solomon", g.code, failures,
+                   {"series": formula.as_list(), "dim_bw": solver.rank}, t0)
+
+
+def pairing_constants(stack: CovariantStack, odd, even, half):
+    """The E-pattern of a generator family (odd_i, even_i), i = 1..n, with
+    half-degrees h_i: E(odd_i, even_j) = E(odd_j, even_i) is a nonzero
+    multiple k_ij of the p_s with d_s = h_i + h_j, and is zero when no
+    degree is that sum; E vanishes on odd x odd and on even x even.
+
+    Returns (evals, pattern, constants, failures): E(odd_i, even_j), the
+    index s (0 off the pattern) and k_ij, each keyed by the 1-based (i, j),
+    and the failure witnesses.
+    """
+    degrees = list(stack.group.degrees)
+    if len(set(degrees)) != len(degrees):
+        raise ValueError("repeated degrees unsupported")
+    n = len(odd)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    evals = {(i, j): form_e(odd[i - 1], even[j - 1]) for i, j in pairs}
+    pattern, constants, failures = {}, {}, []
+    for i, j in pairs:
+        e = evals[(i, j)]
+        name = f"E({odd[i - 1].name},{even[j - 1].name})"
+        if evals[(j, i)] != e:
+            failures.append(
+                f"{name} != E({odd[j - 1].name},{even[i - 1].name})")
+        target = half[i - 1] + half[j - 1]
+        s = degrees.index(target) + 1 if target in degrees else 0
+        pattern[(i, j)] = s
+        if not s:
+            if not e.is_zero():
+                failures.append(f"{name} != 0 off the degree pattern")
+            continue
+        # express_in_p_basis never returns a zero coefficient
+        sol = stack.express_in_p_basis(e)
+        want = 1 << (s - 1)
+        if sol is None or set(sol) != {want}:
+            failures.append(f"{name} not a nonzero multiple of p_{s}")
+            continue
+        constants[(i, j)] = sol[want]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for family in (even, odd):
+                a, b = family[i - 1], family[j - 1]
+                if not form_e(a, b).is_zero():
+                    failures.append(f"E({a.name},{b.name}) != 0")
+    return evals, pattern, constants, failures
+
+
+def free_basis_failures(stack: CovariantStack, gens, subset, molien):
+    """Graded freeness of the span of ``gens`` over the exterior algebra on
+    the p_i, i in ``subset`` (1-based): in each degree the products
+    p_S gen are nonzero and independent, and as many as the Molien
+    coefficient says.  Returns (number of nonzero products, failures)."""
+    failures = []
+    by_degree: dict[int, list] = {}
+    for nsub in range(1 << len(subset)):
+        mask = sum(1 << (idx - 1) for t, idx in enumerate(subset)
+                   if nsub & (1 << t))
+        pprod = stack.p_product(mask)
+        for gen in gens:
+            el = gen.mul_weil(pprod)
+            if el.is_zero():
+                failures.append(
+                    f"free-basis element p_{mask:b}*{gen.name} vanished")
+                continue
+            by_degree.setdefault(el.total_degree(), []).append(el)
+    for d, els in sorted(by_degree.items()):
+        solver = SparseSolver()
+        if not all(solver.add(map_vec(el.comps)) for el in els):
+            failures.append(f"rank defect in degree {d}")
+        if molien[d] != len(els):
+            failures.append(
+                f"degree {d}: {len(els)} basis elements vs Molien {molien[d]}")
+    for d in range(molien.degree() + 1):
+        if molien[d] and d not in by_degree:
+            failures.append(f"degree {d}: Molien {molien[d]} but no elements")
+    return sum(len(els) for els in by_degree.values()), failures
+
+
+def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
+    """The multiplication formulas for the top invariant p_r on a generator
+    family (odd_i, even_i), i = 1..n, given its E-values and constants from
+    ``pairing_constants``: E(odd_{n-i+1}, even_i) = k p_r, the relations
+    p_r x_i = -sum_{j != i} E(odd_{n-j+1}, even_i) / k_j x_j for x = even
+    and x = odd, and E(p_r a, b) = (-1)^|a| E(a, p_r b)."""
+    n = len(odd)
+    p_r = stack.p(stack.group.rank)
+    failures = []
+    for i in range(1, n + 1):
+        k_i = consts.get((n - i + 1, i))
+        if k_i is None:
+            failures.append(f"complementary constant k_{i} missing")
+        elif evals[(n - i + 1, i)] != p_r.scale(k_i):
+            failures.append(
+                f"E({odd[n - i].name},{even[i - 1].name}) != k_{i} p_r")
+    for i in range(1, n + 1):
+        res_even = even[i - 1].mul_weil(p_r)
+        res_odd = odd[i - 1].mul_weil(p_r)
+        for j in range(1, n + 1):
+            k_j = consts.get((j, n - j + 1))
+            if j == i or k_j is None:
+                continue
+            coeff = evals[(n - j + 1, i)]     # E(odd_{n-j+1}, even_i)
+            if coeff.is_zero():
+                continue
+            coeff = coeff.scale(scalar_inverse(k_j))
+            res_even = res_even + even[j - 1].mul_weil(coeff)
+            res_odd = res_odd + odd[j - 1].mul_weil(coeff)
+        for res, gen in ((res_even, even[i - 1]), (res_odd, odd[i - 1])):
+            if not res.is_zero():
+                failures.append(f"p_r {gen.name} relation residual nonzero")
+    for a in even[:2]:
+        for b in odd[:2]:
+            sign = -1 if a.total_degree() % 2 else 1
+            rhs = form_e(a, b.mul_weil(p_r)).scale(sign)
+            if form_e(a.mul_weil(p_r), b) != rhs:
+                failures.append(f"p_r not self adjoint on ({a.name},{b.name})")
+    return failures
 
 
 def constants_table(stack: CovariantStack) -> CheckRecord:
-    t0 = time.time()
-    g = stack.group
-    r = g.rank
-    degrees = g.degrees
-    assert len(set(degrees)) == r, "repeated degrees unsupported"
-    failures = []
-    k_table = {}
-    pattern = {}
-    evals = {}
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            e = form_e(stack.u(i), stack.f(j))
-            evals[(i, j)] = e
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            e = evals[(i, j)]
-            if evals[(j, i)] != e:
-                failures.append(f"E(u_{i},f_{j}) != E(u_{j},f_{i})")
-            target = degrees[i - 1] + degrees[j - 1] - 2
-            s = next((t + 1 for t, d in enumerate(degrees) if d == target),
-                     None)
-            if s is None:
-                pattern[(i, j)] = 0
-                if not e.is_zero():
-                    failures.append(
-                        f"E(u_{i},f_{j}) != 0 off the degree pattern")
-                continue
-            pattern[(i, j)] = s
-            sol = stack.express_in_p_basis(e)
-            if sol is None:
-                failures.append(f"E(u_{i},f_{j}) not in the p-span")
-                continue
-            want = 1 << (s - 1)
-            if set(sol.keys()) != {want}:
-                failures.append(
-                    f"E(u_{i},f_{j}) not proportional to p_{s}: {sol}")
-                continue
-            k = sol[want]
-            if not k:
-                failures.append(f"k_{i}{j} = 0 on the pattern")
-            k_table[(i, j)] = k
-    # orthogonality E(f,f) = E(u,u) = 0
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            if not form_e(stack.f(i), stack.f(j)).is_zero():
-                failures.append(f"E(f_{i},f_{j}) != 0")
-            if not form_e(stack.u(i), stack.u(j)).is_zero():
-                failures.append(f"E(u_{i},u_{j}) != 0")
+    t0 = perf_counter()
+    _, pattern, consts, failures = stack.constants()
     details = {
         "pattern": {f"{i},{j}": s for (i, j), s in sorted(pattern.items())},
         "constants": {f"{i},{j}": scalar_str(k)
-                      for (i, j), k in sorted(k_table.items())},
+                      for (i, j), k in sorted(consts.items())},
     }
-    if (1, 1) in k_table:
-        details["k11"] = scalar_str(k_table[(1, 1)])
-    if failures:
-        details["witness"] = failures
-    rec = CheckRecord("constants", g.code, FAIL if failures else PASS,
-                      details, time.time() - t0)
-    rec.k_table = k_table
-    rec.e_values = evals
-    return rec
+    if (1, 1) in consts:
+        details["k11"] = scalar_str(consts[(1, 1)])
+    return verdict("constants", stack.group.code, failures, details, t0)
 
 
 def freeness_check(stack: CovariantStack) -> CheckRecord:
-    t0 = time.time()
+    t0 = perf_counter()
     g = stack.group
     r = g.rank
     failures = []
@@ -367,103 +440,29 @@ def freeness_check(stack: CovariantStack) -> CheckRecord:
     formula = covariant_series_product_formula(g)
     if molien != formula:
         failures.append("Molien series != freeness product formula")
-    by_degree: dict[int, list] = {}
-    count = 0
-    for mask in range(1 << (r - 1)):
-        for i in range(1, r + 1):
-            for gen in (stack.f(i), stack.u(i)):
-                el = gen.mul_weil(stack.p_product(mask))
-                if el.is_zero():
-                    failures.append(
-                        f"basis element p_{mask:b}*{gen.name} vanished")
-                    continue
-                d = el.total_degree()
-                by_degree.setdefault(d, []).append(el)
-                count += 1
-    if count != r * 2 ** r:
-        failures.append(f"ungraded count {count} != r 2^r")
-    for d, els in sorted(by_degree.items()):
-        solver = SparseSolver()
-        for el in els:
-            if not solver.add(map_vec(el.comps)):
-                failures.append(f"rank defect in degree {d}")
-                break
-        if molien[d] != len(els):
-            failures.append(
-                f"degree {d}: {len(els)} basis elements vs Molien {molien[d]}")
-    for d in range(molien.degree() + 1):
-        if molien[d] and d not in by_degree:
-            failures.append(f"degree {d}: Molien {molien[d]} but no elements")
-    details = {"series": formula.as_list(), "ungraded": count}
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("freeness", g.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    gens = [gen for i in range(1, r + 1) for gen in (stack.f(i), stack.u(i))]
+    count, basis_failures = free_basis_failures(stack, gens, range(1, r),
+                                                molien)
+    return verdict("freeness", g.code, failures + basis_failures,
+                   {"series": formula.as_list(), "ungraded": count}, t0)
 
 
-def pr_structure_check(stack: CovariantStack,
-                       constants_rec: CheckRecord | None = None) -> CheckRecord:
-    t0 = time.time()
-    g = stack.group
-    r = g.rank
-    failures = []
-    if constants_rec is None or not hasattr(constants_rec, "k_table"):
-        constants_rec = constants_table(stack)
-        if constants_rec.status == FAIL:
-            return CheckRecord("structure", g.code, FAIL,
-                               {"witness": ["constants table failed"]},
-                               time.time() - t0)
-    k_table = constants_rec.k_table
-    evals = constants_rec.e_values
-    p_r = stack.p(r)
-    # E(f_i, u_{r-i+1}) = k_i p_r
-    for i in range(1, r + 1):
-        k_i = k_table.get((r - i + 1, i))
-        if k_i is None:
-            failures.append(f"complementary constant k_{i} missing")
-            continue
-        lhs = evals[(r - i + 1, i)]
-        if lhs != stack.p(r).scale(k_i):
-            failures.append(f"E(f_{i},u_{r-i+1}) != k_i p_r")
-    for i in range(1, r + 1):
-        res_f = stack.f(i).mul_weil(p_r)
-        res_u = stack.u(i).mul_weil(p_r)
-        for j in range(1, r + 1):
-            if j == i:
-                continue
-            k_j = k_table.get((j, r - j + 1))
-            if k_j is None:
-                continue
-            coeff = evals[(r - j + 1, i)]     # E(f_i, u_{r-j+1})
-            if coeff.is_zero():
-                continue
-            kinv = scalar_inverse(k_j)
-            res_f = res_f + stack.f(j).mul_weil(coeff.scale(kinv))
-            res_u = res_u + stack.u(j).mul_weil(coeff.scale(kinv))
-        if not res_f.is_zero():
-            failures.append(f"p_r f_{i} relation residual nonzero")
-        if not res_u.is_zero():
-            failures.append(f"p_r u_{i} relation residual nonzero")
-    # self-adjointness of multiplication by p_r, with the graded sign
-    for i in range(1, min(r, 2) + 1):
-        for j in range(1, min(r, 2) + 1):
-            a, b = stack.f(i), stack.u(j)
-            lhs = form_e(a.mul_weil(p_r), b)
-            rhs = form_e(a, b.mul_weil(p_r))
-            sign = -1 if a.total_degree() % 2 else 1
-            if lhs != (rhs.scale(sign)):
-                failures.append(f"p_r not self adjoint on (f_{i},u_{j})")
-    details = {}
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("structure", g.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+def pr_structure_check(stack: CovariantStack) -> CheckRecord:
+    t0 = perf_counter()
+    r = stack.group.rank
+    evals, _, consts, const_failures = stack.constants()
+    failures = top_p_failures(stack, [stack.u(i) for i in range(1, r + 1)],
+                              [stack.f(i) for i in range(1, r + 1)],
+                              evals, consts)
+    if const_failures:
+        failures.insert(0, "constants table failed")
+    return verdict("structure", stack.group.code, failures, {}, t0)
 
 
 def j2_invariance_check(stack: CovariantStack, seed: int = 0) -> CheckRecord:
     """Perturb each psi_i by a random homogeneous element of J^2 of matching
     degree and check the p_i are unchanged."""
-    t0 = time.time()
+    t0 = perf_counter()
     g = stack.group
     rng = random.Random(seed)
     psis = g.basic_invariants()
@@ -490,9 +489,7 @@ def j2_invariance_check(stack: CovariantStack, seed: int = 0) -> CheckRecord:
             de_rham(g, Weil.from_poly(psis[i - 1] + z)))
         if p_alt != stack.p(i):
             failures.append(f"p_{i} changed under a J^2 perturbation")
-    details = {"perturbed": perturbed,
-               "note": "vacuous degrees skipped" if perturbed < g.rank else ""}
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("j2-invariance", g.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    return verdict("j2-invariance", g.code, failures,
+                   {"perturbed": perturbed,
+                    "note": "vacuous degrees skipped" if perturbed < g.rank
+                    else ""}, t0)

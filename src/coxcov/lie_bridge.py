@@ -13,10 +13,10 @@ these coordinates is the Gram matrix of the bridge Weyl group realization.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
 from .covariants import weil_vec
@@ -25,7 +25,7 @@ from .groups import ReflectionGroup, build_custom_group
 from .linalg import SparseSolver, det, inverse
 from .molien import GradedSeries, graded_multiplicity_series
 from .poly import Poly
-from .reports import FAIL, FINDING, PASS, CheckRecord
+from .reports import FAIL, FINDING, PASS, CheckRecord, verdict
 from .weil import B_QUOTIENT, Weil, add_terms, merge_sign, wedge_terms
 
 
@@ -319,7 +319,7 @@ def tau_closed_form(L: LieAlgebraData, root_coords) -> dict:
 
 
 def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
-    t0 = time.time()
+    t0 = perf_counter()
     failures = []
     details: dict = {}
     # tau(t_alpha) against the closed form, every positive root
@@ -364,14 +364,11 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     if not (per >= bound and per > 0):
         failures.append("permanent lower bound fails")
     details["bound_equality"] = per == bound
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("weyl-denominator", L.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    return verdict("weyl-denominator", L.code, failures, details, t0)
 
 
 def tau_harmonic_injectivity(L: LieAlgebraData) -> CheckRecord:
-    t0 = time.time()
+    t0 = perf_counter()
     failures = []
     dims = []
     for m in range(L.n_pos + 1):
@@ -385,11 +382,8 @@ def tau_harmonic_injectivity(L: LieAlgebraData) -> CheckRecord:
         dims.append((m, len(harms), rank))
         if rank != len(harms):
             failures.append(f"tau rank {rank} < dim A_{m} = {len(harms)}")
-    details = {"rank": [[m, d, r] for m, d, r in dims]}
-    if failures:
-        details["witness"] = failures
-    return CheckRecord("tau-injectivity", L.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    return verdict("tau-injectivity", L.code, failures,
+                   {"rank": [[m, d, r] for m, d, r in dims]}, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +693,7 @@ def hom_from_hwv(L: LieAlgebraData, model: ModuleModel, hw: dict):
 def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:
     """Rank report for Phi^V on Hom_g(V, Lambda g); a rank defect is a
     finding about the injectivity conjecture, not an engine failure."""
-    t0 = time.time()
+    t0 = perf_counter()
     model = module_model(L, model_name)
     failures = []
     per_degree = []
@@ -736,16 +730,15 @@ def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:
     }
     if failures:
         details["witness"] = failures
-        return CheckRecord(f"phi-injectivity[{model_name}]", L.code, FAIL,
-                           details, time.time() - t0)
-    return CheckRecord(f"phi-injectivity[{model_name}]", L.code, FINDING,
-                       details, time.time() - t0)
+    return CheckRecord(f"phi-injectivity[{model_name}]", L.code,
+                       FAIL if failures else FINDING, details,
+                       perf_counter() - t0)
 
 
 def reeder_record(L: LieAlgebraData, model_name: str) -> CheckRecord:
     """Exact equality of the Molien series of the zero-weight character and
     the brute-force Lambda(g) covariant series."""
-    t0 = time.time()
+    t0 = perf_counter()
     model = module_model(L, model_name)
     lie_side = lie_covariant_series(L, model)
     chi = L.weyl.character(model.zero_char)
@@ -759,4 +752,5 @@ def reeder_record(L: LieAlgebraData, model_name: str) -> CheckRecord:
         "equal": equal,
     }
     return CheckRecord(f"reeder[{model_name}]", L.code,
-                       PASS if equal else FINDING, details, time.time() - t0)
+                       PASS if equal else FINDING, details,
+                       perf_counter() - t0)

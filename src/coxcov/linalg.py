@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import AlgNum, Field, Scalar, bareiss_jordan, scalar_inverse
+from .reports import CertificationError
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,6 @@ class SparseSolver:
             return None
         return {k: -v for k, v in comb.items()}
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce_only(vec)
-
 
 # ---------------------------------------------------------------------------
 # dense elimination: Gauss-Jordan over a field, Bareiss over the integers
@@ -177,22 +175,24 @@ def nullspace(rows, ncols: int, field: Field):
 def bareiss_jordan_inverse(mat):
     """Fraction-free Gauss-Jordan over the integers.
 
-    Returns (M, den) with mat @ M == den * I, both integer; the result is
-    verified exactly and a ValueError is raised for singular input.
+    Returns (M, den) with mat @ M == den * I, both integer.  The result is
+    certified exactly (CertificationError otherwise), and a ValueError is
+    raised for singular input.
     """
     n = len(mat)
     a = [list(map(int, row)) + [1 if j == i else 0 for j in range(n)]
          for i, row in enumerate(mat)]
     den = bareiss_jordan(a, n)
-    for i in range(n):
-        assert a[i][i] == den, "fraction-free elimination lost diagonal"
+    if any(a[i][i] != den for i in range(n)):
+        raise CertificationError("fraction-free elimination lost diagonal")
     inv = [row[n:] for row in a]
-    # exact certification
     for i in range(n):
         mrow = mat[i]
         for j in range(n):
             s = sum(mrow[t] * inv[t][j] for t in range(n))
-            assert s == (den if i == j else 0), "inverse certification failed"
+            if s != (den if i == j else 0):
+                raise CertificationError(
+                    f"inverse certification failed at ({i}, {j})")
     return inv, den
 
 

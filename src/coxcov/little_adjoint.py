@@ -10,24 +10,25 @@ the roles are symmetric there.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from time import perf_counter
 
 from .coinvariants import (CoinvariantBasis, _pairing, hilbert_coinvariants,
                            monomials_of_degree)
-from .covariants import (CovariantMap, CovariantStack, TargetSpace, form_e,
-                         map_vec)
+from .covariants import (CovariantMap, CovariantStack, TargetSpace,
+                         free_basis_failures, pairing_constants,
+                         top_p_failures)
 from .differentials import dunkl, koszul_delta
-from .fields import Scalar, scalar_inverse
+from .fields import Scalar
 from .groups import ReflectionGroup, _jacobian_det, _poly_det
 from .linalg import SparseSolver, inverse, nullspace
-from .molien import (GradedSeries, _exterior_traces,
+from .molien import (GradedSeries, _exterior_traces, exterior_series,
                      graded_multiplicity_series)
 from .poly import Poly
-from .reports import FAIL, PASS, CheckRecord, scalar_str
+from .reports import CheckRecord, scalar_str, verdict
 from .weil import Weil
 
 
@@ -295,19 +296,6 @@ class TildeInvariants:
     phis: list              # the same, expanded into A
 
 
-def _expand_y(dec: UbarDecomposition, py: Poly) -> Poly:
-    """Expand a polynomial in the y-variables into A."""
-    group = dec.split.group
-    out = Poly.zero(group.rank, group.field)
-    for e, c in py.terms.items():
-        term = Poly.constant(c, group.rank, group.field)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = term * dec.u_basis[i]
-        out = out + term
-    return out
-
-
 def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvariants:
     group = dec.split.group
     field = group.field
@@ -338,7 +326,7 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
                 found = True
                 break
         assert found, f"no K[U]^W invariant found in y-degree {dy}"
-    phis = [_expand_y(dec, p).content_normalized() for p in phis_y]
+    phis = [p.substitute(dec.u_basis).content_normalized() for p in phis_y]
     return TildeInvariants(dec, phis_y, phis)
 
 
@@ -368,7 +356,7 @@ def make_g(stack: CovariantStack, dec: UbarDecomposition,
     contracts the coordinate partials with the U-Gram matrix (identity when
     the basis is orthonormal)."""
     field = stack.group.field
-    partials = [_expand_y(dec, tilde.phis_y[i - 1].partial(j))
+    partials = [tilde.phis_y[i - 1].partial(j).substitute(dec.u_basis)
                 for j in range(uspace.dim)]
     comps = []
     for k in range(uspace.dim):
@@ -425,7 +413,7 @@ def _wp_reflection_character(split: SplitGroupData):
 def little_adjoint_suite(stack: CovariantStack,
                          use_class: int | None = None,
                          label: str = "little-adjoint") -> CheckRecord:
-    t0 = time.time()
+    t0 = perf_counter()
     group = stack.group
     cb = stack.cb
     field = group.field
@@ -433,9 +421,7 @@ def little_adjoint_suite(stack: CovariantStack,
     failures = []
     details: dict = {}
     if len(group.reflection_classes) != 2:
-        return CheckRecord(label, group.code, FAIL,
-                           {"witness": ["no length classes"]},
-                           time.time() - t0)
+        return verdict(label, group.code, ["no length classes"], {}, t0)
 
     split = split_group(group, use_class)
     details["orientation"] = split.use_class
@@ -483,7 +469,8 @@ def little_adjoint_suite(stack: CovariantStack,
     top_y = max((i + 1) for i in range(1, s + 1))
     for k in range(1, top_y + 1):
         ymonos = monomials_of_degree(s, k)
-        expans = [_expand_y(dec, Poly.monomial(m, 1, field)) for m in ymonos]
+        expans = [Poly.monomial(m, 1, field).substitute(dec.u_basis)
+                  for m in ymonos]
         # rank of A-degree-kq expansions inside H
         rk_solver = SparseSolver()
         rank_h = 0
@@ -522,7 +509,8 @@ def little_adjoint_suite(stack: CovariantStack,
         rk_solver = SparseSolver()
         rank_h = 0
         for m in ymonos:
-            nf = cb.nf_poly(_expand_y(dec, Poly.monomial(m, 1, field)))
+            nf = cb.nf_poly(
+                Poly.monomial(m, 1, field).substitute(dec.u_basis))
             if nf and rk_solver.add(dict(nf.terms)):
                 rank_h += 1
         if rank_h != dim_k:
@@ -546,38 +534,10 @@ def little_adjoint_suite(stack: CovariantStack,
         if not all(x.is_zero() for x in dg):
             failures.append(f"delta g_{i} != 0")
 
-    # E-orthogonality and the m-constants pattern
-    m_table = {}
-    for i in range(1, s + 1):
-        for j in range(i, s + 1):
-            if not form_e(gs[i - 1], gs[j - 1]).is_zero():
-                failures.append(f"E(g_{i},g_{j}) != 0")
-            if not form_e(vs[i - 1], vs[j - 1]).is_zero():
-                failures.append(f"E(v_{i},v_{j}) != 0")
-    evg = {}
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            e = form_e(vs[i - 1], gs[j - 1])
-            evg[(i, j)] = e
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            e = evg[(i, j)]
-            if evg[(j, i)] != e:
-                failures.append(f"E(v_{i},g_{j}) != E(v_{j},g_{i})")
-            target = (i + j) * q_poly
-            admissible = next((t + 1 for t, d in enumerate(group.degrees)
-                               if d == target), None)
-            if admissible is None:
-                if not e.is_zero():
-                    failures.append(f"E(v_{i},g_{j}) != 0 off the pattern")
-                continue
-            sol = stack.express_in_p_basis(e)
-            want = 1 << (admissible - 1)
-            if sol is None or set(sol.keys()) != {want}:
-                failures.append(
-                    f"E(v_{i},g_{j}) not a nonzero multiple of p_{admissible}")
-                continue
-            m_table[(i, j)] = sol[want]
+    # the E-pattern, graded freeness and the top-p formulas, as for V
+    evals, _, m_table, pair_failures = pairing_constants(
+        stack, vs, gs, [i * q_poly for i in range(1, s + 1)])
+    failures += pair_failures
     details["m_constants"] = {f"{i},{j}": scalar_str(v)
                               for (i, j), v in sorted(m_table.items())}
 
@@ -585,75 +545,22 @@ def little_adjoint_suite(stack: CovariantStack,
     molien = graded_multiplicity_series(group, chi_u)
     if molien.total() != split.r_p * 2 ** r:
         failures.append("ungraded dim Hom_W(U,B) != r_p 2^r")
+    gen_series = GradedSeries.zero()
+    for i in range(1, s + 1):
+        gen_series = gen_series + GradedSeries.monomial(2 * i * q_poly) \
+            + GradedSeries.monomial(2 * i * q_poly - 1)
     candidates = [tuple(range(1, r))] + [
         c for c in combinations(range(1, r + 1), r - 1)
         if c != tuple(range(1, r))]
-    free_subset = None
-    for cand in candidates:
-        series = GradedSeries.zero()
-        for nsub in range(1 << len(cand)):
-            mask = 0
-            for t, idx in enumerate(cand):
-                if nsub & (1 << t):
-                    mask |= 1 << (idx - 1)
-            dsub = sum(2 * group.degrees[idx - 1] - 1
-                       for t, idx in enumerate(cand) if nsub & (1 << t))
-            for i in range(1, s + 1):
-                series = series + GradedSeries.monomial(dsub + 2 * i * q_poly)
-                series = series + GradedSeries.monomial(dsub + 2 * i * q_poly - 1)
-        if series == molien:
-            free_subset = cand
-            break
+    free_subset = next(
+        (c for c in candidates
+         if exterior_series([group.degrees[i - 1] for i in c])
+         * gen_series == molien), None)
     if free_subset is None:
         failures.append("no (r-1)-subset of the p_i gives a free-basis series")
     else:
-        by_degree: dict[int, list] = {}
-        for nsub in range(1 << len(free_subset)):
-            mask = 0
-            for t, idx in enumerate(free_subset):
-                if nsub & (1 << t):
-                    mask |= 1 << (idx - 1)
-            pprod = stack.p_product(mask)
-            for gen in gs + vs:
-                el = gen.mul_weil(pprod)
-                if el.is_zero():
-                    failures.append(f"free-basis element vanished (mask {mask})")
-                    continue
-                by_degree.setdefault(el.total_degree(), []).append(el)
-        for d, els in sorted(by_degree.items()):
-            solver = SparseSolver()
-            for el in els:
-                if not solver.add(map_vec(el.comps)):
-                    failures.append(f"little-adjoint rank defect in degree {d}")
-                    break
-            if molien[d] != len(els):
-                failures.append(
-                    f"degree {d}: {len(els)} elements vs Molien {molien[d]}")
+        failures += free_basis_failures(stack, gs + vs, free_subset, molien)[1]
         details["free_subalgebra"] = [f"p_{i}" for i in free_subset]
 
-    # multiplication by the top p: the analogue of the structure formulas
-    p_top = stack.p(r)
-    for i in range(1, s + 1):
-        res_g = gs[i - 1].mul_weil(p_top)
-        res_v = vs[i - 1].mul_weil(p_top)
-        for j in range(1, s + 1):
-            if j == i:
-                continue
-            m_j = m_table.get((j, s - j + 1))
-            if m_j is None:
-                continue
-            coeff = evg[(s - j + 1, i)]       # E(g_i, v_{s-j+1})
-            if coeff.is_zero():
-                continue
-            minv = scalar_inverse(m_j)
-            res_g = res_g + gs[j - 1].mul_weil(coeff.scale(minv))
-            res_v = res_v + vs[j - 1].mul_weil(coeff.scale(minv))
-        if not res_g.is_zero():
-            failures.append(f"p_r g_{i} structure residual nonzero")
-        if not res_v.is_zero():
-            failures.append(f"p_r v_{i} structure residual nonzero")
-
-    if failures:
-        details["witness"] = failures
-    return CheckRecord(label, group.code, FAIL if failures else PASS,
-                       details, time.time() - t0)
+    failures += top_p_failures(stack, vs, gs, evals, m_table)
+    return verdict(label, group.code, failures, details, t0)

@@ -165,33 +165,25 @@ def graded_multiplicity_series(group: ReflectionGroup,
 
 # -- closed product formulas -------------------------------------------------
 
-def invariants_series(group: ReflectionGroup) -> GradedSeries:
-    """prod_i (1 + u^{2 d_i - 1}), the Poincare series of B^W."""
+def exterior_series(degrees) -> GradedSeries:
+    """prod_i (1 + u^{2 d_i - 1}), the Poincare series of the exterior
+    algebra on the p_i of the given degrees."""
     out = GradedSeries([1])
-    for d in group.degrees:
+    for d in degrees:
         out = out * GradedSeries([1] + [0] * (2 * d - 2) + [1])
     return out
 
 
+def invariants_series(group: ReflectionGroup) -> GradedSeries:
+    """prod_i (1 + u^{2 d_i - 1}), the Poincare series of B^W."""
+    return exterior_series(group.degrees)
+
+
 def covariant_series_product_formula(group: ReflectionGroup) -> GradedSeries:
     """prod_{i<r} (1 + u^{2 d_i - 1}) * sum_i (u^{2 d_i - 3} + u^{2 d_i - 2})."""
-    out = GradedSeries([1])
-    for d in group.degrees[:-1]:
-        out = out * GradedSeries([1] + [0] * (2 * d - 2) + [1])
+    out = exterior_series(group.degrees[:-1])
     tail = GradedSeries.zero()
     for d in group.degrees:
         tail = tail + GradedSeries.monomial(2 * d - 3) \
             + GradedSeries.monomial(2 * d - 2)
     return out * tail
-
-
-def reeder_series_check(name: str, w_side: GradedSeries,
-                        lie_side: GradedSeries) -> dict:
-    """Exact coefficientwise comparison; a mismatch is a finding."""
-    equal = w_side == lie_side
-    return {
-        "name": name,
-        "equal": equal,
-        "weyl_side": w_side.as_list(),
-        "lie_side": lie_side.as_list(),
-    }

@@ -61,9 +61,6 @@ class Poly:
                 terms[tuple(e)] = c
         return Poly(nv, field, terms)
 
-    def copy(self) -> "Poly":
-        return Poly(self.nv, self.field, dict(self.terms))
-
     # -- basic queries -------------------------------------------------
 
     def __bool__(self):
@@ -193,25 +190,17 @@ class Poly:
                 out[tuple(e2)] = c * k
         return Poly(self.nv, self.field, out)
 
-    def directional_derivative(self, v) -> "Poly":
-        """Derivative along the coordinate vector v (length nv)."""
-        assert len(v) == self.nv
-        out = Poly.zero(self.nv, self.field)
-        for i, vi in enumerate(v):
-            vi = self.field.coerce(vi)
-            if vi:
-                out = out + self.partial(i).scale(vi)
-        return out
-
     # -- structure -----------------------------------------------------
 
     def substitute(self, images: list) -> "Poly":
         """Substitute variable i by the polynomial images[i], exactly.
 
-        Powers of each image are memoized per call; sufficient for group
-        actions where images are linear forms.
+        The result lives in the images' variables.  Powers of each image
+        are memoized per call.
         """
-        assert len(images) == self.nv
+        if len(images) != self.nv:
+            raise ValueError(f"{len(images)} images for {self.nv} variables")
+        nv = images[0].nv if images else self.nv
         powers = [{} for _ in range(self.nv)]
 
         def img_pow(i, k):
@@ -222,9 +211,9 @@ class Poly:
                 memo[k] = got
             return got
 
-        out = Poly.zero(self.nv, self.field)
+        out = Poly.zero(nv, self.field)
         for e, c in self.terms.items():
-            part = Poly.constant(c, self.nv, self.field)
+            part = Poly.constant(c, nv, self.field)
             for i, k in enumerate(e):
                 if k:
                     part = part * img_pow(i, k)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from .fields import AlgNum
 
@@ -40,7 +41,7 @@ def jsonable(obj):
     return str(obj)
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     name: str
     group: str
@@ -48,16 +49,23 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
     elapsed: float | None = None
 
-    def as_dict(self, with_timing=False):
-        out = {
+    def as_dict(self):
+        return {
             "check": self.name,
             "group": self.group,
             "status": self.status,
             "details": jsonable(self.details),
         }
-        if with_timing and self.elapsed is not None:
-            out["elapsed_s"] = round(self.elapsed, 3)
-        return out
+
+
+def verdict(name: str, group: str, failures: list, details: dict,
+            started: float) -> CheckRecord:
+    """PASS record, or FAIL with the failures as its witness; ``elapsed``
+    runs from ``started``, a ``time.perf_counter()`` reading."""
+    if failures:
+        details["witness"] = list(failures)
+    return CheckRecord(name, group, FAIL if failures else PASS, details,
+                       perf_counter() - started)
 
 
 @dataclass
@@ -80,7 +88,7 @@ class Report:
         doc = {
             "schema": SCHEMA,
             "config": jsonable(self.config),
-            "results": [r.as_dict(with_timing=False) for r in self.records],
+            "results": [r.as_dict() for r in self.records],
             "summary": self.counts(),
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -112,9 +112,6 @@ class Weil:
                 terms[1 << i] = Poly.constant(c, r, field)
         return Weil(r, field, terms, ambient)
 
-    def copy(self) -> "Weil":
-        return Weil(self.r, self.field, dict(self.terms), self.ambient)
-
     # -- queries ----------------------------------------------------------
 
     def __bool__(self):
@@ -158,17 +155,6 @@ class Weil:
             return -1
         assert len(degs) == 1, "element not homogeneous"
         return degs.pop()
-
-    def homogeneous_component(self, total: int) -> "Weil":
-        out = {}
-        for mask, p in self.terms.items():
-            k = bin(mask).count("1")
-            pd = (total - k) // 2 if (total - k) % 2 == 0 and total >= k else None
-            if pd is not None:
-                part = p.homogeneous_part(pd)
-                if part:
-                    out[mask] = part
-        return Weil(self.r, self.field, out, self.ambient)
 
     # -- arithmetic ---------------------------------------------------------
 

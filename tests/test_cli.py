@@ -115,6 +115,27 @@ def test_cache_lifecycle(tmp_path, capsys):
     assert code == 0
 
 
+def test_corrupted_cache_layout_regenerates(tmp_path, capsys):
+    from coxcov.cache import cache_path
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    path = cache_path(tmp_path, "A2")
+    good = json.loads(path.read_text())
+    bad = json.loads(path.read_text())
+    monos = bad["tables"]["1"]["monomials"]
+    monos[1] = monos[0]             # a singular pairing matrix
+    path.write_text(json.dumps(bad))
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    assert json.loads(path.read_text()) == good
+    code, out, _ = run_cli(capsys, "verify", "--group", "A2",
+                           "--checks", "solomon,freeness",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+
+
 def test_reeder_and_lie_bridge_checks(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--group", "A1",
                            "--checks", "reeder,lie-bridge",

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from coxcov.coinvariants import CoinvariantBasis
 from coxcov.covariants import (constants_table, form_e, freeness_check,
                                j2_invariance_check, pr_structure_check,
@@ -149,7 +151,7 @@ def test_freeness(stack_of):
 def test_structure(stack_of):
     for code in SMALL:
         st = stack_of(code)
-        rec = pr_structure_check(st, constants_table(st))
+        rec = pr_structure_check(st)
         assert rec.status == "pass", rec.details
 
 
@@ -192,7 +194,8 @@ def test_bw_molien_oracle(stack_of):
             k = bin(mask).count("1")
             if (q - k) % 2 or q - k < 0:
                 continue
-            for m in cb.std_monomials((q - k) // 2):
+            d = (q - k) // 2
+            for m in (cb.tables[d].monos if d <= cb.top else []):
                 basis.append((mask, m))
         if not basis:
             assert series[q] == 0
@@ -209,3 +212,34 @@ def test_bw_molien_oracle(stack_of):
             if not acc.is_zero() and solver.add(weil_vec(acc)):
                 rank += 1
         assert rank == series[q], (q, rank, series[q])
+
+
+def _fresh_stack(stack_of, code):
+    """A stack of its own, sharing the group and tables, to plant defects in."""
+    from coxcov.covariants import CovariantStack
+    st = stack_of(code)
+    return CovariantStack(st.group, cb=st.cb)
+
+
+@pytest.mark.parametrize("code", ["A2", "B3"])
+def test_doubled_u1_fails_constants_and_structure(code, stack_of):
+    st = _fresh_stack(stack_of, code)
+    st._u[1] = st.u(1).scale(2)
+    rec = constants_table(st)
+    assert rec.status == "fail"
+    assert "E(u_1,f_2) != E(u_2,f_1)" in rec.details["witness"]
+    rec = pr_structure_check(st)
+    assert rec.status == "fail"
+    assert rec.details["witness"][0] == "constants table failed"
+    assert any("relation residual nonzero" in w
+               for w in rec.details["witness"])
+
+
+@pytest.mark.parametrize("code", ["A2", "B3"])
+def test_zeroed_generator_fails_freeness(code, stack_of):
+    st = _fresh_stack(stack_of, code)
+    st._u[1] = st.u(1).scale(0)
+    rec = freeness_check(st)
+    assert rec.status == "fail"
+    assert "free-basis element p_0*u_1 vanished" in rec.details["witness"]
+    assert rec.details["ungraded"] < st.group.rank * 2 ** st.group.rank

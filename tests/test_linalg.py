@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,30 @@ def test_bareiss_inverse_vs_fraction_gauss():
         for i in range(n):
             for j in range(n):
                 assert Fraction(inv[i][j], den) == oracle[i][j]
+
+
+def test_planted_inverse_entry_raises_under_optimize():
+    # the certificate is a raise, so python -O cannot strip it
+    code = ("import sys\n"
+            "from coxcov import linalg\n"
+            "from coxcov.reports import CertificationError\n"
+            "assert sys.flags.optimize\n"
+            "solve = linalg.bareiss_jordan\n"
+            "def planted(a, n):\n"
+            "    den = solve(a, n)\n"
+            "    a[1][n] += 1\n"
+            "    return den\n"
+            "linalg.bareiss_jordan = planted\n"
+            "try:\n"
+            "    linalg.bareiss_jordan_inverse([[2, 1], [1, 1]])\n"
+            "except CertificationError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    got = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("inverse certification failed at (0, 0)")
 
 
 def test_det_against_permutation_expansion():

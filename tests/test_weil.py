@@ -71,14 +71,26 @@ def test_wedge_associativity_fuzz():
         assert wedge_mul(wedge_mul(a, b), c) == wedge_mul(a, wedge_mul(b, c))
 
 
+def homogeneous_component(w, total):
+    """The part of w of the given total degree."""
+    out = {}
+    for mask, p in w.terms.items():
+        k = bin(mask).count("1")
+        if total >= k and (total - k) % 2 == 0:
+            part = p.homogeneous_part((total - k) // 2)
+            if part:
+                out[mask] = part
+    return Weil(w.r, w.field, out, w.ambient)
+
+
 def test_graded_commutativity():
     rng = random.Random(17)
     for _ in range(40):
         a, b = _random_weil(rng), _random_weil(rng)
         for da in sorted(a.total_degrees()):
             for db in sorted(b.total_degrees()):
-                ah = a.homogeneous_component(da)
-                bh = b.homogeneous_component(db)
+                ah = homogeneous_component(a, da)
+                bh = homogeneous_component(b, db)
                 lhs = wedge_mul(ah, bh)
                 rhs = wedge_mul(bh, ah)
                 if (da * db) % 2:
@@ -92,8 +104,8 @@ def test_total_degree_additive():
         a, b = _random_weil(rng), _random_weil(rng)
         for da in sorted(a.total_degrees()):
             for db in sorted(b.total_degrees()):
-                prod = wedge_mul(a.homogeneous_component(da),
-                                 b.homogeneous_component(db))
+                prod = wedge_mul(homogeneous_component(a, da),
+                                 homogeneous_component(b, db))
                 if not prod.is_zero():
                     assert prod.total_degree() == da + db
 
