@@ -50,7 +50,14 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
                      "monomials": [list(m) for m in monos]}
             for d, (idxs, monos) in cb.recorded_tables().items()}
     path = cache_path(cache_dir, group.code)
-    path.write_text(json.dumps(doc, sort_keys=True))
+    # write beside the target, then rename over it: a reader sees the old
+    # file or the new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

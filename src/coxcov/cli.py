@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache, partial
 from time import perf_counter
 
 from . import cache as cache_mod
@@ -70,6 +71,44 @@ def _molien_check(stack):
                    t0)
 
 
+_STACK_CHECKS = {"solomon": solomon_check, "constants": constants_table,
+                 "freeness": freeness_check, "structure": pr_structure_check,
+                 "molien": _molien_check}
+
+
+def _differentials_check(stack, seed, n_samples):
+    t0 = perf_counter()
+    details = differential_identity_suite(stack.group, stack.cb, seed=seed,
+                                          n_samples=n_samples)
+    return verdict("differentials", stack.group.code, [], details, t0)
+
+
+def _lie_jobs(code, lie_checks):
+    """(record name, thunk) for each Lie-side record of the group.  The
+    model is built by the first thunk that runs, so a failed model
+    certificate fails every Lie record with its message."""
+    from .lie_bridge import (build_lie, phi_injectivity_test, reeder_record,
+                             tau_harmonic_injectivity, weyl_denominator_check)
+    model = cache(partial(build_lie, code))
+    modules = ["adjoint"] if code != "A2" else ["adjoint", "s3c3"]
+
+    def job(name, check, *args):
+        return name, lambda: check(model(), *args)
+
+    jobs = []
+    for check in lie_checks:
+        if check == "reeder":
+            jobs += [job(f"reeder[{mod}]", reeder_record, mod)
+                     for mod in modules]
+        elif check == "lie-bridge":
+            jobs.append(job("weyl-denominator", weyl_denominator_check))
+            jobs.append(job("tau-injectivity", tau_harmonic_injectivity))
+            if code != "B2":
+                jobs += [job(f"phi-injectivity[{mod}]", phi_injectivity_test,
+                             mod) for mod in modules]
+    return jobs
+
+
 def run_suite(config: dict) -> Report:
     groups = config["groups"]
     checks = config["checks"]
@@ -81,7 +120,7 @@ def run_suite(config: dict) -> Report:
     group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
     for code in groups:
         code = canonical_code(code)
-        stack = None
+        jobs = []                      # (record name, thunk)
         if group_checks:
             group, cb, _ = cache_mod.load_stack(cache_dir, code,
                                                 allow_long=allow_long)
@@ -90,53 +129,30 @@ def run_suite(config: dict) -> Report:
             stack = CovariantStack(group, c_values=c_values, cb=cb)
         for check in group_checks:
             if check == "differentials":
-                t0 = perf_counter()
-                try:
-                    details, failures = differential_identity_suite(
-                        stack.group, stack.cb, seed=seed,
-                        n_samples=config.get("n_samples", 50)), []
-                except CertificationError as exc:
-                    details, failures = {}, [str(exc)]
-                records.append(verdict("differentials", code, failures,
-                                       details, t0))
-            elif check == "solomon":
-                records.append(solomon_check(stack))
-            elif check == "constants":
-                records.append(constants_table(stack))
-            elif check == "freeness":
-                records.append(freeness_check(stack))
-            elif check == "structure":
-                records.append(pr_structure_check(stack))
+                jobs.append((check, partial(_differentials_check, stack, seed,
+                                            config.get("n_samples", 50))))
             elif check == "j2-invariance":
-                records.append(j2_invariance_check(stack, seed=seed))
-            elif check == "molien":
-                records.append(_molien_check(stack))
+                jobs.append((check, partial(j2_invariance_check, stack,
+                                            seed=seed)))
             elif check == "little-adjoint":
                 if len(stack.group.reflection_classes) != 2:
                     continue
-                records.append(little_adjoint_suite(stack))
+                jobs.append((check, partial(little_adjoint_suite, stack)))
                 if stack.group.code in ("B2", "G2", "I2(4)", "I2(8)"):
-                    records.append(little_adjoint_suite(
-                        stack, use_class=1 - stack.group.class_ell,
-                        label="little-adjoint-swapped"))
-        if lie_checks and code in LIE_CODES:
-            if code == "B2" and not allow_long:
-                continue
-            from .lie_bridge import (build_lie, phi_injectivity_test,
-                                     reeder_record, tau_harmonic_injectivity,
-                                     weyl_denominator_check)
-            L = build_lie(code)
-            modules = ["adjoint"] if code != "A2" else ["adjoint", "s3c3"]
-            for check in lie_checks:
-                if check == "reeder":
-                    for mod in modules:
-                        records.append(reeder_record(L, mod))
-                elif check == "lie-bridge":
-                    records.append(weyl_denominator_check(L))
-                    records.append(tau_harmonic_injectivity(L))
-                    if code != "B2":
-                        for mod in modules:
-                            records.append(phi_injectivity_test(L, mod))
+                    jobs.append(("little-adjoint-swapped", partial(
+                        little_adjoint_suite, stack,
+                        use_class=1 - stack.group.class_ell,
+                        label="little-adjoint-swapped")))
+            else:
+                jobs.append((check, partial(_STACK_CHECKS[check], stack)))
+        if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
+            jobs += _lie_jobs(code, lie_checks)
+        for name, run in jobs:
+            t0 = perf_counter()
+            try:
+                records.append(run())
+            except CertificationError as exc:
+                records.append(verdict(name, code, [str(exc)], {}, t0))
     return Report(config=_config_doc(config), records=records)
 
 

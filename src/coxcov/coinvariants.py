@@ -384,7 +384,8 @@ class CoinvariantBasis:
 
     def act_b(self, w_idx: int, a: Weil) -> Weil:
         """Group action on the quotient: act on a lift, re-reduce."""
-        assert a.ambient == B_QUOTIENT
+        if a.ambient != B_QUOTIENT:
+            raise ValueError("act_b acts on elements of B")
         return self.nf_weil(self.group.act_weil(w_idx, self.lift(a)))
 
     # -- harmonic polynomial bases ----------------------------------------------

@@ -26,7 +26,7 @@ from .linalg import SparseSolver, det
 from .molien import (GradedSeries, covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
 from .poly import Poly
-from .reports import CheckRecord, scalar_str, verdict
+from .reports import CheckRecord, certify, scalar_str, verdict
 from .weil import B_QUOTIENT, Weil, wedge_mul
 
 
@@ -75,7 +75,7 @@ class CovariantMap:
         degs = set()
         for c in self.comps:
             degs |= c.total_degrees()
-        assert len(degs) <= 1, "map not homogeneous"
+        certify(len(degs) <= 1, f"map {self.name} not homogeneous")
         return degs.pop() if degs else -1
 
     def is_zero(self) -> bool:
@@ -120,26 +120,28 @@ class CovariantMap:
 
 
 def form_e(a: CovariantMap, b: CovariantMap) -> Weil:
-    """E(a, b) = sum_{jk} (G^{-1})_{jk} a_j wedge b_k, reduced in B."""
-    assert a.space is b.space or a.space.name == b.space.name
+    """E(a, b) = sum_{jk} (G^{-1})_{jk} a_j wedge b_k, reduced in B.
+
+    The normal form is linear, so b is contracted with G^{-1} in the lifted
+    algebra, b~_j = sum_k (G^{-1})_{jk} b_k, and sum_j a_j wedge b~_j is
+    reduced once."""
+    if not (a.space is b.space or a.space.name == b.space.name):
+        raise ValueError("E(a, b) needs two maps into the same space")
     stack = a.stack
-    cb = stack.cb
     ginv = a.space.gram_inv
-    out = Weil.zero(stack.group.rank, stack.group.field, B_QUOTIENT)
+    bs = [CoinvariantBasis.lift(c) for c in b.comps]
+    total = Weil.zero(stack.group.rank, stack.group.field)
     for j in range(a.space.dim):
         aj = CoinvariantBasis.lift(a.comps[j])
         if aj.is_zero():
             continue
-        for k in range(b.space.dim):
-            g = ginv[j][k]
-            if not g:
-                continue
-            bk = CoinvariantBasis.lift(b.comps[k])
-            if bk.is_zero():
-                continue
-            prod = wedge_mul(aj, bk).scale(g)
-            out = out + cb.nf_weil(prod)
-    return out
+        bj = Weil.zero(stack.group.rank, stack.group.field)
+        for k, bk in enumerate(bs):
+            if ginv[j][k] and not bk.is_zero():
+                bj = bj + bk.scale(ginv[j][k])
+        if not bj.is_zero():
+            total = total + wedge_mul(aj, bj)
+    return stack.cb.nf_weil(total)
 
 
 class CovariantStack:
@@ -154,7 +156,8 @@ class CovariantStack:
             self.params = DunklParams.constant(group)
         else:
             vals = tuple(group.field.coerce(v) for v in c_values)
-            assert len(vals) == len(group.reflection_classes)
+            if len(vals) != len(group.reflection_classes):
+                raise ValueError("one multiplicity per reflection class")
             self.params = DunklParams(group, vals)
         if not self.params.t_c():
             raise ValueError("degenerate multiplicity: |T|_c = 0")

@@ -90,7 +90,9 @@ class Field:
 
     def coerce(self, x) -> "Scalar":
         if isinstance(x, AlgNum):
-            assert x.field == self
+            if x.field != self:
+                raise ValueError(f"a scalar of {x.field.name} is not in "
+                                 f"{self.name}")
             return x
         if self.degree == 1:
             return Fraction(x)
@@ -105,7 +107,8 @@ class Field:
         return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
 
     def theta(self) -> "Scalar":
-        assert self.degree > 1
+        if self.degree == 1:
+            raise ValueError("Q has no generator theta")
         return self.scalar(0, 1)
 
     def approx(self, x) -> float:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import det, inverse
 from .poly import Poly
+from .reports import certify
 from .weil import Weil, wedge_mul
 
 
@@ -565,12 +566,13 @@ class ReflectionGroup:
         if self._psis is None:
             self._psis = self._compute_invariants()
             for psi, d in zip(self._psis, self.degrees):
-                assert psi.is_homogeneous() and psi.degree() == d
+                certify(psi.is_homogeneous() and psi.degree() == d,
+                        f"candidate invariant not homogeneous of degree {d}")
                 for gi in self.simple_indices:
-                    assert self.act_poly(gi, psi) == psi, \
-                        "candidate invariant not W-invariant"
-            assert self._independence_certified(), \
-                "invariants not independent"
+                    certify(self.act_poly(gi, psi) == psi,
+                            "candidate invariant not W-invariant")
+            certify(self._independence_certified(),
+                    "invariants not independent")
         return self._psis
 
     def _independence_certified(self) -> bool:
@@ -622,7 +624,8 @@ class ReflectionGroup:
         if kind == "F4":
             shorts = [a for a in self.positive_roots
                       if self.inner.pair(a, a) == 1]
-            assert len(shorts) == 12
+            certify(len(shorts) == 12, f"F4 has {len(shorts)} short "
+                    "positive roots, not 12")
             for k in (6, 8, 12):
                 ps = Poly.zero(r, f)
                 for a in shorts:

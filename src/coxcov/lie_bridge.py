@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, combinations, permutations, product
 from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
@@ -25,7 +25,7 @@ from .groups import ReflectionGroup, build_custom_group
 from .linalg import SparseSolver, det, inverse
 from .molien import GradedSeries, graded_multiplicity_series
 from .poly import Poly
-from .reports import FAIL, FINDING, PASS, CheckRecord, verdict
+from .reports import FAIL, FINDING, PASS, CheckRecord, certify, verdict
 from .weil import B_QUOTIENT, Weil, add_terms, merge_sign, wedge_terms
 
 
@@ -33,77 +33,49 @@ from .weil import B_QUOTIENT, Weil, add_terms, merge_sign, wedge_terms
 # matrix models
 # ---------------------------------------------------------------------------
 
-def _e(n, i, j):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[i][j] = Fraction(1)
-    return m
+def _combine(pairs) -> dict:
+    """sum_i c_i v_i over (c_i, v_i) pairs of sparse vectors {key: entry}."""
+    out: dict = {}
+    for c, v in pairs:
+        if c:
+            out = add_terms(out, {k: c * x for k, x in v.items()})
+    return out
 
 
-def _madd(a, b, c=1):
-    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _matmul_terms(a: dict, b: dict, sign: int = 1):
+    """(entry, unit matrix) pairs whose combination is sign * ab."""
+    return ((sign * x * y, {(i, j): 1})
+            for (i, k), x in a.items() for (l, j), y in b.items() if k == l)
 
 
-def _mscale(a, c):
-    return [[x * c for x in row] for row in a]
+def _trace_prod(a: dict, b: dict) -> Fraction:
+    return sum((x * b.get((k, i), 0) for (i, k), x in a.items()), Fraction(0))
 
 
-def _mtrace_prod(a, b):
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
-
-
-def _mbracket(a, b):
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-
-
-def _model_a1():
-    t1 = _madd(_e(2, 0, 0), _e(2, 1, 1), -1)
-    basis = [("t1", t1), ("e1", _e(2, 0, 1)), ("f1", _e(2, 1, 0))]
-    pos = [((1,), 1, 2)]          # root coords, e-index, f-index
-    return basis, pos, 1
-
-
-def _model_a2():
-    t1 = _madd(_e(3, 0, 0), _e(3, 1, 1), -1)
-    t2 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
-    basis = [("t1", t1), ("t2", t2),
-             ("e[1,0]", _e(3, 0, 1)), ("f[1,0]", _e(3, 1, 0)),
-             ("e[0,1]", _e(3, 1, 2)), ("f[0,1]", _e(3, 2, 1)),
-             ("e[1,1]", _e(3, 0, 2)), ("f[1,1]", _e(3, 2, 0))]
-    pos = [((1, 0), 2, 3), ((0, 1), 4, 5), ((1, 1), 6, 7)]
-    return basis, pos, 2
-
-
-def _model_b2():
+# Per model: the positive roots in simple-root coordinates by height, the
+# degrees of the Weyl group, and the defining-representation matrices
+# {(row, col): entry} of the basis t_{alpha_1..alpha_r}, then
+# (e_beta, e_{-beta}) for each positive root beta in the listed order.
+_HALF = Fraction(1, 2)
+_MODELS = {
+    "A1": ([(1,)], (2,),
+           [{(0, 0): 1, (1, 1): -1},
+            {(0, 1): 1}, {(1, 0): 1}]),
+    "A2": ([(1, 0), (0, 1), (1, 1)], (2, 3),
+           [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1},
+            {(0, 1): 1}, {(1, 0): 1},
+            {(1, 2): 1}, {(2, 1): 1},
+            {(0, 2): 1}, {(2, 0): 1}]),
     # sp4 with the symplectic form pairing coordinates (1,3) and (2,4);
     # t_alpha for the trace form: t_{eps1-eps2} is halved
-    t1 = _mscale(_madd(_madd(_e(4, 0, 0), _e(4, 1, 1), -1),
-                       _madd(_e(4, 3, 3), _e(4, 2, 2), -1), 1),
-                 Fraction(1, 2))
-    t2 = _madd(_e(4, 1, 1), _e(4, 3, 3), -1)
-    e_s = _madd(_e(4, 0, 1), _e(4, 3, 2), -1)      # eps1 - eps2 (short)
-    f_s = _madd(_e(4, 1, 0), _e(4, 2, 3), -1)
-    e_l = _e(4, 1, 3)                              # 2 eps2 (long)
-    f_l = _e(4, 3, 1)
-    e_sl = _madd(_e(4, 0, 3), _e(4, 1, 2), 1)      # eps1 + eps2
-    f_sl = _madd(_e(4, 3, 0), _e(4, 2, 1), 1)
-    e_2sl = _e(4, 0, 2)                            # 2 eps1
-    f_2sl = _e(4, 2, 0)
-    basis = [("t1", t1), ("t2", t2),
-             ("e[1,0]", e_s), ("f[1,0]", f_s),
-             ("e[0,1]", e_l), ("f[0,1]", f_l),
-             ("e[1,1]", e_sl), ("f[1,1]", f_sl),
-             ("e[2,1]", e_2sl), ("f[2,1]", f_2sl)]
-    pos = [((1, 0), 2, 3), ((0, 1), 4, 5), ((1, 1), 6, 7), ((2, 1), 8, 9)]
-    return basis, pos, 2
-
-
-_MODELS = {"A1": _model_a1, "A2": _model_a2, "B2": _model_b2}
+    "B2": ([(1, 0), (0, 1), (1, 1), (2, 1)], (2, 4),
+           [{(0, 0): _HALF, (1, 1): -_HALF, (3, 3): _HALF, (2, 2): -_HALF},
+            {(1, 1): 1, (3, 3): -1},
+            {(0, 1): 1, (3, 2): -1}, {(1, 0): 1, (2, 3): -1},  # eps1 - eps2
+            {(1, 3): 1}, {(3, 1): 1},                          # 2 eps2
+            {(0, 3): 1, (1, 2): 1}, {(3, 0): 1, (2, 1): 1},    # eps1 + eps2
+            {(0, 2): 1}, {(2, 0): 1}]),                        # 2 eps1
+}
 
 
 @dataclass
@@ -111,41 +83,19 @@ class LieAlgebraData:
     code: str
     dim: int
     rank: int
-    labels: list
     form: list                  # invariant form matrix on the basis
-    form_inv: list
-    brackets: dict              # (i, j) -> coordinate tuple of [x_i, x_j]
+    brackets: dict              # (i, j) -> coordinates {k: c} of [x_i, x_j]
     pos_roots: list             # (root coords, e index, f index)
     root_weights: list          # weight vector of each basis element
     t_gram: list                # ((alpha_i, alpha_j)) on simple coroots
     weyl: ReflectionGroup       # bridge realization over the t-coordinates
     cb: CoinvariantBasis
     mats: list                  # defining-representation matrices of the basis
+    tau_coords: list            # tau(x_i) for the Cartan coordinates x_i
 
     @property
     def n_pos(self) -> int:
         return len(self.pos_roots)
-
-    def bracket_vec(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                if i == j:
-                    continue
-                coeff = x * y
-                vec = self.brackets[(i, j)]
-                for k, c in enumerate(vec):
-                    if c:
-                        cur = out.get(k, Fraction(0)) + coeff * c
-                        if cur:
-                            out[k] = cur
-                        else:
-                            out.pop(k, None)
-        return out
-
-    def t_vector(self, root_coords) -> tuple:
-        """Coordinates of t_beta in the simple t_alpha basis = root coords."""
-        return tuple(Fraction(c) for c in root_coords)
 
     def pair_roots(self, a_coords, b_coords) -> Fraction:
         total = Fraction(0)
@@ -160,129 +110,88 @@ def build_lie(code: str) -> LieAlgebraData:
     code = code.upper()
     if code not in _MODELS:
         raise ValueError(f"no Lie model for {code!r} (A1, A2, B2)")
-    basis_named, pos, rank = _MODELS[code]()
-    labels = [n for n, _ in basis_named]
-    mats = [m for _, m in basis_named]
+    roots, degrees, table = _MODELS[code]
+    rank = len(roots[0])
+    pos = [(coords, rank + 2 * k, rank + 2 * k + 1)
+           for k, coords in enumerate(roots)]
+    mats = [{key: Fraction(c) for key, c in m.items()} for m in table]
     dim = len(mats)
     # rescale e_{-beta} so that (e_beta, e_{-beta}) = 1
-    for coords, ei, fi in pos:
-        c = _mtrace_prod(mats[ei], mats[fi])
-        assert c != 0
-        if c != 1:
-            mats[fi] = _mscale(mats[fi], Fraction(1, c))
-    form = [[_mtrace_prod(a, b) for b in mats] for a in mats]
-    form_inv = inverse(form, QQ)
-    # expansion of arbitrary matrices in the basis
+    for _, ei, fi in pos:
+        c = _trace_prod(mats[ei], mats[fi])
+        certify(c != 0, f"(e_beta, e_-beta) = 0 at basis index {ei}")
+        mats[fi] = {key: x / c for key, x in mats[fi].items()}
+    form = [[_trace_prod(a, b) for b in mats] for a in mats]
     solver = SparseSolver()
-    n = len(mats[0])
     for m in mats:
-        solver.add({(i, j): m[i][j] for i in range(n) for j in range(n)
-                    if m[i][j]})
-
-    def expand(m):
-        sol = solver.solve({(i, j): m[i][j] for i in range(n)
-                            for j in range(n) if m[i][j]})
-        assert sol is not None, "bracket escapes the basis span"
-        return tuple(sol.get(k, Fraction(0)) for k in range(dim))
-
+        solver.add(m)
     brackets = {}
     for i in range(dim):
         for j in range(dim):
-            brackets[(i, j)] = expand(_mbracket(mats[i], mats[j]))
+            sol = solver.solve(_combine(chain(
+                _matmul_terms(mats[i], mats[j]),
+                _matmul_terms(mats[j], mats[i], -1))))
+            certify(sol is not None, "bracket escapes the basis span")
+            brackets[(i, j)] = sol
     # Jacobi and form invariance on all basis triples
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                jac = [Fraction(0)] * dim
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = brackets[(b, c)]
-                    for t, ct in enumerate(inner):
-                        if ct:
-                            vec = brackets[(a, t)]
-                            for u, cu in enumerate(vec):
-                                jac[u] += ct * cu
-                assert not any(jac), "Jacobi identity fails"
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = sum(brackets[(i, j)][t] * form[t][k] for t in range(dim))
-                rhs = sum(brackets[(i, k)][t] * form[j][t] for t in range(dim))
-                assert lhs + rhs == 0, "form not invariant"
+    for i, j, k in product(range(dim), repeat=3):
+        jac = _combine((ct, brackets[(a, t)])
+                       for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                       for t, ct in brackets[(b, c)].items())
+        certify(not jac, "Jacobi identity fails")
+        lhs = sum(c * form[t][k] for t, c in brackets[(i, j)].items())
+        rhs = sum(c * form[j][t] for t, c in brackets[(i, k)].items())
+        certify(lhs + rhs == 0, "form not invariant")
     # weights of the basis vectors: eigenvalues of ad(t_{alpha_i})
-    weights = []
-    for b in range(dim):
-        wt = []
-        for i in range(rank):
-            vec = brackets[(i, b)]
-            if b < rank:
-                wt.append(Fraction(0))
-            else:
-                lam = vec[b]
-                only = all((t == b) or not c for t, c in enumerate(vec))
-                assert only, "basis not a weight basis"
-                wt.append(lam)
-        weights.append(tuple(wt))
+    weights = [(Fraction(0),) * rank] * rank
+    for b in range(rank, dim):
+        cols = [brackets[(i, b)] for i in range(rank)]
+        certify(all(set(v) <= {b} for v in cols), "basis not a weight basis")
+        weights.append(tuple(v.get(b, Fraction(0)) for v in cols))
     # (alpha_i, alpha_j) on the Cartan through the form
     t_gram = [[form[i][j] for j in range(rank)] for i in range(rank)]
     # weight convention check: weight of e_beta equals ((beta, alpha_i))_i
-    for coords, ei, fi in pos:
-        tvec = tuple(Fraction(c) for c in coords)
-        expect = tuple(sum(tvec[a] * t_gram[a][i] for a in range(rank))
+    for coords, ei, _ in pos:
+        expect = tuple(sum(c * t_gram[a][i] for a, c in enumerate(coords))
                        for i in range(rank))
-        assert weights[ei] == expect, "root/weight normalization mismatch"
+        certify(weights[ei] == expect, "root/weight normalization mismatch")
     simples = [tuple(1 if j == i else 0 for j in range(rank))
                for i in range(rank)]
-    degrees = {"A1": (2,), "A2": (2, 3), "B2": (2, 4)}[code]
     weyl = build_custom_group(f"bridge-{code}", QQ, t_gram, simples, degrees)
-    cb = CoinvariantBasis(weyl)
-    L = LieAlgebraData(code, dim, rank, labels, form, form_inv, brackets,
-                       pos, weights, t_gram, weyl, cb, mats)
-    return L
+    # s(t_{alpha_i}) = 1/2 sum_a x_a wedge [x^a, t_{alpha_i}], where
+    # x^a = sum_c dual[c][a] x_c; the coordinate x_i is the Gram dual of
+    # t_{alpha_i}
+    dual = inverse(form, QQ)
+    s_imgs = []
+    for i in range(rank):
+        terms = []
+        for a in range(dim):
+            br = _combine((dual[c][a], brackets[(c, i)])
+                          for c in range(dim))
+            terms.append((_HALF, wedge_terms(
+                {1 << a: 1}, {1 << k: c for k, c in br.items()})))
+        s_imgs.append(_combine(terms))
+    tau_coords = [_combine((weyl.gram_inv[i][j], s_imgs[j])
+                           for j in range(rank)) for i in range(rank)]
+    return LieAlgebraData(code, dim, rank, form, brackets, pos, weights,
+                          t_gram, weyl, CoinvariantBasis(weyl), mats,
+                          tau_coords)
 
 
 # ---------------------------------------------------------------------------
 # tau and the Weyl denominator
 # ---------------------------------------------------------------------------
 
-def _s_images(L: LieAlgebraData):
-    """s(t_{alpha_i}) = 1/2 sum_a x_a wedge [x^a, t_{alpha_i}]."""
-    out = []
-    half = Fraction(1, 2)
-    for i in range(L.rank):
-        acc: dict = {}
-        for a in range(L.dim):
-            # x^a = sum_c forminv[c][a] x_c
-            dual = {c: L.form_inv[c][a] for c in range(L.dim)
-                    if L.form_inv[c][a]}
-            br = L.bracket_vec(dual, {i: Fraction(1)})
-            if not br:
-                continue
-            acc = add_terms(acc, wedge_terms(
-                {1 << a: half}, {1 << k: c for k, c in br.items()}))
-        out.append(acc)
-    return out
-
-
 def tau_map(L: LieAlgebraData, p: Poly) -> dict:
     """Ring map on polynomial functions of the Cartan: the coordinate x_i is
     identified with the Gram-dual vector of t_{alpha_i} before applying the
     bracket coproduct (so tau of the linear form (t_alpha, x) is s(t_alpha))."""
-    simgs = _cached_s_images(L)
-    ginv = L.weyl.gram_inv
-    var_imgs = []
-    for i in range(L.rank):
-        acc: dict = {}
-        for j in range(L.rank):
-            c = ginv[i][j]
-            if c:
-                acc = add_terms(acc, {m: v * c for m, v in simgs[j].items()})
-        var_imgs.append(acc)
     out: dict = {}
     for e, coeff in p.terms.items():
         term = {0: Fraction(coeff)}
         for i, k in enumerate(e):
             for _ in range(k):
-                term = wedge_terms(term, var_imgs[i])
+                term = wedge_terms(term, L.tau_coords[i])
                 if not term:
                     break
             if not term:
@@ -291,18 +200,9 @@ def tau_map(L: LieAlgebraData, p: Poly) -> dict:
     return out
 
 
-def _cached_s_images(L: LieAlgebraData):
-    got = getattr(L, "_s_imgs", None)
-    if got is None:
-        got = _s_images(L)
-        L._s_imgs = got
-    return got
-
-
 def t_alpha_form(L: LieAlgebraData, root_coords) -> Poly:
     """The linear polynomial (t_beta, x) in the bridge coordinates."""
-    tvec = L.t_vector(root_coords)
-    coeffs = [sum(tvec[j] * L.t_gram[j][i] for j in range(L.rank))
+    coeffs = [sum(c * L.t_gram[j][i] for j, c in enumerate(root_coords))
               for i in range(L.rank)]
     return Poly.linear_form(coeffs, QQ)
 
@@ -351,7 +251,7 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     # lower bound N!/(rho,rho)^N * prod (alpha, rho)^2 <= per(A)
     rho = [Fraction(0)] * L.rank
     for coords, _, _ in L.pos_roots:
-        for i, c in enumerate(L.t_vector(coords)):
+        for i, c in enumerate(coords):
             rho[i] += Fraction(c, 2)
     rr = L.pair_roots(rho, rho)
     bound = Fraction(1)
@@ -414,7 +314,8 @@ def phi_even_to_h(L: LieAlgebraData, xi: dict) -> Poly:
     terms = {}
     cb = L.cb
     for deg, part in by_deg.items():
-        assert deg % 2 == 0, "phi applied off the even part"
+        if deg % 2:
+            raise ValueError("phi applied off the even part")
         m = deg // 2
         if m > cb.top:
             continue
@@ -430,32 +331,21 @@ def phi_map(L: LieAlgebraData, xi: dict) -> Weil:
     cartan_mask = (1 << L.rank) - 1
     acc: dict[int, dict] = {}
     for mask, c in xi.items():
-        sub = mask & ~cartan_mask
         cpart = mask & cartan_mask
         # splits mask = S u T with S inside the Cartan block (p kills the
         # rest); T picks up all root-vector indices plus the leftover
-        # Cartan indices, and must be of even size
+        # Cartan indices, and must be of even size.  T = mask - S, so each
+        # (S, T) comes from one mask and no two terms of xi meet here
         s = cpart
         while True:
-            tt = (cpart & ~s) | sub
+            tt = mask & ~s
             if bin(tt).count("1") % 2 == 0:
-                sign = merge_sign(s, tt)
-                if sign:
-                    cur = acc.setdefault(s, {})
-                    v = c * sign
-                    got = cur.get(tt)
-                    got = v if got is None else got + v
-                    if got:
-                        cur[tt] = got
-                    else:
-                        cur.pop(tt, None)
+                acc.setdefault(s, {})[tt] = c * merge_sign(s, tt)
             if s == 0:
                 break
             s = (s - 1) & cpart
     terms = {}
     for s_part, even_part in acc.items():
-        if not even_part:
-            continue
         p = phi_even_to_h(L, even_part)
         if p:
             terms[s_part] = p
@@ -475,12 +365,10 @@ def ext_act(L: LieAlgebraData, z_idx: int, xi: dict) -> dict:
             if not mask & (1 << t):
                 continue
             br = L.brackets[(z_idx, t)]
-            rest = mask & ~(1 << t)
-            sign = -1 if pos % 2 else 1
-            one = {1 << k: cc for k, cc in enumerate(br) if cc}
-            if one:
+            if br:
                 out = add_terms(out, wedge_terms(
-                    one, {rest: Fraction(c * sign)}))
+                    {1 << k: cc for k, cc in br.items()},
+                    {mask & ~(1 << t): -c if pos % 2 else c}))
             pos += 1
     return out
 
@@ -489,67 +377,49 @@ def ext_act(L: LieAlgebraData, z_idx: int, xi: dict) -> dict:
 class ModuleModel:
     name: str
     dim: int
-    acts: list                  # per g-basis index: dim x dim matrix
+    acts: list                  # per g-basis index: the sparse image {i: c}
+                                # of each model basis vector
     hw_vec: dict                # model coordinates of a highest weight vector
     hw_weight: tuple
     zero_weight: list           # indices of a zero-weight basis
     zero_char: str              # W-side character name of the zero weight space
 
     def act_vec(self, z_idx: int, v: dict) -> dict:
-        m = self.acts[z_idx]
-        out: dict = {}
-        for j, c in v.items():
-            for i in range(self.dim):
-                a = m[i][j]
-                if a:
-                    cur = out.get(i, Fraction(0)) + a * c
-                    if cur:
-                        out[i] = cur
-                    else:
-                        out.pop(i, None)
-        return out
+        cols = self.acts[z_idx]
+        return _combine((c, cols[j]) for j, c in v.items())
 
 
 def module_model(L: LieAlgebraData, name: str) -> ModuleModel:
     if name == "adjoint":
-        acts = []
-        for z in range(L.dim):
-            cols = [L.brackets[(z, j)] for j in range(L.dim)]
-            acts.append([[cols[j][i] for j in range(L.dim)]
-                         for i in range(L.dim)])
+        acts = [[L.brackets[(z, j)] for j in range(L.dim)]
+                for z in range(L.dim)]
         hw_idx = L.pos_roots[-1][1]
         weights = L.root_weights
         zero = [i for i in range(L.dim) if not any(weights[i])]
         return ModuleModel("adjoint", L.dim, acts, {hw_idx: Fraction(1)},
                            weights[hw_idx], zero, "reflection")
     if name == "s3c3":
-        assert L.code == "A2", "S^3(C^3) is an sl3 module"
-        monos = []
-        for a in range(3, -1, -1):
-            for b in range(3 - a, -1, -1):
-                monos.append((a, b, 3 - a - b))
+        if L.code != "A2":
+            raise ValueError("S^3(C^3) is an sl3 module")
+        monos = [(a, b, 3 - a - b)
+                 for a in range(3, -1, -1) for b in range(3 - a, -1, -1)]
         pos = {m: i for i, m in enumerate(monos)}
-        acts = []
-        for z in range(L.dim):
-            m3 = L.mats[z]
-            mat = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
-            for j, mono in enumerate(monos):
-                # z acts as sum_{ik} m3[i][k] z_i d/d z_k
-                for k in range(3):
-                    if mono[k] == 0:
-                        continue
-                    for i in range(3):
-                        c = m3[i][k]
-                        if c:
-                            tgt = list(mono)
-                            tgt[k] -= 1
-                            tgt[i] += 1
-                            mat[pos[tuple(tgt)]][j] += c * mono[k]
-            acts.append(mat)
+
+        def column(m, mono):
+            # z acts as sum_{ik} z[i, k] z_i d/d z_k
+            terms = []
+            for (i, k), c in m.items():
+                if mono[k]:
+                    tgt = list(mono)
+                    tgt[k] -= 1
+                    tgt[i] += 1
+                    terms.append((c * mono[k], {pos[tuple(tgt)]: 1}))
+            return _combine(terms)
+
+        acts = [[column(m, mono) for mono in monos] for m in L.mats]
         # weights from the Cartan actions (diagonal)
-        weights = []
-        for j in range(len(monos)):
-            weights.append(tuple(acts[i][j][j] for i in range(L.rank)))
+        weights = [tuple(acts[i][j].get(j, Fraction(0))
+                         for i in range(L.rank)) for j in range(len(monos))]
         hw = pos[(3, 0, 0)]
         zero = [j for j in range(len(monos)) if not any(weights[j])]
         return ModuleModel("s3c3", len(monos), acts, {hw: Fraction(1)},
@@ -582,7 +452,6 @@ def hwv_basis(L: LieAlgebraData, n: int, lam: tuple):
     Kernel of the stacked simple-raising actions on the lam-weight subspace,
     computed by incremental elimination on the candidate images.
     """
-    from itertools import combinations
     raisings, _ = _simple_raising_lowering(L)
     lam = tuple(Fraction(c) for c in lam)
     cands = []
@@ -597,10 +466,8 @@ def hwv_basis(L: LieAlgebraData, n: int, lam: tuple):
     stored = []                  # candidate index per stored generator
     for idx, mask in enumerate(cands):
         vec = {mask: Fraction(1)}
-        image = {}
-        for t, z in enumerate(raisings):
-            for k, v in ext_act(L, z, vec).items():
-                image[(t, k)] = v
+        image = {(t, k): v for t, z in enumerate(raisings)
+                 for k, v in ext_act(L, z, vec).items()}
         if not image:
             out.append(vec)
             continue
@@ -609,15 +476,8 @@ def hwv_basis(L: LieAlgebraData, n: int, lam: tuple):
             img_solver.add(image)
             stored.append(idx)
         else:
-            hw = dict(vec)
-            for gen_pos, coeff in sol.items():
-                src = cands[stored[gen_pos]]
-                cur = hw.get(src, Fraction(0)) - coeff
-                if cur:
-                    hw[src] = cur
-                else:
-                    hw.pop(src, None)
-            out.append(hw)
+            out.append(add_terms(vec, {cands[stored[g]]: -c
+                                       for g, c in sol.items()}))
     return out
 
 
@@ -635,10 +495,13 @@ def hom_from_hwv(L: LieAlgebraData, model: ModuleModel, hw: dict):
     returned as the list of images of the zero-weight basis vectors.
 
     Built by parallel lowering closure; consistency of dependent images is
-    asserted, certifying well-definedness."""
+    certified, and so is well-definedness."""
     _, lowerings = _simple_raising_lowering(L)
     solver = SparseSolver()
     stored = []                  # (model_vec, lie_vec)
+
+    def image(sol):
+        return _combine((c, stored[g][1]) for g, c in sol.items())
 
     def reduce_pair(mv, lv):
         sol = solver.solve(mv)
@@ -646,15 +509,7 @@ def hom_from_hwv(L: LieAlgebraData, model: ModuleModel, hw: dict):
             solver.add(mv)
             stored.append((mv, lv))
             return True
-        combo = {}
-        for g, c in sol.items():
-            for k, v in stored[g][1].items():
-                cur = combo.get(k, Fraction(0)) + c * v
-                if cur:
-                    combo[k] = cur
-                else:
-                    combo.pop(k, None)
-        assert combo == lv, "lowering closure inconsistent (not a hwv?)"
+        certify(image(sol) == lv, "lowering closure inconsistent (not a hwv?)")
         return False
 
     reduce_pair(dict(model.hw_vec), dict(hw))
@@ -667,27 +522,14 @@ def hom_from_hwv(L: LieAlgebraData, model: ModuleModel, hw: dict):
                 mv2 = model.act_vec(z, mv)
                 lv2 = ext_act(L, z, lv)
                 if not mv2:
-                    assert not lv2, "lowering closure inconsistent"
+                    certify(not lv2, "lowering closure inconsistent")
                     continue
                 before = len(stored)
                 if reduce_pair(mv2, lv2):
                     nxt.append(before)
         frontier = nxt
-    assert len(stored) == model.dim, "hwv does not generate a full copy"
-    images = []
-    for k in model.zero_weight:
-        sol = solver.solve({k: Fraction(1)})
-        assert sol is not None
-        img = {}
-        for g, c in sol.items():
-            for key, v in stored[g][1].items():
-                cur = img.get(key, Fraction(0)) + c * v
-                if cur:
-                    img[key] = cur
-                else:
-                    img.pop(key, None)
-        images.append(img)
-    return images
+    certify(len(stored) == model.dim, "hwv does not generate a full copy")
+    return [image(solver.solve({k: Fraction(1)})) for k in model.zero_weight]
 
 
 def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:

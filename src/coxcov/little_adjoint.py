@@ -28,7 +28,7 @@ from .linalg import SparseSolver, inverse, nullspace
 from .molien import (GradedSeries, _exterior_traces, exterior_series,
                      graded_multiplicity_series)
 from .poly import Poly
-from .reports import CheckRecord, scalar_str, verdict
+from .reports import CheckRecord, certify, scalar_str, verdict
 from .weil import Weil
 
 
@@ -165,9 +165,10 @@ def subgroup_invariants(split: SplitGroupData):
             if _jacobian_full_rank(psibars + [cand], group.rank, group.field):
                 psibars.append(cand)
                 found += 1
-        assert found == needed, f"could not find degree-{d} H-invariants"
+        certify(found == needed, f"could not find degree-{d} H-invariants")
     psibars.sort(key=lambda p: p.degree())
-    assert not _jacobian_det(psibars, group.field).is_zero()
+    certify(not _jacobian_det(psibars, group.field).is_zero(),
+            "H-invariants algebraically dependent")
     return psibars
 
 
@@ -199,7 +200,7 @@ class UbarDecomposition:
         for y in self.u_basis:
             img = group.act_poly(w_idx, y)
             sol = solver.solve(dict(img.terms))
-            assert sol is not None, "U not W-stable"
+            certify(sol is not None, "U not W-stable")
             cols.append([sol.get(i, group.field.zero)
                          for i in range(len(self.u_basis))])
         return tuple(tuple(cols[j][i] for j in range(len(cols)))
@@ -234,35 +235,42 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
         for q in j2:
             if seen.add(dict(q.terms)):
                 j2_reduced.append(q)
-        assert len(basis) - len(j2_reduced) == len(gens_d), \
-            "Vbar dimension mismatch"
+        certify(len(basis) - len(j2_reduced) == len(gens_d),
+                "Vbar dimension mismatch")
         # solve <v, z>_G = 0 for v in span(basis), z in j2_reduced
         coeff_rows = []
         for z in j2_reduced:
             coeff_rows.append([twisted_pairing(group, b, z) for b in basis])
         null = nullspace(coeff_rows, len(basis), field)
-        assert len(null) == len(gens_d)
+        certify(len(null) == len(gens_d),
+                "complement of (J_H^2)_d has the wrong dimension")
         for vec in null:
             v = Poly.zero(group.rank, field)
             for c, b in zip(vec, basis):
                 if c:
                     v = v + b.scale(c)
             vbar.append(v.content_normalized())
-    # split off invariants; U = kernel of the Reynolds projection
+    # split off invariants; U = kernel of the Reynolds projection.  Every
+    # v is a polynomial in the psibars, so once these are certified
+    # H-invariant, W = W_p H makes the mean over W the mean over W_p
+    h_gens = [group.reflections[k][0]
+              for k in group.reflection_classes[split.use_class]]
+    certify(all(group.act_poly(h, p) == p for p in psibars for h in h_gens),
+            "psibar not H-invariant")
     inv_basis = []
     u_basis = []
     inv_rank = SparseSolver()
     u_rank = SparseSolver()
     for v in vbar:
-        av = group.reynolds(v)
+        av = group.reynolds(v, split.wp_elements)
         if not av.is_zero() and inv_rank.add(dict(av.terms)):
             inv_basis.append(av.content_normalized())
         ker = v - av
         if not ker.is_zero() and u_rank.add(dict(ker.terms)):
             u_basis.append(ker.content_normalized())
-    assert len(inv_basis) + len(u_basis) == len(vbar), "Vbar split defect"
+    certify(len(inv_basis) + len(u_basis) == len(vbar), "Vbar split defect")
     u_degs = {y.degree() for y in u_basis}
-    assert len(u_degs) == 1, "U not homogeneous"
+    certify(len(u_degs) == 1, "U not homogeneous")
     return UbarDecomposition(split, psibars, vbar, u_basis, inv_basis,
                              u_degs.pop())
 
@@ -303,8 +311,8 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
     # induced action matrices of W_p on the y-variables (the image group)
     action_group = list(dict.fromkeys(
         dec.u_action_matrix(x) for x in dec.split.wp_elements))
-    assert len(action_group) == len(dec.split.wp_elements), \
-        "U action does not factor through W_p"
+    certify(len(action_group) == len(dec.split.wp_elements),
+            "U action does not factor through W_p")
     # basic invariants of the induced reflection action on K[U]
     phis_y = []
     for dy in range(2, s + 2):
@@ -325,7 +333,7 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
                 phis_y.append(cand)
                 found = True
                 break
-        assert found, f"no K[U]^W invariant found in y-degree {dy}"
+        certify(found, f"no K[U]^W invariant found in y-degree {dy}")
     phis = [p.substitute(dec.u_basis).content_normalized() for p in phis_y]
     return TildeInvariants(dec, phis_y, phis)
 
@@ -402,7 +410,7 @@ def _wp_reflection_character(split: SplitGroupData):
             img = tuple(sum((w[i][j] * v[j] for j in range(group.rank)),
                             field.zero) for i in range(group.rank))
             sol = solver.solve({i: c for i, c in enumerate(img) if c})
-            assert sol is not None, "V_p not W_p-stable"
+            certify(sol is not None, "V_p not W_p-stable")
             cols.append([sol.get(t, field.zero) for t in range(len(basis))])
         return tuple(tuple(cols[j][i] for j in range(len(basis)))
                      for i in range(len(basis)))
@@ -465,20 +473,23 @@ def little_adjoint_suite(stack: CovariantStack,
         failures.append(
             f"top phi degree {phi_degrees[-1]} != d_n = {d_n} (doubled 2 d_n)")
 
-    # J-tilde = (phi_1, ..., phi_{r_p}) inside K[U], degree by degree
-    top_y = max((i + 1) for i in range(1, s + 1))
-    for k in range(1, top_y + 1):
-        ymonos = monomials_of_degree(s, k)
-        expans = [Poly.monomial(m, 1, field).substitute(dec.u_basis)
-                  for m in ymonos]
-        # rank of A-degree-kq expansions inside H
+    # each y-monomial of y-degree k, expanded into A once, and the rank of
+    # the normal forms of these expansions in H; both checks below read them
+    y_degs = tuple(i + 1 for i in range(1, s + 1))
+    htilde = hilbert_coinvariants(y_degs, s)
+    top_y = max(y_degs)
+    expans, rank_h = [], []
+    for k in range(max(top_y, len(htilde) - 1) + 1):
+        expans.append([Poly.monomial(m, 1, field).substitute(dec.u_basis)
+                       for m in monomials_of_degree(s, k)])
         rk_solver = SparseSolver()
-        rank_h = 0
-        for q in expans:
-            nf = cb.nf_poly(q)
-            if nf and rk_solver.add(dict(nf.terms)):
-                rank_h += 1
-        dim_jcap = len(ymonos) - rank_h
+        rank_h.append(sum(1 for q in expans[k]
+                          if (nf := cb.nf_poly(q)) and
+                          rk_solver.add(dict(nf.terms))))
+
+    # J-tilde = (phi_1, ..., phi_{r_p}) inside K[U], degree by degree
+    for k in range(1, top_y + 1):
+        dim_jcap = len(expans[k]) - rank_h[k]
         # the phi-ideal in y-coordinates
         ideal_solver = SparseSolver()
         dim_ideal = 0
@@ -496,26 +507,16 @@ def little_adjoint_suite(stack: CovariantStack,
                 f"J cap A-tilde {dim_jcap}")
         # independence of the y-monomial expansions (K[U] is polynomial)
         ind = SparseSolver()
-        for q in expans:
+        for q in expans[k]:
             if not ind.add(dict(q.terms)):
                 failures.append(f"K[U] not free in y-degree {k}")
                 break
 
     # H-tilde embeds in H with the correct graded dimensions
-    y_degs = tuple(i + 1 for i in range(1, s + 1))
-    htilde = hilbert_coinvariants(y_degs, s)
     for k, dim_k in enumerate(htilde):
-        ymonos = monomials_of_degree(s, k)
-        rk_solver = SparseSolver()
-        rank_h = 0
-        for m in ymonos:
-            nf = cb.nf_poly(
-                Poly.monomial(m, 1, field).substitute(dec.u_basis))
-            if nf and rk_solver.add(dict(nf.terms)):
-                rank_h += 1
-        if rank_h != dim_k:
+        if rank_h[k] != dim_k:
             failures.append(
-                f"H-tilde -> H rank {rank_h} != dim {dim_k} in y-degree {k}")
+                f"H-tilde -> H rank {rank_h[k]} != dim {dim_k} in y-degree {k}")
 
     # the maps g_i, v_i
     gs = [make_g(stack, dec, tilde, uspace, i) for i in range(1, s + 1)]

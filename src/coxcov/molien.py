@@ -19,6 +19,7 @@ from itertools import combinations
 from .fields import Field, scalar_inverse
 from .groups import ClassFunction, ReflectionGroup
 from .linalg import det
+from .reports import certify
 
 
 class GradedSeries:
@@ -155,10 +156,11 @@ def graded_multiplicity_series(group: ReflectionGroup,
     for c in acc:
         v = c * inv_order
         cs = field.coords(v)
-        assert all(x == 0 for x in cs[1:]), "not a character: irrational sum"
+        certify(all(x == 0 for x in cs[1:]),
+                "not a character: irrational sum")
         x = cs[0]
-        assert x.denominator == 1 and x >= 0, \
-            "not a character: non-integer or negative multiplicity"
+        certify(x.denominator == 1 and x >= 0,
+                "not a character: non-integer or negative multiplicity")
         coeffs.append(int(x))
     return GradedSeries(coeffs)
 

@@ -166,7 +166,8 @@ class Poly:
                     {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative exponent")
         result = Poly.constant(1, self.nv, self.field)
         base = self
         while n:

@@ -20,6 +20,13 @@ class CertificationError(ValueError):
     """An exact identity failed; the message is the witness."""
 
 
+def certify(cond, msg: str) -> None:
+    """Raise CertificationError(msg) unless cond holds; unlike ``assert``,
+    this check stays under ``python -O``."""
+    if not cond:
+        raise CertificationError(msg)
+
+
 def scalar_str(x):
     """Exact fraction string; extension scalars as coordinate lists."""
     if isinstance(x, AlgNum):

@@ -153,7 +153,8 @@ class Weil:
         degs = self.total_degrees()
         if not degs:
             return -1
-        assert len(degs) == 1, "element not homogeneous"
+        if len(degs) != 1:
+            raise ValueError("element not homogeneous")
         return degs.pop()
 
     # -- arithmetic ---------------------------------------------------------

@@ -136,6 +136,33 @@ def test_corrupted_cache_layout_regenerates(tmp_path, capsys):
     assert code == 0
 
 
+def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
+                                                    monkeypatch):
+    import coxcov.cache as cache_mod
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    path = cache_mod.cache_path(tmp_path, "A2")
+    before = path.read_bytes()
+    group, cb, from_cache = cache_mod.load_stack(tmp_path, "A2")
+    assert from_cache
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cache_mod.os, "replace", interrupted)
+    try:
+        cache_mod.save_group(tmp_path, group)       # a different document
+    except KeyboardInterrupt:
+        pass
+    else:
+        raise AssertionError("the interrupted write did not raise")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert cache_mod.load_stack(tmp_path, "A2")[2]
+
+
 def test_reeder_and_lie_bridge_checks(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--group", "A1",
                            "--checks", "reeder,lie-bridge",

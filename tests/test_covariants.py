@@ -243,3 +243,44 @@ def test_zeroed_generator_fails_freeness(code, stack_of):
     assert rec.status == "fail"
     assert "free-basis element p_0*u_1 vanished" in rec.details["witness"]
     assert rec.details["ungraded"] < st.group.rank * 2 ** st.group.rank
+
+
+def _form_e_oracle(a, b):
+    """E(a, b) with one normal form per nonzero Gram-inverse entry."""
+    stack = a.stack
+    ginv = a.space.gram_inv
+    out = Weil.zero(stack.group.rank, stack.group.field, B_QUOTIENT)
+    for j in range(a.space.dim):
+        aj = CoinvariantBasis.lift(a.comps[j])
+        for k in range(b.space.dim):
+            bk = CoinvariantBasis.lift(b.comps[k])
+            if ginv[j][k] and not aj.is_zero() and not bk.is_zero():
+                out = out + stack.cb.nf_weil(
+                    wedge_mul(aj, bk).scale(ginv[j][k]))
+    return out
+
+
+@pytest.mark.parametrize("code", ["A2", "B3", "G2", "H3"])
+def test_form_e_matches_oracle_on_v(code, stack_of):
+    st = stack_of(code)
+    gens = [m(i) for m in (st.u, st.f) for i in range(1, st.group.rank + 1)]
+    for a in gens:
+        for b in gens:
+            assert form_e(a, b) == _form_e_oracle(a, b), (a.name, b.name)
+
+
+def test_form_e_matches_oracle_on_u(stack_of):
+    from coxcov.little_adjoint import (make_g, make_v, split_group,
+                                       subgroup_invariants, tilde_invariants,
+                                       u_target_space, ubar_decomposition)
+    st = stack_of("B3")
+    split = split_group(st.group)
+    dec = ubar_decomposition(split, subgroup_invariants(split))
+    tilde = tilde_invariants(dec, st.cb)
+    uspace = u_target_space(st, dec)
+    gs = [make_g(st, dec, tilde, uspace, i)
+          for i in range(1, len(dec.u_basis) + 1)]
+    gens = gs + [make_v(st, dec, g, uspace) for g in gs]
+    for a in gens:
+        for b in gens:
+            assert form_e(a, b) == _form_e_oracle(a, b), (a.name, b.name)

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+from coxcov.linalg import SparseSolver
 from coxcov.lie_bridge import (build_lie, hom_from_hwv, hwv_basis,
                                lie_covariant_series, module_model,
                                phi_injectivity_test, phi_map, reeder_record,
@@ -9,6 +15,120 @@ from coxcov.lie_bridge import (build_lie, hom_from_hwv, hwv_basis,
                                weyl_denominator_check)
 from coxcov.poly import Poly
 from coxcov.weil import add_terms, wedge_terms
+
+
+# -- oracle: the dense-matrix construction of the models ----------------------
+
+def _e(n, i, j):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    m[i][j] = Fraction(1)
+    return m
+
+
+def _madd(a, b, c=1):
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _mscale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def _mtrace_prod(a, b):
+    n = len(a)
+    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
+
+
+def _mbracket(a, b):
+    n = len(a)
+    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+
+
+def _dense_model(code):
+    """Basis matrices and (root coords, e index, f index) per positive root."""
+    if code == "A1":
+        t1 = _madd(_e(2, 0, 0), _e(2, 1, 1), -1)
+        return [t1, _e(2, 0, 1), _e(2, 1, 0)], [((1,), 1, 2)]
+    if code == "A2":
+        t1 = _madd(_e(3, 0, 0), _e(3, 1, 1), -1)
+        t2 = _madd(_e(3, 1, 1), _e(3, 2, 2), -1)
+        return ([t1, t2, _e(3, 0, 1), _e(3, 1, 0), _e(3, 1, 2), _e(3, 2, 1),
+                 _e(3, 0, 2), _e(3, 2, 0)],
+                [((1, 0), 2, 3), ((0, 1), 4, 5), ((1, 1), 6, 7)])
+    # sp4 with the symplectic form pairing coordinates (1,3) and (2,4)
+    t1 = _mscale(_madd(_madd(_e(4, 0, 0), _e(4, 1, 1), -1),
+                       _madd(_e(4, 3, 3), _e(4, 2, 2), -1), 1),
+                 Fraction(1, 2))
+    t2 = _madd(_e(4, 1, 1), _e(4, 3, 3), -1)
+    mats = [t1, t2,
+            _madd(_e(4, 0, 1), _e(4, 3, 2), -1),
+            _madd(_e(4, 1, 0), _e(4, 2, 3), -1),
+            _e(4, 1, 3), _e(4, 3, 1),
+            _madd(_e(4, 0, 3), _e(4, 1, 2), 1),
+            _madd(_e(4, 3, 0), _e(4, 2, 1), 1),
+            _e(4, 0, 2), _e(4, 2, 0)]
+    return mats, [((1, 0), 2, 3), ((0, 1), 4, 5), ((1, 1), 6, 7),
+                  ((2, 1), 8, 9)]
+
+
+def _dense_form_and_brackets(code):
+    """The trace form and the dense bracket table (i, j) -> coordinate
+    tuple of [x_i, x_j], after rescaling (e_beta, e_-beta) to 1."""
+    mats, pos = _dense_model(code)
+    for _, ei, fi in pos:
+        c = _mtrace_prod(mats[ei], mats[fi])
+        if c != 1:
+            mats[fi] = _mscale(mats[fi], Fraction(1, c))
+    dim, n = len(mats), len(mats[0])
+    form = [[_mtrace_prod(a, b) for b in mats] for a in mats]
+
+    def sparse(m):
+        return {(i, j): m[i][j] for i in range(n) for j in range(n)
+                if m[i][j]}
+
+    solver = SparseSolver()
+    for m in mats:
+        solver.add(sparse(m))
+    brackets = {}
+    for i in range(dim):
+        for j in range(dim):
+            sol = solver.solve(sparse(_mbracket(mats[i], mats[j])))
+            brackets[(i, j)] = tuple(sol.get(k, Fraction(0))
+                                     for k in range(dim))
+    return form, brackets
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "B2"])
+def test_sparse_model_matches_dense_oracle(code):
+    L = build_lie(code)
+    form, brackets = _dense_form_and_brackets(code)
+    assert L.form == form
+    assert {key: tuple(v.get(k, 0) for k in range(L.dim))
+            for key, v in L.brackets.items()} == brackets
+    assert all(all(v.values()) for v in L.brackets.values())
+
+
+def test_planted_model_defect_raises_optimized():
+    """Under python -O, a root vector that is not a weight vector still
+    stops build_lie with a CertificationError."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys\n"
+        "import coxcov.lie_bridge as lb\n"
+        "from coxcov.reports import CertificationError\n"
+        "lb._MODELS['A2'][2][2][(0, 2)] = 1\n"
+        "try:\n"
+        "    lb.build_lie('A2')\n"
+        "except CertificationError as exc:\n"
+        "    sys.exit(0 if 'weight basis' in str(exc) else 4)\n"
+        "sys.exit(1)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
 
 
 def test_build_dimensions():
@@ -179,3 +299,12 @@ def test_b2_opt_in_series():
     L = build_lie("B2")
     rec = reeder_record(L, "adjoint")
     assert rec.status == "pass", rec.details
+
+
+def test_argument_contracts_raise_value_error():
+    from coxcov.lie_bridge import phi_even_to_h
+    L = build_lie("A1")
+    with pytest.raises(ValueError, match="even part"):
+        phi_even_to_h(L, {0b1: Fraction(1)})
+    with pytest.raises(ValueError, match="sl3 module"):
+        module_model(L, "s3c3")

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from coxcov.covariants import form_e
@@ -189,3 +194,46 @@ def test_zeroed_v1_fails_freeness(code, stack_of, monkeypatch):
     rec = little_adjoint_suite(stack_of(code))
     assert rec.status == "fail"
     assert "free-basis element p_0*v_1 vanished" in rec.details["witness"]
+
+
+@pytest.mark.parametrize("code,use_class", [
+    ("B2", 0), ("B2", 1), ("B3", None), ("B4", None), ("G2", 0), ("G2", 1),
+    ("I2(8)", 0), ("I2(8)", 1)])
+def test_coset_reynolds_matches_full_average(code, use_class, stack_of):
+    # oracle: the mean over all of W; on the H-invariant Vbar it equals the
+    # mean over W_p that ubar_decomposition takes
+    g = stack_of(code).group
+    split = split_group(g, use_class)
+    dec = ubar_decomposition(split, subgroup_invariants(split))
+    for v in dec.vbar_basis:
+        assert g.reynolds(v) == g.reynolds(v, split.wp_elements)
+
+
+def test_planted_psibar_fails_through_cli_optimized(tmp_path):
+    """Under python -O, an H-invariant generator that is not H-invariant
+    stops the little-adjoint suite with a FAIL record and exit code 1."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys\n"
+        "import coxcov.little_adjoint as la\n"
+        "from coxcov.cli import main\n"
+        "from coxcov.poly import Poly\n"
+        "real = la.subgroup_invariants\n"
+        "def planted(split):\n"
+        "    ps = real(split)\n"
+        "    return [ps[0] + Poly.monomial((2, 0), 1)"
+        " + Poly.monomial((1, 1), 1)] + ps[1:]\n"
+        "la.subgroup_invariants = planted\n"
+        f"sys.exit(main(['verify', '--group', 'B2', '--checks',"
+        f" 'little-adjoint', '--emit', 'json',"
+        f" '--cache-dir', {str(tmp_path)!r}]))\n")
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 1, got.stderr
+    recs = json.loads(got.stdout)["results"]
+    assert [r["check"] for r in recs] == ["little-adjoint",
+                                          "little-adjoint-swapped"]
+    for rec in recs:
+        assert rec["status"] == "fail"
+        assert rec["details"]["witness"] == ["psibar not H-invariant"]

@@ -5,6 +5,7 @@ import pytest
 from coxcov.molien import (GradedSeries, _exterior_traces, _u_divide_exact,
                            _u_mul, covariant_series_product_formula,
                            graded_multiplicity_series, invariants_series)
+from coxcov.reports import CertificationError
 
 # every group the unit layer builds (tests/test_groups.py)
 UNIT_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
@@ -76,7 +77,7 @@ def test_non_character_rejected(group_of):
     g = group_of("A2")
     classes = g.conjugacy_classes()
     bad = ClassFunction(g, tuple(Fraction(1, 3) for _ in classes), "bad")
-    with pytest.raises(AssertionError, match="not a character"):
+    with pytest.raises(CertificationError, match="not a character"):
         graded_multiplicity_series(g, bad)
 
 
