@@ -40,8 +40,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-import numpy as np
-
 from .fields import Scalar, clear_denominators
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
@@ -183,7 +181,6 @@ class CoinvariantBasis:
         self.xi = group.root_form_product().content_normalized()
         self._certify_xi()
         self.tables: dict[int, _DegreeTable] = {}
-        self._prime, self._root = field_prime_and_root(self.field)
         self._build_tables(precomputed)
 
     # -- certification ------------------------------------------------------
@@ -240,10 +237,11 @@ class CoinvariantBasis:
 
     def _build_all(self):
         n = self.top
+        prime_root = field_prime_and_root(self.field)
         prev_indices = [(0,) * self.rank]
         for d in range(n, -1, -1):
             cand_indices = self._candidates(prev_indices, n - d)
-            table = self._build_degree(d, cand_indices)
+            table = self._build_degree(d, cand_indices, prime_root)
             self.tables[d] = table
             prev_indices = table.indices
 
@@ -260,13 +258,17 @@ class CoinvariantBasis:
                     seen[tb] = True
         return sorted(seen.keys(), key=grevlex_key)
 
-    def _build_degree(self, d: int, cand_indices) -> _DegreeTable:
+    def _build_degree(self, d: int, cand_indices, prime_root) -> _DegreeTable:
+        """Degree-d table, pivots preselected modulo the prime of
+        ``prime_root`` = (p, root of min_poly mod p)."""
+        import numpy as np      # build only: a warm load never needs it
+
         k = self.h_dims[d]
         monos = monomials_of_degree(self.rank, d)
         cands = [(a, self._derivative(a)) for a in cand_indices]
         cands = [(a, wh) for a, wh in cands if wh]
         mono_pos = {m: i for i, m in enumerate(monos)}
-        p, root = self._prime, self._root
+        p, root = prime_root
         tries = 0
         while True:
             mat = np.zeros((len(cands), len(monos)), dtype=np.int64)

@@ -396,9 +396,11 @@ def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
         elif evals[(n - i + 1, i)] != p_r.scale(k_i):
             failures.append(
                 f"E({odd[n - i].name},{even[i - 1].name}) != k_{i} p_r")
+    pr_even = [x.mul_weil(p_r) for x in even]
+    pr_odd = [x.mul_weil(p_r) for x in odd]
     for i in range(1, n + 1):
-        res_even = even[i - 1].mul_weil(p_r)
-        res_odd = odd[i - 1].mul_weil(p_r)
+        res_even = pr_even[i - 1]
+        res_odd = pr_odd[i - 1]
         for j in range(1, n + 1):
             k_j = consts.get((j, n - j + 1))
             if j == i or k_j is None:
@@ -412,11 +414,11 @@ def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
         for res, gen in ((res_even, even[i - 1]), (res_odd, odd[i - 1])):
             if not res.is_zero():
                 failures.append(f"p_r {gen.name} relation residual nonzero")
-    for a in even[:2]:
-        for b in odd[:2]:
+    for a, pr_a in zip(even[:2], pr_even):
+        for b, pr_b in zip(odd[:2], pr_odd):
             sign = -1 if a.total_degree() % 2 else 1
-            rhs = form_e(a, b.mul_weil(p_r)).scale(sign)
-            if form_e(a.mul_weil(p_r), b) != rhs:
+            rhs = form_e(a, pr_b).scale(sign)
+            if form_e(pr_a, b) != rhs:
                 failures.append(f"p_r not self adjoint on ({a.name},{b.name})")
     return failures
 

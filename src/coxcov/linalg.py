@@ -14,14 +14,14 @@
   time: ranks, membership and solving in the span.
 
 A mod-p path (numpy) preselects pivots for the big rational eliminations;
-every mod-p choice is certified exactly afterwards.
+every mod-p choice is certified exactly afterwards.  numpy is imported
+inside the mod-p functions only, so code that loads recorded tables never
+loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .fields import AlgNum, Field, Scalar, bareiss_jordan, scalar_inverse
 from .reports import CertificationError
@@ -236,6 +236,8 @@ def field_prime_and_root(field: Field, start: int = 99991):
     (p ~ 10^5).  Blocks of _ROOT_BLOCK values keep the arrays, and so the
     peak memory of the process, small.
     """
+    import numpy as np
+
     p = start if start % 2 else start + 1
     while True:
         if _is_prime(p):
@@ -263,13 +265,15 @@ def scalar_mod(x: Scalar, p: int, root: int, field: Field) -> int:
     return f.numerator % p * pow(f.denominator, -1, p) % p
 
 
-def modp_greedy_pivots(matrix: np.ndarray, p: int, max_rank: int):
+def modp_greedy_pivots(matrix, p: int, max_rank: int):
     """Greedy row/column pivot selection of an int64 matrix mod p.
 
     Columns are scanned left to right; the pivot row for each column is the
     first not-yet-used row with a nonzero entry.  Returns (row_idx, col_idx)
     lists of length = attained rank (stops at max_rank).
     """
+    import numpy as np
+
     a = matrix % p
     nrows, ncols = a.shape
     used = np.zeros(nrows, dtype=bool)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from coxcov.cli import main
 from coxcov.reports import FAIL, PASS, CheckRecord, Report
@@ -161,6 +164,28 @@ def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
     assert cache_mod.load_stack(tmp_path, "A2")[2]
+
+
+def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
+    # numpy serves the mod-p pivot search of a table build only; a verify
+    # that loads every table from the cache never imports it
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "B2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov.cli import main\n"
+        f"code = main(['verify', '--group', 'B2', '--checks', 'all',"
+        f" '--samples', '3', '--emit', 'json',"
+        f" '--cache-dir', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules\n")
+    got = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout)["summary"]["fail"] == 0
 
 
 def test_reeder_and_lie_bridge_checks(tmp_path, capsys):

@@ -173,9 +173,12 @@ def test_dunkl_conjugation_invariance(stack_of):
 
 
 def test_class_sums_match_reflection_sums(group_of):
+    # the memoised path shares one images dict across the samples of a
+    # group, as the identity suite does
     rng = random.Random(59)
-    for code in ["A2", "B3", "I2(5)"]:
+    for code in ["A2", "B3", "I2(5)", "H3"]:
         g = group_of(code)
+        images = {}
         for _ in range(4):
             w = random_weil(g, rng)
             sums = class_sums(g, w)
@@ -185,8 +188,10 @@ def test_class_sums_match_reflection_sums(group_of):
                 for k in cls:
                     want = want + nabla_s(g, k, w)
                 assert got == want
+            assert class_sums(g, w, images=images) == sums
             for ci in range(len(sums)):
                 assert class_sums(g, w, [ci]) == [sums[ci]]
+                assert class_sums(g, w, [ci], images) == [sums[ci]]
 
 
 def test_dunkl_squares_match_oracle(group_of):
@@ -202,13 +207,16 @@ def test_dunkl_squares_match_oracle(group_of):
         # a c that vanishes on one class exercises the skipped terms
         params_list.append(DunklParams(
             g, (g.field.zero,) + params_list[1].values[1:]))
+        images = {}
         for _ in range(n_samples):
             w = random_weil(g, rng)
             squares = dunkl_squares(g, w, params_list)
             assert len(squares) == len(params_list)
+            assert dunkl_squares(g, w, params_list, images) == squares
             for params, got in zip(params_list, squares):
                 once = dunkl_by_reflection(params, w)
                 assert dunkl(params, w) == once
+                assert dunkl(params, w, images=images) == once
                 assert got == dunkl_by_reflection(params, once)
                 assert got.is_zero()
 
@@ -219,6 +227,7 @@ def test_dunkl_class_subset_matches_oracle(stack_of):
     st = stack_of("B2")
     g = st.group
     params = random_class_function(g, rng)
+    images = {}
     for ci in range(len(g.reflection_classes)):
         only = DunklParams(g, tuple(v if i == ci else g.field.zero
                                     for i, v in enumerate(params.values)))
@@ -227,6 +236,13 @@ def test_dunkl_class_subset_matches_oracle(stack_of):
             want = st.cb.nf_weil(
                 dunkl_by_reflection(only, CoinvariantBasis.lift(wb)))
             assert dunkl(params, wb, st.cb, classes=[ci]) == want
+            assert dunkl(params, wb, st.cb, classes=[ci],
+                         images=images) == want
+        # the quotient D_c, which acts on the lift, on the memoised path
+        wb = st.cb.nf_weil(random_weil(g, rng))
+        want = st.cb.nf_weil(
+            dunkl_by_reflection(params, CoinvariantBasis.lift(wb)))
+        assert dunkl(params, wb, st.cb, images=images) == want
 
 
 def test_quotient_needs_basis(stack_of):
@@ -258,6 +274,22 @@ def test_square_zero_suite_catches_doubled_nabla(stack_of, monkeypatch,
     with pytest.raises(CertificationError, match="D_c\\^2") as exc:
         differential_identity_suite(st.group, st.cb, seed=0)
     assert f"on {code}, seed 0, sample " in str(exc.value)
+
+
+def test_square_zero_suite_reports_every_failing_sample(stack_of,
+                                                        monkeypatch):
+    # with d the identity, d^2 = 0 fails on every nonzero sample; the
+    # suite keeps going and its one error lists each failure in order
+    st = stack_of("A2")
+    monkeypatch.setattr(differentials, "de_rham", lambda group, w: w)
+    with pytest.raises(CertificationError) as exc:
+        differential_identity_suite(st.group, st.cb, seed=0, n_samples=4)
+    witnesses = str(exc.value).split("; ")
+    assert witnesses[0].startswith("d^2 != 0 on A2, seed 0, sample ")
+    samples = [int(w.rsplit(" ", 1)[1]) for w in witnesses]
+    assert len(samples) > 1 and samples == sorted(set(samples))
+    assert all(w.startswith("d^2 != 0 on A2, seed 0, sample ")
+               for w in witnesses)
 
 
 def test_square_zero_suite_catches_unsigned_koszul_optimized(tmp_path):
