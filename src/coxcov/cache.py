@@ -4,8 +4,11 @@ One JSON document per group, holding the format version, the group's
 code, field and order, and the recorded layout of its coinvariant tables
 (derivative multi-indices and standard monomials per degree).  Absent or
 version-mismatched files are regenerated.  The group itself is rebuilt on
-every load; the layout lets the tables skip their pivot searches, and
-every exact certification still runs.
+every load.  The layout is a hint, not a result: it lets the tables skip
+their pivot searches, every exact certification still runs on it, and a
+layout that does not fit is replaced by a fresh build.  The same layout
+also serves the Lie side, whose bridge Weyl group is another realization
+of a catalogue group (``lie_bridge.build_lie``).
 """
 
 from __future__ import annotations
@@ -61,30 +64,30 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
     return path
 
 
+def load_layout(cache_dir: Path, code: str):
+    """The recorded {degree: (indices, monomials)} of the group's cache
+    file when it is present and of the current version, else None.  Never
+    writes a file."""
+    try:
+        doc = json.loads(cache_path(Path(cache_dir), code).read_text())
+        if doc.get("version") != CACHE_VERSION:
+            return None
+        return {int(d): ([tuple(a) for a in t["indices"]],
+                         [tuple(m) for m in t["monomials"]])
+                for d, t in doc["tables"].items()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
 def load_stack(cache_dir: Path, code: str, allow_long=False):
     """(group, coinvariant basis) from cache when fresh, else rebuilt (and
     the cache file rewritten).  Returns (group, cb, from_cache)."""
-    path = cache_path(Path(cache_dir), code)
-    recorded = None
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except (ValueError, OSError):
-            doc = None
-        if doc and doc.get("version") == CACHE_VERSION and "tables" in doc:
-            recorded = {int(d): (([tuple(a) for a in t["indices"]],
-                                  [tuple(m) for m in t["monomials"]]))
-                        for d, t in doc["tables"].items()}
+    layout = load_layout(cache_dir, code)
     group = build_group(code, allow_long=allow_long)
-    if recorded is not None:
-        try:
-            cb = CoinvariantBasis(group, precomputed=recorded)
-            return group, cb, True
-        except (ValueError, KeyError):
-            pass  # stale layout: fall through and regenerate
-    cb = CoinvariantBasis(group)
-    save_group(Path(cache_dir), group, cb)
-    return group, cb, False
+    cb = CoinvariantBasis(group, precomputed=layout)
+    if not cb.from_layout:
+        save_group(Path(cache_dir), group, cb)
+    return group, cb, cb.from_layout
 
 
 def inspect_cache(cache_dir: Path):

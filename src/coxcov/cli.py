@@ -71,11 +71,6 @@ def _molien_check(stack):
                    t0)
 
 
-_STACK_CHECKS = {"solomon": solomon_check, "constants": constants_table,
-                 "freeness": freeness_check, "structure": pr_structure_check,
-                 "molien": _molien_check}
-
-
 def _differentials_check(stack, seed, n_samples):
     t0 = perf_counter()
     details = differential_identity_suite(stack.group, stack.cb, seed=seed,
@@ -83,13 +78,14 @@ def _differentials_check(stack, seed, n_samples):
     return verdict("differentials", stack.group.code, [], details, t0)
 
 
-def _lie_jobs(code, lie_checks):
+def _lie_jobs(code, lie_checks, layout):
     """(record name, thunk) for each Lie-side record of the group.  The
     model is built by the first thunk that runs, so a failed model
-    certificate fails every Lie record with its message."""
+    certificate fails every Lie record with its message.  ``layout`` is
+    the catalogue group's table layout or None (see ``build_lie``)."""
     from .lie_bridge import (build_lie, phi_injectivity_test, reeder_record,
                              tau_harmonic_injectivity, weyl_denominator_check)
-    model = cache(partial(build_lie, code))
+    model = cache(partial(build_lie, code, layout))
     modules = ["adjoint"] if code != "A2" else ["adjoint", "s3c3"]
 
     def job(name, check, *args):
@@ -115,6 +111,10 @@ def run_suite(config: dict) -> Report:
     seed = config.get("seed", 0)
     cache_dir = config.get("cache_dir") or cache_mod.default_cache_dir()
     allow_long = config.get("allow_long", False)
+    # looked up per call, so that a wrapped check function is the one run
+    stack_checks = {"solomon": solomon_check, "constants": constants_table,
+                    "freeness": freeness_check,
+                    "structure": pr_structure_check, "molien": _molien_check}
     records = []
     lie_checks = [c for c in checks if c in ("reeder", "lie-bridge")]
     group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
@@ -144,9 +144,11 @@ def run_suite(config: dict) -> Report:
                         use_class=1 - stack.group.class_ell,
                         label="little-adjoint-swapped")))
             else:
-                jobs.append((check, partial(_STACK_CHECKS[check], stack)))
+                jobs.append((check, partial(stack_checks[check], stack)))
         if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
-            jobs += _lie_jobs(code, lie_checks)
+            layout = (cb.recorded_tables() if group_checks
+                      else cache_mod.load_layout(cache_dir, code))
+            jobs += _lie_jobs(code, lie_checks, layout)
         for name, run in jobs:
             t0 = perf_counter()
             try:

@@ -30,7 +30,11 @@ and each output coefficient is one Fraction(num, den * D).  Over
 Q(theta) the same loops run on AlgNum scalars with den = D = 1.
 
 Pivot selection runs modulo a prime for speed; the choice is certified by
-the exact invertibility of the resulting pairing matrix.
+the exact invertibility of the resulting pairing matrix.  A recorded layout
+(the derivative multi-indices and standard monomials per degree, from the
+cache or from another realization of the same group) skips that search.
+It is only a hint: the same certificates run on it, and a layout that does
+not fit falls back to the search.
 """
 
 from __future__ import annotations
@@ -227,11 +231,17 @@ class CoinvariantBasis:
     # -- table construction ---------------------------------------------------
 
     def _build_tables(self, recorded=None):
-        """Build every degree table, from the recorded layout if given."""
+        """Build every degree table, from the recorded layout if it fits,
+        else by the mod-p pivot search.  Sets ``from_layout``."""
         self._deriv_memo = {(0,) * self.rank: _weighted(self.xi)}
+        self.from_layout = False
         if recorded:
-            self._build_from_recorded(recorded)
-        else:
+            try:
+                self._build_from_recorded(recorded)
+                self.from_layout = True
+            except (ValueError, KeyError):
+                self.tables = {}    # a layout of another group, or stale
+        if not self.from_layout:
             self._build_all()
         del self._deriv_memo        # the tables keep what they need
 
@@ -330,11 +340,29 @@ class CoinvariantBasis:
         return self._table(chosen, cols)
 
     def _build_from_recorded(self, recorded):
-        """Rebuild tables from cached (degree -> (indices, monos)) data."""
+        """Rebuild tables from recorded (degree -> (indices, monos)) data;
+        ValueError or KeyError if the layout does not fit this group.
+
+        A layout that fits gives dim H_d derivatives of Xi of order
+        |T| - d and as many monomials of degree d in every degree, and
+        ``_table`` certifies that their pairing is invertible; together
+        these make the table a correct one, whichever layout it came from.
+        """
+        def shaped(t, total):
+            return (len(t) == self.rank
+                    and all(type(x) is int and x >= 0 for x in t)
+                    and sum(t) == total)
+
         for d in range(self.top, -1, -1):
             idxs, monos = recorded[d]
-            chosen = [(tuple(a), self._derivative(tuple(a))) for a in idxs]
-            self.tables[d] = self._table(chosen, [tuple(m) for m in monos])
+            idxs = [tuple(a) for a in idxs]
+            monos = [tuple(m) for m in monos]
+            if not (len(idxs) == len(monos) == self.h_dims[d]
+                    and all(shaped(a, self.top - d) for a in idxs)
+                    and all(shaped(m, d) for m in monos)):
+                raise ValueError(f"recorded layout does not fit degree {d}")
+            chosen = [(a, self._derivative(a)) for a in idxs]
+            self.tables[d] = self._table(chosen, monos)
 
     def recorded_tables(self):
         return {d: (t.indices, t.monos) for d, t in self.tables.items()}

@@ -359,9 +359,10 @@ def free_basis_failures(stack: CovariantStack, gens, subset, molien):
     for nsub in range(1 << len(subset)):
         mask = sum(1 << (idx - 1) for t, idx in enumerate(subset)
                    if nsub & (1 << t))
-        pprod = stack.p_product(mask)
+        pprod = stack.p_product(mask) if mask else None
         for gen in gens:
-            el = gen.mul_weil(pprod)
+            # p_0 = 1, and a generator is already in normal form
+            el = gen.mul_weil(pprod) if mask else gen
             if el.is_zero():
                 failures.append(
                     f"free-basis element p_{mask:b}*{gen.name} vanished")

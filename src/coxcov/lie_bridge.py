@@ -106,7 +106,17 @@ class LieAlgebraData:
         return total
 
 
-def build_lie(code: str) -> LieAlgebraData:
+def build_lie(code: str, layout=None) -> LieAlgebraData:
+    """The certified matrix model of the Lie algebra of type ``code`` and
+    its bridge Weyl group with coinvariant tables.
+
+    ``layout`` is an optional recorded table layout, {degree: (indices,
+    monomials)}, such as the catalogue group's from the cache: the bridge
+    group is the same W in another realization and has the same layout.
+    It is a hint only.  It skips the mod-p pivot search; every certificate
+    of the tables still runs, and a layout that does not fit falls back to
+    a fresh build, so it can cost time but cannot change a verdict.
+    """
     code = code.upper()
     if code not in _MODELS:
         raise ValueError(f"no Lie model for {code!r} (A1, A2, B2)")
@@ -174,7 +184,8 @@ def build_lie(code: str) -> LieAlgebraData:
     tau_coords = [_combine((weyl.gram_inv[i][j], s_imgs[j])
                            for j in range(rank)) for i in range(rank)]
     return LieAlgebraData(code, dim, rank, form, brackets, pos, weights,
-                          t_gram, weyl, CoinvariantBasis(weyl), mats,
+                          t_gram, weyl,
+                          CoinvariantBasis(weyl, precomputed=layout), mats,
                           tau_coords)
 
 

@@ -168,24 +168,42 @@ def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
 
 def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
     # numpy serves the mod-p pivot search of a table build only; a verify
-    # that loads every table from the cache never imports it
+    # that loads every table from the cache never imports it, and the Lie
+    # side builds its Weyl group's tables from the same cached layout
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "B2",
+                           "--group", "A1", "--group", "A2",
                            "--cache-dir", str(tmp_path))
-    assert code == 0 and "rebuilt" in out
+    assert code == 0 and out.count("rebuilt") == 3
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    child = (
-        "import sys\n"
-        "from coxcov.cli import main\n"
-        f"code = main(['verify', '--group', 'B2', '--checks', 'all',"
-        f" '--samples', '3', '--emit', 'json',"
-        f" '--cache-dir', {str(tmp_path)!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules\n")
-    got = subprocess.run([sys.executable, "-c", child], env=env,
-                         capture_output=True, text=True)
-    assert got.returncode == 0, got.stderr
-    assert json.loads(got.stdout)["summary"]["fail"] == 0
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def warm_verify(*argv):
+        child = (
+            "import sys\n"
+            "from coxcov.cli import main\n"
+            f"code = main(['verify', *{list(argv)!r}, '--emit', 'json',"
+            f" '--cache-dir', {str(tmp_path)!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules\n")
+        got = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True)
+        assert got.returncode == 0, got.stderr
+        doc = json.loads(got.stdout)
+        assert doc["summary"]["fail"] == 0
+        return {(r["group"], r["check"]) for r in doc["results"]}
+
+    warm_verify("--group", "B2", "--checks", "all", "--samples", "3")
+    # Lie side on the layout of the loaded tables
+    ran = warm_verify("--group", "A1", "--group", "A2", "--checks", "all",
+                      "--samples", "3")
+    assert {("A1", "reeder[adjoint]"), ("A2", "reeder[s3c3]"),
+            ("A2", "weyl-denominator")} <= ran
+    # Lie checks only: the layout is read from the cache file
+    ran = warm_verify("--group", "B2", "--allow-long",
+                      "--checks", "reeder,lie-bridge")
+    assert {("B2", "reeder[adjoint]"), ("B2", "tau-injectivity")} <= ran
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_reeder_and_lie_bridge_checks(tmp_path, capsys):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from coxcov.coinvariants import CoinvariantBasis
+from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
 from coxcov.lie_bridge import (build_lie, hom_from_hwv, hwv_basis,
                                lie_covariant_series, module_model,
@@ -129,6 +131,61 @@ def test_planted_model_defect_raises_optimized():
     got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
+
+
+def _assert_same_tables(cb, oracle):
+    assert cb.recorded_tables() == oracle.recorded_tables()
+    for d, t in oracle.tables.items():
+        assert (cb.tables[d].inv, cb.tables[d].den) == (t.inv, t.den)
+
+
+def _catalogue_layout(code):
+    return CoinvariantBasis(build_group(code)).recorded_tables()
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "B2"])
+def test_bridge_tables_from_catalogue_layout(code):
+    """The catalogue group's layout fits the bridge realization of the same
+    Weyl group (different Gram matrix); the tables it gives equal the
+    fresh mod-p build, which is the oracle."""
+    fresh = build_lie(code).cb
+    assert not fresh.from_layout
+    hinted = build_lie(code, _catalogue_layout(code)).cb
+    assert hinted.from_layout
+    _assert_same_tables(hinted, fresh)
+
+
+def _drop_degree(layout):
+    return {d: t for d, t in layout.items() if d != 2}
+
+
+def _drop_one_pair(layout):
+    # square and invertible, but one harmonic and one monomial short
+    out = dict(layout)
+    idxs, monos = out[1]
+    out[1] = (idxs[:-1], monos[:-1])
+    return out
+
+
+def _negative_index(layout):
+    out = dict(layout)
+    idxs, monos = out[1]
+    out[1] = ([(-1,) + tuple(idxs[0][1:])] + list(idxs[1:]), monos)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _catalogue_layout("A2"),
+    lambda: _drop_degree(_catalogue_layout("B2")),
+    lambda: _drop_one_pair(_catalogue_layout("B2")),
+    lambda: _negative_index(_catalogue_layout("B2")),
+    lambda: {},
+], ids=["foreign", "degree-dropped", "pair-dropped", "negative-index",
+        "empty"])
+def test_bridge_layout_that_does_not_fit_falls_back(make):
+    hinted = build_lie("B2", make()).cb
+    assert not hinted.from_layout
+    _assert_same_tables(hinted, build_lie("B2").cb)
 
 
 def test_build_dimensions():
