@@ -12,7 +12,7 @@ from .groups import ReflectionGroup, build_group
 from .little_adjoint import little_adjoint_suite, split_group
 from .molien import (GradedSeries, covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
-from .poly import Poly, divide_by_linear_form
+from .poly import Poly
 from .weil import Weil, wedge_mul
 
 __version__ = "0.1.0"
@@ -22,8 +22,8 @@ __all__ = [
     "DunklParams", "Field", "GradedSeries", "Poly", "QQ", "QSQRT5",
     "ReflectionGroup", "Weil", "build_group", "constants_table",
     "covariant_series_product_formula", "de_rham", "delta_d_eigenvalue",
-    "divide_by_linear_form", "dunkl", "form_e", "freeness_check",
-    "graded_multiplicity_series", "invariants_series", "j2_invariance_check",
+    "dunkl", "form_e", "freeness_check", "graded_multiplicity_series",
+    "invariants_series", "j2_invariance_check",
     "koszul_delta", "little_adjoint_suite", "nabla_s", "pr_structure_check",
     "solomon_check", "split_group", "wedge_mul",
 ]

@@ -5,7 +5,9 @@ differential D_c = sum_s c(s) nabla_s.
 The catalogue realizations are not always orthonormal, so d and delta are
 implemented in Gram-dual form: d contracts derivatives with G^{-1} and
 delta sends a basis vector to its geometric linear form (alpha, x).  Both
-reduce to the orthonormal-basis formulas when G is the identity.
+reduce to the orthonormal-basis formulas when G is the identity.  nabla_s
+needs only the root of s: its polynomial part is the Taylor divided
+difference ``ReflectionGroup.divided_difference``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 from .coinvariants import CoinvariantBasis
 from .fields import Scalar, scalar_inverse
-from .groups import ClassFunction, ReflectionGroup, mat_vec
-from .poly import Poly, divide_by_linear_form
+from .groups import ClassFunction, ReflectionGroup
+from .poly import Poly
 from .reports import CertificationError
-from .weil import B_QUOTIENT, FULL_WEIL, Weil, merge_sign, wedge_mul
+from .weil import B_QUOTIENT, FULL_WEIL, Weil, merge_sign
 
 
 @dataclass
@@ -100,35 +102,37 @@ def koszul_delta(group: ReflectionGroup, w: Weil,
 
 def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
             cb: CoinvariantBasis | None = None, alpha=None) -> Weil:
-    """nabla_s(a tensor b) = (alpha wedge s(a)) tensor (1-s)(b)/(alpha, x).
+    """nabla_s(a tensor b) = (alpha wedge a) tensor d_s(b), where
+    d_s(b) = (b - s.b)/(alpha, x) is ``ReflectionGroup.divided_difference``.
 
-    Independent of the scaling of alpha; ``alpha`` overrides the stored
-    root (same hyperplane required) so that invariance can be exercised.
+    This is Dunkl's (alpha wedge s.a) tensor (1 - s)b/(alpha, x): every
+    vector v has s.v - v in Q alpha, so s.a - a is a sum of terms that each
+    contain alpha and alpha wedge s.a = alpha wedge a.  Only the root is
+    used, and the result does not depend on its scaling; ``alpha``
+    replaces the stored root (same hyperplane required) so that invariance
+    can be exercised.
     """
     if w.ambient == B_QUOTIENT:
         if cb is None:
             raise ValueError("need a coinvariant basis to reduce")
         return cb.nf_weil(nabla_s(group, refl_idx, CoinvariantBasis.lift(w),
                                   alpha=alpha))
-    eidx, stored_alpha = group.reflections[refl_idx]
     if alpha is None:
-        alpha = stored_alpha
-        galpha = group.reflection_forms[refl_idx]
+        alpha = group.reflections[refl_idx][1]
     else:
         alpha = tuple(group.field.coerce(c) for c in alpha)
-        galpha = mat_vec(group.gram, alpha, group.field)
-    alpha_vec = Weil.vector(alpha, group.field)
-    out = Weil.zero(group.rank, group.field, FULL_WEIL)
+    acc: dict = {}
     for mask, p in w.terms.items():
-        q = p - group.act_poly(eidx, p)
+        q = group.divided_difference(alpha, p)
         if q.is_zero():
             continue
-        q = divide_by_linear_form(q, galpha)
-        front = wedge_mul(alpha_vec, group.ext_image(eidx, mask))
-        if front.is_zero():
-            continue
-        out = out + front.scale_poly(q)
-    return out
+        for i, a in enumerate(alpha):
+            if a and not mask & (1 << i):
+                add = q.scale(a if merge_sign(1 << i, mask) > 0 else -a)
+                newmask = mask | (1 << i)
+                cur = acc.get(newmask)
+                acc[newmask] = add if cur is None else cur + add
+    return Weil(group.rank, group.field, {m: p for m, p in acc.items() if p})
 
 
 def class_sums(group: ReflectionGroup, w: Weil, classes=None,

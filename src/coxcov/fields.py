@@ -112,7 +112,8 @@ class Field:
         return self.scalar(0, 1)
 
     def approx(self, x) -> float:
-        """Float value in the designated real embedding (documentation only)."""
+        """Float value in the designated real embedding; InnerProduct
+        reads the sign of a Gram minor from it."""
         cs = self.coords(x)
         return float(sum(float(c) * self.embedding ** i for i, c in enumerate(cs)))
 

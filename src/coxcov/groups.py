@@ -232,6 +232,7 @@ class ReflectionGroup:
         self._act_pow_cache: dict = {}
         self._act_mono_cache: dict = {}
         self._ext_images: dict = {}
+        self._taylor_data: dict = {}
         gens = [self.reflection_matrix(a) for a in self.simple_roots]
         self._build_roots(gens)
         self._build_elements([self._root_perm(g) for g in gens])
@@ -372,9 +373,6 @@ class ReflectionGroup:
                 raise CatalogueError(
                     f"{self.code}: reflection does not negate its root")
             self.reflections.append((idx, alpha))
-        # the geometric form (alpha, x) of each reflection's root
-        self.reflection_forms = [mat_vec(self.gram, alpha, self.field)
-                                 for alpha in self.positive_roots]
         # the reflection classes are the conjugacy classes of reflections
         by_class: dict = {}
         for k, (idx, _) in enumerate(self.reflections):
@@ -429,6 +427,57 @@ class ReflectionGroup:
         return out
 
     # -- group action -----------------------------------------------------
+    #
+    # divided_difference needs only a reflection's root: it expands
+    # (p - s.p)/(alpha, x) along alpha.  act_poly acts by any element w
+    # through substitution, w.p = p(w^{-1} x), caching monomial images.
+
+    def divided_difference(self, alpha: tuple, p: Poly) -> Poly:
+        """The BGG/Demazure divided difference (p - s.p)/(alpha, x) of the
+        reflection s in the root ``alpha`` (a tuple of field scalars).
+
+        With l = (alpha, x) and c = 2/(alpha, alpha), s.p(x) = p(x - c l(x)
+        alpha), so Taylor's formula along alpha gives the exact quotient
+            (p - s.p)/l = sum_{k>=1} (-1)^{k+1} c^k l^{k-1} D_alpha^k p / k!,
+        summed here by Horner's rule in l.  Scaling alpha by t scales the
+        result by 1/t.  It is zero exactly when s.p = p.
+        """
+        data = self._taylor_data.get(alpha)
+        if data is None:
+            f = self.field
+            form = mat_vec(self.gram, alpha, f)
+            norm = sum((a * g for a, g in zip(alpha, form) if a), f.zero)
+            data = ([(i, a) for i, a in enumerate(alpha) if a],
+                    [(i, -g) for i, g in enumerate(form) if g],
+                    2 * scalar_inverse(norm))
+            self._taylor_data[alpha] = data
+        direction, minus_form, c = data
+        # u_k = c^k D_alpha^k p / k! = (c/k) D_alpha u_{k-1}, from u_0 = p
+        taylor = [p.terms]
+        while taylor[-1]:
+            steps = [(i, a * c / len(taylor)) for i, a in direction]
+            nxt: dict = {}
+            for e, v in taylor[-1].items():
+                for i, a in steps:
+                    n = e[i]
+                    if n:
+                        e2 = e[:i] + (n - 1,) + e[i + 1:]
+                        t = v * (a * n)
+                        s = nxt.get(e2)
+                        nxt[e2] = t if s is None else s + t
+            taylor.append({e: v for e, v in nxt.items() if v})
+        # Horner in -l: u_1 - l (u_2 - l (u_3 - ...))
+        acc: dict = {}
+        for u in reversed(taylor[1:]):
+            nxt = dict(u)
+            for e, v in acc.items():
+                for i, g in minus_form:
+                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    t = v * g
+                    s = nxt.get(e2)
+                    nxt[e2] = t if s is None else s + t
+            acc = nxt
+        return Poly(self.rank, self.field, {e: v for e, v in acc.items() if v})
 
     def _subst_forms(self, w_idx: int):
         forms = self._act_forms.get(w_idx)
@@ -568,8 +617,8 @@ class ReflectionGroup:
             for psi, d in zip(self._psis, self.degrees):
                 certify(psi.is_homogeneous() and psi.degree() == d,
                         f"candidate invariant not homogeneous of degree {d}")
-                for gi in self.simple_indices:
-                    certify(self.act_poly(gi, psi) == psi,
+                for alpha in self.simple_roots:
+                    certify(self.divided_difference(alpha, psi).is_zero(),
                             "candidate invariant not W-invariant")
             certify(self._independence_certified(),
                     "invariants not independent")

@@ -253,9 +253,10 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
     # split off invariants; U = kernel of the Reynolds projection.  Every
     # v is a polynomial in the psibars, so once these are certified
     # H-invariant, W = W_p H makes the mean over W the mean over W_p
-    h_gens = [group.reflections[k][0]
-              for k in group.reflection_classes[split.use_class]]
-    certify(all(group.act_poly(h, p) == p for p in psibars for h in h_gens),
+    h_roots = [group.reflections[k][1]
+               for k in group.reflection_classes[split.use_class]]
+    certify(all(group.divided_difference(a, p).is_zero()
+                for p in psibars for a in h_roots),
             "psibar not H-invariant")
     inv_basis = []
     u_basis = []

@@ -8,10 +8,9 @@ lexicographic (grevlex).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .fields import QQ, Field, Scalar, scalar_inverse
+from .fields import QQ, Field, Scalar
 
 
 def grevlex_key(expo: tuple) -> tuple:
@@ -85,10 +84,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.nv, self.field,
-                    {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
@@ -259,63 +254,3 @@ class Poly:
             total = total + v
         return total
 
-
-@lru_cache(maxsize=None)
-def _linear_divisor(field: Field, alpha: tuple):
-    """(pivot, inverse pivot coefficient, the other terms as a Poly) of the
-    linear form sum_i alpha[i] x_i; the pivot is its last nonzero
-    coordinate.  The keys are the reflection forms that nabla_s passes."""
-    alpha = [field.coerce(a) for a in alpha]
-    if not any(alpha):
-        raise ValueError("alpha must be nonzero")
-    piv = max(i for i, a in enumerate(alpha) if a)
-    rest = {}
-    for i, a in enumerate(alpha):
-        if a and i != piv:
-            e = [0] * len(alpha)
-            e[i] = 1
-            rest[tuple(e)] = a
-    return piv, scalar_inverse(alpha[piv]), Poly(len(alpha), field, rest)
-
-
-def divide_by_linear_form(p: Poly, alpha) -> Poly:
-    """Exact quotient of p by the linear form sum_i alpha[i] x_i.
-
-    Long division in the last nonzero alpha-coordinate; raises ValueError
-    ("not divisible") when a remainder survives.
-    """
-    field = p.field
-    piv, apiv_inv, rest = _linear_divisor(field, tuple(alpha))
-    if not p.terms:
-        return p
-    # p as a polynomial in x_piv with Poly coefficients in the other variables
-    by_deg: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        k = e[piv]
-        e2 = list(e)
-        e2[piv] = 0
-        by_deg.setdefault(k, {})[tuple(e2)] = c
-    top = max(by_deg)
-
-    quot_levels: dict[int, Poly] = {}
-    carry = {k: Poly(p.nv, field, t) for k, t in by_deg.items()}
-    for k in range(top, 0, -1):
-        ck = carry.get(k)
-        if ck is None or ck.is_zero():
-            continue
-        qk = ck.scale(apiv_inv)
-        quot_levels[k - 1] = qk
-        low = qk * rest
-        prev = carry.get(k - 1, Poly.zero(p.nv, field))
-        carry[k - 1] = prev - low
-        del carry[k]
-    rem = carry.get(0)
-    if rem is not None and not rem.is_zero():
-        raise ValueError("not divisible")
-    out = {}
-    for k, q in quot_levels.items():
-        for e, c in q.terms.items():
-            e2 = list(e)
-            e2[piv] += k
-            out[tuple(e2)] = c
-    return Poly(p.nv, field, out)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import divide_by_linear_form
+
 import coxcov.differentials as differentials
 from coxcov.coinvariants import CoinvariantBasis
 from coxcov.differentials import (DunklParams, class_sums, de_rham,
@@ -14,9 +16,10 @@ from coxcov.differentials import (DunklParams, class_sums, de_rham,
                                   differential_identity_suite, dunkl,
                                   dunkl_squares, koszul_delta, nabla_s,
                                   random_class_function, random_weil)
+from coxcov.groups import mat_vec
 from coxcov.poly import Poly
 from coxcov.reports import CertificationError
-from coxcov.weil import B_QUOTIENT, FULL_WEIL, Weil
+from coxcov.weil import B_QUOTIENT, FULL_WEIL, Weil, wedge_mul
 
 
 def dunkl_by_reflection(params, w):
@@ -123,11 +126,46 @@ def test_nabla_root_scaling_invariance(stack_of):
             assert nabla_s(g, k, w) == nabla_s(g, k, w, alpha=scaled)
 
 
+def nabla_by_substitution(group, refl_idx, w, alpha):
+    """Oracle: nabla_s(a tensor b) = (alpha wedge s.a) tensor
+    (1 - s)b/(alpha, x) on the full ambient, acting through the group
+    element and dividing by long division."""
+    eidx = group.reflections[refl_idx][0]
+    alpha = tuple(group.field.coerce(c) for c in alpha)
+    form = mat_vec(group.gram, alpha, group.field)
+    alpha_vec = Weil.vector(alpha, group.field)
+    out = Weil.zero(group.rank, group.field, FULL_WEIL)
+    for mask, p in w.terms.items():
+        q = p - group.act_poly(eidx, p)
+        if q:
+            front = wedge_mul(alpha_vec, group.ext_image(eidx, mask))
+            out = out + front.scale_poly(divide_by_linear_form(q, form))
+    return out
+
+
+def test_nabla_matches_substitution_oracle(stack_of):
+    # every reflection, both ambients, the stored root and two rescalings
+    rng = random.Random(53)
+    for code in ["A2", "B3", "G2", "I2(5)", "H3"]:
+        st = stack_of(code)
+        g = st.group
+        for k, (_, alpha) in enumerate(g.reflections):
+            w = random_weil(g, rng)
+            wb = st.cb.nf_weil(random_weil(g, rng))
+            lift = CoinvariantBasis.lift(wb)
+            assert nabla_s(g, k, w) == nabla_by_substitution(g, k, w, alpha)
+            for t in (3, Fraction(-1, 2)):
+                scaled = tuple(c * t for c in alpha)
+                assert nabla_s(g, k, w, alpha=scaled) == \
+                    nabla_by_substitution(g, k, w, scaled)
+                assert nabla_s(g, k, wb, st.cb, alpha=scaled) == \
+                    st.cb.nf_weil(nabla_by_substitution(g, k, lift, scaled))
+
+
 def test_nabla_twisted_leibniz(stack_of):
     # graded form of the twisted rule: with the alpha-wedge on the left,
     # nabla(ab) = nabla(a) b + (-1)^{ext a} (s a) nabla(b) on elements of
     # homogeneous exterior degree
-    from coxcov.weil import wedge_mul
     rng = random.Random(43)
     st = stack_of("B2")
     g = st.group

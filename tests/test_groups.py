@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import divide_by_linear_form
+
+from coxcov.differentials import random_weil
 from coxcov.fields import QQ
 from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
                            build_group, canonical_code, mat_mul,
@@ -374,11 +377,28 @@ def test_root_permutations_act_on_roots(group_of):
                 [g.roots[k] for k in perm]
 
 
-def test_reflection_forms(group_of):
-    for code in ["A3", "G2", "H3"]:
-        g = group_of(code)
-        assert g.reflection_forms == [mat_vec(g.gram, a, g.field)
-                                      for _, a in g.reflections]
+@pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "G2", "I2(5)", "I2(8)", "H3", "F4"])
+def test_divided_difference_matches_long_division(code, group_of):
+    # oracle: p - s.p through the group element, then long division by
+    # (alpha, x); inputs are random polynomials and the partial derivatives
+    # of the basic invariants, which CovariantStack.u feeds to nabla_s
+    g = group_of(code)
+    rng = random.Random(len(code) + g.order)
+    inputs = [p for _ in range(4) for p in random_weil(
+        g, rng, max_poly_degree=6, n_terms=4).terms.values()]
+    inputs += [psi.partial(i) for psi in g.basic_invariants()
+               for i in range(g.rank)]
+    for eidx, alpha in g.reflections:
+        form = mat_vec(g.gram, alpha, g.field)
+        for p in inputs:
+            if code == "F4" and p.degree() == 11 and all(alpha):
+                # the oracle's act_poly takes about 8 s per dense root
+                # (+-1, +-1, +-1, +-1)/2 here; F4's constants acceptance
+                # check covers these inputs end to end
+                continue
+            want = divide_by_linear_form(p - g.act_poly(eidx, p), form)
+            assert g.divided_difference(alpha, p) == want
 
 
 # ---------------------------------------------------------------------------
@@ -416,5 +436,28 @@ def test_gram_certificate_survives_optimize():
             "    InnerProduct([[1, 2], [2, 1]], QQ)\n"
             "except CatalogueError:\n"
             "    raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert got.returncode == 3
+
+
+def test_planted_invariant_fails_certificate_optimized():
+    """Under python -O, a homogeneous candidate invariant that is not
+    W-invariant stops basic_invariants with a CertificationError."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "from coxcov.groups import ReflectionGroup, build_group\n"
+        "from coxcov.poly import Poly\n"
+        "from coxcov.reports import CertificationError\n"
+        "real = ReflectionGroup._compute_invariants\n"
+        "def planted(self):\n"
+        "    ps = real(self)\n"
+        "    return [ps[0], ps[1] + Poly.monomial((3, 1, 0), 1)] + ps[2:]\n"
+        "ReflectionGroup._compute_invariants = planted\n"
+        "try:\n"
+        "    build_group('B3').basic_invariants()\n"
+        "except CertificationError as err:\n"
+        "    ok = str(err) == 'candidate invariant not W-invariant'\n"
+        "    raise SystemExit(3 if ok else 4)\n")
     got = subprocess.run([sys.executable, "-O", "-c", code], env=env)
     assert got.returncode == 3

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import divide_by_linear_form
+
 from coxcov.fields import QQ, QSQRT5
-from coxcov.poly import Poly, divide_by_linear_form
+from coxcov.poly import Poly
 
 
 def xvar(i, nv=2, field=QQ):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from conftest import homogeneous_part
+
 from coxcov.fields import QQ
 from coxcov.poly import Poly
 from coxcov.weil import Weil, merge_sign, wedge_mul
@@ -77,7 +79,7 @@ def homogeneous_component(w, total):
     for mask, p in w.terms.items():
         k = bin(mask).count("1")
         if total >= k and (total - k) % 2 == 0:
-            part = p.homogeneous_part((total - k) // 2)
+            part = homogeneous_part(p, (total - k) // 2)
             if part:
                 out[mask] = part
     return Weil(w.r, w.field, out, w.ambient)
