@@ -20,14 +20,17 @@ above |T| reduce to zero outright.
 
 Every harmonic is kept as the vector {e: c * e!}, with the apolar weight
 multiplied in; in this form a derivative only shifts exponents, so every
-entry of every harmonic is an entry of the weighted Xi.  Over Q the whole
-normal form runs on integers.  Xi is content-normalised, so the weighted
-Xi is integral (the build raises ValueError if it is not), and the
-pairing inverse is kept as integers M / den from fraction-free
-elimination.  The input's coefficients are brought over one common
-denominator D once, the pairing vector and M times it are integer sums,
-and each output coefficient is one Fraction(num, den * D).  Over
-Q(theta) the same loops run on AlgNum scalars with den = D = 1.
+entry of every harmonic is an entry of the weighted Xi.  Xi is
+content-normalised, so the weighted Xi has integer coordinates (the build
+raises ValueError if it does not), and the inverse of the pairing matrix
+is kept as integer coordinates M over one denominator den: from
+fraction-free elimination over Q, from the field inverse with its
+denominators cleared over Q(theta).  A Poly already holds integer
+numerators over one denominator D (see ``poly``), so the normal form runs
+on integers alone, in one path for every field: the pairing vector and M
+times it are integer sums (over Q(theta) products of numerator tuples),
+and the result is those numerators over den * D, brought to lowest terms
+by one gcd.
 
 Pivot selection runs modulo a prime for speed; the choice is certified by
 the exact invertibility of the resulting pairing matrix.  A recorded layout
@@ -39,16 +42,15 @@ not fit falls back to the search.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
-from .fields import Scalar, clear_denominators
+from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
                      field_prime_and_root, inverse, modp_greedy_pivots,
-                     scalar_mod)
+                     num_mod)
 from .poly import Poly, grevlex_key
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
@@ -92,7 +94,7 @@ def hilbert_coinvariants(degrees, rank):
 
 def _pairing(h: Poly, p: Poly) -> Scalar:
     """Apolar pairing of two homogeneous polynomials of the same degree."""
-    small, big = (p, h) if len(p.terms) <= len(h.terms) else (h, p)
+    small, big = (p, h) if len(p.num) <= len(h.num) else (h, p)
     total = h.field.zero
     bterms = big.terms
     for e, c in small.terms.items():
@@ -103,69 +105,69 @@ def _pairing(h: Poly, p: Poly) -> Scalar:
 
 
 def _weighted(h: Poly) -> dict:
-    """h as {e: c * e!}, so that <h, p> = sum_e p[e] * weighted[e].
-
-    Over Q the entries must be integers (Xi is content-normalised); a
-    non-integral one raises ValueError.
-    """
-    out = {e: c * _weight(e) for e, c in h.terms.items()}
-    if not h.field.is_rational:
-        return out
-    if any(c.denominator != 1 for c in out.values()):
+    """h as {e: c * e!}, so that <h, p> = sum_e p[e] * weighted[e], with
+    integer coordinates (h is content-normalised); a non-integral one
+    raises ValueError."""
+    if h.den != 1:
         raise ValueError("harmonic with a non-integral coefficient")
-    return {e: c.numerator for e, c in out.items()}
+    if h.field.is_rational:
+        return {e: c * _weight(e) for e, c in h.num.items()}
+    return {e: tuple(x * _weight(e) for x in c) for e, c in h.num.items()}
 
 
 class _DegreeTable:
-    __slots__ = ("monos", "weighted", "indices", "inv", "den", "rational")
+    __slots__ = ("monos", "weighted", "indices", "inv", "den")
 
-    def __init__(self, monos, weighted, indices, inv, den, rational):
+    def __init__(self, monos, weighted, indices, inv, den):
         self.monos = monos          # standard monomials (expo tuples)
         self.weighted = weighted    # selected harmonics, in _weighted form
         self.indices = indices      # their derivative multi-indices
-        self.inv = inv              # pairing matrix inverse is inv / den:
-        self.den = den              # integers over Q, den = 1 over Q(theta)
-        self.rational = rational
+        self.inv = inv              # pairing matrix inverse is inv / den,
+        self.den = den              # integer coordinates over one den
 
-    def cleared(self, terms: dict):
-        """(integer terms, D) with terms = integer terms / D over Q;
-        (terms, 1) over Q(theta)."""
-        if not self.rational:
-            return terms, 1
-        nums, scale = clear_denominators(list(terms.values()))
-        return dict(zip(terms, nums)), scale
-
-    def pairing_vector(self, terms: dict) -> list:
-        """<h_i, p> for every harmonic h_i, p given by its terms."""
+    def pairing_vector(self, num: dict, field) -> list:
+        """<h_i, p> for every harmonic h_i, for p given by numerators (the
+        pairing vector of p is this over p's denominator)."""
+        mul = None if field.is_rational else field.mul_num
         out = []
         for wh in self.weighted:
-            s = 0
-            if len(terms) <= len(wh):
-                for e, c in terms.items():
-                    w = wh.get(e)
+            small, big = (num, wh) if len(num) <= len(wh) else (wh, num)
+            if mul is None:
+                s = 0
+                for e, c in small.items():
+                    w = big.get(e)
                     if w is not None:
                         s += c * w
             else:
-                for e, w in wh.items():
-                    c = terms.get(e)
-                    if c is not None:
-                        s += c * w
+                s = _sum_nums([mul(c, w) for e, c in small.items()
+                               if (w := big.get(e)) is not None], field)
             out.append(s)
         return out
 
-    def solve(self, v: list, scale=1) -> dict:
-        """Standard-monomial terms of the class whose pairing vector is
-        v / scale (v integer and scale a positive int over Q)."""
-        nz = [(i, vi) for i, vi in enumerate(v) if vi]
-        div = self.den * scale
+    def solve(self, v: list, field) -> dict:
+        """Standard-monomial numerators, over ``den`` times the
+        denominator of v, of the class whose pairing vector is v."""
+        mul = None if field.is_rational else field.mul_num
+        nz = [(i, vi) for i, vi in enumerate(v)
+              if (vi if mul is None else any(vi))]
         out = {}
         for mono, row in zip(self.monos, self.inv):
-            num = 0
-            for i, vi in nz:
-                num += row[i] * vi
-            if num:
-                out[mono] = Fraction(num, div) if self.rational else num
+            if mul is None:
+                s = 0
+                for i, vi in nz:
+                    s += row[i] * vi
+                if s:
+                    out[mono] = s
+            else:
+                s = _sum_nums([mul(row[i], vi) for i, vi in nz], field)
+                if any(s):
+                    out[mono] = s
         return out
+
+
+def _sum_nums(nums: list, field) -> tuple:
+    """The sum of numerator tuples of Q(theta)."""
+    return tuple(map(sum, zip(*nums))) if nums else (0,) * field.degree
 
 
 class CoinvariantBasis:
@@ -196,9 +198,10 @@ class CoinvariantBasis:
             d = psi.degree()
             if d > self.top:
                 continue
+            psi_terms = psi.terms
             for m in monomials_of_degree(self.rank, self.top - d):
                 total = self.field.zero
-                for e, c in psi.terms.items():
+                for e, c in psi_terms.items():
                     key = tuple(a + b for a, b in zip(e, m))
                     v = xi_terms.get(key)
                     if v is not None:
@@ -284,7 +287,7 @@ class CoinvariantBasis:
             mat = np.zeros((len(cands), len(monos)), dtype=np.int64)
             for i, (_, wh) in enumerate(cands):
                 for e, c in wh.items():
-                    mat[i, mono_pos[e]] = scalar_mod(c, p, root, self.field)
+                    mat[i, mono_pos[e]] = num_mod(c, p, root)
             rows, cols = modp_greedy_pivots(mat, p, k)
             if len(rows) == k:
                 try:
@@ -300,27 +303,35 @@ class CoinvariantBasis:
     def _table(self, chosen, monos) -> _DegreeTable:
         """Table of the chosen (index, weighted harmonic) pairs against
         the standard monomials, with the exact inverse of the pairing matrix
-        P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den; ValueError if P
-        is singular.
+        P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den with integer
+        coordinates; ValueError if P is singular.
 
-        Over Q, M and den are integers from fraction-free elimination; over
-        Q(theta), M is the inverse itself and den = 1.
+        Over Q, M and den come from fraction-free elimination; over
+        Q(theta), from the field inverse over the lcm of its denominators.
         """
         weighted = [wh for _, wh in chosen]
-        rows = [[wh.get(m, 0) for m in monos] for wh in weighted]
-        if self.field.is_rational:
-            inv, den = bareiss_jordan_inverse(rows)
+        field = self.field
+        if field.is_rational:
+            inv, den = bareiss_jordan_inverse(
+                [[wh.get(m, 0) for m in monos] for wh in weighted])
+            if den < 0:
+                inv, den = [[-x for x in row] for row in inv], -den
         else:
-            inv, den = inverse(rows, self.field), 1
-        return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den,
-                            self.field.is_rational)
+            zero = (0,) * field.degree
+            inv = inverse([[field.from_num(wh.get(m, zero)) for m in monos]
+                           for wh in weighted], field)
+            den = lcm(*(x.den for row in inv for x in row))
+            inv = [[tuple(n * (den // x.den) for n in x.num) for x in row]
+                   for row in inv]
+        return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den)
 
     def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""
+        to = self.field.from_num
         solver = SparseSolver()
         chosen = []
         for cand in cands:
-            if solver.add(cand[1]):
+            if solver.add({e: to(c) for e, c in cand[1].items()}):
                 chosen.append(cand)
             if len(chosen) == k:
                 break
@@ -330,7 +341,8 @@ class CoinvariantBasis:
         cols = []
         colsolver = SparseSolver()
         for m in monos:
-            col = {i: wh[m] for i, (_, wh) in enumerate(chosen) if m in wh}
+            col = {i: to(wh[m]) for i, (_, wh) in enumerate(chosen)
+                   if m in wh}
             if colsolver.add(col):
                 cols.append(m)
             if len(cols) == k:
@@ -370,32 +382,38 @@ class CoinvariantBasis:
     # -- normal forms -----------------------------------------------------------
 
     def _parts(self, p: Poly):
-        """(degree, terms) of the homogeneous parts of p of degree <= top,
-        in increasing degree."""
+        """(degree, numerators) of the homogeneous parts of p of degree
+        <= top, in increasing degree; all over p.den."""
         parts: dict[int, dict] = {}
-        for e, c in p.terms.items():
+        for e, c in p.num.items():
             d = sum(e)
             if d <= self.top:
                 parts.setdefault(d, {})[e] = c
         return sorted(parts.items())
+
+    def harmonic_class(self, d: int, v: list, den: int) -> Poly:
+        """The degree-d class, on standard monomials, whose pairing
+        vector against the degree-d harmonics is v / den (v numerators)."""
+        t = self.tables[d]
+        return Poly.from_num(self.rank, self.field, t.solve(v, self.field),
+                             t.den * den)
 
     def nf_poly(self, p: Poly) -> Poly:
         """Normal form of p modulo J, supported on standard monomials."""
         if p.is_zero():
             return p
         out = Poly.zero(self.rank, self.field)
-        for d, terms in self._parts(p):
-            t = self.tables[d]
-            terms, scale = t.cleared(terms)
-            out = out + Poly(self.rank, self.field,
-                             t.solve(t.pairing_vector(terms), scale))
+        for d, num in self._parts(p):
+            out = out + self.harmonic_class(
+                d, self.tables[d].pairing_vector(num, self.field), p.den)
         return out
 
     def in_j(self, p: Poly) -> bool:
         """Exact ideal membership through the harmonic pairing."""
-        for d, terms in self._parts(p):
-            t = self.tables[d]
-            if any(t.pairing_vector(t.cleared(terms)[0])):
+        nonzero = bool if self.field.is_rational else any
+        for d, num in self._parts(p):
+            v = self.tables[d].pairing_vector(num, self.field)
+            if any(nonzero(x) for x in v):
                 return False
         return True
 
@@ -424,9 +442,9 @@ class CoinvariantBasis:
         """Basis of the inverse system of J in degree d (plain pairing)."""
         if d > self.top:
             return []
+        to = self.field.from_num
         return [Poly(self.rank, self.field,
-                     {e: self.field.coerce(c) / _weight(e)
-                      for e, c in wh.items()})
+                     {e: to(c, _weight(e)) for e, c in wh.items()})
                 for wh in self.tables[d].weighted]
 
     def invariant_harmonics(self, d: int):

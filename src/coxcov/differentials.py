@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coinvariants import CoinvariantBasis
 from .fields import Scalar, scalar_inverse
@@ -142,8 +143,8 @@ def class_sums(group: ReflectionGroup, w: Weil, classes=None,
 
     ``images`` is an optional dict owned by the caller.  When it is given,
     N_C is applied by linearity: each image N_C(b_mask tensor x^e) is
-    computed once, by the direct sum, and kept there as raw terms
-    {mask: {expo: coeff}} under (C, mask, e) for later calls.
+    computed once, by the direct sum, and kept there as its terms
+    {mask: Poly} under (C, mask, e) for later calls.
     """
     if classes is None:
         classes = range(len(group.reflection_classes))
@@ -156,25 +157,27 @@ def class_sums(group: ReflectionGroup, w: Weil, classes=None,
 
     if images is None:
         return [direct(ci, w) for ci in classes]
+    # the input's coefficients as numerators over one denominator
+    den = lcm(*(p.den for p in w.terms.values()))
     out = []
     for ci in classes:
         acc: dict = {}
         for mask, p in w.terms.items():
-            for e, c in p.terms.items():
+            k = den // p.den
+            for e, c in p.num.items():
                 img = images.get((ci, mask, e))
                 if img is None:
                     basis = Weil(r, field,
-                                 {mask: Poly(r, field, {e: field.one})})
-                    img = images[(ci, mask, e)] = {
-                        m: q.terms for m, q in direct(ci, basis).terms.items()}
-                for m, terms in img.items():
-                    dst = acc.setdefault(m, {})
-                    for e2, c2 in terms.items():
-                        cur = dst.get(e2)
-                        dst[e2] = c * c2 if cur is None else cur + c * c2
+                                 {mask: Poly(r, field, {e: 1})})
+                    img = images[(ci, mask, e)] = direct(ci, basis).terms
+                if k != 1:
+                    c = c * k if field.is_rational else \
+                        tuple(x * k for x in c)
+                for m, q in img.items():
+                    acc.setdefault(m, []).append((c, q))
         out.append(Weil(r, field, {
-            m: Poly(r, field, nz) for m, terms in acc.items()
-            if (nz := {e: c for e, c in terms.items() if c})}))
+            m: q for m, items in acc.items()
+            if (q := Poly.combination(r, field, items, den))}))
     return out
 
 

@@ -7,9 +7,20 @@ terms, so equal values have equal representations and zero is
 ``(0, ..., 0)/1``.  The minimal polynomials are monic with integer
 coefficients, so theta^deg has integer coordinates; products are reduced
 with them and never leave the integers, and inverses come from
-fraction-free elimination on the same integers.  All arithmetic is exact.
-Irreducibility of the catalogued minimal polynomials is asserted, not
-computed.
+fraction-free elimination on the same integers.
+
+The integer layer is shared with ``Poly``, which keeps whole polynomials
+as numerators over one denominator: ``Field.mul_num`` multiplies two
+numerator tuples, ``Field.clear`` brings scalars over one denominator and
+``Field.from_num`` builds the scalar back.  Over Q a numerator is a plain
+``int``.
+
+Each extension carries a rational isolating interval for theta, so the
+sign of a scalar is decided exactly: the interval is bisected on the
+minimal polynomial until interval arithmetic on the power basis fixes the
+sign.  No float enters any of it.  Irreducibility of the catalogued
+minimal polynomials, and that each interval holds a single root, are
+asserted, not computed.
 """
 
 from __future__ import annotations
@@ -24,12 +35,15 @@ class Field:
 
     ``min_poly`` is given low-to-high including the leading 1; a polynomial
     that is not monic or has a non-integral coefficient raises ValueError.
-    ``embedding`` is a float locating which real root theta denotes; it is
-    used only for documentation/positivity reporting, never for arithmetic.
+    ``root_interval`` is a pair of positive rationals ``lo < hi`` with
+    exactly one root of ``min_poly`` between them, which is the real theta
+    the field denotes; ``sign`` reads it, and a field without one has no
+    order.  ``min_poly`` must change sign across the interval (ValueError
+    otherwise).
     """
 
     def __init__(self, name: str, min_poly: Sequence[int] = (0, 1),
-                 embedding: float = 0.0):
+                 root_interval=None):
         coeffs = [Fraction(c) for c in min_poly]
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
@@ -39,9 +53,18 @@ class Field:
         self.name = name
         self.min_poly = tuple(int(c) for c in coeffs)
         self.degree = len(coeffs) - 1
-        self.embedding = embedding
+        if root_interval is not None:
+            lo, hi = map(Fraction, root_interval)
+            if not (0 < lo < hi and _sign(_horner(self.min_poly, lo))
+                    * _sign(_horner(self.min_poly, hi)) < 0):
+                raise ValueError("root interval does not isolate a positive "
+                                 "root of the minimal polynomial")
+            root_interval = (lo, hi)
+        self.root_interval = root_interval
         # integer coordinates of theta^degree
         self._top = tuple(-c for c in self.min_poly[:-1])
+        self.mul_num = self._mul_quadratic if self.degree == 2 \
+            else self._mul_general
         self._zero = None
         self._one = None
 
@@ -111,23 +134,113 @@ class Field:
             raise ValueError("Q has no generator theta")
         return self.scalar(0, 1)
 
-    def approx(self, x) -> float:
-        """Float value in the designated real embedding; InnerProduct
-        reads the sign of a Gram minor from it."""
-        cs = self.coords(x)
-        return float(sum(float(c) * self.embedding ** i for i, c in enumerate(cs)))
+    # -- integer numerators ---------------------------------------------
+
+    def from_num(self, num, den: int = 1) -> "Scalar":
+        """The scalar num / den, for a numerator: an int over Q, a tuple of
+        ints in the power basis over Q(theta)."""
+        if self.degree == 1:
+            return Fraction(num, den)
+        return AlgNum(self, num, den)
+
+    def clear(self, values: Sequence) -> tuple[list, int]:
+        """Numerators ``nums`` and the least ``den > 0`` with ``values[i]
+        == nums[i] / den``, for any scalars of the field."""
+        xs = [self.coerce(v) for v in values]
+        if self.degree == 1:
+            return clear_denominators(xs)
+        den = lcm(*(x.den for x in xs))
+        return [tuple(n * (den // x.den) for n in x.num) for x in xs], den
+
+    def _mul_quadratic(self, a: tuple, b: tuple) -> tuple:
+        (a0, a1), (b0, b1) = a, b
+        r0, r1 = self._top
+        hi = a1 * b1
+        return (a0 * b0 + hi * r0, a0 * b1 + a1 * b0 + hi * r1)
+
+    def _mul_general(self, a: tuple, b: tuple) -> tuple:
+        """Product of two numerator tuples: the convolution, then theta^k
+        for k >= degree folded down by theta^degree = sum top_j theta^j."""
+        d = self.degree
+        c = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    c[i + j] += x * y
+        top = self._top
+        for k in range(2 * d - 2, d - 1, -1):
+            h = c[k]
+            if h:
+                for j, t in enumerate(top, k - d):
+                    c[j] += h * t
+        return tuple(c[:d])
+
+    # -- order --------------------------------------------------------------
+
+    def sign(self, x) -> int:
+        """Exact sign (-1, 0 or 1) of a scalar at the real theta.
+
+        Over Q(theta) the isolating interval [lo, hi] of theta is bisected
+        on the minimal polynomial until the value of num(t) = sum n_i t^i
+        over the interval, bounded termwise (lo > 0, so t^i runs from lo^i
+        to hi^i), excludes zero.  A nonzero scalar is nonzero at theta, so
+        this ends.  ValueError for a field without a root interval.
+        """
+        if self.degree == 1:
+            return _sign(Fraction(x))
+        x = self.coerce(x)
+        if not x:
+            return 0
+        if self.root_interval is None:
+            raise ValueError(f"{self.name} has no real root interval")
+        lo, hi = self.root_interval
+        low_sign = _sign(_horner(self.min_poly, lo))
+        while True:
+            vlo = vhi = 0
+            plo = phi = 1
+            for n in x.num:
+                a, b = n * plo, n * phi
+                vlo += min(a, b)
+                vhi += max(a, b)
+                plo *= lo
+                phi *= hi
+            if vlo > 0:
+                return 1
+            if vhi < 0:
+                return -1
+            mid = (lo + hi) / 2
+            if _sign(_horner(self.min_poly, mid)) == low_sign:
+                lo = mid
+            else:
+                hi = mid
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def _horner(coeffs: Sequence[int], t: Fraction) -> Fraction:
+    """The polynomial with low-to-high ``coeffs`` at t."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 QQ = Field("QQ")
 
 # sqrt(5) > 0; houses H3, H4, I2(5) via 2cos(pi/5) = (1+theta)/2
-QSQRT5 = Field("Q(sqrt5)", (-5, 0, 1), embedding=2.2360679774997896)
+QSQRT5 = Field("Q(sqrt5)", (-5, 0, 1), root_interval=(2, 3))
 
-# theta = 2cos(pi/8), minimal polynomial t^4 - 4t^2 + 2
-QCOSPI8 = Field("Q(2cos(pi/8))", (2, 0, -4, 0, 1), embedding=1.8477590650225735)
+# theta = 2cos(pi/8) = 1.84..., minimal polynomial t^4 - 4t^2 + 2 (its
+# other roots are -1.84..., +-0.76...)
+QCOSPI8 = Field("Q(2cos(pi/8))", (2, 0, -4, 0, 1),
+                root_interval=(Fraction(3, 2), 2))
 
-# theta = 2cos(pi/7), minimal polynomial t^3 - t^2 - 2t + 1
-QCOSPI7 = Field("Q(2cos(pi/7))", (1, -2, -1, 1), embedding=1.8019377358048383)
+# theta = 2cos(pi/7) = 1.80..., minimal polynomial t^3 - t^2 - 2t + 1 (its
+# other roots are 2cos(3pi/7) = 0.44... and 2cos(5pi/7) = -1.24...)
+QCOSPI7 = Field("Q(2cos(pi/7))", (1, -2, -1, 1),
+                root_interval=(Fraction(3, 2), 2))
 
 
 class AlgNum:
@@ -233,11 +346,8 @@ class AlgNum:
                 return AlgNum(field, (a0 * b0 + hi * r0,
                                       a0 * b1 + a1 * b0 + hi * r1),
                               self.den * other.den)
-            num = [0] * d
-            for bj, col in zip(other.num, self._columns()):
-                if bj:
-                    num = [x + bj * y for x, y in zip(num, col)]
-            return AlgNum(field, num, self.den * other.den)
+            return AlgNum(field, field.mul_num(self.num, other.num),
+                          self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return AlgNum(self.field, [n * other.numerator for n in self.num],
                           self.den * other.denominator)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import det, inverse
@@ -156,12 +157,11 @@ class InnerProduct:
         if any(self.gram[i][j] != self.gram[j][i]
                for i in range(n) for j in range(n)):
             raise CatalogueError("gram not symmetric")
-        # positive definiteness via leading principal minors: exact over
-        # the rationals, through the designated real embedding otherwise
+        # positive definiteness via leading principal minors, with their
+        # exact signs at the field's real theta
         for k in range(1, n + 1):
             minor = det([row[:k] for row in self.gram[:k]], field)
-            if not (minor > 0 if field.is_rational
-                    else field.approx(minor) > 0):
+            if field.sign(minor) <= 0:
                 raise CatalogueError("gram not positive definite")
         self.inverse = tuple(tuple(r) for r in inverse(self.gram, field))
 
@@ -441,43 +441,76 @@ class ReflectionGroup:
             (p - s.p)/l = sum_{k>=1} (-1)^{k+1} c^k l^{k-1} D_alpha^k p / k!,
         summed here by Horner's rule in l.  Scaling alpha by t scales the
         result by 1/t.  It is zero exactly when s.p = p.
+
+        Everything runs on p's integer numerators: c alpha and -G alpha
+        are kept as numerators over one denominator each, the 1/k of each
+        Taylor step and those denominators go into the denominator of the
+        step, and one gcd at the end brings the result to canonical form.
         """
+        f = self.field
         data = self._taylor_data.get(alpha)
         if data is None:
-            f = self.field
             form = mat_vec(self.gram, alpha, f)
             norm = sum((a * g for a, g in zip(alpha, form) if a), f.zero)
-            data = ([(i, a) for i, a in enumerate(alpha) if a],
-                    [(i, -g) for i, g in enumerate(form) if g],
-                    2 * scalar_inverse(norm))
+            c = 2 * scalar_inverse(norm)
+            steps, step_den = f.clear([c * a for a in alpha])
+            minus, minus_den = f.clear([-g for g in form])
+            nonzero = bool if f.degree == 1 else any
+            data = ([(i, a) for i, a in enumerate(steps) if nonzero(a)],
+                    step_den,
+                    [(i, g) for i, g in enumerate(minus) if nonzero(g)],
+                    minus_den)
             self._taylor_data[alpha] = data
-        direction, minus_form, c = data
-        # u_k = c^k D_alpha^k p / k! = (c/k) D_alpha u_{k-1}, from u_0 = p
-        taylor = [p.terms]
-        while taylor[-1]:
-            steps = [(i, a * c / len(taylor)) for i, a in direction]
+        steps, step_den, minus_form, minus_den = data
+        rational = f.degree == 1
+        mul = None if rational else f.mul_num
+        # u_k = c^k D_alpha^k p / k! = (c/k) D_alpha u_{k-1}, from u_0 = p,
+        # kept as (U_k, D_k) with u_k = U_k / D_k and D_k = D_{k-1} k step_den
+        taylor = []
+        u, den = p.num, p.den
+        while True:
             nxt: dict = {}
-            for e, v in taylor[-1].items():
+            get = nxt.get
+            for e, v in u.items():
                 for i, a in steps:
                     n = e[i]
                     if n:
                         e2 = e[:i] + (n - 1,) + e[i + 1:]
-                        t = v * (a * n)
-                        s = nxt.get(e2)
-                        nxt[e2] = t if s is None else s + t
-            taylor.append({e: v for e, v in nxt.items() if v})
-        # Horner in -l: u_1 - l (u_2 - l (u_3 - ...))
-        acc: dict = {}
-        for u in reversed(taylor[1:]):
-            nxt = dict(u)
+                        if rational:
+                            nxt[e2] = get(e2, 0) + a * n * v
+                        else:
+                            t = mul(a, v)
+                            s = get(e2)
+                            nxt[e2] = tuple(x * n for x in t) if s is None \
+                                else tuple(y + x * n for x, y in zip(t, s))
+            u = {e: v for e, v in nxt.items() if (v if rational else any(v))}
+            if not u:
+                break
+            den *= (len(taylor) + 1) * step_den
+            taylor.append((u, den))
+        if not taylor:
+            return Poly.zero(self.rank, f)
+        # Horner in -l: u_1 - l (u_2 - l (u_3 - ...)), over a denominator
+        # that every D_k divides
+        acc, den = taylor.pop()
+        for u, dk in reversed(taylor):
+            den *= minus_den
+            k = den // dk
+            nxt = {e: v * k for e, v in u.items()} if rational else \
+                {e: tuple(x * k for x in v) for e, v in u.items()}
+            get = nxt.get
             for e, v in acc.items():
                 for i, g in minus_form:
                     e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                    t = v * g
-                    s = nxt.get(e2)
-                    nxt[e2] = t if s is None else s + t
+                    if rational:
+                        nxt[e2] = get(e2, 0) + v * g
+                    else:
+                        t = mul(v, g)
+                        s = get(e2)
+                        nxt[e2] = t if s is None else tuple(map(add, s, t))
             acc = nxt
-        return Poly(self.rank, self.field, {e: v for e, v in acc.items() if v})
+        return Poly.from_num(self.rank, f, {
+            e: v for e, v in acc.items() if (v if rational else any(v))}, den)
 
     def _subst_forms(self, w_idx: int):
         forms = self._act_forms.get(w_idx)
@@ -518,10 +551,10 @@ class ReflectionGroup:
         cached per element."""
         if w_idx == self.identity_index:
             return p
-        out = Poly.zero(self.rank, self.field)
-        for e, c in p.terms.items():
-            out = out + self.act_monomial(w_idx, e).scale(c)
-        return out
+        return Poly.combination(
+            self.rank, self.field,
+            ((c, self.act_monomial(w_idx, e)) for e, c in p.num.items()),
+            p.den)
 
     def ext_image(self, w_idx: int, mask: int) -> Weil:
         """Image under w of the exterior monomial ``mask``: the wedge of

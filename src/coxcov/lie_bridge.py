@@ -322,7 +322,7 @@ def phi_even_to_h(L: LieAlgebraData, xi: dict) -> Poly:
     by_deg: dict[int, dict] = {}
     for mask, c in xi.items():
         by_deg.setdefault(bin(mask).count("1"), {})[mask] = c
-    terms = {}
+    out = Poly.zero(L.rank, QQ)
     cb = L.cb
     for deg, part in by_deg.items():
         if deg % 2:
@@ -332,8 +332,8 @@ def phi_even_to_h(L: LieAlgebraData, xi: dict) -> Poly:
             continue
         harms = cb.invariant_harmonics(m)
         vals = [_ext_pairing(L, tau_map(L, a), part) for a in harms]
-        terms.update(cb.tables[m].solve(*clear_denominators(vals)))
-    return Poly(L.rank, QQ, terms)
+        out = out + cb.harmonic_class(m, *clear_denominators(vals))
+    return out
 
 
 def phi_map(L: LieAlgebraData, xi: dict) -> Weil:

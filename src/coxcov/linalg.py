@@ -21,9 +21,7 @@ loads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import AlgNum, Field, Scalar, bareiss_jordan, scalar_inverse
+from .fields import Field, bareiss_jordan, scalar_inverse
 from .reports import CertificationError
 
 
@@ -254,15 +252,15 @@ def field_prime_and_root(field: Field, start: int = 99991):
         p += 2
 
 
-def scalar_mod(x: Scalar, p: int, root: int, field: Field) -> int:
-    """Image of a scalar in Z/p under theta -> root."""
-    if isinstance(x, AlgNum):
-        acc = 0
-        for c in reversed(x.num):
-            acc = (acc * root + c) % p
-        return acc * pow(x.den, -1, p) % p
-    f = Fraction(x)
-    return f.numerator % p * pow(f.denominator, -1, p) % p
+def num_mod(num, p: int, root: int) -> int:
+    """Image in Z/p, under theta -> root, of an integer numerator: an int,
+    or a tuple of power-basis coordinates."""
+    if isinstance(num, int):
+        return num % p
+    acc = 0
+    for c in reversed(num):
+        acc = (acc * root + c) % p
+    return acc
 
 
 def modp_greedy_pivots(matrix, p: int, max_rank: int):

@@ -138,7 +138,7 @@ class Weil:
         out = set()
         for mask, p in self.terms.items():
             k = bin(mask).count("1")
-            for e in p.terms:
+            for e in p.num:
                 out.add((k, sum(e)))
         return out
 

@@ -1,8 +1,11 @@
+from math import gcd
+
 import pytest
 
 from coxcov.covariants import CovariantStack
 from coxcov.fields import scalar_inverse
 from coxcov.groups import build_group
+from coxcov.linalg import inverse
 from coxcov.poly import Poly
 
 _GROUPS = {}
@@ -84,3 +87,114 @@ def divide_by_linear_form(p, alpha):
             e2[piv] += k
             out[tuple(e2)] = c
     return Poly(p.nv, field, out)
+
+
+# -- scalar-dict oracles: the Fraction / AlgNum loops that the integer
+# kernels of Poly, divided_difference and nf_poly replaced -------------------
+
+def assert_canonical(p):
+    """The canonical integer form of a Poly: den > 0, gcd 1 with every
+    numerator entry, no zero numerator stored."""
+    assert type(p.den) is int and p.den > 0
+    entries = []
+    for c in p.num.values():
+        if p.field.is_rational:
+            assert type(c) is int and c
+            entries.append(c)
+        else:
+            assert type(c) is tuple and len(c) == p.field.degree
+            assert all(type(x) is int for x in c) and any(c)
+            entries.extend(c)
+    assert gcd(p.den, *entries) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+def scalar_add(a, b):
+    """{expo: scalar} of a + b, term by term on scalars."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def scalar_mul(a, b):
+    """{expo: scalar} of a * b, term by term on scalars."""
+    out = {}
+    for e2, c2 in b.terms.items():
+        for e1, c1 in a.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def scalar_divided_difference(group, alpha, p):
+    """{expo: scalar} of (p - s.p)/(alpha, x): the Taylor sum of
+    ``ReflectionGroup.divided_difference`` on scalar term dicts."""
+    f = group.field
+    form = [sum((g * a for g, a in zip(row, alpha)), f.zero)
+            for row in group.gram]
+    c = 2 * scalar_inverse(sum((a * g for a, g in zip(alpha, form)),
+                               f.zero))
+    taylor = [p.terms]
+    while taylor[-1]:
+        nxt = {}
+        for e, v in taylor[-1].items():
+            for i, a in enumerate(alpha):
+                if a and e[i]:
+                    e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    t = v * a * c * e[i] / len(taylor)
+                    nxt[e2] = nxt[e2] + t if e2 in nxt else t
+        taylor.append({e: v for e, v in nxt.items() if v})
+    acc = {}
+    for u in reversed(taylor[1:]):
+        nxt = dict(u)
+        for e, v in acc.items():
+            for i, g in enumerate(form):
+                if g:
+                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    nxt[e2] = nxt[e2] - v * g if e2 in nxt else -v * g
+        acc = nxt
+    return {e: v for e, v in acc.items() if v}
+
+
+def scalar_nf(cb, p):
+    """{expo: scalar} of the normal form of p: the pairing vector against
+    the weighted harmonics and the solve on scalars, with the inverse of
+    the pairing matrix from Gauss-Jordan over the field."""
+    field = cb.field
+    to = field.from_num
+    parts = {}
+    for e, c in p.terms.items():
+        if sum(e) <= cb.top:
+            parts.setdefault(sum(e), {})[e] = c
+    out = {}
+    for d, terms in parts.items():
+        t = cb.tables[d]
+        weighted = [{e: to(c) for e, c in wh.items()} for wh in t.weighted]
+        inv = inverse([[wh.get(m, field.zero) for m in t.monos]
+                       for wh in weighted], field)
+        vals = []
+        for wh in weighted:
+            s = field.zero
+            for e, c in terms.items():
+                w = wh.get(e)
+                if w is not None:
+                    s = s + c * w
+            vals.append(s)
+        for mono, row in zip(t.monos, inv):
+            s = field.zero
+            for r, v in zip(row, vals):
+                s = s + r * v
+            if s:
+                out[mono] = s
+    return out

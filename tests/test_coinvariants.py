@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import homogeneous_part
+from conftest import assert_canonical, homogeneous_part, scalar_nf
 
 from coxcov.coinvariants import (CoinvariantBasis, hilbert_coinvariants,
                                  monomials_of_degree)
@@ -330,3 +330,40 @@ def test_exact_fallback_build(group_of, monkeypatch, code):
             if diff:
                 assert not solver.reduce_only(dict(diff.terms)), \
                     (code, d, m)
+
+
+@pytest.mark.parametrize("code", ["A3", "B3", "H3", "I2(5)", "I2(8)"])
+def test_nf_poly_matches_scalar_oracle(code, stack_of):
+    # every degree table: the integer pairing vector and solve against the
+    # scalar loops, with the pairing inverse from Gauss-Jordan
+    st = stack_of(code)
+    g, cb = st.group, st.cb
+    rng = random.Random(cb.top)
+    for d in range(cb.top + 2):
+        monos = monomials_of_degree(g.rank, d)
+        for _ in range(2):
+            p = Poly(g.rank, g.field, {
+                m: g.field.scalar(*[Fraction(rng.randrange(-9, 10),
+                                             rng.randrange(1, 5))
+                                    for _ in range(g.field.degree)])
+                for m in rng.sample(monos, min(4, len(monos)))})
+            p = p + Poly.monomial((0,) * (g.rank - 1) + (d - 1,),
+                                  Fraction(1, 3), g.field) if d else p
+            got = cb.nf_poly(p)
+            assert_canonical(got)
+            assert got.terms == scalar_nf(cb, p)
+            assert cb.in_j(p - got)
+    for t in cb.tables.values():
+        assert type(t.den) is int and t.den > 0
+
+
+def test_table_denominator_is_positive(stack_of):
+    # fraction-free elimination can end on a negative pivot; the table keeps
+    # den > 0 so that the normal forms built over it are canonical
+    cb = stack_of("A1").cb
+    t = cb._table([((0,), {(1,): -2})], [(1,)])
+    assert t.den > 0 and Fraction(t.inv[0][0], t.den) == Fraction(-1, 2)
+    cb = stack_of("I2(5)").cb
+    t = cb._table([((0, 0), {(1, 0): (-2, 0)})], [(1, 0)])
+    assert t.den > 0 and cb.field.from_num(t.inv[0][0], t.den) == \
+        Fraction(-1, 2)

@@ -99,7 +99,7 @@ def ref_inverse(min_poly, a):
 
 # theta = 2cos(pi/5), the golden ratio: a quadratic field whose theta^2 has
 # a nonzero theta coordinate, unlike Q(sqrt5)
-QPHI = Field("Q(phi)", (-1, -1, 1), embedding=1.618033988749895)
+QPHI = Field("Q(phi)", (-1, -1, 1), root_interval=(Fraction(3, 2), 2))
 
 
 def assert_canonical(x):
@@ -261,14 +261,69 @@ def test_field_rejects_non_monic_or_non_integral(min_poly):
 
 
 @pytest.mark.parametrize("field", [QSQRT5, QCOSPI7, QCOSPI8])
-def test_multiplication_matches_real_embedding(field):
-    # float oracle for the power-basis reduction tables
+def test_exact_sign_is_multiplicative(field):
+    # an order on the field: sign(ab) = sign(a) sign(b), sign(-a) = -sign(a),
+    # and positives are closed under addition
     rng = random.Random(5)
+    signs = set()
     for _ in range(40):
-        a = field.scalar(*[rng.randrange(-3, 4) for _ in range(field.degree)])
+        a = field.scalar(*[Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                           for _ in range(field.degree)])
         b = field.scalar(*[rng.randrange(-3, 4) for _ in range(field.degree)])
-        assert abs(field.approx(a * b) -
-                   field.approx(a) * field.approx(b)) < 1e-6
+        assert field.sign(a * b) == field.sign(a) * field.sign(b)
+        assert field.sign(-a) == -field.sign(a)
+        if field.sign(a) > 0 and field.sign(b) > 0:
+            assert field.sign(a + b) == 1
+        signs.add(field.sign(a))
+    assert {-1, 1} <= signs
+
+
+@pytest.mark.parametrize("field", [QSQRT5, QCOSPI7, QCOSPI8, QPHI])
+def test_root_interval_isolates_theta(field):
+    # every root is real and simple, so degree sign changes of min_poly on
+    # a grid locate all of them; exactly one lies in the root interval
+    lo, hi = field.root_interval
+    grid = [Fraction(k, 64) for k in range(-3 * 64, 3 * 64 + 1)]
+
+    def value(t):
+        return sum(c * t ** i for i, c in enumerate(field.min_poly))
+
+    changes = [(s, t) for s, t in zip(grid, grid[1:])
+               if value(s) * value(t) < 0]
+    assert all(value(t) for t in grid)
+    assert len(changes) == field.degree
+    assert sum(lo <= s and t <= hi for s, t in changes) == 1
+    t = field.theta()
+    assert field.sign(t - lo) == 1 and field.sign(t - hi) == -1
+    assert field.sign(field.zero) == 0
+    assert field.sign(Fraction(-1, 3)) == -1
+
+
+def test_exact_sign_of_tiny_values():
+    # F_n sqrt5 - L_n = -2 psi^n with psi = (1 - sqrt5)/2: |psi^78| ~ 5e-17,
+    # far below float resolution at F_78 sqrt5 ~ 2e16
+    fib, luc = [0, 1], [2, 1]
+    for _ in range(80):
+        fib.append(fib[-1] + fib[-2])
+        luc.append(luc[-1] + luc[-2])
+    for n in (77, 78, 79, 80):
+        x = QSQRT5.scalar(-luc[n], fib[n])
+        assert QSQRT5.sign(x) == (1 if n % 2 else -1)
+    assert QQ.sign(Fraction(1, 10 ** 30)) == 1
+    assert QQ.sign(0) == 0
+
+
+def test_sign_needs_a_root_interval():
+    bare = Field("Q(phi) without an order", (-1, -1, 1))
+    with pytest.raises(ValueError, match="root interval"):
+        bare.sign(bare.theta())
+    assert bare.sign(bare.zero) == 0
+
+
+@pytest.mark.parametrize("interval", [(2, 3), (0, 1), (-2, 2), (2, 1)])
+def test_field_rejects_interval_without_one_sign_change(interval):
+    with pytest.raises(ValueError, match="root interval"):
+        Field("Q(phi)", (-1, -1, 1), root_interval=interval)
 
 
 def test_minimal_polynomial_root():

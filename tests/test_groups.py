@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import divide_by_linear_form
+from conftest import (assert_canonical, divide_by_linear_form,
+                      scalar_divided_difference)
 
 from coxcov.differentials import random_weil
-from coxcov.fields import QQ
+from coxcov.fields import QQ, QSQRT5
 from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
                            build_group, canonical_code, mat_mul,
                            mat_transpose, mat_vec)
@@ -401,6 +402,24 @@ def test_divided_difference_matches_long_division(code, group_of):
             assert g.divided_difference(alpha, p) == want
 
 
+@pytest.mark.parametrize("code", ["A3", "B3", "H3", "I2(5)", "I2(7)", "I2(8)"])
+def test_divided_difference_matches_scalar_oracle(code, group_of):
+    # the integer Taylor/Horner kernel against the same sums on scalars,
+    # on every reflection, with the root as stored and rescaled
+    g = group_of(code)
+    rng = random.Random(g.order)
+    inputs = [p for _ in range(3) for p in random_weil(
+        g, rng, max_poly_degree=5, n_terms=4).terms.values()]
+    inputs.append(g.basic_invariants()[-1].partial(0))
+    for _, alpha in g.reflections:
+        scaled = tuple(a * Fraction(-3, 2) for a in alpha)
+        for root in (alpha, scaled):
+            for p in inputs:
+                got = g.divided_difference(root, p)
+                assert_canonical(got)
+                assert got.terms == scalar_divided_difference(g, root, p)
+
+
 # ---------------------------------------------------------------------------
 # build certificates
 # ---------------------------------------------------------------------------
@@ -425,6 +444,29 @@ def test_gram_certificates():
         InnerProduct([[1, 2], [2, 1]], QQ)
     with pytest.raises(CatalogueError, match="not symmetric"):
         InnerProduct([[2, 1], [0, 2]], QQ)
+
+
+def test_gram_certificate_exact_over_extension():
+    # F_78 sqrt5 - L_78 = -2 psi^78 < 0 (psi = (1 - sqrt5)/2), although it
+    # rounds to a positive float: the certificate reads the exact sign
+    fib, luc = [0, 1], [2, 1]
+    for _ in range(78):
+        fib.append(fib[-1] + fib[-2])
+        luc.append(luc[-1] + luc[-2])
+    tiny = QSQRT5.scalar(-luc[78], fib[78])
+    with pytest.raises(CatalogueError, match="not positive definite"):
+        InnerProduct([[tiny]], QSQRT5)
+    assert InnerProduct([[-tiny]], QSQRT5).inverse == ((1 / -tiny,),)
+    # [[1, -c], [-c, 1]] is positive definite exactly when c^2 < 1
+    for c, ok in ((QSQRT5.scalar(Fraction(1, 4), Fraction(1, 4)), True),
+                  (QSQRT5.scalar(Fraction(-1, 2), Fraction(1, 2)), True),
+                  (QSQRT5.scalar(Fraction(1, 2), Fraction(1, 2)), False)):
+        gram = [[1, -c], [-c, 1]]
+        if ok:
+            InnerProduct(gram, QSQRT5)
+        else:
+            with pytest.raises(CatalogueError, match="not positive definite"):
+                InnerProduct(gram, QSQRT5)
 
 
 def test_gram_certificate_survives_optimize():

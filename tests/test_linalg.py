@@ -11,7 +11,7 @@ import pytest
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
                            det, field_prime_and_root, inverse,
-                           modp_greedy_pivots, nullspace, scalar_mod)
+                           modp_greedy_pivots, nullspace, num_mod)
 
 
 def _rand_scalar(rng, field):
@@ -221,6 +221,7 @@ def test_scalar_mod_extension():
     # root^2 = 5 mod p
     assert root * root % p == 5 % p
     x = QSQRT5.scalar(Fraction(1, 2), Fraction(3, 4))
-    got = scalar_mod(x, p, root, QSQRT5)
+    # the image of num / den is that of the numerator over that of den
+    got = num_mod(x.num, p, root) * pow(x.den, -1, p) % p
     want = (pow(2, -1, p) + 3 * pow(4, -1, p) * root) % p
     assert got == want

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import divide_by_linear_form
+from conftest import (assert_canonical, divide_by_linear_form, scalar_add,
+                      scalar_mul)
 
-from coxcov.fields import QQ, QSQRT5
+from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5
 from coxcov.poly import Poly
 
 
@@ -167,3 +168,98 @@ def test_substitute_into_other_variables():
     assert img == ((x0 + x2) * (x0 + x2)).scale(3)
     with pytest.raises(ValueError, match="images"):
         Poly.monomial((1, 1), 1).substitute([x0])
+
+
+# -- the integer kernels against the scalar-dict oracles ----------------------
+
+FIELDS = [QQ, QSQRT5, QCOSPI8, QCOSPI7]
+
+
+def _random_scalar(rng, field):
+    return field.scalar(*[Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                          for _ in range(field.degree)])
+
+
+def _random_poly(rng, field, nv=3, nterms=6, max_exp=3):
+    return Poly(nv, field, {tuple(rng.randrange(max_exp + 1)
+                                  for _ in range(nv)):
+                            _random_scalar(rng, field)
+                            for _ in range(nterms)})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_integer_kernels_match_scalar_oracle(field):
+    rng = random.Random(17 + field.degree)
+    for _ in range(30):
+        p, q = _random_poly(rng, field), _random_poly(rng, field)
+        assert_canonical(p)
+        assert_canonical(q)
+        for got, want in ((p + q, scalar_add(p, q)),
+                          (p - q, scalar_add(p, -q)),
+                          (p * q, scalar_mul(p, q)),
+                          (q * p, scalar_mul(p, q))):
+            assert_canonical(got)
+            assert got.terms == want
+        # cancellation: the zero polynomial, and a sum that loses terms
+        for zero in (p - p, p + (-p), p * Poly.zero(3, field)):
+            assert_canonical(zero)
+            assert zero.is_zero() and zero == Poly.zero(3, field)
+        lead = Poly(3, field, dict(list(p.terms.items())[:1]))
+        rest = p - lead
+        assert_canonical(rest)
+        assert rest.terms == scalar_add(p, -lead)
+        assert len(rest.num) == len(p.num) - 1
+        # scaling by 0, by a negative, by a non-integral rational and by
+        # an irrational scalar (over Q a further rational)
+        for c in (0, -3, Fraction(-6, 35), _random_scalar(rng, field)):
+            got = p.scale(c)
+            assert_canonical(got)
+            c = field.coerce(c)
+            assert got.terms == {e: v * c for e, v in p.terms.items() if c}
+        for i in range(3):
+            got = p.partial(i)
+            assert_canonical(got)
+            assert got.terms == {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+                                 for e, v in p.terms.items() if e[i]}
+        assert hash(p + q) == hash(q + p) and p + q == q + p
+
+
+def test_common_denominator_is_reduced():
+    # 1/2 x + 1/2 x = x: the sum of two canonical forms needs the gcd
+    half = Poly.monomial((1, 0), Fraction(1, 2))
+    got = half + half
+    assert_canonical(got)
+    assert (got.num, got.den) == ({(1, 0): 1}, 1)
+    # (2/3 x) (3/2 y) = xy, and 3/4 x - 1/4 x = 1/2 x
+    got = Poly.monomial((1, 0), Fraction(2, 3)) * \
+        Poly.monomial((0, 1), Fraction(3, 2))
+    assert (got.num, got.den) == ({(1, 1): 1}, 1)
+    got = Poly.monomial((1, 0), Fraction(3, 4)) - \
+        Poly.monomial((1, 0), Fraction(1, 4))
+    assert (got.num, got.den) == ({(1, 0): 1}, 2)
+    # over Q(sqrt5): (1 + sqrt5)/2 x times (-1 + sqrt5)/2 y = xy
+    a = QSQRT5.scalar(Fraction(1, 2), Fraction(1, 2))
+    b = QSQRT5.scalar(Fraction(-1, 2), Fraction(1, 2))
+    got = Poly.monomial((1, 0), a, QSQRT5) * Poly.monomial((0, 1), b, QSQRT5)
+    assert (got.num, got.den) == ({(1, 1): (1, 0)}, 1)
+
+
+def test_integer_coefficient_construction():
+    # the form the benchmark kernels build: Poly(4, QQ, {m: int}), read back
+    # through len(p.terms) and eval_scalars
+    rng = random.Random(4)
+    monos = sorted({tuple(rng.randrange(4) for _ in range(4))
+                    for _ in range(40)})
+    coeffs = [rng.randrange(-9, 10) or 1 for _ in monos]
+    p = Poly(4, QQ, dict(zip(monos, coeffs)))
+    assert_canonical(p)
+    assert p.den == 1 and p.num == dict(zip(monos, coeffs))
+    assert len(p.terms) == len(monos)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    pt = [Fraction(1, 2), Fraction(-2), Fraction(3, 5), Fraction(1)]
+    want = sum(c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
+               * pt[3] ** e[3] for e, c in zip(monos, coeffs))
+    assert p.eval_scalars(pt) == want
+    # zero values are dropped, and an all-zero dict is the zero polynomial
+    assert Poly(2, QQ, {(1, 0): 0, (0, 1): 2}).num == {(0, 1): 2}
+    assert Poly(2, QSQRT5, {(1, 0): 0}) == Poly.zero(2, QSQRT5)
