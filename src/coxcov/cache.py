@@ -1,14 +1,19 @@
-"""Versioned on-disk cache of coinvariant table layouts.
+"""Versioned on-disk cache of coinvariant tables.
 
 One JSON document per group, holding the format version, the group's
-code, field and order, and the recorded layout of its coinvariant tables
-(derivative multi-indices and standard monomials per degree).  Absent or
+code, field and order, and per degree the recorded layout of its
+coinvariant table (derivative multi-indices and standard monomials) with
+the table's pairing inverse (M, den), P^{-1} = M / den.  Absent or
 version-mismatched files are regenerated.  The group itself is rebuilt on
 every load.  The layout is a hint, not a result: it lets the tables skip
 their pivot searches, every exact certification still runs on it, and a
-layout that does not fit is replaced by a fresh build.  The same layout
-also serves the Lie side, whose bridge Weyl group is another realization
-of a catalogue group (``lie_bridge.build_lie``).
+layout that does not fit is replaced by a fresh build.  The stored
+inverse is a certified hint: a table uses it only once P M = den I holds
+exactly, and one that does not, or does not parse, sends the load down
+the same fallback.  Its integers are hex text (see
+``coinvariants._DegreeTable.stored_inverse``).  The layout alone also
+serves the Lie side, whose bridge Weyl group is another realization of a
+catalogue group (``lie_bridge.build_lie``) with its own pairing matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 from .coinvariants import CoinvariantBasis
 from .groups import ReflectionGroup, build_group
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 DEFAULT_ENV = "COXCOV_CACHE_DIR"
 
@@ -48,10 +53,13 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
         "order": group.order,
     }
     if cb is not None:
-        doc["tables"] = {
-            str(d): {"indices": [list(a) for a in idxs],
-                     "monomials": [list(m) for m in monos]}
-            for d, (idxs, monos) in cb.recorded_tables().items()}
+        doc["tables"] = {}
+        for d, t in cb.tables.items():
+            inv, den = t.stored_inverse()
+            doc["tables"][str(d)] = {
+                "indices": [list(a) for a in t.indices],
+                "monomials": [list(m) for m in t.monos],
+                "inverse": inv, "den": den}
     path = cache_path(cache_dir, group.code)
     # write beside the target, then rename over it: a reader sees the old
     # file or the new one, never a partial write
@@ -64,17 +72,24 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
     return path
 
 
-def load_layout(cache_dir: Path, code: str):
+def load_layout(cache_dir: Path, code: str, inverses: bool = False):
     """The recorded {degree: (indices, monomials)} of the group's cache
-    file when it is present and of the current version, else None.  Never
-    writes a file."""
+    file when it is present and of the current version, else None; with
+    ``inverses``, {degree: (indices, monomials, (M, den))} with M and den
+    as the hex text of the file (None where it has none), for
+    ``CoinvariantBasis`` to decode and certify.  Never writes a file."""
     try:
         doc = json.loads(cache_path(Path(cache_dir), code).read_text())
         if doc.get("version") != CACHE_VERSION:
             return None
-        return {int(d): ([tuple(a) for a in t["indices"]],
-                         [tuple(m) for m in t["monomials"]])
-                for d, t in doc["tables"].items()}
+        tables = {}
+        for d, t in doc["tables"].items():
+            entry = ([tuple(a) for a in t["indices"]],
+                     [tuple(m) for m in t["monomials"]])
+            if inverses:
+                entry += ((t.get("inverse"), t.get("den")),)
+            tables[int(d)] = entry
+        return tables
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -82,9 +97,9 @@ def load_layout(cache_dir: Path, code: str):
 def load_stack(cache_dir: Path, code: str, allow_long=False):
     """(group, coinvariant basis) from cache when fresh, else rebuilt (and
     the cache file rewritten).  Returns (group, cb, from_cache)."""
-    layout = load_layout(cache_dir, code)
     group = build_group(code, allow_long=allow_long)
-    cb = CoinvariantBasis(group, precomputed=layout)
+    cb = CoinvariantBasis(group, precomputed=load_layout(cache_dir, code,
+                                                         inverses=True))
     if not cb.from_layout:
         save_group(Path(cache_dir), group, cb)
     return group, cb, cb.from_layout

@@ -120,8 +120,8 @@ def run_suite(config: dict) -> Report:
     lie_checks = [c for c in checks if c in ("reeder", "lie-bridge")]
     group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
     for code in groups:
-        # free the previous group's stack, which is cyclic garbage, before
-        # this group's set-up: peak memory then does not depend on when the
+        # free whatever cyclic garbage the previous group left before this
+        # group's set-up: peak memory then does not depend on when the
         # collector would next run
         gc.collect()
         code = canonical_code(code)

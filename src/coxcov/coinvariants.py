@@ -37,7 +37,11 @@ the exact invertibility of the resulting pairing matrix.  A recorded layout
 (the derivative multi-indices and standard monomials per degree, from the
 cache or from another realization of the same group) skips that search.
 It is only a hint: the same certificates run on it, and a layout that does
-not fit falls back to the search.
+not fit falls back to the search.  A cache file also holds each table's
+(M, den), which skips the elimination as well.  That stored inverse is a
+certified hint: it is used only once P M = den I holds exactly for the
+pairing matrix P of the layout, and one that fails the product, or is
+malformed, falls back to the search like a layout that does not fit.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from math import factorial, lcm
 from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
-                     field_prime_and_root, inverse, modp_greedy_pivots,
-                     num_mod)
+                     field_prime_and_root, inverse, inverse_defect,
+                     modp_greedy_pivots, num_mod)
 from .poly import Poly, grevlex_key
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
@@ -144,6 +148,15 @@ class _DegreeTable:
             out.append(s)
         return out
 
+    def stored_inverse(self) -> tuple[list, str]:
+        """(M, den) as hex text, the form a cache file keeps and
+        ``_decode_inverse`` reads: an int as ``format(x, "x")``, a
+        numerator tuple as a list of those."""
+        def text(x):
+            return format(x, "x") if type(x) is int \
+                else [format(c, "x") for c in x]
+        return [[text(x) for x in row] for row in self.inv], text(self.den)
+
     def solve(self, v: list, field) -> dict:
         """Standard-monomial numerators, over ``den`` times the
         denominator of v, of the class whose pairing vector is v."""
@@ -168,6 +181,29 @@ class _DegreeTable:
 def _sum_nums(nums: list, field) -> tuple:
     """The sum of numerator tuples of Q(theta)."""
     return tuple(map(sum, zip(*nums))) if nums else (0,) * field.degree
+
+
+def _decode_inverse(stored, k: int, field) -> tuple[list, int]:
+    """(M, den) from the hex text of ``_DegreeTable.stored_inverse``: M as
+    k rows of k entries, each an int over Q and a numerator tuple over
+    Q(theta); ValueError unless it has that shape and den > 0.  Hex parses
+    in linear time, and Python's digit limit on decimal ``int`` conversion
+    does not apply to it."""
+    rows, den = stored
+    try:
+        den = int(den, 16)
+        if field.is_rational:
+            inv = [[int(x, 16) for x in row] for row in rows]
+        else:
+            inv = [[tuple(int(c, 16) for c in x) for x in row]
+                   for row in rows]
+    except TypeError:
+        raise ValueError("stored inverse is not hex text") from None
+    if not (den > 0 and len(inv) == k and all(len(row) == k for row in inv)
+            and (field.is_rational or all(len(x) == field.degree
+                                          for row in inv for x in row))):
+        raise ValueError("stored inverse does not fit the table")
+    return inv, den
 
 
 class CoinvariantBasis:
@@ -300,29 +336,42 @@ class CoinvariantBasis:
                 return self._build_degree_exact(cands, monos, k)
             p, root = field_prime_and_root(self.field, p + 2)
 
-    def _table(self, chosen, monos) -> _DegreeTable:
+    def _table(self, chosen, monos, stored=None) -> _DegreeTable:
         """Table of the chosen (index, weighted harmonic) pairs against
         the standard monomials, with the exact inverse of the pairing matrix
         P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den with integer
         coordinates; ValueError if P is singular.
 
-        Over Q, M and den come from fraction-free elimination; over
-        Q(theta), from the field inverse over the lcm of its denominators.
+        ``stored`` is (M, den) in the hex text of a cache file (see
+        ``_DegreeTable.stored_inverse``).  It is a certified hint: it is decoded and
+        used once P M = den I holds exactly, and one that is missing,
+        ragged, not hex, has den <= 0 or fails that product raises
+        ValueError.  Without it, M and den come from fraction-free
+        elimination over Q, and from the field inverse over the lcm of
+        its denominators over Q(theta), certified by the same product.
         """
         weighted = [wh for _, wh in chosen]
         field = self.field
-        if field.is_rational:
-            inv, den = bareiss_jordan_inverse(
-                [[wh.get(m, 0) for m in monos] for wh in weighted])
+        zero = 0 if field.is_rational else (0,) * field.degree
+        mat = [[wh.get(m, zero) for m in monos] for wh in weighted]
+        if stored is not None:
+            inv, den = _decode_inverse(stored, len(monos), field)
+            if inverse_defect(mat, inv, den, field) is not None:
+                raise ValueError("stored inverse fails P M = den I")
+        elif field.is_rational:
+            inv, den = bareiss_jordan_inverse(mat)
             if den < 0:
                 inv, den = [[-x for x in row] for row in inv], -den
         else:
-            zero = (0,) * field.degree
-            inv = inverse([[field.from_num(wh.get(m, zero)) for m in monos]
-                           for wh in weighted], field)
+            inv = inverse([[field.from_num(x) for x in row] for row in mat],
+                          field)
             den = lcm(*(x.den for row in inv for x in row))
             inv = [[tuple(n * (den // x.den) for n in x.num) for x in row]
                    for row in inv]
+            bad = inverse_defect(mat, inv, den, field)
+            if bad is not None:
+                raise CertificationError(
+                    f"inverse certification failed at {bad}")
         return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den)
 
     def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
@@ -352,13 +401,16 @@ class CoinvariantBasis:
         return self._table(chosen, cols)
 
     def _build_from_recorded(self, recorded):
-        """Rebuild tables from recorded (degree -> (indices, monos)) data;
-        ValueError or KeyError if the layout does not fit this group.
+        """Rebuild tables from recorded (degree -> (indices, monos)) data,
+        or (degree -> (indices, monos, stored inverse)) from a cache file;
+        ValueError or KeyError if the layout or a stored inverse does not
+        fit this group.
 
         A layout that fits gives dim H_d derivatives of Xi of order
         |T| - d and as many monomials of degree d in every degree, and
-        ``_table`` certifies that their pairing is invertible; together
-        these make the table a correct one, whichever layout it came from.
+        ``_table`` certifies that their pairing is invertible (a stored
+        inverse by P M = den I); together these make the table a correct
+        one, whichever layout and inverse it came from.
         """
         def shaped(t, total):
             return (len(t) == self.rank
@@ -366,7 +418,7 @@ class CoinvariantBasis:
                     and sum(t) == total)
 
         for d in range(self.top, -1, -1):
-            idxs, monos = recorded[d]
+            idxs, monos, *stored = recorded[d]
             idxs = [tuple(a) for a in idxs]
             monos = [tuple(m) for m in monos]
             if not (len(idxs) == len(monos) == self.h_dims[d]
@@ -374,7 +426,7 @@ class CoinvariantBasis:
                     and all(shaped(m, d) for m in monos)):
                 raise ValueError(f"recorded layout does not fit degree {d}")
             chosen = [(a, self._derivative(a)) for a in idxs]
-            self.tables[d] = self._table(chosen, monos)
+            self.tables[d] = self._table(chosen, monos, *stored)
 
     def recorded_tables(self):
         return {d: (t.indices, t.monos) for d, t in self.tables.items()}

@@ -162,8 +162,10 @@ class CovariantStack:
         if not self.params.t_c():
             raise ValueError("degenerate multiplicity: |T|_c = 0")
         self._p: dict[int, Weil] = {}
-        self._f: dict[int, CovariantMap] = {}
-        self._u: dict[int, CovariantMap] = {}
+        # components only: a CovariantMap refers back to its stack, and
+        # keeping one here would make every stack a reference cycle
+        self._f: dict[int, tuple] = {}
+        self._u: dict[int, tuple] = {}
         self._p_products: dict[int, Weil] = {}
         self._vspace = None
         self._constants = None
@@ -204,28 +206,25 @@ class CovariantStack:
         return got
 
     def f(self, i: int) -> CovariantMap:
-        got = self._f.get(i)
-        if got is None:
+        comps = self._f.get(i)
+        if comps is None:
             g = self.group
             psi = g.basic_invariants()[i - 1]
             comps = tuple(self.cb.nf_weil(Weil.from_poly(psi.partial(j)))
                           for j in range(g.rank))
-            got = CovariantMap(self, self.vspace, comps, f"f_{i}")
-            self._f[i] = got
-        return got
+            self._f[i] = comps
+        return CovariantMap(self, self.vspace, comps, f"f_{i}")
 
     def u(self, i: int) -> CovariantMap:
-        got = self._u.get(i)
-        if got is None:
+        comps = self._u.get(i)
+        if comps is None:
             g = self.group
             scale = g.field.coerce(Fraction(g.rank, 2)) * \
                 scalar_inverse(self.params.t_c())
-            f = self.f(i)
             comps = tuple(dunkl(self.params, c, self.cb).scale(scale)
-                          for c in f.comps)
-            got = CovariantMap(self, self.vspace, comps, f"u_{i}")
-            self._u[i] = got
-        return got
+                          for c in self.f(i).comps)
+            self._u[i] = comps
+        return CovariantMap(self, self.vspace, comps, f"u_{i}")
 
     def constants(self):
         """``pairing_constants`` of (u_i, f_i) with half-degrees d_i - 1,

@@ -228,15 +228,16 @@ class ReflectionGroup:
         self._delta = None
         self._conj_classes = None
         self._class_of = None
+        self._class_data: dict = {}
         self._act_forms: dict = {}
         self._act_pow_cache: dict = {}
         self._act_mono_cache: dict = {}
         self._ext_images: dict = {}
         self._taylor_data: dict = {}
         gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        self._build_roots(gens)
+        parents = self._build_roots(gens)
         self._build_elements([self._root_perm(g) for g in gens])
-        self._build_reflections()
+        self._build_reflections(parents)
 
     # -- construction ---------------------------------------------------
 
@@ -258,12 +259,17 @@ class ReflectionGroup:
         """The orbit of the simple roots under the simple reflections
         ``gens``: ``positive_roots`` (of each pair +-a the one with the
         larger coordinate key, sorted by that key), then ``roots`` (the
-        positive roots, then their negatives in the same order)."""
+        positive roots, then their negatives in the same order).
+
+        Returns {root u: (i, v)} for each root that is not simple, with
+        u = gens[i] v for a root v reached before u, in the order reached.
+        """
         f = self.field
         orbit = list(dict.fromkeys(self.simple_roots))
         seen = set(orbit)
+        parents = {}
         for v in orbit:                   # grows while it is walked
-            for g in gens:
+            for i, g in enumerate(gens):
                 u = mat_vec(g, v, f)
                 if u not in seen:
                     if len(orbit) == 2 * self.n_reflections:
@@ -272,6 +278,7 @@ class ReflectionGroup:
                             f"{2 * self.n_reflections} roots")
                     seen.add(u)
                     orbit.append(u)
+                    parents[u] = (i, v)
         negs = {v: tuple(-c for c in v) for v in orbit}
         pos = sorted((v for v in orbit if _coords_key(v, f) >
                       _coords_key(negs[v], f)),
@@ -283,6 +290,7 @@ class ReflectionGroup:
                 f"{self.n_reflections}")
         self.positive_roots = pos
         self._root_index = {v: i for i, v in enumerate(self.roots)}
+        return parents
 
     def _root_perm(self, m) -> tuple:
         """The permutation of ``roots`` by the matrix m (None at a root
@@ -359,12 +367,22 @@ class ReflectionGroup:
         self.inverse_idx = [index[tuple(sorted(ident, key=p.__getitem__))]
                             for p in perms]
 
-    def _build_reflections(self):
+    def _build_reflections(self, parents):
         """The reflection in each positive root, looked up by its root
-        permutation, and the reflection classes."""
+        permutation, and the reflection classes.
+
+        A root u = s_i v of ``parents`` (see ``_build_roots``) has the
+        reflection s_i s_v s_i, so the root permutations of all the
+        reflections are compositions of those of the simple ones, taken
+        along the root orbit.
+        """
+        simple = [self.root_perms[i] for i in self.simple_indices]
+        perms = dict(zip(self.simple_roots, simple))
+        for u, (i, v) in parents.items():
+            perms[u] = _compose(_compose(simple[i], perms[v]), simple[i])
         self.reflections = []
         for k, alpha in enumerate(self.positive_roots):
-            perm = self._root_perm(self.reflection_matrix(alpha))
+            perm = perms[alpha]
             idx = self.perm_index.get(perm)
             if idx is None:
                 raise CatalogueError(
@@ -620,6 +638,16 @@ class ReflectionGroup:
     def class_of_element(self, idx: int) -> int:
         self.conjugacy_classes()
         return self._class_of[idx]
+
+    def class_data(self, name: str, compute):
+        """``compute(self)`` on the first call for ``name``, kept on the
+        group and returned as is after that: per-class data that several
+        checks read, such as the exterior traces and Molien factors of
+        ``molien``."""
+        got = self._class_data.get(name)
+        if got is None:
+            got = self._class_data[name] = compute(self)
+        return got
 
     def character(self, name: str) -> ClassFunction:
         classes = self.conjugacy_classes()

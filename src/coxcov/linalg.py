@@ -9,6 +9,8 @@
   fraction-free integer elimination, for integer matrices: the rational
   pairing tables of the coinvariant basis after clearing denominators
   (``fields`` runs the same core for ``AlgNum.inverse``).
+  ``inverse_defect`` is the exact certificate mat @ M = den * I that every
+  pairing-table inverse passes, whether computed or read from the cache.
 * ``SparseSolver`` is the incremental echelon over dicts keyed by
   hashable, comparable column labels, for spans that grow one vector at a
   time: ranks, membership and solving in the span.
@@ -184,14 +186,42 @@ def bareiss_jordan_inverse(mat):
     if any(a[i][i] != den for i in range(n)):
         raise CertificationError("fraction-free elimination lost diagonal")
     inv = [row[n:] for row in a]
-    for i in range(n):
-        mrow = mat[i]
-        for j in range(n):
-            s = sum(mrow[t] * inv[t][j] for t in range(n))
-            if s != (den if i == j else 0):
-                raise CertificationError(
-                    f"inverse certification failed at ({i}, {j})")
+    bad = inverse_defect(mat, inv, den)
+    if bad is not None:
+        raise CertificationError(f"inverse certification failed at {bad}")
     return inv, den
+
+
+def inverse_defect(mat, inv, den, field: Field | None = None):
+    """The first (i, j) at which mat @ inv differs from den * I, or None
+    when inv / den is exactly the inverse of mat.
+
+    Entries are ints, or, when the field of Q(theta) is given, numerator
+    tuples in its power basis.  Row i of the product is accumulated as the
+    combination of the rows of inv by the nonzero entries of row i of mat.
+    """
+    n = len(mat)
+    if field is None or field.is_rational:
+        for i, row in enumerate(mat):
+            acc = [0] * n
+            for c, irow in zip(row, inv):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, irow)]
+            acc[i] -= den
+            if any(acc):
+                return i, next(j for j, a in enumerate(acc) if a)
+        return None
+    mul = field.mul_num
+    for i, row in enumerate(mat):
+        acc = [(0,) * field.degree] * n
+        for c, irow in zip(row, inv):
+            if any(c):
+                acc = [tuple(map(int.__add__, a, mul(c, x)))
+                       for a, x in zip(acc, irow)]
+        acc[i] = (acc[i][0] - den,) + acc[i][1:]
+        if any(map(any, acc)):
+            return i, next(j for j, a in enumerate(acc) if any(a))
+    return None
 
 
 # ---------------------------------------------------------------------------

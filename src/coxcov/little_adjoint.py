@@ -25,7 +25,7 @@ from .differentials import dunkl, koszul_delta
 from .fields import Scalar
 from .groups import ReflectionGroup, _jacobian_det, _poly_det
 from .linalg import SparseSolver, inverse, nullspace
-from .molien import (GradedSeries, _exterior_traces, exterior_series,
+from .molien import (GradedSeries, class_traces, exterior_series,
                      graded_multiplicity_series)
 from .poly import Poly
 from .reports import CheckRecord, certify, scalar_str, verdict
@@ -116,11 +116,11 @@ def h_invariant_degrees(split: SplitGroupData):
     field = group.field
     top = len(split.h_elements)
     series = [field.zero] * (top + 1)
-    for rep, members in group.conjugacy_classes():
+    for (rep, members), traces in zip(group.conjugacy_classes(),
+                                      class_traces(group)):
         if rep not in split.h_set:
             continue
         # 1/det(1 - t h) as a power series; det(1 - t h) has constant term 1
-        traces = _exterior_traces(group.elements[rep], field)
         den = [t if k % 2 == 0 else -t for k, t in enumerate(traces)]
         inv = [field.one]
         for k in range(1, top + 1):

@@ -8,7 +8,9 @@ evaluated with exact polynomial division (each factor divides by
 Springer's eigenvalue bound) and summed to a polynomial with nonnegative
 integer coefficients.  The summand is a class function, so it is
 evaluated once per conjugacy class, at the class representative, and
-weighted by the class size.
+weighted by the class size.  Everything but chi is computed once per
+group and kept on it (``ReflectionGroup.class_data``), so a series is a
+weighted sum of those class factors.
 """
 
 from __future__ import annotations
@@ -123,9 +125,25 @@ def _exterior_traces(w, field: Field):
     return out
 
 
-def graded_multiplicity_series(group: ReflectionGroup,
-                               chi: ClassFunction) -> GradedSeries:
-    """Multiplicity series of the chi-isotypic part of B; exact."""
+def class_traces(group: ReflectionGroup):
+    """tr Lambda^k w for k = 0..r at each class representative, in class
+    order; computed once per group."""
+    return group.class_data("exterior_traces", _class_traces)
+
+
+def _class_traces(group: ReflectionGroup):
+    return [_exterior_traces(group.elements[rep], group.field)
+            for rep, _ in group.conjugacy_classes()]
+
+
+def _class_factors(group: ReflectionGroup):
+    """Per class, |class| det(1 + u w) prod_i (1 - u^{2 d_i}) /
+    det(1 - u^2 w) at its representative w: the summand without chi,
+    computed once per group."""
+    return group.class_data("molien_factors", _molien_factors)
+
+
+def _molien_factors(group: ReflectionGroup):
     field = group.field
     # prod_i (1 - u^{2 d_i})
     numer = [field.one]
@@ -134,23 +152,29 @@ def graded_multiplicity_series(group: ReflectionGroup,
         fac[0] = field.one
         fac[2 * d] = -field.one
         numer = _u_mul(numer, fac, field)
-    top = 2 * group.n_reflections + group.rank
-    acc = [field.zero] * (top + 1)
-    for ci, (rep_idx, members) in enumerate(group.conjugacy_classes()):
-        cw = chi.values[ci]
-        if not cw:
-            continue
-        cw = cw * len(members)
-        traces = _exterior_traces(group.elements[rep_idx], field)
-        det_plus = traces[:]                      # det(1 + u w), coeff of u^k
+    out = []
+    for (_, members), traces in zip(group.conjugacy_classes(),
+                                    class_traces(group)):
         det_sq = [field.zero] * (2 * group.rank + 1)
         for k, t in enumerate(traces):            # det(1 - u^2 w)
             det_sq[2 * k] = t if k % 2 == 0 else -t
         q = _u_divide_exact(numer, det_sq, field)
-        contrib = _u_mul(det_plus, q, field)
-        for i, c in enumerate(contrib):
-            if c:
-                acc[i] = acc[i] + c * cw
+        # traces are the coefficients of det(1 + u w)
+        out.append([c * len(members) for c in _u_mul(traces, q, field)])
+    return out
+
+
+def graded_multiplicity_series(group: ReflectionGroup,
+                               chi: ClassFunction) -> GradedSeries:
+    """Multiplicity series of the chi-isotypic part of B; exact."""
+    field = group.field
+    top = 2 * group.n_reflections + group.rank
+    acc = [field.zero] * (top + 1)
+    for cw, factor in zip(chi.values, _class_factors(group)):
+        if cw:
+            for i, c in enumerate(factor):
+                if c:
+                    acc[i] = acc[i] + c * cw
     inv_order = Fraction(1, group.order)
     coeffs = []
     for c in acc:

@@ -40,6 +40,27 @@ def stack_of():
 
 # -- shared oracles -----------------------------------------------------------
 
+def matrix_reflections(g):
+    """(reflections, reflection_classes, class_ell, class_p) of g with each
+    reflection found by applying its matrix to every root, the path that
+    conjugation along the root orbit replaced."""
+    reflections = []
+    for k, alpha in enumerate(g.positive_roots):
+        perm = g._root_perm(g.reflection_matrix(alpha))
+        assert perm[k] == k + g.n_reflections
+        reflections.append((g.perm_index[perm], alpha))
+    by_class = {}
+    for k, (idx, _) in enumerate(reflections):
+        by_class.setdefault(g.class_of_element(idx), []).append(k)
+    classes = sorted(by_class.values())
+    if len(classes) == 1:
+        return reflections, classes, 0, None
+    anchor = g.rank - 1 if g.code.startswith("B") else 0
+    anchor_refl = g.roots.index(g.simple_roots[anchor]) % g.n_reflections
+    ell = next(ci for ci, c in enumerate(classes) if anchor_refl in c)
+    return reflections, classes, ell, 1 - ell
+
+
 def homogeneous_part(p, d):
     """The terms of p of total degree d."""
     return Poly(p.nv, p.field,

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from coxcov.cli import main
 from coxcov.reports import FAIL, PASS, CheckRecord, Report
 
@@ -137,6 +139,85 @@ def test_corrupted_cache_layout_regenerates(tmp_path, capsys):
                            "--checks", "solomon,freeness",
                            "--cache-dir", str(tmp_path))
     assert code == 0
+
+
+def _wrong_entry(table):
+    row = table["inverse"][0]
+    row[0] = format(int(row[0], 16) + 1, "x")
+
+
+def _truncated_row(table):
+    table["inverse"][-1].pop()
+
+
+def _zero_den(table):
+    table["den"] = "0"
+
+
+def _not_hex(table):
+    table["inverse"][0][0] = "0g"
+
+
+@pytest.mark.parametrize("plant", [_wrong_entry, _truncated_row, _zero_den,
+                                   _not_hex])
+def test_bad_stored_inverse_is_rebuilt(tmp_path, capsys, plant):
+    """A stored inverse that fails its certificate or does not parse sends
+    the load down the fresh build, which rewrites the file; the report is
+    the same bytes as on the good file."""
+    from coxcov.cache import cache_path
+    args = ["verify", "--group", "B2", "--checks", "all", "--samples", "3",
+            "--emit", "json", "--cache-dir", str(tmp_path)]
+    code, want, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = cache_path(tmp_path, "B2")
+    good = path.read_bytes()
+    doc = json.loads(good)
+    plant(doc["tables"]["2"])
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, got, _ = run_cli(capsys, *args)
+    assert code == 0 and got == want
+    assert path.read_bytes() == good
+
+
+def test_wrong_stored_inverse_rejected_optimized(tmp_path, capsys):
+    """Under python -O, the certificate P M = den I still turns down a
+    stored inverse with one wrong entry."""
+    from coxcov.cache import cache_path
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    path = cache_path(tmp_path, "A2")
+    doc = json.loads(path.read_text())
+    _wrong_entry(doc["tables"]["1"])
+    path.write_text(json.dumps(doc, sort_keys=True))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = ("from coxcov.cache import load_stack\n"
+             f"_, _, from_cache = load_stack({str(tmp_path)!r}, 'A2')\n"
+             "raise SystemExit(4 if from_cache else 3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env)
+    assert got.returncode == 3
+
+
+def test_version_2_file_is_regenerated(tmp_path, capsys):
+    """A file of the previous format, layout without inverses, is
+    rebuilt into the current one."""
+    from coxcov.cache import CACHE_VERSION, cache_path
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    path = cache_path(tmp_path, "A2")
+    good = path.read_bytes()
+    doc = json.loads(good)
+    assert doc["version"] == CACHE_VERSION == 3
+    doc["version"] = 2
+    for table in doc["tables"].values():
+        del table["inverse"], table["den"]
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilt" in out
+    assert path.read_bytes() == good
 
 
 def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,

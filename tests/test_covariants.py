@@ -224,7 +224,7 @@ def _fresh_stack(stack_of, code):
 @pytest.mark.parametrize("code", ["A2", "B3"])
 def test_doubled_u1_fails_constants_and_structure(code, stack_of):
     st = _fresh_stack(stack_of, code)
-    st._u[1] = st.u(1).scale(2)
+    st._u[1] = st.u(1).scale(2).comps
     rec = constants_table(st)
     assert rec.status == "fail"
     assert "E(u_1,f_2) != E(u_2,f_1)" in rec.details["witness"]
@@ -235,10 +235,27 @@ def test_doubled_u1_fails_constants_and_structure(code, stack_of):
                for w in rec.details["witness"])
 
 
+def test_dropped_stack_is_freed_without_the_collector(stack_of):
+    """A stack is not a reference cycle: with the cyclic collector off, the
+    last reference to it going away frees it."""
+    import gc
+    import weakref
+    st = _fresh_stack(stack_of, "B2")
+    assert constants_table(st).status == "pass"
+    assert st.u(1).stack is st and st.f(2).stack is st
+    ref = weakref.ref(st)
+    gc.disable()
+    try:
+        del st
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("code", ["A2", "B3"])
 def test_zeroed_generator_fails_freeness(code, stack_of):
     st = _fresh_stack(stack_of, code)
-    st._u[1] = st.u(1).scale(0)
+    st._u[1] = st.u(1).scale(0).comps
     rec = freeness_check(st)
     assert rec.status == "fail"
     assert "free-basis element p_0*u_1 vanished" in rec.details["witness"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (assert_canonical, divide_by_linear_form,
-                      scalar_divided_difference)
+                      matrix_reflections, scalar_divided_difference)
 
 from coxcov.differentials import random_weil
 from coxcov.fields import QQ, QSQRT5
@@ -88,6 +88,14 @@ def test_elements_orthogonal(code, group_of):
     for w in g.elements[:25]:
         wt = mat_transpose(w)
         assert mat_mul(mat_mul(wt, g.gram, g.field), w, g.field) == g.gram
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "G2", "I2(5)", "I2(8)", "H3", "F4"])
+def test_reflections_by_conjugation_match_matrix_oracle(code, group_of):
+    g = group_of(code)
+    assert (g.reflections, g.reflection_classes, g.class_ell, g.class_p) \
+        == matrix_reflections(g)
 
 
 def test_reflections_negate_roots(group_of):

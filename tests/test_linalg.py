@@ -11,7 +11,8 @@ import pytest
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
                            det, field_prime_and_root, inverse,
-                           modp_greedy_pivots, nullspace, num_mod)
+                           inverse_defect, modp_greedy_pivots, nullspace,
+                           num_mod)
 
 
 def _rand_scalar(rng, field):
@@ -78,6 +79,30 @@ def test_planted_inverse_entry_raises_under_optimize():
                          capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     assert got.stdout.startswith("inverse certification failed at (0, 0)")
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5, QCOSPI7])
+def test_inverse_defect_on_numerators(field):
+    """The certificate on integer numerators: None for the cleared field
+    inverse, the first wrong position once one entry of M is off."""
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        mat = _rand_matrix(rng, field, n, n)
+        while not det(mat, field):
+            mat = _rand_matrix(rng, field, n, n)
+        nums, dm = field.clear([x for row in mat for x in row])
+        inv = inverse(mat, field)
+        m_nums, den = field.clear([x for row in inv for x in row])
+        p_rows = [nums[i * n:(i + 1) * n] for i in range(n)]
+        m_rows = [m_nums[i * n:(i + 1) * n] for i in range(n)]
+        # P = nums / dm and P^{-1} = M / den, so nums M = dm den I
+        den *= dm
+        assert inverse_defect(p_rows, m_rows, den, field) is None
+        i, j = rng.randrange(n), rng.randrange(n)
+        x = m_rows[i][j]
+        m_rows[i][j] = x + 1 if field.is_rational else (x[0] + 1,) + x[1:]
+        bad = inverse_defect(p_rows, m_rows, den, field)
+        assert bad is not None and bad[1] == j
 
 
 def test_det_against_permutation_expansion():

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import coxcov.molien as molien
+from coxcov.groups import ClassFunction, build_group
+from coxcov.little_adjoint import h_invariant_degrees, split_group
 from coxcov.molien import (GradedSeries, _exterior_traces, _u_divide_exact,
-                           _u_mul, covariant_series_product_formula,
+                           _u_mul, class_traces,
+                           covariant_series_product_formula,
                            graded_multiplicity_series, invariants_series)
 from coxcov.reports import CertificationError
 
@@ -140,8 +144,34 @@ def per_element_series(g, chis):
 
 @pytest.mark.parametrize("code", UNIT_GROUPS)
 def test_class_sum_matches_per_element_sum(group_of, code):
+    """The series from the per-group class factors, for the characters of
+    every exterior power of V (trivial, reflection and sign among them)
+    and sign x reflection."""
     g = group_of(code)
     chis = [g.character(c) for c in ("trivial", "sign", "reflection")]
+    chis += [ClassFunction(g, tuple(t[k] for t in class_traces(g)),
+                           f"wedge{k}") for k in range(g.rank + 1)]
+    chis.append(ClassFunction(g, tuple(
+        a * b for a, b in zip(chis[1].values, chis[2].values)), "sign*refl"))
     want = per_element_series(g, chis)
     for chi, series in zip(chis, want):
         assert graded_multiplicity_series(g, chi) == series, chi.name
+
+
+@pytest.mark.parametrize("code", ["B3", "I2(8)"])
+def test_exterior_traces_once_per_class(code, monkeypatch):
+    """Every series and the degrees of A^H read one set of traces."""
+    seen = []
+    real = molien._exterior_traces
+
+    def counted(w, field):
+        seen.append(w)
+        return real(w, field)
+
+    monkeypatch.setattr(molien, "_exterior_traces", counted)
+    g = build_group(code)
+    for name in ("trivial", "sign", "reflection", "trivial"):
+        graded_multiplicity_series(g, g.character(name))
+    for use_class in (0, 1):
+        h_invariant_degrees(split_group(g, use_class))
+    assert seen == [g.elements[rep] for rep, _ in g.conjugacy_classes()]
