@@ -22,7 +22,7 @@ import json
 import os
 from pathlib import Path
 
-from .coinvariants import CoinvariantBasis
+from .coinvariants import CoinvariantBasis, decode_inverse
 from .groups import ReflectionGroup, build_group
 
 CACHE_VERSION = 3
@@ -72,12 +72,14 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
     return path
 
 
-def load_layout(cache_dir: Path, code: str, inverses: bool = False):
+def load_layout(cache_dir: Path, code: str, field=None):
     """The recorded {degree: (indices, monomials)} of the group's cache
     file when it is present and of the current version, else None; with
-    ``inverses``, {degree: (indices, monomials, (M, den))} with M and den
-    as the hex text of the file (None where it has none), for
-    ``CoinvariantBasis`` to decode and certify.  Never writes a file."""
+    the group's ``field``, {degree: (indices, monomials, (M, den))} with
+    each table's pairing inverse decoded from the file's hex text
+    (``coinvariants.decode_inverse``), for ``CoinvariantBasis`` to
+    certify, and None also when one does not decode.  Each table's text
+    is dropped once decoded.  Never writes a file."""
     try:
         doc = json.loads(cache_path(Path(cache_dir), code).read_text())
         if doc.get("version") != CACHE_VERSION:
@@ -86,8 +88,10 @@ def load_layout(cache_dir: Path, code: str, inverses: bool = False):
         for d, t in doc["tables"].items():
             entry = ([tuple(a) for a in t["indices"]],
                      [tuple(m) for m in t["monomials"]])
-            if inverses:
-                entry += ((t.get("inverse"), t.get("den")),)
+            if field is not None:
+                entry += (decode_inverse(t.pop("inverse", None),
+                                         t.pop("den", None), len(entry[1]),
+                                         field),)
             tables[int(d)] = entry
         return tables
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
@@ -99,7 +103,7 @@ def load_stack(cache_dir: Path, code: str, allow_long=False):
     the cache file rewritten).  Returns (group, cb, from_cache)."""
     group = build_group(code, allow_long=allow_long)
     cb = CoinvariantBasis(group, precomputed=load_layout(cache_dir, code,
-                                                         inverses=True))
+                                                         group.field))
     if not cb.from_layout:
         save_group(Path(cache_dir), group, cb)
     return group, cb, cb.from_layout
@@ -117,7 +121,7 @@ def inspect_cache(cache_dir: Path):
                         "version": doc.get("version"),
                         "order": doc.get("order"),
                         "bytes": p.stat().st_size})
-        except (ValueError, OSError):
+        except (ValueError, OSError, AttributeError):     # or not an object
             out.append({"file": p.name, "code": None, "version": None,
                         "order": None, "bytes": p.stat().st_size})
     return out

@@ -32,16 +32,16 @@ times it are integer sums (over Q(theta) products of numerator tuples),
 and the result is those numerators over den * D, brought to lowest terms
 by one gcd.
 
-Pivot selection runs modulo a prime for speed; the choice is certified by
-the exact invertibility of the resulting pairing matrix.  A recorded layout
-(the derivative multi-indices and standard monomials per degree, from the
-cache or from another realization of the same group) skips that search.
-It is only a hint: the same certificates run on it, and a layout that does
-not fit falls back to the search.  A cache file also holds each table's
-(M, den), which skips the elimination as well.  That stored inverse is a
-certified hint: it is used only once P M = den I holds exactly for the
-pairing matrix P of the layout, and one that fails the product, or is
-malformed, falls back to the search like a layout that does not fit.
+Pivot selection runs modulo a prime, on sparse rows of residues; the choice
+is certified by the exact invertibility of the resulting pairing matrix.  A
+recorded layout (the derivative multi-indices and standard monomials per
+degree, from the cache or from another realization of the same group) skips
+that search.  It is only a hint: the same certificates run on it, and a
+layout that does not fit falls back to the search.  A cache file also holds
+each table's (M, den), which skips the elimination as well.  That stored
+inverse is a certified hint: it is used only once P M = den I holds exactly
+for the pairing matrix P of the layout, and one that fails the product, or
+is malformed, falls back to the search like a layout that does not fit.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class _DegreeTable:
 
     def stored_inverse(self) -> tuple[list, str]:
         """(M, den) as hex text, the form a cache file keeps and
-        ``_decode_inverse`` reads: an int as ``format(x, "x")``, a
+        ``decode_inverse`` reads: an int as ``format(x, "x")``, a
         numerator tuple as a list of those."""
         def text(x):
             return format(x, "x") if type(x) is int \
@@ -183,13 +183,12 @@ def _sum_nums(nums: list, field) -> tuple:
     return tuple(map(sum, zip(*nums))) if nums else (0,) * field.degree
 
 
-def _decode_inverse(stored, k: int, field) -> tuple[list, int]:
+def decode_inverse(rows, den, k: int, field) -> tuple[list, int]:
     """(M, den) from the hex text of ``_DegreeTable.stored_inverse``: M as
     k rows of k entries, each an int over Q and a numerator tuple over
     Q(theta); ValueError unless it has that shape and den > 0.  Hex parses
     in linear time, and Python's digit limit on decimal ``int`` conversion
     does not apply to it."""
-    rows, den = stored
     try:
         den = int(den, 16)
         if field.is_rational:
@@ -310,8 +309,6 @@ class CoinvariantBasis:
     def _build_degree(self, d: int, cand_indices, prime_root) -> _DegreeTable:
         """Degree-d table, pivots preselected modulo the prime of
         ``prime_root`` = (p, root of min_poly mod p)."""
-        import numpy as np      # build only: a warm load never needs it
-
         k = self.h_dims[d]
         monos = monomials_of_degree(self.rank, d)
         cands = [(a, self._derivative(a)) for a in cand_indices]
@@ -320,10 +317,8 @@ class CoinvariantBasis:
         p, root = prime_root
         tries = 0
         while True:
-            mat = np.zeros((len(cands), len(monos)), dtype=np.int64)
-            for i, (_, wh) in enumerate(cands):
-                for e, c in wh.items():
-                    mat[i, mono_pos[e]] = num_mod(c, p, root)
+            mat = [{mono_pos[e]: num_mod(c, p, root) for e, c in wh.items()}
+                   for _, wh in cands]
             rows, cols = modp_greedy_pivots(mat, p, k)
             if len(rows) == k:
                 try:
@@ -342,10 +337,9 @@ class CoinvariantBasis:
         P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den with integer
         coordinates; ValueError if P is singular.
 
-        ``stored`` is (M, den) in the hex text of a cache file (see
-        ``_DegreeTable.stored_inverse``).  It is a certified hint: it is decoded and
-        used once P M = den I holds exactly, and one that is missing,
-        ragged, not hex, has den <= 0 or fails that product raises
+        ``stored`` is (M, den) decoded from a cache file (see
+        ``decode_inverse``).  It is a certified hint: it is used once
+        P M = den I holds exactly, and one that fails that product raises
         ValueError.  Without it, M and den come from fraction-free
         elimination over Q, and from the field inverse over the lcm of
         its denominators over Q(theta), certified by the same product.
@@ -355,7 +349,7 @@ class CoinvariantBasis:
         zero = 0 if field.is_rational else (0,) * field.degree
         mat = [[wh.get(m, zero) for m in monos] for wh in weighted]
         if stored is not None:
-            inv, den = _decode_inverse(stored, len(monos), field)
+            inv, den = stored
             if inverse_defect(mat, inv, den, field) is not None:
                 raise ValueError("stored inverse fails P M = den I")
         elif field.is_rational:

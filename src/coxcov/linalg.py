@@ -15,10 +15,8 @@
   hashable, comparable column labels, for spans that grow one vector at a
   time: ranks, membership and solving in the span.
 
-A mod-p path (numpy) preselects pivots for the big rational eliminations;
-every mod-p choice is certified exactly afterwards.  numpy is imported
-inside the mod-p functions only, so code that loads recorded tables never
-loads it.
+``modp_greedy_pivots`` preselects the pivots of a table build modulo a
+prime, on sparse rows; every mod-p choice is certified exactly afterwards.
 """
 
 from __future__ import annotations
@@ -251,34 +249,43 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_ROOT_BLOCK = 1 << 12
+def _has_root_mod(field: Field, p: int) -> bool:
+    """Whether min_poly has a root mod p: gcd(x^p - x, min_poly) over F_p
+    is not constant.  x^p mod min_poly comes by square-and-multiply on
+    numerator tuples (``Field.mul_num``), reduced mod p after each step."""
+    x = acc = (0, 1) + (0,) * (field.degree - 2)
+    for bit in bin(p)[3:]:
+        acc = field.mul_num(acc, acc)
+        if bit == "1":
+            acc = field.mul_num(acc, x)
+        acc = tuple(c % p for c in acc)
+    a, b = list(field.min_poly), [acc[0], acc[1] - 1, *acc[2:]]
+    while True:             # Euclid on coefficient lists, low to high
+        b = [c % p for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if len(b) < 2:
+            return not b
+        inv, m = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > m:
+            q = a.pop() * inv % p
+            for j in range(m):
+                a[j - m] = (a[j - m] - q * b[j]) % p
+        a, b = b, a
 
 
 def field_prime_and_root(field: Field, start: int = 99991):
-    """Deterministic prime p (and a root of min_poly mod p) for reduction.
-
-    p is the first prime >= start at which min_poly has a root mod p, and
-    the root is the smallest one.  min_poly is evaluated at a block of
-    consecutive x at once, by Horner's rule on int64 residues: each step
-    stays below p^2 + |c|, far from 2^63 for the primes used here
-    (p ~ 10^5).  Blocks of _ROOT_BLOCK values keep the arrays, and so the
-    peak memory of the process, small.
-    """
-    import numpy as np
-
+    """Deterministic prime p (and a root of min_poly mod p) for reduction:
+    the first prime >= start at which min_poly has a root mod p
+    (``_has_root_mod``), and the smallest such root, by scanning upward."""
     p = start if start % 2 else start + 1
     while True:
         if _is_prime(p):
             if field.degree == 1:
                 return p, 0
-            for lo in range(0, p, _ROOT_BLOCK):
-                xs = np.arange(lo, min(lo + _ROOT_BLOCK, p), dtype=np.int64)
-                acc = np.zeros_like(xs)
-                for c in reversed(field.min_poly):
-                    acc = (acc * xs + c) % p
-                roots = np.flatnonzero(acc == 0)
-                if roots.size:
-                    return p, lo + int(roots[0])
+            if _has_root_mod(field, p):
+                return p, next(x for x in range(p)
+                               if not num_mod(field.min_poly, p, x))
         p += 2
 
 
@@ -293,34 +300,42 @@ def num_mod(num, p: int, root: int) -> int:
     return acc
 
 
-def modp_greedy_pivots(matrix, p: int, max_rank: int):
-    """Greedy row/column pivot selection of an int64 matrix mod p.
+def modp_greedy_pivots(rows, p: int, max_rank: int):
+    """Greedy row/column pivot selection mod p of sparse rows {col: value}.
 
     Columns are scanned left to right; the pivot row for each column is the
-    first not-yet-used row with a nonzero entry.  Returns (row_idx, col_idx)
-    lists of length = attained rank (stops at max_rank).
+    first not-yet-used row with a nonzero entry there, and that column is
+    then cleared from the other unused rows (a used row never pivots
+    again).  Returns (row_idx, col_idx) lists of length = attained rank
+    (stops at max_rank).
     """
-    import numpy as np
-
-    a = matrix % p
-    nrows, ncols = a.shape
-    used = np.zeros(nrows, dtype=bool)
+    rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    holders = {}            # column -> the unused rows nonzero there
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
     piv_rows, piv_cols = [], []
-    for col in range(ncols):
+    for col in sorted(holders):
         if len(piv_rows) >= max_rank:
             break
-        colvec = a[:, col]
-        cand = np.nonzero((colvec != 0) & (~used))[0]
-        if cand.size == 0:
+        if not holders[col]:
             continue
-        i = int(cand[0])
-        inv = pow(int(colvec[i]), -1, p)
-        a[i] = a[i] * inv % p
-        others = np.nonzero((a[:, col] != 0))[0]
-        for j in others:
-            if j != i:
-                a[j] = (a[j] - int(a[j, col]) * a[i]) % p
-        used[i] = True
+        i = min(holders[col])
+        prow = rows[i]
+        for c in prow:
+            holders[c].discard(i)
+        inv = pow(prow[col], -1, p)
+        for j in list(holders[col]):
+            row = rows[j]
+            f = row[col] * inv
+            for c, v in prow.items():
+                s = (row.get(c, 0) - f * v) % p
+                if s:
+                    row[c] = s
+                    holders[c].add(j)
+                else:
+                    del row[c]
+                    holders[c].discard(j)
         piv_rows.append(i)
         piv_cols.append(col)
     return piv_rows, piv_cols

@@ -61,6 +61,33 @@ def matrix_reflections(g):
     return reflections, classes, ell, 1 - ell
 
 
+def dense_modp_pivots(matrix, p, max_rank):
+    """(row_idx, col_idx) of the greedy pivot search mod p on a dense
+    list-of-lists matrix, the oracle for ``modp_greedy_pivots`` on sparse
+    rows: columns left to right, the pivot the first unused row nonzero
+    there, that column cleared from every other row, stopping at
+    max_rank."""
+    a = [[x % p for x in row] for row in matrix]
+    used = [False] * len(a)
+    piv_rows, piv_cols = [], []
+    for col in range(len(a[0]) if a else 0):
+        if len(piv_rows) >= max_rank:
+            break
+        cand = [i for i, row in enumerate(a) if row[col] and not used[i]]
+        if not cand:
+            continue
+        i = cand[0]
+        inv = pow(a[i][col], -1, p)
+        a[i] = [x * inv % p for x in a[i]]
+        for j, row in enumerate(a):
+            if j != i and row[col]:
+                a[j] = [(x - row[col] * y) % p for x, y in zip(row, a[i])]
+        used[i] = True
+        piv_rows.append(i)
+        piv_cols.append(col)
+    return piv_rows, piv_cols
+
+
 def homogeneous_part(p, d):
     """The terms of p of total degree d."""
     return Poly(p.nv, p.field,

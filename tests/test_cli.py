@@ -120,6 +120,23 @@ def test_cache_lifecycle(tmp_path, capsys):
     assert code == 0
 
 
+def test_cache_inspect_lists_a_non_object_file(tmp_path, capsys):
+    # valid JSON that is not an object is listed like a non-JSON file
+    from coxcov.cache import cache_path
+    code, _, _ = run_cli(capsys, "cache", "build", "--group", "A1",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0
+    cache_path(tmp_path, "A2").write_text("[1, 2]")
+    code, out, _ = run_cli(capsys, "cache", "inspect",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    by_file = {e["file"]: e for e in json.loads(out)}
+    assert by_file["group_A2.json"] == {"file": "group_A2.json",
+                                        "code": None, "version": None,
+                                        "order": None, "bytes": 6}
+    assert by_file["group_A1.json"]["code"] == "A1"
+
+
 def test_corrupted_cache_layout_regenerates(tmp_path, capsys):
     from coxcov.cache import cache_path
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",

@@ -7,6 +7,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
+from conftest import dense_modp_pivots
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
@@ -197,17 +198,59 @@ def test_sparse_rank_fuzz():
         assert _sparse_rank(rows) == rank
 
 
+def _sparse_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def test_modp_pivots_match_exact_rank():
     rng = random.Random(11)
-    import numpy as np
     for _ in range(20):
         n, m = rng.randrange(1, 6), rng.randrange(1, 8)
         rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
         p, _ = field_prime_and_root(QQ)
-        mat = np.array(rows, dtype=np.int64)
+        mat = _sparse_rows(rows)
         piv_rows, piv_cols = modp_greedy_pivots(mat, p, min(n, m))
         assert len(piv_rows) == _sparse_rank([[Fraction(v) for v in row]
                                               for row in rows])
+
+
+def _planted_matrix(rng, p):
+    """A random matrix mod p with a zero column, a duplicate row and a row
+    that is a combination of two others."""
+    n, m = rng.randrange(3, 8), rng.randrange(2, 9)
+    density = rng.choice([0.3, 0.6, 1.0])
+    rows = [[rng.randrange(-p, p) if rng.random() < density else 0
+             for _ in range(m)] for _ in range(n)]
+    for row in rows:
+        row[rng.randrange(m)] = 0
+    a, b, c, d = (rng.randrange(n) for _ in range(4))
+    rows[b] = list(rows[a])
+    f = rng.randrange(1, p)
+    rows[d] = [x + f * y for x, y in zip(rows[a], rows[c])]
+    return rows
+
+
+def test_modp_pivots_match_dense_oracle():
+    # the pivots themselves, not just the rank, against the dense search
+    rng = random.Random(23)
+    cut_short = 0
+    for _ in range(400):
+        p = rng.choice([2, 3, 7, 99991])
+        rows = _planted_matrix(rng, p)
+        full = dense_modp_pivots(rows, p, len(rows))
+        for k in range(len(full[0]) + 1):
+            sparse = _sparse_rows(rows)
+            got = modp_greedy_pivots(sparse, p, k)
+            assert got == dense_modp_pivots(rows, p, k), (rows, p, k)
+            assert sparse == _sparse_rows(rows)     # the input is kept
+            assert got == (full[0][:k], full[1][:k])
+            cut_short += k < len(full[0])
+    assert cut_short
+    # all-zero rows; proportional rows after a zero column
+    assert modp_greedy_pivots([{}, {}], 5, 2) == ([], [])
+    rows = [[0, 2, 4], [0, 1, 2], [0, 3, 6]]
+    assert modp_greedy_pivots(_sparse_rows(rows), 7, 3) == ([0], [1])
+    assert dense_modp_pivots(rows, 7, 3) == ([0], [1])
 
 
 def loop_prime_and_root(field, start=99991):
