@@ -25,7 +25,7 @@ from pathlib import Path
 from .coinvariants import CoinvariantBasis, decode_inverse
 from .groups import ReflectionGroup, build_group
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 DEFAULT_ENV = "COXCOV_CACHE_DIR"
 

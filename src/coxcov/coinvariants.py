@@ -23,14 +23,16 @@ multiplied in; in this form a derivative only shifts exponents, so every
 entry of every harmonic is an entry of the weighted Xi.  Xi is
 content-normalised, so the weighted Xi has integer coordinates (the build
 raises ValueError if it does not), and the inverse of the pairing matrix
-is kept as integer coordinates M over one denominator den: from
-fraction-free elimination over Q, from the field inverse with its
-denominators cleared over Q(theta).  A Poly already holds integer
-numerators over one denominator D (see ``poly``), so the normal form runs
-on integers alone, in one path for every field: the pairing vector and M
-times it are integer sums (over Q(theta) products of numerator tuples),
-and the result is those numerators over den * D, brought to lowest terms
-by one gcd.
+is kept as integer coordinates M over one denominator den, in lowest
+terms.  The pairing matrix is block diagonal after permuting its rows and
+columns (B4's 46 x 46 tables have blocks of at most 6), and each block of
+its support is inverted on its own: by fraction-free elimination over Q,
+by the field inverse over Q(theta); den is the lcm of the blocks' dens.
+A Poly already holds integer numerators over one denominator D (see
+``poly``), so the normal form runs on integers alone, in one path for
+every field: the pairing vector and M times it are integer sums (over
+Q(theta) products of numerator tuples), and the result is those
+numerators over den * D, brought to lowest terms by one gcd.
 
 Pivot selection runs modulo a prime, on sparse rows of residues; the choice
 is certified by the exact invertibility of the resulting pairing matrix.  A
@@ -48,13 +50,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
                      field_prime_and_root, inverse, inverse_defect,
-                     modp_greedy_pivots, num_mod)
+                     modp_greedy_pivots, num_mod, support_blocks)
 from .poly import Poly, grevlex_key
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
@@ -340,9 +342,14 @@ class CoinvariantBasis:
         ``stored`` is (M, den) decoded from a cache file (see
         ``decode_inverse``).  It is a certified hint: it is used once
         P M = den I holds exactly, and one that fails that product raises
-        ValueError.  Without it, M and den come from fraction-free
-        elimination over Q, and from the field inverse over the lcm of
-        its denominators over Q(theta), certified by the same product.
+        ValueError.  Without it, P is split into the connected components
+        of its support (``support_blocks``), a block diagonal after
+        permuting rows and columns, and each block is inverted on its own:
+        by fraction-free elimination over Q, by the field inverse over
+        Q(theta).  Each block inverse is brought to lowest terms, and M
+        holds them all over one den, the lcm of theirs, so that M / den is
+        P^{-1} in lowest terms.  The same product certifies it on the
+        whole table.
         """
         weighted = [wh for _, wh in chosen]
         field = self.field
@@ -352,21 +359,39 @@ class CoinvariantBasis:
             inv, den = stored
             if inverse_defect(mat, inv, den, field) is not None:
                 raise ValueError("stored inverse fails P M = den I")
-        elif field.is_rational:
-            inv, den = bareiss_jordan_inverse(mat)
-            if den < 0:
-                inv, den = [[-x for x in row] for row in inv], -den
         else:
-            inv = inverse([[field.from_num(x) for x in row] for row in mat],
-                          field)
-            den = lcm(*(x.den for row in inv for x in row))
-            inv = [[tuple(n * (den // x.den) for n in x.num) for x in row]
-                   for row in inv]
+            parts = [(rows, cols, *self._block_inverse(
+                          [[mat[i][j] for j in cols] for i in rows]))
+                     for rows, cols in support_blocks(
+                         mat, bool if field.is_rational else any)]
+            den = lcm(*(bden for *_, bden in parts))
+            inv = [[zero] * len(mat) for _ in mat]
+            for rows, cols, binv, bden in parts:
+                f = den // bden
+                for j, brow in zip(cols, binv):
+                    for i, x in zip(rows, brow):
+                        inv[j][i] = x * f if field.is_rational \
+                            else tuple(c * f for c in x)
             bad = inverse_defect(mat, inv, den, field)
             if bad is not None:
                 raise CertificationError(
                     f"inverse certification failed at {bad}")
         return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den)
+
+    def _block_inverse(self, block) -> tuple[list, int]:
+        """(M, den) in lowest terms with den > 0 and block @ M = den I;
+        ValueError if the block is singular."""
+        field = self.field
+        if field.is_rational:
+            inv, den = bareiss_jordan_inverse(block)
+            g = gcd(den, *(x for row in inv for x in row))
+            g = g if den > 0 else -g
+            return [[x // g for x in row] for row in inv], den // g
+        k = len(block)
+        inv = inverse([[field.from_num(x) for x in row] for row in block],
+                      field)
+        nums, den = field.clear([x for row in inv for x in row])
+        return [nums[i:i + k] for i in range(0, k * k, k)], den
 
     def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""

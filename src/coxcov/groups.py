@@ -119,13 +119,6 @@ def _catalogue_entry(code: str):
 # matrix helpers over the field
 # ---------------------------------------------------------------------------
 
-def mat_mul(a, b, field: Field):
-    n = len(a)
-    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row) if x),
-                           field.zero)
-                       for j in range(n)) for row in a)
-
-
 def mat_vec(a, v, field: Field):
     return tuple(sum((row[k] * x for k, x in enumerate(v) if x), field.zero)
                  for row in a)
@@ -137,8 +130,8 @@ def mat_transpose(a):
 
 
 def _coords_key(scalars, field: Field) -> tuple:
-    """Lexicographic sort key of a sequence of scalars (a vector, or the
-    rows of a matrix flattened): their power-basis coordinates in turn."""
+    """Lexicographic sort key of a vector of scalars: their power-basis
+    coordinates in turn."""
     return tuple(q for v in scalars for q in field.coords(v))
 
 
@@ -304,16 +297,32 @@ class ReflectionGroup:
 
         The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
         the simple roots a_i (S has them as columns), and w is orthogonal
-        exactly when (w a_i, w a_j) = (a_i, a_j) for all i, j.
+        exactly when (w a_i, w a_j) = (a_i, a_j) for all i, j.  The roots
+        and S^{-1} are cleared of denominators once, so every matrix is
+        computed as integer numerators (tuples over Q(theta)) over one
+        den > 0; sorting on them is sorting on the coordinates.
         """
         f = self.field
         r = self.rank
         spos = [self.roots.index(a) for a in self.simple_roots]
-        s_inv = inverse(mat_transpose(self.simple_roots), f)
+        root_nums, root_den = f.clear([c for v in self.roots for c in v])
+        inv_nums, inv_den = f.clear(
+            [c for row in inverse(mat_transpose(self.simple_roots), f)
+             for c in row])
+        den = root_den * inv_den
+        mul, total = (int.__mul__, sum) if f.is_rational else \
+            (f.mul_num, lambda terms: tuple(map(sum, zip(*terms))))
 
-        def matrix(p):
-            images = mat_transpose([self.roots[p[s]] for s in spos])
-            return mat_mul(images, s_inv, f)
+        def numerators(p):
+            """The entries of p's matrix, row by row, over den."""
+            imgs = [root_nums[p[s] * r:p[s] * r + r] for s in spos]
+            return tuple(total([mul(img[i], inv_nums[k * r + j])
+                                for k, img in enumerate(imgs)])
+                         for i in range(r) for j in range(r))
+
+        def matrix(nums):
+            return tuple(tuple(f.from_num(x, den) for x in nums[i:i + r])
+                         for i in range(0, r * r, r))
 
         groots = [mat_vec(self.gram, v, f) for v in self.roots]
         pairings: dict = {}
@@ -328,7 +337,7 @@ class ReflectionGroup:
         ident = tuple(range(len(self.roots)))
         index = {ident: 0}
         perms = [ident]
-        elements = [matrix(ident)]
+        elements = [matrix(numerators(ident))]
         layer = [ident]
         while layer:
             nxt = []
@@ -341,13 +350,12 @@ class ReflectionGroup:
                                 f"{self.code}: closure passed {self.order} "
                                 f"elements")
                         index[p] = -1
-                        nxt.append((p, matrix(p)))
-            nxt.sort(key=lambda pm: _coords_key(
-                (v for row in pm[1] for v in row), f))
-            for p, m in nxt:
+                        nxt.append((p, numerators(p)))
+            nxt.sort(key=lambda pm: pm[1])
+            for p, nums in nxt:
                 index[p] = len(perms)
                 perms.append(p)
-                elements.append(m)
+                elements.append(matrix(nums))
             layer = [p for p, _ in nxt]
         if len(elements) != self.order:
             raise CatalogueError(

@@ -3,14 +3,17 @@
 * ``gauss_jordan`` (with ``det``, ``inverse`` and ``nullspace`` on top) is
   the dense elimination over a field, Q or Q(theta), for small matrices
   given as rows: Gram matrices and their minors, determinants of group
-  elements, the Molien principal minors, the Lie-side form, the Q(theta)
-  pairing tables and the nullspaces of the little-adjoint construction.
+  elements, the Molien principal minors, the Lie-side form, the blocks of
+  the Q(theta) pairing tables and the nullspaces of the little-adjoint
+  construction.
 * ``bareiss_jordan_inverse`` over ``fields.bareiss_jordan`` is the
-  fraction-free integer elimination, for integer matrices: the rational
-  pairing tables of the coinvariant basis after clearing denominators
-  (``fields`` runs the same core for ``AlgNum.inverse``).
-  ``inverse_defect`` is the exact certificate mat @ M = den * I that every
-  pairing-table inverse passes, whether computed or read from the cache.
+  fraction-free integer elimination, for integer matrices: the blocks of
+  the rational pairing tables of the coinvariant basis after clearing
+  denominators (``fields`` runs the same core for ``AlgNum.inverse``).
+  ``support_blocks`` splits a pairing table into the connected components
+  of its support, which are inverted one by one.  ``inverse_defect`` is
+  the exact certificate mat @ M = den * I that every pairing-table inverse
+  passes on the whole table, whether computed or read from the cache.
 * ``SparseSolver`` is the incremental echelon over dicts keyed by
   hashable, comparable column labels, for spans that grow one vector at a
   time: ranks, membership and solving in the span.
@@ -188,6 +191,37 @@ def bareiss_jordan_inverse(mat):
     if bad is not None:
         raise CertificationError(f"inverse certification failed at {bad}")
     return inv, den
+
+
+def support_blocks(mat, nonzero=bool):
+    """The connected components of the support of a square matrix: the
+    (rows, cols) pairs, each sorted, linked by entries with ``nonzero``
+    true, in the order of their first row.  Permuting rows and columns by
+    them makes mat block diagonal, so it is invertible exactly when every
+    block is; a block that is not square raises ValueError (singular)."""
+    row_cols = [[j for j, x in enumerate(row) if nonzero(x)] for row in mat]
+    col_rows: dict = {}
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows.setdefault(j, []).append(i)
+    seen = set()
+    blocks = []
+    for start in range(len(mat)):
+        if start in seen:
+            continue
+        seen.add(start)
+        rows, cols = [start], set()
+        for i in rows:                    # grows while it is walked
+            for j in row_cols[i]:
+                if j not in cols:
+                    cols.add(j)
+                    rows += [k for k in col_rows[j] if k not in seen]
+                    seen.update(col_rows[j])
+        if len(rows) != len(cols):
+            raise ValueError("matrix not invertible: a support block of "
+                             f"{len(rows)} rows has {len(cols)} columns")
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks
 
 
 def inverse_defect(mat, inv, den, field: Field | None = None):

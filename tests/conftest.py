@@ -40,6 +40,15 @@ def stack_of():
 
 # -- shared oracles -----------------------------------------------------------
 
+def mat_mul(a, b, field):
+    """The product of two square matrices over the field, on scalars: the
+    route by which the group closure once built each element's matrix."""
+    n = len(a)
+    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row) if x),
+                           field.zero)
+                       for j in range(n)) for row in a)
+
+
 def matrix_reflections(g):
     """(reflections, reflection_classes, class_ell, class_p) of g with each
     reflection found by applying its matrix to every root, the path that

@@ -226,7 +226,7 @@ def test_version_2_file_is_regenerated(tmp_path, capsys):
     path = cache_path(tmp_path, "A2")
     good = path.read_bytes()
     doc = json.loads(good)
-    assert doc["version"] == CACHE_VERSION == 3
+    assert doc["version"] == CACHE_VERSION == 4
     doc["version"] = 2
     for table in doc["tables"].values():
         del table["inverse"], table["den"]
@@ -234,6 +234,29 @@ def test_version_2_file_is_regenerated(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
                            "--cache-dir", str(tmp_path))
     assert code == 0 and "rebuilt" in out
+    assert path.read_bytes() == good
+
+
+def test_version_3_file_is_regenerated(tmp_path, capsys):
+    """A file of the previous format, whose inverses need not be in lowest
+    terms, is rebuilt into the current one, and the report on it is the
+    same bytes as on a fresh cache."""
+    from coxcov.cache import cache_path
+    args = ["verify", "--group", "B2", "--checks", "all", "--samples", "3",
+            "--emit", "json", "--cache-dir", str(tmp_path)]
+    code, want, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = cache_path(tmp_path, "B2")
+    good = path.read_bytes()
+    doc = json.loads(good)
+    doc["version"] = 3
+    for table in doc["tables"].values():    # still P M = den I
+        table["inverse"] = [[format(2 * int(x, 16), "x") for x in row]
+                            for row in table["inverse"]]
+        table["den"] = format(2 * int(table["den"], 16), "x")
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, got, _ = run_cli(capsys, *args)
+    assert code == 0 and got == want
     assert path.read_bytes() == good
 
 

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from conftest import assert_canonical, homogeneous_part, scalar_nf
 from coxcov.coinvariants import (CoinvariantBasis, hilbert_coinvariants,
                                  monomials_of_degree)
 from coxcov.fields import QQ
-from coxcov.linalg import SparseSolver
+from coxcov.linalg import SparseSolver, bareiss_jordan_inverse, inverse
 from coxcov.poly import Poly
 from coxcov.weil import B_QUOTIENT, Weil
 
@@ -367,3 +367,87 @@ def test_table_denominator_is_positive(stack_of):
     t = cb._table([((0, 0), {(1, 0): (-2, 0)})], [(1, 0)])
     assert t.den > 0 and cb.field.from_num(t.inv[0][0], t.den) == \
         Fraction(-1, 2)
+
+
+def _pairing_matrix(cb, t):
+    zero = 0 if cb.field.is_rational else (0,) * cb.field.degree
+    return [[wh.get(m, zero) for m in t.monos] for wh in t.weighted]
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "G2", "I2(5)", "I2(8)", "H3"])
+def test_block_inverse_matches_whole_matrix_inverse(code, stack_of):
+    # every table's (M, den), inverted block by block, is the inverse of
+    # the whole pairing matrix by one elimination, in lowest terms
+    cb = stack_of(code).cb
+    field = cb.field
+    for t in cb.tables.values():
+        mat = _pairing_matrix(cb, t)
+        k = len(mat)
+        if field.is_rational:
+            inv, den = bareiss_jordan_inverse(mat)
+            g = gcd(den, *(x for row in inv for x in row))
+            g = g if den > 0 else -g
+            want = [[x // g for x in row] for row in inv], den // g
+        else:
+            nums, den = field.clear([
+                x for row in inverse([[field.from_num(x) for x in row]
+                                      for row in mat], field)
+                for x in row])
+            want = [nums[i:i + k] for i in range(0, k * k, k)], den
+        assert (t.inv, t.den) == want, (code, t.monos)
+
+
+def test_singular_block_raises(stack_of):
+    # P has the blocks [[1, 2], [2, 4]] (singular) and [[5]]
+    cb = stack_of("A2").cb
+    chosen = [((0, 0), {(2, 0): 1, (1, 1): 2}),
+              ((0, 0), {(2, 0): 2, (1, 1): 4}),
+              ((0, 0), {(0, 2): 5})]
+    with pytest.raises(ValueError, match="not invertible"):
+        cb._table(chosen, [(2, 0), (1, 1), (0, 2)])
+    cb = stack_of("I2(5)").cb
+    chosen = [((0, 0), {(2, 0): (1, 1), (1, 1): (2, 2)}),
+              ((0, 0), {(2, 0): (1, 0), (1, 1): (2, 0)}),
+              ((0, 0), {(0, 2): (0, 3)})]
+    with pytest.raises(ValueError, match="not invertible"):
+        cb._table(chosen, [(2, 0), (1, 1), (0, 2)])
+
+
+def test_planted_block_inverse_entry_raises_under_optimize():
+    # one wrong entry in the inverse of one block of a B3 table with four
+    # blocks: the product certificate on the whole table turns it down,
+    # and it is a raise, so python -O keeps it
+    code = ("import sys\n"
+            "from coxcov import coinvariants\n"
+            "from coxcov.coinvariants import CoinvariantBasis\n"
+            "from coxcov.groups import build_group\n"
+            "from coxcov.linalg import support_blocks\n"
+            "from coxcov.reports import CertificationError\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit(5)\n"
+            "cb = CoinvariantBasis(build_group('B3'))\n"
+            "t = cb.tables[3]\n"
+            "mat = [[wh.get(m, 0) for m in t.monos] for wh in t.weighted]\n"
+            "n_blocks = len(support_blocks(mat))\n"
+            "if n_blocks != 4:\n"
+            "    raise SystemExit(6)\n"
+            "real = coinvariants.bareiss_jordan_inverse\n"
+            "calls = []\n"
+            "def planted(block):\n"
+            "    inv, den = real(block)\n"
+            "    calls.append(block)\n"
+            "    if len(calls) == 2:\n"
+            "        inv[-1][0] += 1\n"
+            "    return inv, den\n"
+            "coinvariants.bareiss_jordan_inverse = planted\n"
+            "try:\n"
+            "    cb._table(list(zip(t.indices, t.weighted)), t.monos)\n"
+            "except CertificationError as exc:\n"
+            "    print(len(calls), exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    got = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("4 inverse certification failed at")

@@ -13,7 +13,7 @@ from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
                            det, field_prime_and_root, inverse,
                            inverse_defect, modp_greedy_pivots, nullspace,
-                           num_mod)
+                           num_mod, support_blocks)
 
 
 def _rand_scalar(rng, field):
@@ -293,3 +293,38 @@ def test_scalar_mod_extension():
     got = num_mod(x.num, p, root) * pow(x.den, -1, p) % p
     want = (pow(2, -1, p) + 3 * pow(4, -1, p) * root) % p
     assert got == want
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5])
+def test_support_blocks_of_a_permuted_block_diagonal(field):
+    # blocks of 3, 1 and 2 rows, full inside, scattered by random row and
+    # column permutations, come back as the components of the support
+    rng = random.Random(13)
+    zero = 0 if field.is_rational else (0, 0)
+    nonzero = bool if field.is_rational else any
+    for _ in range(10):
+        rows, cols = list(range(6)), list(range(6))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        mat = [[zero] * 6 for _ in range(6)]
+        want, start = [], 0
+        for size in (3, 1, 2):
+            r, c = rows[start:start + size], cols[start:start + size]
+            for i in r:
+                for j in c:
+                    x = rng.choice([-2, -1, 1, 3])
+                    mat[i][j] = x if field.is_rational else (0, x)
+            want.append((sorted(r), sorted(c)))
+            start += size
+        assert support_blocks(mat, nonzero) == sorted(want)
+
+
+def test_support_blocks_non_square_component_raises():
+    # rows 0 and 1 meet column 0 alone; a zero row is a block of no column
+    for mat in ([[1, 0, 0], [2, 0, 0], [0, 1, 1]],
+                [[1, 2, 0], [0, 0, 0], [0, 0, 3]],
+                [[1, 2, 3], [4, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="not invertible"):
+            support_blocks(mat)
+    assert support_blocks([[0, 2], [3, 0]]) == [([0], [1]), ([1], [0])]
+    assert support_blocks([]) == []
