@@ -13,7 +13,6 @@ Exit codes: 0 all pass (findings allowed), 1 at least one fail,
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -120,10 +119,6 @@ def run_suite(config: dict) -> Report:
     lie_checks = [c for c in checks if c in ("reeder", "lie-bridge")]
     group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
     for code in groups:
-        # free whatever cyclic garbage the previous group left before this
-        # group's set-up: peak memory then does not depend on when the
-        # collector would next run
-        gc.collect()
         code = canonical_code(code)
         jobs = []                      # (record name, thunk)
         if group_checks:

@@ -28,11 +28,15 @@ terms.  The pairing matrix is block diagonal after permuting its rows and
 columns (B4's 46 x 46 tables have blocks of at most 6), and each block of
 its support is inverted on its own: by fraction-free elimination over Q,
 by the field inverse over Q(theta); den is the lcm of the blocks' dens.
-A Poly already holds integer numerators over one denominator D (see
-``poly``), so the normal form runs on integers alone, in one path for
-every field: the pairing vector and M times it are integer sums (over
-Q(theta) products of numerator tuples), and the result is those
-numerators over den * D, brought to lowest terms by one gcd.
+The normal form is linear, so a basis memoises the column nf(x^e) of
+each exponent e it meets: standard-monomial numerators over nf_den, the
+lcm of the table dens, from the pairing vector of x^e and M times it
+(integer sums; over Q(theta) products of numerator tuples), empty above
+degree |T|.  A Poly already holds integer numerators c_e over one
+denominator D (see ``poly``), so nf(p) is sum_e c_e column(e) over
+nf_den * D, brought to lowest terms by one gcd: integers alone, one path
+for every field.  Ideal membership (``in_j``) pairs p with the harmonics
+directly, without the columns.
 
 Pivot selection runs modulo a prime, on sparse rows of residues; the choice
 is certified by the exact invertibility of the resulting pairing matrix.  A
@@ -51,6 +55,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm
+from operator import add
 
 from .fields import Scalar
 from .groups import ReflectionGroup
@@ -225,25 +230,37 @@ class CoinvariantBasis:
         self._certify_xi()
         self.tables: dict[int, _DegreeTable] = {}
         self._build_tables(precomputed)
+        # nf(x^e) per exponent, over nf_den, filled by nf_poly on demand
+        self.nf_den = lcm(*(t.den for t in self.tables.values()))
+        self._columns: dict[tuple, tuple] = {}
 
     # -- certification ------------------------------------------------------
 
     def _certify_xi(self):
-        """psi_i(d)Xi = 0, checked through the diagonal pairing."""
-        xi_terms = self.xi.terms
+        """psi_i(d)Xi = 0, checked through the diagonal pairing on the
+        integer numerators of psi_i and Xi (over Q(theta) products of
+        numerator tuples): whether a sum is zero does not depend on the
+        denominators."""
+        xi = self.xi.num
+        mul = None if self.field.is_rational else self.field.mul_num
         for psi in self.psis:
             d = psi.degree()
             if d > self.top:
                 continue
-            psi_terms = psi.terms
             for m in monomials_of_degree(self.rank, self.top - d):
-                total = self.field.zero
-                for e, c in psi_terms.items():
-                    key = tuple(a + b for a, b in zip(e, m))
-                    v = xi_terms.get(key)
-                    if v is not None:
-                        total = total + c * v * _weight(key)
-                if total:
+                total = 0 if mul is None else (0,) * self.field.degree
+                for e, c in psi.num.items():
+                    key = tuple(map(add, e, m))
+                    v = xi.get(key)
+                    if v is None:
+                        continue
+                    w = _weight(key)
+                    if mul is None:
+                        total += c * v * w
+                    else:
+                        total = tuple(a + x * w
+                                      for a, x in zip(total, mul(c, v)))
+                if total if mul is None else any(total):
                     raise CertificationError("root-form product is not "
                                              "annihilated by the invariants")
 
@@ -395,11 +412,10 @@ class CoinvariantBasis:
 
     def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""
-        to = self.field.from_num
-        solver = SparseSolver()
+        solver = SparseSolver(self.field)
         chosen = []
         for cand in cands:
-            if solver.add({e: to(c) for e, c in cand[1].items()}):
+            if solver.add(cand[1], 1):
                 chosen.append(cand)
             if len(chosen) == k:
                 break
@@ -407,11 +423,10 @@ class CoinvariantBasis:
             raise CertificationError("derivative span rank defect")
         # greedy standard monomials against the chosen harmonics
         cols = []
-        colsolver = SparseSolver()
+        colsolver = SparseSolver(self.field)
         for m in monos:
-            col = {i: to(wh[m]) for i, (_, wh) in enumerate(chosen)
-                   if m in wh}
-            if colsolver.add(col):
+            col = {i: wh[m] for i, (_, wh) in enumerate(chosen) if m in wh}
+            if colsolver.add(col, 1):
                 cols.append(m)
             if len(cols) == k:
                 break
@@ -469,15 +484,50 @@ class CoinvariantBasis:
         return Poly.from_num(self.rank, self.field, t.solve(v, self.field),
                              t.den * den)
 
+    def _column(self, e: tuple):
+        """The normal form of x^e as (standard monomial, numerator) pairs
+        over ``nf_den``, memoised: from the table of its degree, the solve
+        of its pairing vector against the harmonics; empty above top."""
+        t = self.tables.get(sum(e))
+        col = ()
+        if t is not None:
+            field = self.field
+            zero = 0 if field.is_rational else (0,) * field.degree
+            f = self.nf_den // t.den
+            sol = t.solve([wh.get(e, zero) for wh in t.weighted], field)
+            if field.is_rational:
+                col = tuple((m, x * f) for m, x in sol.items())
+            else:
+                col = tuple((m, tuple(c * f for c in x))
+                            for m, x in sol.items())
+        self._columns[e] = col
+        return col
+
     def nf_poly(self, p: Poly) -> Poly:
-        """Normal form of p modulo J, supported on standard monomials."""
+        """Normal form of p modulo J, supported on standard monomials: the
+        combination of the columns of its monomials by its numerators,
+        over nf_den times its denominator."""
         if p.is_zero():
             return p
-        out = Poly.zero(self.rank, self.field)
-        for d, num in self._parts(p):
-            out = out + self.harmonic_class(
-                d, self.tables[d].pairing_vector(num, self.field), p.den)
-        return out
+        columns = self._columns
+        out: dict = {}
+        get = out.get
+        if self.field.is_rational:
+            for e, c in p.num.items():
+                col = columns.get(e)
+                for m, x in self._column(e) if col is None else col:
+                    out[m] = get(m, 0) + c * x
+            out = {m: v for m, v in out.items() if v}
+        else:
+            mul = self.field.mul_num
+            for e, c in p.num.items():
+                col = columns.get(e)
+                for m, x in self._column(e) if col is None else col:
+                    t = mul(c, x)
+                    s = get(m)
+                    out[m] = t if s is None else tuple(map(add, s, t))
+            out = {m: v for m, v in out.items() if any(v)}
+        return Poly.from_num(self.rank, self.field, out, self.nf_den * p.den)
 
     def in_j(self, p: Poly) -> bool:
         """Exact ideal membership through the harmonic pairing."""

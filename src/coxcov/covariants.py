@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 from .coinvariants import CoinvariantBasis, monomials_of_degree
@@ -30,23 +31,33 @@ from .reports import CheckRecord, certify, scalar_str, verdict
 from .weil import B_QUOTIENT, Weil, wedge_mul
 
 
-def weil_vec(w: Weil) -> dict:
-    """Sparse coordinate vector of a Weil element, keys (mask, exponent)."""
+def _numerators(parts) -> tuple[dict, int]:
+    """(numerators, den) of the coordinates of (key prefix, Poly) pairs,
+    keys prefix + (exponent,), all over den, the lcm of the Polys' dens."""
+    parts = list(parts)
+    den = lcm(*(p.den for _, p in parts))
     out = {}
-    for mask, p in w.terms.items():
-        for e, c in p.terms.items():
-            out[(mask, e)] = c
-    return out
+    for pre, p in parts:
+        f = den // p.den
+        rational = p.field.is_rational
+        for e, c in p.num.items():
+            if f != 1:
+                c = c * f if rational else tuple(x * f for x in c)
+            out[pre + (e,)] = c
+    return out, den
 
 
-def map_vec(comps) -> dict:
-    """Sparse coordinates of a tuple of Weil components."""
-    out = {}
-    for j, w in enumerate(comps):
-        for mask, p in w.terms.items():
-            for e, c in p.terms.items():
-                out[(j, mask, e)] = c
-    return out
+def weil_vec(w: Weil) -> tuple[dict, int]:
+    """Sparse coordinates of a Weil element, keys (mask, exponent), as
+    integer numerators over one den (a ``SparseSolver`` input)."""
+    return _numerators(((mask,), p) for mask, p in w.terms.items())
+
+
+def map_vec(comps) -> tuple[dict, int]:
+    """Sparse coordinates of a tuple of Weil components, keys (index,
+    mask, exponent), as integer numerators over one den."""
+    return _numerators(((j, mask), p) for j, w in enumerate(comps)
+                       for mask, p in w.terms.items())
 
 
 class TargetSpace:
@@ -246,15 +257,15 @@ class CovariantStack:
             return {}
         degree = x.total_degree()
         g = self.group
-        solver = SparseSolver()
+        solver = SparseSolver(g.field)
         masks = []
         for mask in range(1 << g.rank):
             d = sum(2 * g.degrees[i] - 1 for i in range(g.rank)
                     if mask & (1 << i))
             if d == degree:
                 masks.append(mask)
-                solver.add(weil_vec(self.p_product(mask)))
-        sol = solver.solve(weil_vec(x))
+                solver.add(*weil_vec(self.p_product(mask)))
+        sol = solver.solve(*weil_vec(x))
         if sol is None:
             return None
         return {masks[i]: c for i, c in sol.items() if c}
@@ -269,14 +280,14 @@ def solomon_check(stack: CovariantStack) -> CheckRecord:
     g = stack.group
     r = g.rank
     failures = []
-    solver = SparseSolver()
+    solver = SparseSolver(g.field)
     series = GradedSeries.zero()
     for mask in range(1 << r):
         prod = stack.p_product(mask)
         if prod.is_zero():
             failures.append(f"p-product {mask:b} vanished")
             continue
-        if not solver.add(weil_vec(prod)):
+        if not solver.add(*weil_vec(prod)):
             failures.append(f"p-product {mask:b} dependent")
         series = series + GradedSeries.monomial(prod.total_degree())
         for widx in g.simple_indices:
@@ -368,8 +379,8 @@ def free_basis_failures(stack: CovariantStack, gens, subset, molien):
                 continue
             by_degree.setdefault(el.total_degree(), []).append(el)
     for d, els in sorted(by_degree.items()):
-        solver = SparseSolver()
-        if not all(solver.add(map_vec(el.comps)) for el in els):
+        solver = SparseSolver(stack.group.field)
+        if not all(solver.add(*map_vec(el.comps)) for el in els):
             failures.append(f"rank defect in degree {d}")
         if molien[d] != len(els):
             failures.append(

@@ -19,7 +19,7 @@ from itertools import chain, combinations, permutations, product
 from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
-from .covariants import weil_vec
+from .covariants import map_vec
 from .fields import QQ, clear_denominators
 from .groups import ReflectionGroup, build_custom_group
 from .linalg import SparseSolver, det, inverse
@@ -559,16 +559,12 @@ def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:
         solver = SparseSolver()
         rank = 0
         for hw in hwvs:
-            images = hom_from_hwv(L, model, hw)
-            vec = {}
-            for k, img in enumerate(images):
-                w = phi_map(L, img)
-                degs = w.total_degrees()
-                if not degs <= {n}:
+            ws = [phi_map(L, img) for img in hom_from_hwv(L, model, hw)]
+            for w in ws:
+                if not w.total_degrees() <= {n}:
                     failures.append(f"Phi not degree preserving at n={n}")
-                for key, c in weil_vec(w).items():
-                    vec[(k,) + key] = c
-            if vec and solver.add(vec):
+            vec, den = map_vec(ws)
+            if vec and solver.add(vec, den):
                 rank += 1
         per_degree.append([n, len(hwvs), rank])
         total_rank += rank

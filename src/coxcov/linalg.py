@@ -16,7 +16,11 @@
   passes on the whole table, whether computed or read from the cache.
 * ``SparseSolver`` is the incremental echelon over dicts keyed by
   hashable, comparable column labels, for spans that grow one vector at a
-  time: ranks, membership and solving in the span.
+  time: ranks, membership and solving in the span.  Its rows are integer
+  numerators (numerator tuples over Q(theta)), reduced fraction-free by
+  cross-multiplication; a vector comes in as scalars or as numerators
+  over one denominator, and only what ``solve`` and ``reduce_only``
+  return is scalars.
 
 ``modp_greedy_pivots`` preselects the pivots of a table build modulo a
 prime, on sparse rows; every mod-p choice is certified exactly afterwards.
@@ -24,84 +28,166 @@ prime, on sparse rows; every mod-p choice is certified exactly afterwards.
 
 from __future__ import annotations
 
-from .fields import Field, bareiss_jordan, scalar_inverse
+from itertools import chain
+from math import gcd
+from operator import sub
+
+from .fields import QQ, AlgNum, Field, bareiss_jordan, scalar_inverse
 from .reports import CertificationError
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon over a field
+# sparse echelon on integer numerators
 # ---------------------------------------------------------------------------
 
-class SparseSolver:
-    """Incremental sparse echelon with combination tracking.
+def _sub_int(dst: dict, x: int, src: dict):
+    """dst -= x * src in place, on int entries; no zero is kept."""
+    get = dst.get
+    for k, v in src.items():
+        s = get(k, 0) - x * v
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
 
-    Generators are added one at a time; ``solve`` expresses a target in the
-    span or returns None.  Pivot columns are chosen as the minimal key of
-    the residual, so behaviour is deterministic for comparable keys.
+
+def _sub_num(dst: dict, x: tuple, src: dict, mul):
+    """dst -= x * src in place, on numerator tuples multiplied by ``mul``;
+    no zero is kept."""
+    get = dst.get
+    for k, v in src.items():
+        t = mul(x, v)
+        s = get(k)
+        s = tuple(-c for c in t) if s is None else tuple(map(sub, s, t))
+        if any(s):
+            dst[k] = s
+        else:
+            del dst[k]
+
+
+def _scaled(vec: dict, f: int, divide: bool = False) -> dict:
+    """vec times f, or divided exactly by f, entry by entry."""
+    if divide:
+        return {k: v // f if type(v) is int else tuple(c // f for c in v)
+                for k, v in vec.items()}
+    return {k: v * f if type(v) is int else tuple(c * f for c in v)
+            for k, v in vec.items()}
+
+
+class SparseSolver:
+    """Incremental sparse echelon with combination tracking, on integers.
+
+    Generators are added one at a time, as {key: scalar} dicts or, with
+    ``den``, as {key: numerator} dicts over one denominator den > 0 (ints
+    over Q, numerator tuples over Q(theta)); ``solve`` expresses a target
+    in the span or returns None.  Pivot columns are chosen as the minimal
+    key of the residual, so behaviour is deterministic for comparable keys.
+    ``field`` left out is the field of the first scalars added.
+
+    A row holds numerators with vec = sum_i comb[i] g_i over the
+    generators g_i, content 1 and a positive integer p at its pivot (over
+    Q(theta) the row is first multiplied by the numerator of the inverse
+    of its pivot entry).  The entry x of a vector at that pivot is cleared
+    by (p / g) vec - (x / g) row with g = gcd(p, x): the residual, zero at
+    every pivot, is the one elimination over the field would give.
     """
 
-    def __init__(self):
-        self.rows = []          # list of (pivot_key, vec, comb)
+    def __init__(self, field: Field | None = None):
+        self.field = field
+        self.rows = []          # list of (pivot_key, p, vec, comb)
         self.pivots = {}        # pivot_key -> row index
         self.n_generators = 0
 
-    def _reduce(self, vec: dict, comb: dict):
-        vec = dict(vec)
-        comb = dict(comb)
+    def _nums(self, vec: dict, den):
+        """(numerators, den) of a vector of scalars (den None) or of
+        numerators over den, in a new dict that reduction may change."""
+        if not vec:
+            return {}, den or 1
+        if self.field is None:
+            if den is not None and type(next(iter(vec.values()))) is not int:
+                raise ValueError("numerator tuples need the solver's field")
+            self.field = next((v.field for v in vec.values()
+                               if isinstance(v, AlgNum)), QQ)
+        if den is None:
+            nums, den = self.field.clear(list(vec.values()))
+            return dict(zip(vec, nums)), den
+        return dict(vec), den
+
+    def _reduce(self, vec: dict, comb: dict, a: int):
+        """Clear every pivot key of vec, for vec = a t + sum_i comb[i] g_i
+        and the vector t being reduced; returns the new (vec, comb, a)."""
+        rows, pivots = self.rows, self.pivots
+        rational = self.field is None or self.field.is_rational
+        mul = None if rational else self.field.mul_num
         changed = True
         while changed:
             changed = False
-            for key in list(vec.keys()):
-                idx = self.pivots.get(key)
-                if idx is not None and vec.get(key):
-                    _, rvec, rcomb = self.rows[idx]
-                    c = vec[key]
-                    for k2, v2 in rvec.items():
-                        s = vec.get(k2)
-                        s = (-c * v2) if s is None else s - c * v2
-                        if s:
-                            vec[k2] = s
-                        else:
-                            vec.pop(k2, None)
-                    for k2, v2 in rcomb.items():
-                        s = comb.get(k2)
-                        s = (-c * v2) if s is None else s - c * v2
-                        if s:
-                            comb[k2] = s
-                        else:
-                            comb.pop(k2, None)
-                    changed = True
-        return vec, comb
+            for key in list(vec):
+                idx = pivots.get(key)
+                x = vec.get(key)
+                if idx is None or x is None:
+                    continue
+                _, p, rvec, rcomb = rows[idx]
+                g = gcd(p, x) if rational else gcd(p, *x)
+                if g != p:
+                    f = p // g
+                    vec, comb, a = _scaled(vec, f), _scaled(comb, f), a * f
+                if rational:
+                    x //= g
+                    _sub_int(vec, x, rvec)
+                    _sub_int(comb, x, rcomb)
+                else:
+                    x = tuple(c // g for c in x)
+                    _sub_num(vec, x, rvec, mul)
+                    _sub_num(comb, x, rcomb, mul)
+                changed = True
+        return vec, comb, a
 
-    def add(self, vec: dict) -> bool:
+    def add(self, vec: dict, den: int | None = None) -> bool:
         """Add a generator; returns True when it enlarged the span."""
         idx = self.n_generators
         self.n_generators += 1
-        vec, comb = self._reduce(vec, {idx: 1})
+        vec, den = self._nums(vec, den)
+        field = self.field
+        rational = field is None or field.is_rational
+        start = den if rational else (den,) + (0,) * (field.degree - 1)
+        vec, comb, _ = self._reduce(vec, {idx: start}, 1)
         if not vec:
             return False
-        pivot = min(vec.keys())
-        inv = scalar_inverse(vec[pivot])
-        vec = {k: v * inv for k, v in vec.items()}
-        comb = {k: v * inv for k, v in comb.items()}
+        pivot = min(vec)
+        if not rational:
+            inv = field.from_num(vec[pivot]).inverse().num
+            vec = {k: field.mul_num(inv, v) for k, v in vec.items()}
+            comb = {k: field.mul_num(inv, v) for k, v in comb.items()}
+        flat = list(vec.values()) + list(comb.values())
+        g = gcd(*(flat if rational else chain.from_iterable(flat)))
+        p = vec[pivot] if rational else vec[pivot][0]
+        if p < 0:
+            g = -g
+        vec, comb = _scaled(vec, g, True), _scaled(comb, g, True)
         self.pivots[pivot] = len(self.rows)
-        self.rows.append((pivot, vec, comb))
+        self.rows.append((pivot, p // g, vec, comb))
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce_only(self, vec: dict) -> dict:
-        res, _ = self._reduce(vec, {})
-        return res
+    def reduce_only(self, vec: dict, den: int | None = None) -> dict:
+        """The residual of a vector, as scalars: the vector minus the
+        element of the span that agrees with it at every pivot key."""
+        vec, den = self._nums(vec, den)
+        res, _, a = self._reduce(vec, {}, den)
+        return {k: self.field.from_num(v, a) for k, v in res.items()}
 
-    def solve(self, target: dict):
-        """Coefficients over generator indices with sum = target, or None."""
-        res, comb = self._reduce(target, {})
+    def solve(self, target: dict, den: int | None = None):
+        """Coefficients over generator indices with sum = target, or None;
+        exact scalars."""
+        target, den = self._nums(target, den)
+        res, comb, a = self._reduce(target, {}, den)
         if res:
             return None
-        return {k: -v for k, v in comb.items()}
+        return {k: self.field.from_num(v, -a) for k, v in comb.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,13 @@ class UbarDecomposition:
     def u_action_matrix(self, w_idx: int):
         """Matrix of w on U in the chosen basis (columns = images)."""
         group = self.split.group
-        solver = SparseSolver()
+        solver = SparseSolver(group.field)
         for y in self.u_basis:
-            solver.add(dict(y.terms))
+            solver.add(y.num, y.den)
         cols = []
         for y in self.u_basis:
             img = group.act_poly(w_idx, y)
-            sol = solver.solve(dict(img.terms))
+            sol = solver.solve(img.num, img.den)
             certify(sol is not None, "U not W-stable")
             cols.append([sol.get(i, group.field.zero)
                          for i in range(len(self.u_basis))])
@@ -225,15 +225,15 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
         # orthogonal complement of (J_H^2)_d inside (A^H)_d w.r.t. the
         # invariant pairing, expressed in the span of {gens_d} + J^2
         space = gens_d + j2
-        space_solver = SparseSolver()
+        space_solver = SparseSolver(field)
         basis = []
         for q in space:
-            if space_solver.add(dict(q.terms)):
+            if space_solver.add(q.num, q.den):
                 basis.append(q)
         j2_reduced = []
-        seen = SparseSolver()
+        seen = SparseSolver(field)
         for q in j2:
-            if seen.add(dict(q.terms)):
+            if seen.add(q.num, q.den):
                 j2_reduced.append(q)
         certify(len(basis) - len(j2_reduced) == len(gens_d),
                 "Vbar dimension mismatch")
@@ -260,14 +260,14 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
             "psibar not H-invariant")
     inv_basis = []
     u_basis = []
-    inv_rank = SparseSolver()
-    u_rank = SparseSolver()
+    inv_rank = SparseSolver(group.field)
+    u_rank = SparseSolver(group.field)
     for v in vbar:
         av = group.reynolds(v, split.wp_elements)
-        if not av.is_zero() and inv_rank.add(dict(av.terms)):
+        if not av.is_zero() and inv_rank.add(av.num, av.den):
             inv_basis.append(av.content_normalized())
         ker = v - av
-        if not ker.is_zero() and u_rank.add(dict(ker.terms)):
+        if not ker.is_zero() and u_rank.add(ker.num, ker.den):
             u_basis.append(ker.content_normalized())
     certify(len(inv_basis) + len(u_basis) == len(vbar), "Vbar split defect")
     u_degs = {y.degree() for y in u_basis}
@@ -399,7 +399,7 @@ def _wp_reflection_character(split: SplitGroupData):
     group = split.group
     field = group.field
     basis = [group.simple_roots[j] for j in split.p_simple]
-    solver = SparseSolver()
+    solver = SparseSolver(field)
     for v in basis:
         solver.add({i: c for i, c in enumerate(v) if c})
 
@@ -483,16 +483,16 @@ def little_adjoint_suite(stack: CovariantStack,
     for k in range(max(top_y, len(htilde) - 1) + 1):
         expans.append([Poly.monomial(m, 1, field).substitute(dec.u_basis)
                        for m in monomials_of_degree(s, k)])
-        rk_solver = SparseSolver()
+        rk_solver = SparseSolver(field)
         rank_h.append(sum(1 for q in expans[k]
                           if (nf := cb.nf_poly(q)) and
-                          rk_solver.add(dict(nf.terms))))
+                          rk_solver.add(nf.num, nf.den)))
 
     # J-tilde = (phi_1, ..., phi_{r_p}) inside K[U], degree by degree
     for k in range(1, top_y + 1):
         dim_jcap = len(expans[k]) - rank_h[k]
         # the phi-ideal in y-coordinates
-        ideal_solver = SparseSolver()
+        ideal_solver = SparseSolver(field)
         dim_ideal = 0
         for i, phiy in enumerate(tilde.phis_y, start=1):
             rest = k - (i + 1)
@@ -500,16 +500,16 @@ def little_adjoint_suite(stack: CovariantStack,
                 continue
             for m in monomials_of_degree(s, rest):
                 qy = phiy * Poly.monomial(m, 1, field)
-                if ideal_solver.add(dict(qy.terms)):
+                if ideal_solver.add(qy.num, qy.den):
                     dim_ideal += 1
         if dim_ideal != dim_jcap:
             failures.append(
                 f"J-tilde mismatch in y-degree {k}: ideal {dim_ideal} vs "
                 f"J cap A-tilde {dim_jcap}")
         # independence of the y-monomial expansions (K[U] is polynomial)
-        ind = SparseSolver()
+        ind = SparseSolver(field)
         for q in expans[k]:
-            if not ind.add(dict(q.terms)):
+            if not ind.add(q.num, q.den):
                 failures.append(f"K[U] not free in y-degree {k}")
                 break
 

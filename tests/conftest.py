@@ -255,3 +255,82 @@ def scalar_nf(cb, p):
             if s:
                 out[mono] = s
     return out
+
+
+def pairing_route_nf(cb, p):
+    """The normal form of p degree by degree, through the pairing vector
+    against the harmonics and the table's solve: the route that the
+    per-monomial columns of ``nf_poly`` replaced."""
+    out = Poly.zero(cb.rank, cb.field)
+    for d, num in cb._parts(p):
+        out = out + cb.harmonic_class(
+            d, cb.tables[d].pairing_vector(num, cb.field), p.den)
+    return out
+
+
+class FractionSparseSolver:
+    """Incremental sparse echelon on scalars (``Fraction`` or ``AlgNum``),
+    each row scaled to 1 at its pivot: the solver that the integer
+    ``linalg.SparseSolver`` replaced, with the same pivot rule (the
+    minimal key of the residual) and reduction order."""
+
+    def __init__(self):
+        self.rows = []          # list of (pivot_key, vec, comb)
+        self.pivots = {}        # pivot_key -> row index
+        self.n_generators = 0
+
+    def _reduce(self, vec, comb):
+        vec = dict(vec)
+        comb = dict(comb)
+        changed = True
+        while changed:
+            changed = False
+            for key in list(vec.keys()):
+                idx = self.pivots.get(key)
+                if idx is not None and vec.get(key):
+                    _, rvec, rcomb = self.rows[idx]
+                    c = vec[key]
+                    for k2, v2 in rvec.items():
+                        s = vec.get(k2)
+                        s = (-c * v2) if s is None else s - c * v2
+                        if s:
+                            vec[k2] = s
+                        else:
+                            vec.pop(k2, None)
+                    for k2, v2 in rcomb.items():
+                        s = comb.get(k2)
+                        s = (-c * v2) if s is None else s - c * v2
+                        if s:
+                            comb[k2] = s
+                        else:
+                            comb.pop(k2, None)
+                    changed = True
+        return vec, comb
+
+    def add(self, vec):
+        idx = self.n_generators
+        self.n_generators += 1
+        vec, comb = self._reduce(vec, {idx: 1})
+        if not vec:
+            return False
+        pivot = min(vec.keys())
+        inv = scalar_inverse(vec[pivot])
+        vec = {k: v * inv for k, v in vec.items()}
+        comb = {k: v * inv for k, v in comb.items()}
+        self.pivots[pivot] = len(self.rows)
+        self.rows.append((pivot, vec, comb))
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce_only(self, vec):
+        res, _ = self._reduce(vec, {})
+        return res
+
+    def solve(self, target):
+        res, comb = self._reduce(target, {})
+        if res:
+            return None
+        return {k: -v for k, v in comb.items()}

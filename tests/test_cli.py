@@ -288,9 +288,9 @@ def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
 
 
 def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
-    # numpy serves the mod-p pivot search of a table build only; a verify
-    # that loads every table from the cache never imports it, and the Lie
-    # side builds its Weyl group's tables from the same cached layout
+    # coxcov uses numpy nowhere, so no verify may import it; this one
+    # loads every table from the cache, and the Lie side builds its Weyl
+    # group's tables from the same cached layout
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "B2",
                            "--group", "A1", "--group", "A2",
                            "--cache-dir", str(tmp_path))

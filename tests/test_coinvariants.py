@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_canonical, homogeneous_part, scalar_nf
+from conftest import (assert_canonical, homogeneous_part, pairing_route_nf,
+                      scalar_nf)
 
+from coxcov.cli import DEFAULT_GROUPS
 from coxcov.coinvariants import (CoinvariantBasis, hilbert_coinvariants,
                                  monomials_of_degree)
 from coxcov.fields import QQ
@@ -451,3 +453,124 @@ def test_planted_block_inverse_entry_raises_under_optimize():
                          capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     assert got.stdout.startswith("4 inverse certification failed at")
+
+
+def _random_field_poly(rng, g, degrees, nterms, integral=False):
+    """A random Poly over the group's field with terms of the given
+    degrees; integer coordinates if ``integral``."""
+    field = g.field
+    terms = {}
+    for _ in range(nterms):
+        m = rng.choice(monomials_of_degree(g.rank, rng.choice(degrees)))
+        terms[m] = field.scalar(*[
+            Fraction(rng.randrange(-9, 10),
+                     1 if integral else rng.randrange(1, 7))
+            for _ in range(field.degree)])
+    return Poly(g.rank, field, terms)
+
+
+@pytest.mark.parametrize("code", [c for c in DEFAULT_GROUPS if c != "F4"])
+def test_memoised_nf_poly_matches_pairing_route(code, group_of):
+    # a basis of its own, so its column memo starts empty
+    g = group_of(code)
+    cb = CoinvariantBasis(g)
+    assert not cb._columns
+    zero = Poly.zero(g.rank, g.field)
+    assert cb.nf_poly(zero) == zero and not cb._columns
+    rng = random.Random(f"memo-{code}")
+    top = cb.top
+    polys = []
+    for _ in range(8):
+        degrees = [0, top, top + 1, top + 3] + \
+            [rng.randrange(top + 1) for _ in range(3)]
+        polys.append(_random_field_poly(rng, g, degrees, rng.randrange(1, 9)))
+    polys.append(polys[0] + polys[1])       # monomials of filled columns
+    for p in polys:
+        got = cb.nf_poly(p)
+        assert_canonical(got)
+        assert got == pairing_route_nf(cb, p), (code, p)
+    filled = dict(cb._columns)
+    assert any(sum(e) > top and col == () for e, col in filled.items())
+    # every column is filled now: the second pass only reads them
+    for p in polys:
+        assert cb.nf_poly(p) == pairing_route_nf(cb, p), (code, p)
+    assert cb._columns.keys() == filled.keys()
+    assert all(cb._columns[e] is col for e, col in filled.items())
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "B2"])
+def test_lie_side_basis_keeps_columns_of_its_own(code, group_of):
+    # the catalogue basis and the Lie-side basis of one Weyl group share
+    # a layout but not their coordinates, so not their columns either
+    from coxcov.lie_bridge import build_lie
+    cat = CoinvariantBasis(group_of(code))
+    lie = build_lie(code, cat.recorded_tables()).cb
+    assert lie._columns is not cat._columns
+    rng = random.Random(f"lie-{code}")
+    polys = [_random_field_poly(rng, cat.group, list(range(cat.top + 2)), 6)
+             for _ in range(6)]
+    for p in polys:
+        assert lie.nf_poly(p) == pairing_route_nf(lie, p)
+    assert not cat._columns
+    for p in polys:
+        assert cat.nf_poly(p) == pairing_route_nf(cat, p)
+    assert cat._columns.keys() == lie._columns.keys()
+    if code == "B2":
+        # the Lie side realizes B2 in other coordinates: some monomial has
+        # two normal forms, so shared columns would give wrong ones
+        assert any(cat._columns[e] != lie._columns[e] for e in cat._columns)
+
+
+@pytest.mark.parametrize("code", ["B3", "H3", "I2(8)"])
+def test_nf_poly_on_integers_builds_no_fraction(code, group_of, monkeypatch):
+    g = group_of(code)
+    cb = CoinvariantBasis(g)
+    rng = random.Random(f"nofrac-{code}")
+    polys = [_random_field_poly(rng, g, list(range(cb.top + 2)), 8,
+                                integral=True) for _ in range(6)]
+    assert all(p.den == 1 for p in polys)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and calls         # the count does see a Fraction
+    calls.clear()
+    nfs = [cb.nf_poly(p) for p in polys]    # columns filled here
+    nfs += [cb.nf_poly(p) for p in polys]   # and read here
+    monkeypatch.undo()
+    assert not calls
+    assert nfs[:len(polys)] == nfs[len(polys):]
+    assert nfs[:len(polys)] == [pairing_route_nf(cb, p) for p in polys]
+
+
+@pytest.mark.parametrize("code", ["B2", "I2(5)"])
+def test_planted_psi_fails_xi_certificate_under_optimize(code):
+    # psi_1 + x_0^2 does not annihilate Xi: the certificate on integer
+    # numerators turns it down, and it is a raise, so python -O keeps it
+    child = ("import sys\n"
+             "from coxcov.coinvariants import CoinvariantBasis\n"
+             "from coxcov.groups import build_group\n"
+             "from coxcov.poly import Poly\n"
+             "from coxcov.reports import CertificationError\n"
+             "if not sys.flags.optimize:\n"
+             "    raise SystemExit(5)\n"
+             f"g = build_group({code!r})\n"
+             "CoinvariantBasis(g)\n"
+             "psis = g.basic_invariants()\n"
+             "x0 = (2,) + (0,) * (g.rank - 1)\n"
+             "g._psis = [psis[0] + Poly.monomial(x0, 1, g.field)] + psis[1:]\n"
+             "try:\n"
+             "    CoinvariantBasis(g)\n"
+             "except CertificationError as exc:\n"
+             "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    got = subprocess.run([sys.executable, "-O", "-c", child],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == ("root-form product is not annihilated by "
+                                  "the invariants")

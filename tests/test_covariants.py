@@ -201,7 +201,7 @@ def test_bw_molien_oracle(stack_of):
             assert series[q] == 0
             continue
         # average the action over the group, rank of the projector image
-        solver = SparseSolver()
+        solver = SparseSolver(g.field)
         rank = 0
         for mask, m in basis:
             w = Weil(g.rank, g.field, {mask: Poly.monomial(m, 1, g.field)},
@@ -209,7 +209,7 @@ def test_bw_molien_oracle(stack_of):
             acc = Weil.zero(g.rank, g.field, B_QUOTIENT)
             for widx in range(g.order):
                 acc = acc + cb.act_b(widx, w)
-            if not acc.is_zero() and solver.add(weil_vec(acc)):
+            if not acc.is_zero() and solver.add(*weil_vec(acc)):
                 rank += 1
         assert rank == series[q], (q, rank, series[q])
 

@@ -7,7 +7,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from conftest import dense_modp_pivots
+from conftest import FractionSparseSolver, dense_modp_pivots
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
@@ -328,3 +328,77 @@ def test_support_blocks_non_square_component_raises():
             support_blocks(mat)
     assert support_blocks([[0, 2], [3, 0]]) == [([0], [1]), ([1], [0])]
     assert support_blocks([]) == []
+
+
+def _random_generators(rng, field, keys):
+    """Sparse vectors over the keys: random ones, and zero, duplicate and
+    dependent (a combination of two earlier) generators among them."""
+    gens = []
+    for _ in range(rng.randrange(1, 10)):
+        kind = rng.random()
+        if kind < 0.1:
+            gens.append({})
+        elif kind < 0.2 and gens:
+            gens.append(dict(rng.choice(gens)))
+        elif kind < 0.4 and len(gens) >= 2:
+            a, b = rng.sample(gens, 2)
+            ca, cb = _rand_scalar(rng, field), _rand_scalar(rng, field)
+            v = {k: ca * a.get(k, field.zero) + cb * b.get(k, field.zero)
+                 for k in set(a) | set(b)}
+            gens.append({k: x for k, x in v.items() if x})
+        else:
+            v = {k: _rand_scalar(rng, field)
+                 for k in rng.sample(keys, rng.randrange(1, 6))}
+            gens.append({k: x for k, x in v.items() if x})
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5, QCOSPI7],
+                         ids=lambda f: f.name)
+def test_integer_solver_matches_fraction_oracle(field):
+    rng = random.Random(f"solver-{field.name}")
+    for trial in range(80):
+        if trial % 2:
+            keys = sorted({(rng.randrange(4), (rng.randrange(3),
+                                               rng.randrange(3)))
+                           for _ in range(10)})
+        else:
+            keys = list(range(8))
+        gens = _random_generators(rng, field, keys)
+        # scalar input (the field given, or read off the first scalars),
+        # and numerators over one den
+        solvers = [SparseSolver(field), SparseSolver(), SparseSolver(field)]
+        oracle = FractionSparseSolver()
+
+        def feed(i, solver, method, vec):
+            if i < 2:
+                return getattr(solver, method)(vec)
+            nums, den = field.clear(list(vec.values())) if vec else ([], 1)
+            given = dict(zip(vec, nums))
+            got = getattr(solver, method)(given, den)
+            assert given == dict(zip(vec, nums))    # the input is kept
+            return got
+
+        for v in gens:
+            want = oracle.add(v)
+            assert [feed(i, s, "add", v) for i, s in enumerate(solvers)] \
+                == [want] * 3
+        for s in solvers:
+            assert s.rank == oracle.rank and s.pivots == oracle.pivots
+        targets = gens + _random_generators(rng, field, keys) + [{}]
+        for t in targets:
+            want = oracle.solve(t)
+            res = oracle.reduce_only(t)
+            for i, s in enumerate(solvers):
+                assert feed(i, s, "solve", t) == want, (trial, t)
+                assert feed(i, s, "reduce_only", t) == res, (trial, t)
+
+
+def test_solver_numerator_tuples_need_the_field():
+    with pytest.raises(ValueError, match="field"):
+        SparseSolver().add({"a": (1, 2)}, 3)
+    with pytest.raises(ValueError):
+        # a Q solver, fixed by rational scalars, refuses a Q(sqrt5) scalar
+        s = SparseSolver()
+        s.add({"a": Fraction(1, 2)})
+        s.add({"b": QSQRT5.theta()})
