@@ -469,7 +469,8 @@ def _random_field_poly(rng, g, degrees, nterms, integral=False):
     return Poly(g.rank, field, terms)
 
 
-@pytest.mark.parametrize("code", [c for c in DEFAULT_GROUPS if c != "F4"])
+@pytest.mark.parametrize("code", [c for c in DEFAULT_GROUPS if c != "F4"]
+                         + ["I2(4)", "I2(7)"])
 def test_memoised_nf_poly_matches_pairing_route(code, group_of):
     # a basis of its own, so its column memo starts empty
     g = group_of(code)
