@@ -13,6 +13,7 @@ Exit codes: 0 all pass (findings allowed), 1 at least one fail,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -105,8 +106,36 @@ def _lie_jobs(code, lie_checks, layout):
     return jobs
 
 
-def run_suite(config: dict) -> Report:
-    groups = config["groups"]
+def _map_groups(fn, codes):
+    """``[fn(code) for code in codes]``.  With two or more groups and
+    CPUs in the affinity mask, the groups run side by side in workers
+    forked from this process, one per CPU, so that no worker imports
+    anything again; the results come back in the order of ``codes``.
+    Otherwise they run here and ``multiprocessing`` is never imported, as
+    on a platform without ``os.sched_getaffinity`` (there is one wherever
+    there is ``fork``)."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(len(codes), cpus)
+    if workers < 2:
+        return [fn(code) for code in codes]
+    import multiprocessing
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        return pool.map(fn, codes, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _group_records(config: dict, code: str) -> list:
+    """The check records of one group, in the order of the config's
+    checks, with a failed certificate as its FAIL record.  They depend on
+    the group, the config and the seed alone: every seeded check makes its
+    own generator from the seed."""
     checks = config["checks"]
     seed = config.get("seed", 0)
     cache_dir = config.get("cache_dir") or cache_mod.default_cache_dir()
@@ -115,47 +144,52 @@ def run_suite(config: dict) -> Report:
     stack_checks = {"solomon": solomon_check, "constants": constants_table,
                     "freeness": freeness_check,
                     "structure": pr_structure_check, "molien": _molien_check}
-    records = []
     lie_checks = [c for c in checks if c in ("reeder", "lie-bridge")]
     group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
-    for code in groups:
-        code = canonical_code(code)
-        jobs = []                      # (record name, thunk)
-        if group_checks:
-            group, cb, _ = cache_mod.load_stack(cache_dir, code,
-                                                allow_long=allow_long)
-            c_values = _c_values_for(group, config.get("c_long"),
-                                     config.get("c_short"))
-            stack = CovariantStack(group, c_values=c_values, cb=cb)
-        for check in group_checks:
-            if check == "differentials":
-                jobs.append((check, partial(_differentials_check, stack, seed,
-                                            config.get("n_samples", 50))))
-            elif check == "j2-invariance":
-                jobs.append((check, partial(j2_invariance_check, stack,
-                                            seed=seed)))
-            elif check == "little-adjoint":
-                if len(stack.group.reflection_classes) != 2:
-                    continue
-                jobs.append((check, partial(little_adjoint_suite, stack)))
-                if stack.group.code in ("B2", "G2", "I2(4)", "I2(8)"):
-                    jobs.append(("little-adjoint-swapped", partial(
-                        little_adjoint_suite, stack,
-                        use_class=1 - stack.group.class_ell,
-                        label="little-adjoint-swapped")))
-            else:
-                jobs.append((check, partial(stack_checks[check], stack)))
-        if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
-            layout = (cb.recorded_tables() if group_checks
-                      else cache_mod.load_layout(cache_dir, code))
-            jobs += _lie_jobs(code, lie_checks, layout)
-        for name, run in jobs:
-            t0 = perf_counter()
-            try:
-                records.append(run())
-            except CertificationError as exc:
-                records.append(verdict(name, code, [str(exc)], {}, t0))
-    return Report(config=_config_doc(config), records=records)
+    jobs = []                          # (record name, thunk)
+    if group_checks:
+        group, cb, _ = cache_mod.load_stack(cache_dir, code,
+                                            allow_long=allow_long)
+        c_values = _c_values_for(group, config.get("c_long"),
+                                 config.get("c_short"))
+        stack = CovariantStack(group, c_values=c_values, cb=cb)
+    for check in group_checks:
+        if check == "differentials":
+            jobs.append((check, partial(_differentials_check, stack, seed,
+                                        config.get("n_samples", 50))))
+        elif check == "j2-invariance":
+            jobs.append((check, partial(j2_invariance_check, stack,
+                                        seed=seed)))
+        elif check == "little-adjoint":
+            if len(stack.group.reflection_classes) != 2:
+                continue
+            jobs.append((check, partial(little_adjoint_suite, stack)))
+            if stack.group.code in ("B2", "G2", "I2(4)", "I2(8)"):
+                jobs.append(("little-adjoint-swapped", partial(
+                    little_adjoint_suite, stack,
+                    use_class=1 - stack.group.class_ell,
+                    label="little-adjoint-swapped")))
+        else:
+            jobs.append((check, partial(stack_checks[check], stack)))
+    if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
+        layout = (cb.recorded_tables() if group_checks
+                  else cache_mod.load_layout(cache_dir, code))
+        jobs += _lie_jobs(code, lie_checks, layout)
+    records = []
+    for name, run in jobs:
+        t0 = perf_counter()
+        try:
+            records.append(run())
+        except CertificationError as exc:
+            records.append(verdict(name, code, [str(exc)], {}, t0))
+    return records
+
+
+def run_suite(config: dict) -> Report:
+    codes = [canonical_code(code) for code in config["groups"]]
+    per_group = _map_groups(partial(_group_records, config), codes)
+    return Report(config=_config_doc(config),
+                  records=[r for records in per_group for r in records])
 
 
 def _config_doc(config):
@@ -326,18 +360,27 @@ def cmd_cache(args) -> int:
             n = cache_mod.purge_cache(cache_dir)
         sys.stdout.write(f"purged {n} cache file(s)\n")
         return 0
-    groups = args.groups or list(DEFAULT_GROUPS)
-    for g in groups:
+    codes = []
+    for g in args.groups or DEFAULT_GROUPS:
         code = canonical_code(g)
         if code == "H4" and not args.allow_long:
             print("skipping H4 (needs --allow-long)", file=sys.stderr)
             continue
-        group, cb, from_cache = cache_mod.load_stack(cache_dir, code,
-                                                     allow_long=args.allow_long)
-        src = "cache" if from_cache else "rebuilt"
-        sys.stdout.write(f"{code}: {group.order} elements, "
-                         f"{len(group.positive_roots)} roots ({src})\n")
+        codes.append(code)
+    for line in _map_groups(partial(_cache_line, cache_dir, args.allow_long),
+                           codes):
+        sys.stdout.write(line)
     return 0
+
+
+def _cache_line(cache_dir, allow_long, code) -> str:
+    """Load (or rebuild and save) one group's cache file; its line of
+    ``cache build`` output."""
+    group, cb, from_cache = cache_mod.load_stack(cache_dir, code,
+                                                 allow_long=allow_long)
+    src = "cache" if from_cache else "rebuilt"
+    return (f"{code}: {group.order} elements, "
+            f"{len(group.positive_roots)} roots ({src})\n")
 
 
 def main(argv=None) -> int:

@@ -300,7 +300,8 @@ class ReflectionGroup:
         exactly when (w a_i, w a_j) = (a_i, a_j) for all i, j.  The roots
         and S^{-1} are cleared of denominators once, so every matrix is
         computed as integer numerators (tuples over Q(theta)) over one
-        den > 0; sorting on them is sorting on the coordinates.
+        den > 0; sorting on them is sorting on the coordinates.  The
+        pairings are compared the same way, as numerators over one den.
         """
         f = self.field
         r = self.rank
@@ -324,14 +325,17 @@ class ReflectionGroup:
             return tuple(tuple(f.from_num(x, den) for x in nums[i:i + r])
                          for i in range(0, r * r, r))
 
-        groots = [mat_vec(self.gram, v, f) for v in self.roots]
+        # pair(a, b) is the numerator of (root a, root b) over the one den
+        # root_den^2 gram_den
+        gram_nums, _ = f.clear([c for row in self.gram for c in row])
+        rows = [root_nums[i:i + r] for i in range(0, len(root_nums), r)]
+        groots = [[total([mul(gram_nums[k * r + j], v[j]) for j in range(r)])
+                   for k in range(r)] for v in rows]
         pairings: dict = {}
 
         def pair(a, b):
             if (a, b) not in pairings:
-                pairings[a, b] = sum((x * y for x, y in
-                                      zip(self.roots[a], groots[b]) if x),
-                                     f.zero)
+                pairings[a, b] = total(list(map(mul, rows[a], groots[b])))
             return pairings[a, b]
 
         ident = tuple(range(len(self.roots)))

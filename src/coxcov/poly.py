@@ -23,6 +23,7 @@ Iteration order for printing and pivoting is graded reverse lexicographic
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add
@@ -278,15 +279,18 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         field = self.field
-        (n,), d = field.clear([c])
+        if isinstance(c, (int, Fraction)):      # a rational c: n / d as is
+            n, d = c.numerator, c.denominator
+        else:
+            (n,), d = field.clear([c])
+            if field.degree != 1 and not any(n[1:]):
+                n = n[0]
+        if not n:
+            return Poly.zero(self.nv, field)
         if field.degree == 1:
-            if not n:
-                return Poly.zero(self.nv, field)
             num = {e: v * n for e, v in self.num.items()}
-        elif not any(n[1:]):
-            if not n[0]:
-                return Poly.zero(self.nv, field)
-            num = {e: _scale_num(v, n[0]) for e, v in self.num.items()}
+        elif isinstance(n, int):
+            num = {e: _scale_num(v, n) for e, v in self.num.items()}
         else:
             mul = field.mul_num
             num = {e: mul(v, n) for e, v in self.num.items()}

@@ -194,6 +194,18 @@ def scalar_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def scale_by_clear(p, c):
+    """p scaled by c on the route ``Poly.scale`` takes for any scalar:
+    ``Field.clear`` of c, then the numerators times c's numerator."""
+    field = p.field
+    (n,), d = field.clear([c])
+    if not (n if field.is_rational else any(n)):
+        return Poly.zero(p.nv, field)
+    mul = int.__mul__ if field.is_rational else field.mul_num
+    return Poly.from_num(p.nv, field, {e: mul(v, n) for e, v in p.num.items()},
+                         p.den * d)
+
+
 def scalar_divided_difference(group, alpha, p):
     """{expo: scalar} of (p - s.p)/(alpha, x): the Taylor sum of
     ``ReflectionGroup.divided_difference`` on scalar term dicts."""

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from coxcov.cli import main
-from coxcov.reports import FAIL, PASS, CheckRecord, Report
+from coxcov.reports import (FAIL, PASS, CertificationError, CheckRecord,
+                            Report)
 
 
 def run_cli(capsys, *argv):
@@ -300,8 +302,15 @@ def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     def warm_verify(*argv):
+        # the finder refuses numpy here and in every forked worker, which
+        # inherits it; the sys.modules check alone sees only this process
         child = (
             "import sys\n"
+            "class RefuseNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, RefuseNumpy())\n"
             "from coxcov.cli import main\n"
             f"code = main(['verify', *{list(argv)!r}, '--emit', 'json',"
             f" '--cache-dir', {str(tmp_path)!r}])\n"
@@ -369,3 +378,116 @@ def test_c_values_flow(tmp_path, capsys):
                            "--c-short", "1/3", "--cache-dir", str(tmp_path),
                            "--emit", "json")
     assert code == 0
+
+
+# -- the groups of a run in forked workers, against the in-process path ------
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask n CPUs wide: 2 forks two workers, 1 keeps
+    every group in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _plant_freeness_failure(monkeypatch, cli, pids):
+    """B2's freeness check raises a CertificationError; every freeness
+    call writes the id of the process it ran in to ``pids``."""
+    real = cli.freeness_check
+
+    def planted(stack):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        if stack.group.code == "B2":
+            raise CertificationError("planted: B2 freeness at x_0^2")
+        return real(stack)
+
+    monkeypatch.setattr(cli, "freeness_check", planted)
+
+
+def _ran_in(pids):
+    got = {int(line) for line in pids.read_text().split()}
+    pids.unlink()
+    return got
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_workers_match_in_process_run(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    from coxcov import cli
+    pids = tmp_path / "pids"
+    _plant_freeness_failure(monkeypatch, cli, pids)
+    groups = ["--group", "A1", "--group", "A2", "--group", "B2",
+              "--group", "I2(5)"]
+    runs = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        cache = tmp_path / f"cache{cpus}"
+        code, out, _ = run_cli(capsys, "cache", "build", *groups,
+                               "--cache-dir", str(cache))
+        assert code == 0 and out.count("rebuilt") == 4
+        files = {p.name: p.read_bytes() for p in cache.iterdir()}
+        outs = [out, files]
+        for seed, emit in (("0", "json"), ("1", "json"), ("0", "text")):
+            code, out, _ = run_cli(capsys, "verify", *groups, "--seed", seed,
+                                   "--samples", "3", "--emit", emit,
+                                   "--cache-dir", str(cache))
+            assert code == 1
+            if emit == "json":
+                out = out.replace(str(cache), "CACHE")
+            else:                   # the timings [1.23s] left out
+                out = re.sub(r" \[\d+\.\d\ds\]$", "", out, flags=re.M)
+            outs.append(out)
+        assert not multiprocessing.active_children()
+        assert (_ran_in(pids) == {os.getpid()}) == (cpus == 1)
+        runs[cpus] = outs
+    assert runs[2] == runs[1]
+    doc = json.loads(runs[2][2])
+    failed = [r for r in doc["results"] if r["status"] == "fail"]
+    assert [(r["group"], r["check"], r["details"]) for r in failed] == [
+        ("B2", "freeness", {"witness": ["planted: B2 freeness at x_0^2"]})]
+    assert "FAIL     B2       freeness" in runs[2][4]
+    assert "witness: ['planted: B2 freeness at x_0^2']" in runs[2][4]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    from coxcov import cli
+    _cpus(monkeypatch, 2)
+    real = cli.solomon_check
+
+    def planted(stack):
+        if stack.group.code == "A2":
+            raise RuntimeError("planted: solomon on A2")
+        return real(stack)
+
+    monkeypatch.setattr(cli, "solomon_check", planted)
+    code, out, err = run_cli(capsys, "verify", "--group", "A1", "--group",
+                             "A2", "--group", "B2", "--checks", "solomon",
+                             "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "RuntimeError: planted: solomon on A2" in err
+    assert not multiprocessing.active_children()
+    code, out, err = run_cli(capsys, "verify", "--group", "A2", "--group",
+                             "Z9", "--checks", "solomon",
+                             "--cache-dir", str(tmp_path))
+    assert code == 2 and "Z9" in err
+    assert not multiprocessing.active_children()
+
+
+def test_single_group_does_not_load_multiprocessing(tmp_path):
+    # one group runs in this process, and the pool's module stays unloaded
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = ("import os, sys\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from coxcov.cli import main\n"
+             f"code = main(['verify', '--group', 'A1', '--cache-dir', "
+             f"{str(tmp_path)!r}])\n"
+             "assert code == 0, code\n"
+             "assert 'multiprocessing' not in sys.modules\n")
+    got = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr

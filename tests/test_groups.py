@@ -511,3 +511,36 @@ def test_planted_invariant_fails_certificate_optimized():
         "    raise SystemExit(3 if ok else 4)\n")
     got = subprocess.run([sys.executable, "-O", "-c", code], env=env)
     assert got.returncode == 3
+
+
+@pytest.mark.parametrize("code", ["B2", "I2(5)"])
+def test_planted_non_orthogonal_closure_raises_optimized(code):
+    """Under python -O, generators conjugated by a root permutation that is
+    no isometry (it swaps the first two positive roots and their
+    negatives) close up to a group of the right order whose elements are
+    not orthogonal: the certificate on integer numerators stops the build
+    with a CatalogueError, over Q and over Q(theta)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov.groups import CatalogueError, ReflectionGroup\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "real = ReflectionGroup._build_elements\n"
+        "def planted(self, gen_perms):\n"
+        "    n = len(self.positive_roots)\n"
+        "    sigma = list(range(2 * n))\n"
+        "    sigma[0], sigma[1], sigma[n], sigma[n + 1] = 1, 0, n + 1, n\n"
+        "    real(self, [tuple(sigma[g[sigma[k]]] for k in range(2 * n))\n"
+        "                for g in gen_perms])\n"
+        "ReflectionGroup._build_elements = planted\n"
+        "try:\n"
+        f"    ReflectionGroup({code!r})\n"
+        "except CatalogueError as err:\n"
+        "    print(err)\n"
+        "    raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                         capture_output=True, text=True)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout == f"{code}: element not orthogonal for the Gram form\n"

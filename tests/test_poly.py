@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (assert_canonical, divide_by_linear_form, scalar_add,
-                      scalar_mul)
+                      scalar_mul, scale_by_clear)
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5
 from coxcov.poly import Poly
@@ -222,6 +222,40 @@ def test_integer_kernels_match_scalar_oracle(field):
             assert got.terms == {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
                                  for e, v in p.terms.items() if e[i]}
         assert hash(p + q) == hash(q + p) and p + q == q + p
+
+
+@pytest.mark.parametrize("field", [QQ, QSQRT5, QCOSPI8],
+                         ids=lambda f: f.name)
+def test_rational_scale_matches_clear_route(field, monkeypatch):
+    # an int or a Fraction scales the numerators directly, without
+    # building a Fraction; the route through Field.clear is the oracle,
+    # with equal numerators and den
+    rng = random.Random(23 + field.degree)
+    polys = [_random_poly(rng, field) for _ in range(8)]
+    polys.append(Poly.zero(3, field))
+    rationals = [0, 1, -1, 7, -12, True, Fraction(0), Fraction(-6, 35),
+                 Fraction(5, 4), Fraction(-1, 3)]
+    scalars = rationals + [_random_scalar(rng, field) for _ in range(4)]
+    for p in polys:
+        for c in scalars:
+            got, want = p.scale(c), scale_by_clear(p, c)
+            assert_canonical(got)
+            assert (got.num, got.den) == (want.num, want.den)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and calls         # the count does see a Fraction
+    calls.clear()
+    cheap = [0, 3, -5] + rationals[6:]
+    scaled = [p.scale(c) for p in polys for c in cheap]
+    monkeypatch.undo()
+    assert not calls
+    assert scaled == [scale_by_clear(p, c) for p in polys for c in cheap]
 
 
 def test_common_denominator_is_reduced():
