@@ -367,20 +367,25 @@ def cmd_cache(args) -> int:
             print("skipping H4 (needs --allow-long)", file=sys.stderr)
             continue
         codes.append(code)
-    for line in _map_groups(partial(_cache_line, cache_dir, args.allow_long),
-                           codes):
-        sys.stdout.write(line)
+    # a repeated group is loaded once; its later lines read that file
+    distinct = list(dict.fromkeys(codes))
+    loaded = dict(zip(distinct, _map_groups(
+        partial(_cache_line, cache_dir, args.allow_long), distinct)))
+    for i, code in enumerate(codes):
+        head, from_cache = loaded[code]
+        src = "cache" if from_cache or code in codes[:i] else "rebuilt"
+        sys.stdout.write(f"{head} ({src})\n")
     return 0
 
 
-def _cache_line(cache_dir, allow_long, code) -> str:
-    """Load (or rebuild and save) one group's cache file; its line of
-    ``cache build`` output."""
+def _cache_line(cache_dir, allow_long, code) -> tuple[str, bool]:
+    """Load (or rebuild and save) one group's cache file: its line of
+    ``cache build`` output without the source, and whether it came from
+    the cache."""
     group, cb, from_cache = cache_mod.load_stack(cache_dir, code,
                                                  allow_long=allow_long)
-    src = "cache" if from_cache else "rebuilt"
     return (f"{code}: {group.order} elements, "
-            f"{len(group.positive_roots)} roots ({src})\n")
+            f"{len(group.positive_roots)} roots", from_cache)
 
 
 def main(argv=None) -> int:

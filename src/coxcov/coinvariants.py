@@ -26,8 +26,9 @@ raises ValueError if it does not), and the inverse of the pairing matrix
 is kept as integer coordinates M over one denominator den, in lowest
 terms.  The pairing matrix is block diagonal after permuting its rows and
 columns (B4's 46 x 46 tables have blocks of at most 6), and each block of
-its support is inverted on its own: by fraction-free elimination over Q,
-by the field inverse over Q(theta); den is the lcm of the blocks' dens.
+its support is inverted on its own, by fraction-free elimination on its
+numerators (ints over Q, power-basis tuples in Z[theta] over Q(theta));
+den is the lcm of the blocks' dens.
 The normal form is linear, so a basis memoises the column nf(x^e) of
 each exponent e it meets: standard-monomial numerators over nf_den, the
 lcm of the table dens, from the pairing vector of x^e and M times it
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import add
 
 from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse,
-                     field_prime_and_root, inverse, inverse_defect,
+                     field_prime_and_root, inverse_defect,
                      modp_greedy_pivots, num_mod, support_blocks)
 from .poly import Poly, grevlex_key
 from .reports import CertificationError
@@ -361,12 +362,11 @@ class CoinvariantBasis:
         P M = den I holds exactly, and one that fails that product raises
         ValueError.  Without it, P is split into the connected components
         of its support (``support_blocks``), a block diagonal after
-        permuting rows and columns, and each block is inverted on its own:
-        by fraction-free elimination over Q, by the field inverse over
-        Q(theta).  Each block inverse is brought to lowest terms, and M
+        permuting rows and columns, and each block is inverted on its own
+        numerators, in lowest terms, by ``bareiss_jordan_inverse``.  M
         holds them all over one den, the lcm of theirs, so that M / den is
-        P^{-1} in lowest terms.  The same product certifies it on the
-        whole table.
+        P^{-1} in lowest terms.  The same product certifies it on the whole
+        table.
         """
         weighted = [wh for _, wh in chosen]
         field = self.field
@@ -377,8 +377,8 @@ class CoinvariantBasis:
             if inverse_defect(mat, inv, den, field) is not None:
                 raise ValueError("stored inverse fails P M = den I")
         else:
-            parts = [(rows, cols, *self._block_inverse(
-                          [[mat[i][j] for j in cols] for i in rows]))
+            parts = [(rows, cols, *bareiss_jordan_inverse(
+                          [[mat[i][j] for j in cols] for i in rows], field))
                      for rows, cols in support_blocks(
                          mat, bool if field.is_rational else any)]
             den = lcm(*(bden for *_, bden in parts))
@@ -394,21 +394,6 @@ class CoinvariantBasis:
                 raise CertificationError(
                     f"inverse certification failed at {bad}")
         return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den)
-
-    def _block_inverse(self, block) -> tuple[list, int]:
-        """(M, den) in lowest terms with den > 0 and block @ M = den I;
-        ValueError if the block is singular."""
-        field = self.field
-        if field.is_rational:
-            inv, den = bareiss_jordan_inverse(block)
-            g = gcd(den, *(x for row in inv for x in row))
-            g = g if den > 0 else -g
-            return [[x // g for x in row] for row in inv], den // g
-        k = len(block)
-        inv = inverse([[field.from_num(x) for x in row] for row in block],
-                      field)
-        nums, den = field.clear([x for row in inv for x in row])
-        return [nums[i:i + k] for i in range(0, k * k, k)], den
 
     def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
         """Exact greedy fallback (used when mod-p selection is unlucky)."""

@@ -6,12 +6,13 @@ an ``AlgNum``: a tuple of integer numerators in the power basis 1, theta,
 terms, so equal values have equal representations and zero is
 ``(0, ..., 0)/1``.  The minimal polynomials are monic with integer
 coefficients, so theta^deg has integer coordinates; products are reduced
-with them and never leave the integers, and inverses come from
-fraction-free elimination on the same integers.
+with them and never leave the integers.  The package's one dense
+elimination, ``fraction_free_jordan``, runs on these numerators: over Z
+for ``AlgNum.inverse``, and over Z[theta] for ``linalg``.
 
 The integer layer is shared with ``Poly``, which keeps whole polynomials
 as numerators over one denominator: ``Field.mul_num`` multiplies two
-numerator tuples, ``Field.clear`` brings scalars over one denominator and
+numerators, ``Field.clear`` brings scalars over one denominator and
 ``Field.from_num`` builds the scalar back.  Over Q a numerator is a plain
 ``int``.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Sequence, Union
 
 
@@ -63,8 +65,8 @@ class Field:
         self.root_interval = root_interval
         # integer coordinates of theta^degree
         self._top = tuple(-c for c in self.min_poly[:-1])
-        self.mul_num = self._mul_quadratic if self.degree == 2 \
-            else self._mul_general
+        self.mul_num = {1: int.__mul__, 2: self._mul_quadratic}.get(
+            self.degree, self._mul_general)
         self._zero = None
         self._one = None
 
@@ -109,7 +111,7 @@ class Field:
                              f"{self.degree} coordinates, got {len(coords)}")
         cs = [Fraction(c) for c in coords]
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return AlgNum(self, *clear_denominators(cs))
+        return AlgNum(self, *QQ.clear(cs))
 
     def coerce(self, x) -> "Scalar":
         if isinstance(x, AlgNum):
@@ -118,7 +120,7 @@ class Field:
                                  f"{self.name}")
             return x
         if self.degree == 1:
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         return self.scalar(Fraction(x))
 
     def coords(self, x) -> tuple:
@@ -148,7 +150,8 @@ class Field:
         == nums[i] / den``, for any scalars of the field."""
         xs = [self.coerce(v) for v in values]
         if self.degree == 1:
-            return clear_denominators(xs)
+            den = lcm(*(x.denominator for x in xs))
+            return [x.numerator * (den // x.denominator) for x in xs], den
         den = lcm(*(x.den for x in xs))
         return [tuple(n * (den // x.den) for n in x.num) for x in xs], den
 
@@ -174,6 +177,14 @@ class Field:
                 for j, t in enumerate(top, k - d):
                     c[j] += h * t
         return tuple(c[:d])
+
+    def inverse_num(self, num) -> tuple:
+        """(m, den) with 1 / num = m / den, den > 0 an int, for a nonzero
+        numerator."""
+        if self.degree == 1:
+            return (1, num) if num > 0 else (-1, -num)
+        q = AlgNum(self, num).inverse()
+        return q.num, q.den
 
     # -- order --------------------------------------------------------------
 
@@ -355,27 +366,18 @@ class AlgNum:
 
     __rmul__ = __mul__
 
-    def _columns(self):
-        """Integer coordinates of num * theta^j for j = 0 .. degree-1."""
-        top = self.field._top
-        cols = [self.num]
-        for _ in range(len(top) - 1):
-            c = cols[-1]
-            cols.append(tuple(x + c[-1] * t
-                              for x, t in zip((0,) + c[:-1], top)))
-        return cols
-
     def inverse(self) -> "AlgNum":
         if not self:
             raise ZeroDivisionError("zero divisor")
         # Solve num * x = den for x on the integer matrix of multiplication
         # by num (column j = num * theta^j), augmented by the right-hand side.
-        d = self.field.degree
-        cols = self._columns()
+        d, mul = self.field.degree, self.field.mul_num
+        cols = [mul(self.num, (0,) * j + (1,) + (0,) * (d - 1 - j))
+                for j in range(d)]
         a = [[col[i] for col in cols] + [self.den if i == 0 else 0]
              for i in range(d)]
-        pivot = bareiss_jordan(a, d)
-        return AlgNum(self.field, [row[d] for row in a], pivot)
+        _, last, _ = fraction_free_jordan(a, d)
+        return AlgNum(self.field, [row[d] for row in a], last)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -394,38 +396,48 @@ class AlgNum:
 Scalar = Union[Fraction, AlgNum]
 
 
-def clear_denominators(values: Sequence) -> tuple[list, int]:
-    """Integers ``nums`` and the least ``den > 0`` with ``values[i] ==
-    nums[i] / den``, for rational values (``int`` or ``Fraction``)."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def fraction_free_jordan(a: list, ncols: int, field: Field = QQ):
+    """Fraction-free Gauss-Jordan (Bareiss), in place, on rows ``a`` of
+    numerators: ints, or power-basis tuples over a Q(theta) ``field``.
 
-
-def bareiss_jordan(a: list, n: int) -> int:
-    """Fraction-free Gauss-Jordan, in place, on integer rows ``a``.
-
-    Eliminates the first ``n`` columns of the ``n`` rows (any further
-    columns are carried along).  Every row ends as zeros there except its
-    diagonal entry, which is the returned last pivot, so the carried columns
-    hold pivot times the solution.  Raises ValueError for singular input.
+    Eliminates the first ``ncols`` columns, carrying the rest along; a
+    column with no nonzero entry in the rows left is skipped.  Returns
+    (pivots, last, sign): the pivot columns, the last pivot and the sign of
+    the row swaps.  Pivot row i ends as ``last`` at pivots[i], every other
+    entry of those columns as 0.  Each entry stays a minor, in Z[theta] (a
+    ring, as theta is an algebraic integer), so each step divides exactly
+    by the previous pivot p: over Q(theta), by the product with m and the
+    integer division by den, for 1 / p = m / den.
     """
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+    ring, mul = not field.is_rational, field.mul_num
+    (prev,), _ = field.clear([1])
+    inv, den, sign, pivots = prev, 1, 1, []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a))
+                    if (any if ring else bool)(a[i][col])), None)
         if piv is None:
-            raise ValueError("matrix not invertible")
-        a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        for i in range(n):
-            if i != k:
-                aik = a[i][k]
-                a[i] = [(pk * x - aik * y) // prev
-                        for x, y in zip(a[i], a[k])]
-        prev = pk
-    return prev
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        if ring and r:
+            inv, den = field.inverse_num(prev)
+        c = mul(prow[col], inv)
+        for i, row in enumerate(a):
+            x = mul(row[col], inv)
+            if i != r and ring:
+                a[i] = [tuple(t // den for t in map(sub, mul(c, u),
+                                                    mul(x, v)))
+                        if any(u) or any(v) else u
+                        for u, v in zip(row, prow)]
+            elif i != r:
+                a[i] = [(c * u - x * v) // prev for u, v in zip(row, prow)]
+        pivots.append(col)
+        prev = prow[col]
+    return pivots, prev, sign
 
 
 def scalar_inverse(a: Scalar) -> Scalar:
-    if isinstance(a, AlgNum):
-        return a.inverse()
-    return 1 / Fraction(a)
+    return a.inverse() if isinstance(a, AlgNum) else 1 / Fraction(a)

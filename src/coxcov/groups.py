@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
-from .linalg import det, inverse
+from .linalg import bareiss_jordan_inverse, det, inverse
 from .poly import Poly
 from .reports import certify
 from .weil import Weil, wedge_mul
@@ -122,11 +122,6 @@ def _catalogue_entry(code: str):
 def mat_vec(a, v, field: Field):
     return tuple(sum((row[k] * x for k, x in enumerate(v) if x), field.zero)
                  for row in a)
-
-
-def mat_transpose(a):
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
 
 
 def _coords_key(scalars, field: Field) -> tuple:
@@ -298,26 +293,27 @@ class ReflectionGroup:
         The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
         the simple roots a_i (S has them as columns), and w is orthogonal
         exactly when (w a_i, w a_j) = (a_i, a_j) for all i, j.  The roots
-        and S^{-1} are cleared of denominators once, so every matrix is
-        computed as integer numerators (tuples over Q(theta)) over one
-        den > 0; sorting on them is sorting on the coordinates.  The
-        pairings are compared the same way, as numerators over one den.
+        are cleared of denominators once and S is inverted on their
+        numerators, so every matrix is computed as integer numerators
+        (tuples over Q(theta)) over one den > 0; sorting on them is
+        sorting on the coordinates.  The pairings are compared the same
+        way, as numerators over one den.
         """
         f = self.field
         r = self.rank
         spos = [self.roots.index(a) for a in self.simple_roots]
         root_nums, root_den = f.clear([c for v in self.roots for c in v])
-        inv_nums, inv_den = f.clear(
-            [c for row in inverse(mat_transpose(self.simple_roots), f)
-             for c in row])
-        den = root_den * inv_den
+        # S is N / root_den for the cleared simple roots N, so the matrix
+        # of w is [w a_1 .. w a_r] (numerators) times N^{-1} = inv / den
+        inv, den = bareiss_jordan_inverse(
+            [[root_nums[s * r + i] for s in spos] for i in range(r)], f)
         mul, total = (int.__mul__, sum) if f.is_rational else \
             (f.mul_num, lambda terms: tuple(map(sum, zip(*terms))))
 
         def numerators(p):
             """The entries of p's matrix, row by row, over den."""
             imgs = [root_nums[p[s] * r:p[s] * r + r] for s in spos]
-            return tuple(total([mul(img[i], inv_nums[k * r + j])
+            return tuple(total([mul(img[i], inv[k][j])
                                 for k, img in enumerate(imgs)])
                          for i in range(r) for j in range(r))
 

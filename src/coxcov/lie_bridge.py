@@ -20,7 +20,7 @@ from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
 from .covariants import map_vec
-from .fields import QQ, clear_denominators
+from .fields import QQ
 from .groups import ReflectionGroup, build_custom_group
 from .linalg import SparseSolver, det, inverse
 from .molien import GradedSeries, graded_multiplicity_series
@@ -332,7 +332,7 @@ def phi_even_to_h(L: LieAlgebraData, xi: dict) -> Poly:
             continue
         harms = cb.invariant_harmonics(m)
         vals = [_ext_pairing(L, tau_map(L, a), part) for a in harms]
-        out = out + cb.harmonic_class(m, *clear_denominators(vals))
+        out = out + cb.harmonic_class(m, *QQ.clear(vals))
     return out
 
 

@@ -1,19 +1,16 @@
-"""Exact linear algebra: three elimination kernels and a mod-p preselector.
+"""Exact linear algebra: one dense and one sparse elimination, and a mod-p
+preselector.
 
-* ``gauss_jordan`` (with ``det``, ``inverse`` and ``nullspace`` on top) is
-  the dense elimination over a field, Q or Q(theta), for small matrices
-  given as rows: Gram matrices and their minors, determinants of group
-  elements, the Molien principal minors, the Lie-side form, the blocks of
-  the Q(theta) pairing tables and the nullspaces of the little-adjoint
-  construction.
-* ``bareiss_jordan_inverse`` over ``fields.bareiss_jordan`` is the
-  fraction-free integer elimination, for integer matrices: the blocks of
-  the rational pairing tables of the coinvariant basis after clearing
-  denominators (``fields`` runs the same core for ``AlgNum.inverse``).
-  ``support_blocks`` splits a pairing table into the connected components
-  of its support, which are inverted one by one.  ``inverse_defect`` is
-  the exact certificate mat @ M = den * I that every pairing-table inverse
-  passes on the whole table, whether computed or read from the cache.
+* ``fields.fraction_free_jordan`` is the dense elimination, on rows of
+  numerators (ints over Q, power-basis tuples in Z[theta] over Q(theta)).
+  ``det``, ``inverse`` and ``nullspace`` clear each row of scalars and
+  read their results off the eliminated rows.  ``bareiss_jordan_inverse``
+  inverts a matrix of numerators, certified: each block of a pairing
+  table of the coinvariant basis (``support_blocks`` splits a table into
+  the connected components of its support), and the simple roots.
+  ``inverse_defect`` is that certificate, mat @ M = den * I, which every
+  pairing-table inverse also passes on the whole table, whether computed
+  or read from the cache.
 * ``SparseSolver`` is the incremental echelon over dicts keyed by
   hashable, comparable column labels, for spans that grow one vector at a
   time: ranks, membership and solving in the span.  Its rows are integer
@@ -29,10 +26,10 @@ prime, on sparse rows; every mod-p choice is certified exactly afterwards.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import sub
 
-from .fields import QQ, AlgNum, Field, bareiss_jordan, scalar_inverse
+from .fields import QQ, AlgNum, Field, fraction_free_jordan
 from .reports import CertificationError
 
 
@@ -156,7 +153,7 @@ class SparseSolver:
             return False
         pivot = min(vec)
         if not rational:
-            inv = field.from_num(vec[pivot]).inverse().num
+            inv, _ = field.inverse_num(vec[pivot])
             vec = {k: field.mul_num(inv, v) for k, v in vec.items()}
             comb = {k: field.mul_num(inv, v) for k, v in comb.items()}
         flat = list(vec.values()) + list(comb.values())
@@ -191,92 +188,72 @@ class SparseSolver:
 
 
 # ---------------------------------------------------------------------------
-# dense elimination: Gauss-Jordan over a field, Bareiss over the integers
+# dense elimination: fraction-free Gauss-Jordan on numerators
 # ---------------------------------------------------------------------------
 
-def gauss_jordan(rows, field: Field, ncols: int | None = None):
-    """Reduced row echelon form of a dense matrix over a field.
-
-    Eliminates the first ``ncols`` columns (default: all), carrying any
-    further columns along, with the pivot of each column in the first
-    remaining row that is nonzero there.  Returns ``(rref, pivots, det)``:
-    the reduced rows (pivot entries 1, the rest of a pivot column 0), the
-    pivot columns in order, and, for square input, the determinant.
-    """
-    a = [[field.coerce(v) for v in row] for row in rows]
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    det = field.one
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            det = field.zero
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det = det * a[r][col]
-        inv = scalar_inverse(a[r][col])
-        prow = a[r] = [x * inv for x in a[r]]
-        for i, row in enumerate(a):
-            c = row[col]
-            if c and i != r:
-                a[i] = [x - c * y for x, y in zip(row, prow)]
-        pivots.append(col)
-    return a, pivots, det
-
-
 def det(rows, field: Field):
-    """Exact determinant of a square matrix over the field."""
-    return gauss_jordan(rows, field)[2]
+    """Exact determinant of a square matrix over the field: that of the
+    numerator rows over the product of the dens d_i (``Field.clear`` makes
+    row i n_i / d_i)."""
+    cleared = [field.clear(row) for row in rows]
+    a = [nums for nums, _ in cleared]
+    pivots, last, sign = fraction_free_jordan(a, len(a), field)
+    return field.from_num(last, sign * prod(d for _, d in cleared)) \
+        if len(pivots) == len(a) else field.zero
 
 
 def inverse(rows, field: Field):
-    """Exact inverse of a square matrix over the field; ValueError if
-    singular."""
-    n = len(rows)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
-           for i, row in enumerate(rows)]
-    rref, pivots, _ = gauss_jordan(aug, field, n)
-    if len(pivots) < n:
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in rref]
+    """Exact inverse of a square matrix over the field (ValueError if
+    singular): that of the numerator rows, column i times d_i."""
+    cleared = [field.clear(row) for row in rows]
+    inv, den = bareiss_jordan_inverse([nums for nums, _ in cleared], field)
+    return [[field.from_num(x, den) * d for x, (_, d) in zip(row, cleared)]
+            for row in inv]
 
 
 def nullspace(rows, ncols: int, field: Field):
     """Basis of {x : rows . x = 0}: one vector per non-pivot column, equal
     to 1 there and 0 on the other non-pivot columns."""
-    rref, pivots, _ = gauss_jordan(rows, field, ncols)
+    a = [field.clear(row)[0] for row in rows]
+    pivots, last, _ = fraction_free_jordan(a, ncols, field)
+    m, den = field.inverse_num(last)
     out = []
     for fj in sorted(set(range(ncols)) - set(pivots)):
         vec = [field.zero] * ncols
         vec[fj] = field.one
-        for row, pj in zip(rref, pivots):
-            vec[pj] = -row[fj]
+        for row, pj in zip(a, pivots):
+            vec[pj] = field.from_num(field.mul_num(row[fj], m), -den)
         out.append(vec)
     return out
 
 
-def bareiss_jordan_inverse(mat):
-    """Fraction-free Gauss-Jordan over the integers.
+def bareiss_jordan_inverse(mat, field: Field = QQ):
+    """Inverse of a square matrix of numerators (ints, or power-basis
+    tuples over a Q(theta)) by ``fraction_free_jordan``.
 
-    Returns (M, den) with mat @ M == den * I, both integer.  The result is
-    certified exactly (CertificationError otherwise), and a ValueError is
-    raised for singular input.
+    Returns (M, den) in lowest terms, den > 0, with mat @ M == den * I.
+    The result is certified exactly (CertificationError otherwise), and a
+    ValueError is raised for singular input.
     """
-    n = len(mat)
-    a = [list(map(int, row)) + [1 if j == i else 0 for j in range(n)]
+    n, ring, mul = len(mat), not field.is_rational, field.mul_num
+    (zero, one), _ = field.clear([0, 1])
+    a = [list(row) + [one if j == i else zero for j in range(n)]
          for i, row in enumerate(mat)]
-    den = bareiss_jordan(a, n)
-    if any(a[i][i] != den for i in range(n)):
+    pivots, last, _ = fraction_free_jordan(a, n, field)
+    if len(pivots) < n:
+        raise ValueError("matrix not invertible")
+    if any(a[i][i] != last for i in range(n)):
         raise CertificationError("fraction-free elimination lost diagonal")
-    inv = [row[n:] for row in a]
-    bad = inverse_defect(mat, inv, den)
+    m, den = field.inverse_num(last)
+    inv = [[mul(x, m) for x in row[n:]] for row in a]
+    flat = list(chain.from_iterable(inv))
+    g = gcd(den, *(chain.from_iterable(flat) if ring else flat))
+    inv = [[tuple(c // g for c in x) if ring else x // g for x in row]
+           for row in inv]
+    bad = inverse_defect(mat, inv, den // g, field)
     if bad is not None:
         raise CertificationError(f"inverse certification failed at {bad}")
-    return inv, den
+    return inv, den // g
 
 
 def support_blocks(mat, nonzero=bool):

@@ -115,14 +115,9 @@ def _u_divide_exact(num, den, field: Field):
 def _exterior_traces(w, field: Field):
     """tr Lambda^k w for k = 0..r, as sums of principal minors."""
     r = len(w)
-    out = [field.one]
-    for k in range(1, r + 1):
-        total = field.zero
-        for rows in combinations(range(r), k):
-            total = total + det([[w[i][j] for j in rows] for i in rows],
-                                field)
-        out.append(total)
-    return out
+    return [sum((det([[w[i][j] for j in rows] for i in rows], field)
+                 for rows in combinations(range(r), k)), field.zero)
+            for k in range(r + 1)]
 
 
 def class_traces(group: ReflectionGroup):

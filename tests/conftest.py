@@ -5,7 +5,6 @@ import pytest
 from coxcov.covariants import CovariantStack
 from coxcov.fields import scalar_inverse
 from coxcov.groups import build_group
-from coxcov.linalg import inverse
 from coxcov.poly import Poly
 
 _GROUPS = {}
@@ -47,6 +46,77 @@ def mat_mul(a, b, field):
     return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row) if x),
                            field.zero)
                        for j in range(n)) for row in a)
+
+
+def mat_transpose(a):
+    n = len(a)
+    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+
+
+def gauss_jordan(rows, field, ncols=None):
+    """Reduced row echelon form of a dense matrix over a field, on
+    scalars: the dense elimination that the fraction-free kernel on
+    numerators replaced, kept as its oracle.
+
+    Eliminates the first ``ncols`` columns (default: all), carrying any
+    further columns along, with the pivot of each column in the first
+    remaining row that is nonzero there.  Returns ``(rref, pivots, det)``:
+    the reduced rows (pivot entries 1, the rest of a pivot column 0), the
+    pivot columns in order, and, for square input, the determinant.
+    """
+    a = [[field.coerce(v) for v in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    det = field.one
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            det = field.zero
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det = det * a[r][col]
+        inv = scalar_inverse(a[r][col])
+        prow = a[r] = [x * inv for x in a[r]]
+        for i, row in enumerate(a):
+            c = row[col]
+            if c and i != r:
+                a[i] = [x - c * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def gauss_det(rows, field):
+    return gauss_jordan(rows, field)[2]
+
+
+def gauss_inverse(rows, field):
+    """The inverse by Gauss-Jordan over the field; ValueError if
+    singular."""
+    n = len(rows)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(rows)]
+    rref, pivots, _ = gauss_jordan(aug, field, n)
+    if len(pivots) < n:
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in rref]
+
+
+def gauss_nullspace(rows, ncols, field):
+    """Nullspace basis by Gauss-Jordan over the field: one vector per
+    non-pivot column, 1 there and 0 on the other non-pivot columns."""
+    rref, pivots, _ = gauss_jordan(rows, field, ncols)
+    out = []
+    for fj in sorted(set(range(ncols)) - set(pivots)):
+        vec = [field.zero] * ncols
+        vec[fj] = field.one
+        for row, pj in zip(rref, pivots):
+            vec[pj] = -row[fj]
+        out.append(vec)
+    return out
 
 
 def matrix_reflections(g):
@@ -250,7 +320,7 @@ def scalar_nf(cb, p):
     for d, terms in parts.items():
         t = cb.tables[d]
         weighted = [{e: to(c) for e, c in wh.items()} for wh in t.weighted]
-        inv = inverse([[wh.get(m, field.zero) for m in t.monos]
+        inv = gauss_inverse([[wh.get(m, field.zero) for m in t.monos]
                        for wh in weighted], field)
         vals = []
         for wh in weighted:

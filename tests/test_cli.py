@@ -450,6 +450,20 @@ def test_workers_match_in_process_run(tmp_path, capsys, monkeypatch):
     assert "witness: ['planted: B2 freeness at x_0^2']" in runs[2][4]
 
 
+def test_cache_build_repeated_group(tmp_path, capsys, monkeypatch):
+    # a group named twice is built once: its later line reads the file its
+    # first line wrote, with two workers as in one process
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                               "--group", "A2", "--group", "B2",
+                               "--cache-dir", str(tmp_path / str(cpus)))
+        assert code == 0
+        assert out.splitlines() == ["A2: 6 elements, 3 roots (rebuilt)",
+                                    "A2: 6 elements, 3 roots (cache)",
+                                    "B2: 8 elements, 4 roots (rebuilt)"]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     import multiprocessing

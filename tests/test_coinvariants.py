@@ -436,8 +436,8 @@ def test_planted_block_inverse_entry_raises_under_optimize():
             "    raise SystemExit(6)\n"
             "real = coinvariants.bareiss_jordan_inverse\n"
             "calls = []\n"
-            "def planted(block):\n"
-            "    inv, den = real(block)\n"
+            "def planted(block, field):\n"
+            "    inv, den = real(block, field)\n"
             "    calls.append(block)\n"
             "    if len(calls) == 2:\n"
             "        inv[-1][0] += 1\n"

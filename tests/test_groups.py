@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (assert_canonical, divide_by_linear_form, mat_mul,
-                      matrix_reflections, scalar_divided_difference)
+                      mat_transpose, matrix_reflections,
+                      scalar_divided_difference)
 
 from coxcov.differentials import random_weil
 from coxcov.fields import QQ, QSQRT5
 from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
-                           build_group, canonical_code, mat_transpose,
-                           mat_vec)
+                           build_group, canonical_code, mat_vec)
 from coxcov.poly import Poly
 
 CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",

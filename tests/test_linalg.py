@@ -7,7 +7,8 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from conftest import FractionSparseSolver, dense_modp_pivots
+from conftest import (FractionSparseSolver, dense_modp_pivots, gauss_det,
+                      gauss_inverse, gauss_nullspace)
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
 from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
@@ -18,7 +19,8 @@ from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
 
 def _rand_scalar(rng, field):
     c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
-    return c if field.is_rational else field.scalar(c, rng.randrange(-2, 3))
+    return c if field.is_rational else field.scalar(
+        c, *(rng.randrange(-2, 3) for _ in range(field.degree - 1)))
 
 
 def _rand_matrix(rng, field, n, m):
@@ -45,14 +47,14 @@ def test_bareiss_inverse_vs_fraction_gauss():
     for _ in range(30):
         n = rng.randrange(1, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        if det(mat, QQ) == 0:
+        if gauss_det(mat, QQ) == 0:
             with pytest.raises(ValueError):
                 bareiss_jordan_inverse(mat)
             with pytest.raises(ValueError):
                 inverse(mat, QQ)
             continue
         inv, den = bareiss_jordan_inverse(mat)
-        oracle = inverse(mat, QQ)
+        oracle = gauss_inverse(mat, QQ)
         for i in range(n):
             for j in range(n):
                 assert Fraction(inv[i][j], den) == oracle[i][j]
@@ -64,12 +66,12 @@ def test_planted_inverse_entry_raises_under_optimize():
             "from coxcov import linalg\n"
             "from coxcov.reports import CertificationError\n"
             "assert sys.flags.optimize\n"
-            "solve = linalg.bareiss_jordan\n"
-            "def planted(a, n):\n"
-            "    den = solve(a, n)\n"
+            "solve = linalg.fraction_free_jordan\n"
+            "def planted(a, n, field):\n"
+            "    out = solve(a, n, field)\n"
             "    a[1][n] += 1\n"
-            "    return den\n"
-            "linalg.bareiss_jordan = planted\n"
+            "    return out\n"
+            "linalg.fraction_free_jordan = planted\n"
             "try:\n"
             "    linalg.bareiss_jordan_inverse([[2, 1], [1, 1]])\n"
             "except CertificationError as exc:\n"
@@ -89,10 +91,10 @@ def test_inverse_defect_on_numerators(field):
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
         mat = _rand_matrix(rng, field, n, n)
-        while not det(mat, field):
+        while not gauss_det(mat, field):
             mat = _rand_matrix(rng, field, n, n)
         nums, dm = field.clear([x for row in mat for x in row])
-        inv = inverse(mat, field)
+        inv = gauss_inverse(mat, field)
         m_nums, den = field.clear([x for row in inv for x in row])
         p_rows = [nums[i * n:(i + 1) * n] for i in range(n)]
         m_rows = [m_nums[i * n:(i + 1) * n] for i in range(n)]
@@ -108,7 +110,7 @@ def test_inverse_defect_on_numerators(field):
 
 def test_det_against_permutation_expansion():
     rng = random.Random(3)
-    for field, n in product((QQ, QSQRT5), (1, 2, 3, 4)):
+    for field, n in product((QQ, QSQRT5, QCOSPI7, QCOSPI8), (1, 2, 3, 4)):
         for _ in range(10):
             mat = _rand_matrix(rng, field, n, n)
             if rng.random() < 0.3:        # a repeated row: determinant 0
@@ -124,7 +126,8 @@ def test_det_against_permutation_expansion():
             assert det(mat, field) == per
 
 
-@pytest.mark.parametrize("field", [QQ, QSQRT5], ids=["QQ", "sqrt5"])
+@pytest.mark.parametrize("field", [QQ, QSQRT5, QCOSPI7, QCOSPI8],
+                         ids=["QQ", "sqrt5", "cospi7", "cospi8"])
 def test_inverse_and_nullspace_fuzz(field):
     rng = random.Random(13)
     for _ in range(25):
@@ -132,6 +135,7 @@ def test_inverse_and_nullspace_fuzz(field):
         mat = _rand_matrix(rng, field, n, n)
         if det(mat, field):
             inv = inverse(mat, field)
+            assert inv == gauss_inverse(mat, field)
             for i in range(n):
                 for j in range(n):
                     s = sum((mat[i][t] * inv[t][j] for t in range(n)),
@@ -146,6 +150,7 @@ def test_inverse_and_nullspace_fuzz(field):
         for row in a:
             solver.add({j: v for j, v in enumerate(row) if v})
         null = nullspace(a, ncols, field)
+        assert null == gauss_nullspace(a, ncols, field)
         assert len(null) == ncols - solver.rank
         # each vector ends at its own free (non-pivot) column with a 1 and
         # is 0 on the other free columns
