@@ -2,18 +2,15 @@
 
 One JSON document per group, holding the format version, the group's
 code, field and order, and per degree the recorded layout of its
-coinvariant table (derivative multi-indices and standard monomials) with
-the table's pairing inverse (M, den), P^{-1} = M / den.  Absent or
-version-mismatched files are regenerated.  The group itself is rebuilt on
-every load.  The layout is a hint, not a result: it lets the tables skip
-their pivot searches, every exact certification still runs on it, and a
-layout that does not fit is replaced by a fresh build.  The stored
-inverse is a certified hint: a table uses it only once P M = den I holds
-exactly, and one that does not, or does not parse, sends the load down
-the same fallback.  Its integers are hex text (see
-``coinvariants._DegreeTable.stored_inverse``).  The layout alone also
-serves the Lie side, whose bridge Weyl group is another realization of a
-catalogue group (``lie_bridge.build_lie``) with its own pairing matrices.
+coinvariant table (derivative multi-indices and standard monomials).
+Absent or version-mismatched files are regenerated.  The group itself is
+rebuilt on every load, and so are the tables' pairing inverses, block by
+block from the layout as in a cold build.  The layout is a hint, not a
+result: it lets the tables skip their pivot searches, every exact
+certification still runs on it, and a layout that does not fit is
+replaced by a fresh build.  The layout alone also serves the Lie side,
+whose bridge Weyl group is another realization of a catalogue group
+(``lie_bridge.build_lie``) with its own pairing matrices.
 """
 
 from __future__ import annotations
@@ -22,10 +19,10 @@ import json
 import os
 from pathlib import Path
 
-from .coinvariants import CoinvariantBasis, decode_inverse
+from .coinvariants import CoinvariantBasis
 from .groups import ReflectionGroup, build_group
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 DEFAULT_ENV = "COXCOV_CACHE_DIR"
 
@@ -53,13 +50,10 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
         "order": group.order,
     }
     if cb is not None:
-        doc["tables"] = {}
-        for d, t in cb.tables.items():
-            inv, den = t.stored_inverse()
-            doc["tables"][str(d)] = {
-                "indices": [list(a) for a in t.indices],
-                "monomials": [list(m) for m in t.monos],
-                "inverse": inv, "den": den}
+        doc["tables"] = {
+            str(d): {"indices": [list(a) for a in t.indices],
+                     "monomials": [list(m) for m in t.monos]}
+            for d, t in cb.tables.items()}
     path = cache_path(cache_dir, group.code)
     # write beside the target, then rename over it: a reader sees the old
     # file or the new one, never a partial write
@@ -72,28 +66,17 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
     return path
 
 
-def load_layout(cache_dir: Path, code: str, field=None):
+def load_layout(cache_dir: Path, code: str):
     """The recorded {degree: (indices, monomials)} of the group's cache
-    file when it is present and of the current version, else None; with
-    the group's ``field``, {degree: (indices, monomials, (M, den))} with
-    each table's pairing inverse decoded from the file's hex text
-    (``coinvariants.decode_inverse``), for ``CoinvariantBasis`` to
-    certify, and None also when one does not decode.  Each table's text
-    is dropped once decoded.  Never writes a file."""
+    file when it is present and of the current version, else None.  Never
+    writes a file."""
     try:
         doc = json.loads(cache_path(Path(cache_dir), code).read_text())
         if doc.get("version") != CACHE_VERSION:
             return None
-        tables = {}
-        for d, t in doc["tables"].items():
-            entry = ([tuple(a) for a in t["indices"]],
-                     [tuple(m) for m in t["monomials"]])
-            if field is not None:
-                entry += (decode_inverse(t.pop("inverse", None),
-                                         t.pop("den", None), len(entry[1]),
-                                         field),)
-            tables[int(d)] = entry
-        return tables
+        return {int(d): ([tuple(a) for a in t["indices"]],
+                         [tuple(m) for m in t["monomials"]])
+                for d, t in doc["tables"].items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -102,8 +85,7 @@ def load_stack(cache_dir: Path, code: str, allow_long=False):
     """(group, coinvariant basis) from cache when fresh, else rebuilt (and
     the cache file rewritten).  Returns (group, cb, from_cache)."""
     group = build_group(code, allow_long=allow_long)
-    cb = CoinvariantBasis(group, precomputed=load_layout(cache_dir, code,
-                                                         group.field))
+    cb = CoinvariantBasis(group, precomputed=load_layout(cache_dir, code))
     if not cb.from_layout:
         save_group(Path(cache_dir), group, cb)
     return group, cb, cb.from_layout

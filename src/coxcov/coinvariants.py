@@ -43,12 +43,9 @@ Pivot selection runs modulo a prime, on sparse rows of residues; the choice
 is certified by the exact invertibility of the resulting pairing matrix.  A
 recorded layout (the derivative multi-indices and standard monomials per
 degree, from the cache or from another realization of the same group) skips
-that search.  It is only a hint: the same certificates run on it, and a
-layout that does not fit falls back to the search.  A cache file also holds
-each table's (M, den), which skips the elimination as well.  That stored
-inverse is a certified hint: it is used only once P M = den I holds exactly
-for the pairing matrix P of the layout, and one that fails the product, or
-is malformed, falls back to the search like a layout that does not fit.
+that search.  It is only a hint: the tables are inverted on it block by
+block as in a cold build, the same certificates run, and a layout that
+does not fit falls back to the search.
 """
 
 from __future__ import annotations
@@ -156,15 +153,6 @@ class _DegreeTable:
             out.append(s)
         return out
 
-    def stored_inverse(self) -> tuple[list, str]:
-        """(M, den) as hex text, the form a cache file keeps and
-        ``decode_inverse`` reads: an int as ``format(x, "x")``, a
-        numerator tuple as a list of those."""
-        def text(x):
-            return format(x, "x") if type(x) is int \
-                else [format(c, "x") for c in x]
-        return [[text(x) for x in row] for row in self.inv], text(self.den)
-
     def solve(self, v: list, field) -> dict:
         """Standard-monomial numerators, over ``den`` times the
         denominator of v, of the class whose pairing vector is v."""
@@ -189,28 +177,6 @@ class _DegreeTable:
 def _sum_nums(nums: list, field) -> tuple:
     """The sum of numerator tuples of Q(theta)."""
     return tuple(map(sum, zip(*nums))) if nums else (0,) * field.degree
-
-
-def decode_inverse(rows, den, k: int, field) -> tuple[list, int]:
-    """(M, den) from the hex text of ``_DegreeTable.stored_inverse``: M as
-    k rows of k entries, each an int over Q and a numerator tuple over
-    Q(theta); ValueError unless it has that shape and den > 0.  Hex parses
-    in linear time, and Python's digit limit on decimal ``int`` conversion
-    does not apply to it."""
-    try:
-        den = int(den, 16)
-        if field.is_rational:
-            inv = [[int(x, 16) for x in row] for row in rows]
-        else:
-            inv = [[tuple(int(c, 16) for c in x) for x in row]
-                   for row in rows]
-    except TypeError:
-        raise ValueError("stored inverse is not hex text") from None
-    if not (den > 0 and len(inv) == k and all(len(row) == k for row in inv)
-            and (field.is_rational or all(len(x) == field.degree
-                                          for row in inv for x in row))):
-        raise ValueError("stored inverse does not fit the table")
-    return inv, den
 
 
 class CoinvariantBasis:
@@ -351,44 +317,38 @@ class CoinvariantBasis:
                 return self._build_degree_exact(cands, monos, k)
             p, root = field_prime_and_root(self.field, p + 2)
 
-    def _table(self, chosen, monos, stored=None) -> _DegreeTable:
+    def _table(self, chosen, monos) -> _DegreeTable:
         """Table of the chosen (index, weighted harmonic) pairs against
         the standard monomials, with the exact inverse of the pairing matrix
         P[i][j] = <h_i, m_j> as (M, den), P^{-1} = M / den with integer
         coordinates; ValueError if P is singular.
 
-        ``stored`` is (M, den) decoded from a cache file (see
-        ``decode_inverse``).  It is a certified hint: it is used once
-        P M = den I holds exactly, and one that fails that product raises
-        ValueError.  Without it, P is split into the connected components
-        of its support (``support_blocks``), a block diagonal after
-        permuting rows and columns, and each block is inverted on its own
-        numerators, in lowest terms, by ``bareiss_jordan_inverse``.  M
-        holds them all over one den, the lcm of theirs, so that M / den is
-        P^{-1} in lowest terms.  The same product certifies it on the whole
-        table.
+        P is split into the connected components of its support
+        (``support_blocks``), a block diagonal after permuting rows and
+        columns, and each block is inverted on its own numerators, in
+        lowest terms, by ``bareiss_jordan_inverse``, which certifies it by
+        its product.  M holds them all over one den, the lcm of theirs, so
+        that M / den is P^{-1} in lowest terms.  With more than one block,
+        P M = den I certifies M once more on the whole table; a single
+        block is the whole table, whose product is then already checked.
         """
         weighted = [wh for _, wh in chosen]
         field = self.field
         zero = 0 if field.is_rational else (0,) * field.degree
         mat = [[wh.get(m, zero) for m in monos] for wh in weighted]
-        if stored is not None:
-            inv, den = stored
-            if inverse_defect(mat, inv, den, field) is not None:
-                raise ValueError("stored inverse fails P M = den I")
-        else:
-            parts = [(rows, cols, *bareiss_jordan_inverse(
-                          [[mat[i][j] for j in cols] for i in rows], field))
-                     for rows, cols in support_blocks(
-                         mat, bool if field.is_rational else any)]
-            den = lcm(*(bden for *_, bden in parts))
-            inv = [[zero] * len(mat) for _ in mat]
-            for rows, cols, binv, bden in parts:
-                f = den // bden
-                for j, brow in zip(cols, binv):
-                    for i, x in zip(rows, brow):
-                        inv[j][i] = x * f if field.is_rational \
-                            else tuple(c * f for c in x)
+        parts = [(rows, cols, *bareiss_jordan_inverse(
+                      [[mat[i][j] for j in cols] for i in rows], field))
+                 for rows, cols in support_blocks(
+                     mat, bool if field.is_rational else any)]
+        den = lcm(*(bden for *_, bden in parts))
+        inv = [[zero] * len(mat) for _ in mat]
+        for rows, cols, binv, bden in parts:
+            f = den // bden
+            for j, brow in zip(cols, binv):
+                for i, x in zip(rows, brow):
+                    inv[j][i] = x * f if field.is_rational \
+                        else tuple(c * f for c in x)
+        if len(parts) > 1:
             bad = inverse_defect(mat, inv, den, field)
             if bad is not None:
                 raise CertificationError(
@@ -421,15 +381,13 @@ class CoinvariantBasis:
 
     def _build_from_recorded(self, recorded):
         """Rebuild tables from recorded (degree -> (indices, monos)) data,
-        or (degree -> (indices, monos, stored inverse)) from a cache file;
-        ValueError or KeyError if the layout or a stored inverse does not
-        fit this group.
+        from a cache file or another realization of the group; ValueError
+        or KeyError if the layout does not fit this group.
 
         A layout that fits gives dim H_d derivatives of Xi of order
         |T| - d and as many monomials of degree d in every degree, and
-        ``_table`` certifies that their pairing is invertible (a stored
-        inverse by P M = den I); together these make the table a correct
-        one, whichever layout and inverse it came from.
+        ``_table`` certifies that their pairing is invertible; together
+        these make the table a correct one, whichever layout it came from.
         """
         def shaped(t, total):
             return (len(t) == self.rank
@@ -437,7 +395,7 @@ class CoinvariantBasis:
                     and sum(t) == total)
 
         for d in range(self.top, -1, -1):
-            idxs, monos, *stored = recorded[d]
+            idxs, monos = recorded[d]
             idxs = [tuple(a) for a in idxs]
             monos = [tuple(m) for m in monos]
             if not (len(idxs) == len(monos) == self.h_dims[d]
@@ -445,7 +403,7 @@ class CoinvariantBasis:
                     and all(shaped(m, d) for m in monos)):
                 raise ValueError(f"recorded layout does not fit degree {d}")
             chosen = [(a, self._derivative(a)) for a in idxs]
-            self.tables[d] = self._table(chosen, monos, *stored)
+            self.tables[d] = self._table(chosen, monos)
 
     def recorded_tables(self):
         return {d: (t.indices, t.monos) for d, t in self.tables.items()}

@@ -427,7 +427,15 @@ def fraction_free_jordan(a: list, ncols: int, field: Field = QQ):
         c = mul(prow[col], inv)
         for i, row in enumerate(a):
             x = mul(row[col], inv)
-            if i != r and ring:
+            if i != r and ring and field.degree == 2:
+                # c u - x v written out, so no product is a call
+                (c0, c1), (x0, x1), (t0, t1) = c, x, field._top
+                a[i] = [((c0 * u0 - x0 * v0 + (h := c1 * u1 - x1 * v1) * t0)
+                         // den, (c0 * u1 + c1 * u0 - x0 * v1 - x1 * v0
+                                  + h * t1) // den)
+                        if u0 or u1 or v0 or v1 else (0, 0)
+                        for (u0, u1), (v0, v1) in zip(row, prow)]
+            elif i != r and ring:
                 a[i] = [tuple(t // den for t in map(sub, mul(c, u),
                                                     mul(x, v)))
                         if any(u) or any(v) else u

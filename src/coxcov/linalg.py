@@ -9,8 +9,8 @@ preselector.
   table of the coinvariant basis (``support_blocks`` splits a table into
   the connected components of its support), and the simple roots.
   ``inverse_defect`` is that certificate, mat @ M = den * I, which every
-  pairing-table inverse also passes on the whole table, whether computed
-  or read from the cache.
+  pairing-table inverse passes once on the whole table: there when the
+  table is one block, else after its blocks are put together.
 * ``SparseSolver`` is the incremental echelon over dicts keyed by
   hashable, comparable column labels, for spans that grow one vector at a
   time: ranks, membership and solving in the span.  Its rows are integer

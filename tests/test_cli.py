@@ -160,90 +160,56 @@ def test_corrupted_cache_layout_regenerates(tmp_path, capsys):
     assert code == 0
 
 
-def _wrong_entry(table):
-    row = table["inverse"][0]
-    row[0] = format(int(row[0], 16) + 1, "x")
-
-
-def _truncated_row(table):
-    table["inverse"][-1].pop()
-
-
-def _zero_den(table):
-    table["den"] = "0"
-
-
-def _not_hex(table):
-    table["inverse"][0][0] = "0g"
-
-
-@pytest.mark.parametrize("plant", [_wrong_entry, _truncated_row, _zero_den,
-                                   _not_hex])
-def test_bad_stored_inverse_is_rebuilt(tmp_path, capsys, plant):
-    """A stored inverse that fails its certificate or does not parse sends
-    the load down the fresh build, which rewrites the file; the report is
-    the same bytes as on the good file."""
-    from coxcov.cache import cache_path
-    args = ["verify", "--group", "B2", "--checks", "all", "--samples", "3",
-            "--emit", "json", "--cache-dir", str(tmp_path)]
-    code, want, _ = run_cli(capsys, *args)
-    assert code == 0
-    path = cache_path(tmp_path, "B2")
-    good = path.read_bytes()
-    doc = json.loads(good)
-    plant(doc["tables"]["2"])
-    path.write_text(json.dumps(doc, sort_keys=True))
-    code, got, _ = run_cli(capsys, *args)
-    assert code == 0 and got == want
-    assert path.read_bytes() == good
-
-
-def test_wrong_stored_inverse_rejected_optimized(tmp_path, capsys):
-    """Under python -O, the certificate P M = den I still turns down a
-    stored inverse with one wrong entry."""
+def test_singular_layout_rejected_optimized(tmp_path, capsys):
+    """Under python -O, a layout whose pairing matrix is singular still
+    sends the load down the fresh build, which rewrites the file."""
     from coxcov.cache import cache_path
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
                            "--cache-dir", str(tmp_path))
     assert code == 0 and "rebuilt" in out
     path = cache_path(tmp_path, "A2")
-    doc = json.loads(path.read_text())
-    _wrong_entry(doc["tables"]["1"])
+    good = path.read_bytes()
+    doc = json.loads(good)
+    monos = doc["tables"]["1"]["monomials"]
+    monos[1] = monos[0]             # a singular pairing matrix
     path.write_text(json.dumps(doc, sort_keys=True))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    child = ("from coxcov.cache import load_stack\n"
+    child = ("import sys\n"
+             "from coxcov.cache import load_stack\n"
+             "if not sys.flags.optimize:\n"
+             "    raise SystemExit(5)\n"
              f"_, _, from_cache = load_stack({str(tmp_path)!r}, 'A2')\n"
              "raise SystemExit(4 if from_cache else 3)\n")
     got = subprocess.run([sys.executable, "-O", "-c", child], env=env)
     assert got.returncode == 3
-
-
-def test_version_2_file_is_regenerated(tmp_path, capsys):
-    """A file of the previous format, layout without inverses, is
-    rebuilt into the current one."""
-    from coxcov.cache import CACHE_VERSION, cache_path
-    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
-                           "--cache-dir", str(tmp_path))
-    assert code == 0 and "rebuilt" in out
-    path = cache_path(tmp_path, "A2")
-    good = path.read_bytes()
-    doc = json.loads(good)
-    assert doc["version"] == CACHE_VERSION == 4
-    doc["version"] = 2
-    for table in doc["tables"].values():
-        del table["inverse"], table["den"]
-    path.write_text(json.dumps(doc, sort_keys=True))
-    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
-                           "--cache-dir", str(tmp_path))
-    assert code == 0 and "rebuilt" in out
     assert path.read_bytes() == good
 
 
-def test_version_3_file_is_regenerated(tmp_path, capsys):
-    """A file of the previous format, whose inverses need not be in lowest
-    terms, is rebuilt into the current one, and the report on it is the
-    same bytes as on a fresh cache."""
-    from coxcov.cache import cache_path
+def test_fresh_file_keeps_layout_alone(tmp_path, capsys):
+    """A table of a fresh file is its layout and nothing else: every load
+    inverts the pairing from it."""
+    from coxcov.cache import CACHE_VERSION, cache_path
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
+                           "--group", "I2(5)", "--cache-dir", str(tmp_path))
+    assert code == 0 and out.count("rebuilt") == 2
+    for group in ("A2", "I2(5)"):
+        doc = json.loads(cache_path(tmp_path, group).read_text())
+        assert doc["version"] == CACHE_VERSION
+        assert doc["tables"]
+        for table in doc["tables"].values():
+            assert sorted(table) == ["indices", "monomials"]
+
+
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_old_version_file_is_regenerated(tmp_path, capsys, version):
+    """A file of an earlier format is rebuilt into the current one, and
+    the report on it is the same bytes as on a fresh cache.  Version 2
+    held the layout alone, version 3 added each table's pairing inverse
+    (M, den) as hex text, not always in lowest terms, and version 4 kept
+    it in lowest terms."""
+    from coxcov.cache import CACHE_VERSION, cache_path, load_stack
+    assert CACHE_VERSION == 5
     args = ["verify", "--group", "B2", "--checks", "all", "--samples", "3",
             "--emit", "json", "--cache-dir", str(tmp_path)]
     code, want, _ = run_cli(capsys, *args)
@@ -251,11 +217,16 @@ def test_version_3_file_is_regenerated(tmp_path, capsys):
     path = cache_path(tmp_path, "B2")
     good = path.read_bytes()
     doc = json.loads(good)
-    doc["version"] = 3
-    for table in doc["tables"].values():    # still P M = den I
-        table["inverse"] = [[format(2 * int(x, 16), "x") for x in row]
-                            for row in table["inverse"]]
-        table["den"] = format(2 * int(table["den"], 16), "x")
+    doc["version"] = version
+    if version > 2:             # B2 is over Q: M and den are integers
+        scale = 2 if version == 3 else 1        # still P M = den I
+        _, cb, from_cache = load_stack(tmp_path, "B2")
+        assert from_cache
+        for d, t in cb.tables.items():
+            doc["tables"][str(d)].update(
+                inverse=[[format(scale * x, "x") for x in row]
+                         for row in t.inv],
+                den=format(scale * t.den, "x"))
     path.write_text(json.dumps(doc, sort_keys=True))
     code, got, _ = run_cli(capsys, *args)
     assert code == 0 and got == want
