@@ -29,7 +29,7 @@ from operator import add
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
 from .poly import Poly
-from .reports import certify
+from .reports import CertificationError, certify
 from .weil import Weil, wedge_mul
 
 
@@ -217,9 +217,6 @@ class ReflectionGroup:
         self._conj_classes = None
         self._class_of = None
         self._class_data: dict = {}
-        self._act_forms: dict = {}
-        self._act_pow_cache: dict = {}
-        self._act_mono_cache: dict = {}
         self._ext_images: dict = {}
         self._taylor_data: dict = {}
         gens = [self.reflection_matrix(a) for a in self.simple_roots]
@@ -248,6 +245,9 @@ class ReflectionGroup:
         ``gens``: ``positive_roots`` (of each pair +-a the one with the
         larger coordinate key, sorted by that key), then ``roots`` (the
         positive roots, then their negatives in the same order).
+
+        Not the positive system of ``simple_roots``: on I2(8) it lists
+        (1 - theta^2, -theta) ~ (-2.41, -1.85).  Descents use ``length``.
 
         Returns {root u: (i, v)} for each root that is not simple, with
         u = gens[i] v for a root v reached before u, in the order reached.
@@ -289,6 +289,8 @@ class ReflectionGroup:
     def _build_elements(self, gen_perms):
         """Breadth-first closure over root permutations, bounded by the
         group order; elements new in a layer are sorted by their matrix.
+        Each step multiplies on the right by a simple reflection, so the
+        layer of w, kept in ``length``, is its Coxeter length.
 
         The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
         the simple roots a_i (S has them as columns), and w is orthogonal
@@ -338,6 +340,7 @@ class ReflectionGroup:
         index = {ident: 0}
         perms = [ident]
         elements = [matrix(numerators(ident))]
+        length = [0]
         layer = [ident]
         while layer:
             nxt = []
@@ -356,6 +359,7 @@ class ReflectionGroup:
                 index[p] = len(perms)
                 perms.append(p)
                 elements.append(matrix(nums))
+            length += [length[-1] + 1] * len(nxt)
             layer = [p for p, _ in nxt]
         if len(elements) != self.order:
             raise CatalogueError(
@@ -367,6 +371,7 @@ class ReflectionGroup:
                 raise CatalogueError(
                     f"{self.code}: element not orthogonal for the Gram form")
         self.elements = elements
+        self.length = length
         self.root_perms = perms
         self.perm_index = index
         self.identity_index = 0
@@ -453,26 +458,18 @@ class ReflectionGroup:
         return out
 
     # -- group action -----------------------------------------------------
-    #
-    # divided_difference needs only a reflection's root: it expands
-    # (p - s.p)/(alpha, x) along alpha.  act_poly acts by any element w
-    # through substitution, w.p = p(w^{-1} x), caching monomial images.
+    # One Taylor expansion along a root gives s.p and the divided difference;
+    # any other element acts by reflections along a reduced word.
 
-    def divided_difference(self, alpha: tuple, p: Poly) -> Poly:
-        """The BGG/Demazure divided difference (p - s.p)/(alpha, x) of the
-        reflection s in the root ``alpha`` (a tuple of field scalars).
-
-        With l = (alpha, x) and c = 2/(alpha, alpha), s.p(x) = p(x - c l(x)
-        alpha), so Taylor's formula along alpha gives the exact quotient
-            (p - s.p)/l = sum_{k>=1} (-1)^{k+1} c^k l^{k-1} D_alpha^k p / k!,
-        summed here by Horner's rule in l.  Scaling alpha by t scales the
-        result by 1/t.  It is zero exactly when s.p = p.
-
-        Everything runs on p's integer numerators: c alpha and -G alpha
-        are kept as numerators over one denominator each, the 1/k of each
-        Taylor step and those denominators go into the denominator of the
-        step, and one gcd at the end brings the result to canonical form.
-        """
+    def _taylor(self, alpha: tuple, p: Poly, start: int) -> Poly:
+        """sum_{k>=start} (-l)^(k-start) u_k by Horner's rule in l, with
+        l = (alpha, x), c = 2/(alpha, alpha), u_k = c^k D_alpha^k p / k!
+        for the root ``alpha``.  By Taylor's formula the reflection s in
+        alpha maps p to p(x - c l alpha) = u_0 - l (u_1 - l (...)), so
+        start 0 gives s.p and start 1 gives (p - s.p)/l.  It runs on p's
+        integer numerators, with c alpha and -G alpha over one denominator
+        each; the 1/k of each step and those denominators go into the
+        step's denominator, and one gcd at the end makes it canonical."""
         f = self.field
         data = self._taylor_data.get(alpha)
         if data is None:
@@ -490,9 +487,9 @@ class ReflectionGroup:
         steps, step_den, minus_form, minus_den = data
         rational = f.degree == 1
         mul = None if rational else f.mul_num
-        # u_k = c^k D_alpha^k p / k! = (c/k) D_alpha u_{k-1}, from u_0 = p,
-        # kept as (U_k, D_k) with u_k = U_k / D_k and D_k = D_{k-1} k step_den
-        taylor = []
+        # u_k = (c/k) D_alpha u_{k-1}, kept as (U_k, D_k) with u_k = U_k / D_k
+        # and D_k = D_{k-1} k step_den, from (U_0, D_0) = (p.num, p.den)
+        taylor = [(p.num, p.den)]
         u, den = p.num, p.den
         while True:
             nxt: dict = {}
@@ -512,11 +509,12 @@ class ReflectionGroup:
             u = {e: v for e, v in nxt.items() if (v if rational else any(v))}
             if not u:
                 break
-            den *= (len(taylor) + 1) * step_den
+            den *= len(taylor) * step_den
             taylor.append((u, den))
+        del taylor[:start]
         if not taylor:
             return Poly.zero(self.rank, f)
-        # Horner in -l: u_1 - l (u_2 - l (u_3 - ...)), over a denominator
+        # Horner in -l: u_s - l (u_{s+1} - l (...)), over a denominator
         # that every D_k divides
         acc, den = taylor.pop()
         for u, dk in reversed(taylor):
@@ -538,49 +536,32 @@ class ReflectionGroup:
         return Poly.from_num(self.rank, f, {
             e: v for e, v in acc.items() if (v if rational else any(v))}, den)
 
-    def _subst_forms(self, w_idx: int):
-        forms = self._act_forms.get(w_idx)
-        if forms is None:
-            winv = self.elements[self.inverse_idx[w_idx]]
-            forms = [Poly.linear_form(winv[i], self.field)
-                     for i in range(self.rank)]
-            self._act_forms[w_idx] = forms
-        return forms
+    def divided_difference(self, alpha: tuple, p: Poly) -> Poly:
+        """The BGG/Demazure divided difference (p - s.p)/(alpha, x); scaling
+        alpha by t scales it by 1/t.  It is zero exactly when s.p = p."""
+        return self._taylor(alpha, p, 1)
 
-    def _act_var_power(self, w_idx: int, i: int, k: int) -> Poly:
-        cache = self._act_pow_cache
-        key = (w_idx, i, k)
-        got = cache.get(key)
-        if got is None:
-            if k == 1:
-                got = self._subst_forms(w_idx)[i]
-            else:
-                got = self._act_var_power(w_idx, i, k - 1) * \
-                    self._subst_forms(w_idx)[i]
-            cache[key] = got
-        return got
+    def reflect(self, alpha: tuple, p: Poly) -> Poly:
+        """s.p for the reflection s in the root ``alpha``, in one pass."""
+        return self._taylor(alpha, p, 0)
 
-    def act_monomial(self, w_idx: int, expo: tuple) -> Poly:
-        cache = self._act_mono_cache
-        key = (w_idx, expo)
-        got = cache.get(key)
-        if got is None:
-            got = Poly.constant(1, self.rank, self.field)
-            for i, k in enumerate(expo):
-                if k:
-                    got = got * self._act_var_power(w_idx, i, k)
-            cache[key] = got
-        return got
+    def right_descent(self, w_idx: int):
+        """(i, w s_i) for the first i with l(w s_i) < l(w); at w != e, a
+        CertificationError if there is none (``length`` is wrong)."""
+        for i, s in enumerate(self.simple_indices):
+            v = self.mul(w_idx, s)
+            if self.length[v] < self.length[w_idx]:
+                return i, v
+        raise CertificationError(f"{self.code}: element {w_idx} has no "
+                                 f"right descent")
 
     def act_poly(self, w_idx: int, p: Poly) -> Poly:
-        """Geometric action (w.p)(x) = p(w^{-1} x); monomial images are
-        cached per element."""
-        if w_idx == self.identity_index:
-            return p
-        return Poly.combination(
-            self.rank, self.field,
-            ((c, self.act_monomial(w_idx, e)) for e, c in p.num.items()),
-            p.den)
+        """(w.p)(x) = p(w^{-1} x) along a reduced word, one reflection per
+        letter: w.p = (w s_i).(s_i.p) for a right descent s_i."""
+        while w_idx != self.identity_index:
+            i, w_idx = self.right_descent(w_idx)
+            p = self.reflect(self.simple_roots[i], p)
+        return p
 
     def ext_image(self, w_idx: int, mask: int) -> Weil:
         """Image under w of the exterior monomial ``mask``: the wedge of
@@ -609,13 +590,29 @@ class ReflectionGroup:
         return out
 
     def reynolds(self, p: Poly, elt_indices=None) -> Poly:
-        idxs = range(self.order) if elt_indices is None else elt_indices
-        total = Poly.zero(self.rank, self.field)
-        count = 0
-        for i in idxs:
-            total = total + self.act_poly(i, p)
-            count += 1
-        return total.scale(Fraction(1, count))
+        """The mean of w.p over ``elt_indices`` (default W), walked from e
+        breadth-first by the reflections t in the set, t.(v.p) per element;
+        CertificationError unless the walk yields the set (a reflection
+        subgroup) exactly."""
+        members = set(range(self.order) if elt_indices is None
+                      else elt_indices)
+        refls = [(t, alpha) for t, alpha in self.reflections if t in members]
+        layer = {self.identity_index: p}
+        seen = set(layer)
+        total = p
+        while layer:
+            nxt = {}
+            for v, img in layer.items():
+                for t, alpha in refls:
+                    u = self.mul(t, v)
+                    if u not in seen:
+                        seen.add(u)
+                        nxt[u] = self.reflect(alpha, img)
+                        total = total + nxt[u]
+            layer = nxt
+        certify(seen == members, f"{self.code}: Reynolds set is not a "
+                "reflection subgroup")
+        return total.scale(Fraction(1, len(members)))
 
     # -- conjugacy classes and characters ----------------------------------
 

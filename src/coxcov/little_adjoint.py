@@ -10,7 +10,7 @@ the roles are symmetric there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -23,7 +23,7 @@ from .covariants import (CovariantMap, CovariantStack, TargetSpace,
                          top_p_failures)
 from .differentials import dunkl, koszul_delta
 from .fields import Scalar
-from .groups import ReflectionGroup, _jacobian_det, _poly_det
+from .groups import ReflectionGroup, _jacobian_det, _poly_det, mat_vec
 from .linalg import SparseSolver, inverse, nullspace
 from .molien import (GradedSeries, class_traces, exterior_series,
                      graded_multiplicity_series)
@@ -189,22 +189,33 @@ class UbarDecomposition:
     u_basis: list           # basis of the W_p-reflection summand U
     inv_basis: list         # basis of Vbar^W
     u_degree: int           # common polynomial degree of U
+    _matrices: dict = field(default_factory=dict, init=False, repr=False)
 
     def u_action_matrix(self, w_idx: int):
-        """Matrix of w on U in the chosen basis (columns = images)."""
-        group = self.split.group
-        solver = SparseSolver(group.field)
-        for y in self.u_basis:
-            solver.add(y.num, y.den)
-        cols = []
-        for y in self.u_basis:
-            img = group.act_poly(w_idx, y)
-            sol = solver.solve(img.num, img.den)
-            certify(sol is not None, "U not W-stable")
-            cols.append([sol.get(i, group.field.zero)
-                         for i in range(len(self.u_basis))])
-        return tuple(tuple(cols[j][i] for j in range(len(cols)))
-                     for i in range(len(cols)))
+        """Matrix of w on U in the chosen basis (columns = images), memoised:
+        solved once per simple reflection s_i (which certifies U W-stable),
+        else that of w' times that of s_i for a right descent w = w' s_i."""
+        group, mats = self.split.group, self._matrices
+        fld, n = group.field, len(self.u_basis)
+        if not mats:
+            solver = SparseSolver(fld)
+            for y in self.u_basis:
+                solver.add(y.num, y.den)
+            mats[group.identity_index] = tuple(
+                tuple(fld.one if i == j else fld.zero for j in range(n))
+                for i in range(n))
+            for s, alpha in zip(group.simple_indices, group.simple_roots):
+                imgs = [group.reflect(alpha, y) for y in self.u_basis]
+                sols = [solver.solve(img.num, img.den) for img in imgs]
+                certify(None not in sols, "U not W-stable")
+                mats[s] = tuple(tuple(sol.get(i, fld.zero) for sol in sols)
+                                for i in range(n))
+        if w_idx not in mats:
+            i, v = group.right_descent(w_idx)
+            b = tuple(zip(*mats[group.simple_indices[i]]))
+            mats[w_idx] = tuple(mat_vec(b, row, fld)
+                                for row in self.u_action_matrix(v))
+        return mats[w_idx]
 
 
 def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
@@ -345,17 +356,8 @@ def u_target_space(stack: CovariantStack, dec: UbarDecomposition) -> TargetSpace
     gram = [[twisted_pairing(group, a, b) for b in dec.u_basis]
             for a in dec.u_basis]
     gram_inv = inverse(gram, group.field)
-    action_cache = {}
-
-    def action(widx):
-        got = action_cache.get(widx)
-        if got is None:
-            got = dec.u_action_matrix(widx)
-            action_cache[widx] = got
-        return got
-
     return TargetSpace("U", s, tuple(tuple(r) for r in gram),
-                       tuple(tuple(r) for r in gram_inv), action)
+                       tuple(tuple(r) for r in gram_inv), dec.u_action_matrix)
 
 
 def make_g(stack: CovariantStack, dec: UbarDecomposition,

@@ -5,6 +5,7 @@ import pytest
 from coxcov.covariants import CovariantStack
 from coxcov.fields import scalar_inverse
 from coxcov.groups import build_group
+from coxcov.linalg import SparseSolver
 from coxcov.poly import Poly
 
 _GROUPS = {}
@@ -117,6 +118,40 @@ def gauss_nullspace(rows, ncols, field):
             vec[pj] = -row[fj]
         out.append(vec)
     return out
+
+
+def act_oracle(g, widx, p):
+    """w.p = p(w^{-1} x) by substitution, each monomial expanded by hand
+    through the matrix of w^{-1}: the route that the Taylor reflections
+    along reduced words replaced."""
+    winv = g.elements[g.inverse_idx[widx]]
+    out = Poly.zero(g.rank, g.field)
+    for e, c in p.terms.items():
+        term = Poly.constant(c, g.rank, g.field)
+        for i, k in enumerate(e):
+            form = Poly.linear_form(winv[i], g.field)
+            for _ in range(k):
+                term = term * form
+        out = out + term
+    return out
+
+
+def u_action_oracle(dec, widx):
+    """Matrix of w on the little-adjoint module U (columns = images): each
+    basis polynomial acted on by substitution and solved in the basis, the
+    per-element solve that the product along a reduced word replaced."""
+    group = dec.split.group
+    n = len(dec.u_basis)
+    solver = SparseSolver(group.field)
+    for y in dec.u_basis:
+        solver.add(y.num, y.den)
+    cols = []
+    for y in dec.u_basis:
+        img = act_oracle(group, widx, y)
+        sol = solver.solve(img.num, img.den)
+        assert sol is not None, "U not W-stable"
+        cols.append([sol.get(i, group.field.zero) for i in range(n)])
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def matrix_reflections(g):

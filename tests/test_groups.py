@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (assert_canonical, divide_by_linear_form, mat_mul,
-                      mat_transpose, matrix_reflections,
+from conftest import (act_oracle, assert_canonical, divide_by_linear_form,
+                      mat_mul, mat_transpose, matrix_reflections,
                       scalar_divided_difference)
 
 from coxcov.differentials import random_weil
@@ -122,23 +122,14 @@ def test_action_examples(group_of):
     assert g2.act_poly(eidx, p) == Poly.monomial((1, 2), 1)
 
 
-def _act_oracle(g, widx, p):
-    """Independent substitution oracle: expand each monomial by hand."""
-    winv = g.elements[g.inverse_idx[widx]]
-    out = Poly.zero(g.rank, g.field)
-    for e, c in p.terms.items():
-        term = Poly.constant(c, g.rank, g.field)
-        for i, k in enumerate(e):
-            form = Poly.linear_form(winv[i], g.field)
-            for _ in range(k):
-                term = term * form
-        out = out + term
-    return out
+# the default suite of ``coxcov verify``
+DEFAULT_SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(5)", "G2",
+                 "I2(8)", "F4", "H3"]
 
 
 def test_action_is_group_action_fuzz(group_of):
     rng = random.Random(23)
-    for code in ["A2", "B2", "G2", "B3"]:
+    for code in DEFAULT_SUITE:
         g = group_of(code)
         for _ in range(50):
             v = rng.randrange(g.order)
@@ -147,7 +138,58 @@ def test_action_is_group_action_fuzz(group_of):
             p = Poly.monomial(e, Fraction(rng.randrange(1, 5)), g.field)
             assert g.act_poly(g.mul(v, w), p) == \
                 g.act_poly(v, g.act_poly(w, p))
-            assert g.act_poly(w, p) == _act_oracle(g, w, p)
+            assert g.act_poly(w, p) == act_oracle(g, w, p)
+        # every element against the substitution oracle; on F4 a fixed
+        # sample with the longest element, whose reduced word is longest
+        if g.order <= 400:
+            elts = range(g.order)
+        else:
+            elts = random.Random(7).sample(range(g.order), 60) + \
+                [max(range(g.order), key=g.length.__getitem__)]
+        p = Poly.monomial((2,) + (1,) * (g.rank - 1), 3, g.field) + \
+            Poly.monomial((0,) * (g.rank - 1) + (3,), -1, g.field)
+        for w in elts:
+            assert g.act_poly(w, p) == act_oracle(g, w, p)
+
+
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_reflect_on_every_root(code, group_of):
+    # s.p = p - (alpha, x) d_s p, and s.p by substitution through the
+    # reflection's matrix, on every positive root, as stored and rescaled
+    g = group_of(code)
+    rng = random.Random(g.order + 1)
+    inputs = [p for _ in range(2) for p in random_weil(
+        g, rng, max_poly_degree=4, n_terms=3).terms.values()]
+    for eidx, alpha in g.reflections:
+        form = g.geometric_form(alpha)
+        scaled = tuple(a * Fraction(-3, 2) for a in alpha)
+        for p in inputs:
+            got = g.reflect(alpha, p)
+            assert_canonical(got)
+            assert got == p - form * g.divided_difference(alpha, p)
+            assert got == act_oracle(g, eidx, p) == g.reflect(scaled, p)
+
+
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_lengths_are_coxeter_lengths(code, group_of):
+    # right multiplication by a simple reflection changes the length by
+    # one, and the one longest element has length |T|
+    g = group_of(code)
+    assert g.length[g.identity_index] == 0
+    for w in range(g.order):
+        for s in g.simple_indices:
+            assert abs(g.length[g.mul(w, s)] - g.length[w]) == 1
+    assert max(g.length) == g.n_reflections
+    assert g.length.count(g.n_reflections) == 1
+
+
+def test_positive_roots_are_not_the_simple_system(group_of):
+    # the coordinate key keeps (1 - theta^2, -theta) of I2(8), a negative
+    # combination of the simple roots (1, 0) and (0, 1)
+    g = group_of("I2(8)")
+    theta = g.field.scalar(0, 1)
+    assert (1 - theta * theta, -theta) in g.positive_roots
+    assert g.field.sign(1 - theta * theta) < 0 and g.field.sign(-theta) < 0
 
 
 def test_basic_invariants_properties(group_of):
@@ -389,9 +431,10 @@ def test_root_permutations_act_on_roots(group_of):
 @pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
                                   "G2", "I2(5)", "I2(8)", "H3", "F4"])
 def test_divided_difference_matches_long_division(code, group_of):
-    # oracle: p - s.p through the group element, then long division by
-    # (alpha, x); inputs are random polynomials and the partial derivatives
-    # of the basic invariants, which CovariantStack.u feeds to nabla_s
+    # oracle: p - s.p through the group element, along its reduced word of
+    # simple reflections, then long division by (alpha, x); inputs are
+    # random polynomials and the partial derivatives of the basic
+    # invariants, which CovariantStack.u feeds to nabla_s
     g = group_of(code)
     rng = random.Random(len(code) + g.order)
     inputs = [p for _ in range(4) for p in random_weil(
@@ -401,11 +444,6 @@ def test_divided_difference_matches_long_division(code, group_of):
     for eidx, alpha in g.reflections:
         form = mat_vec(g.gram, alpha, g.field)
         for p in inputs:
-            if code == "F4" and p.degree() == 11 and all(alpha):
-                # the oracle's act_poly takes about 8 s per dense root
-                # (+-1, +-1, +-1, +-1)/2 here; F4's constants acceptance
-                # check covers these inputs end to end
-                continue
             want = divide_by_linear_form(p - g.act_poly(eidx, p), form)
             assert g.divided_difference(alpha, p) == want
 
@@ -544,3 +582,66 @@ def test_planted_non_orthogonal_closure_raises_optimized(code):
                          capture_output=True, text=True)
     assert got.returncode == 3, got.stderr
     assert got.stdout == f"{code}: element not orthogonal for the Gram form\n"
+
+
+def test_reynolds_over_non_subgroup_raises_optimized():
+    """Under python -O, the mean over e and the rotation by pi/2 of B2 (a
+    set with no reflection), and over e and the two simple reflections (a
+    set that is not closed), stop with a CertificationError instead of
+    averaging over the elements given."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov.groups import build_group\n"
+        "from coxcov.poly import Poly\n"
+        "from coxcov.reports import CertificationError\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "g = build_group('B2')\n"
+        "s1, s2 = g.simple_indices\n"
+        "rot = g.mul(s1, s2)\n"
+        "if g.elements[rot] not in (((0, -1), (1, 0)), ((0, 1), (-1, 0))):\n"
+        "    raise SystemExit(6)\n"
+        "for elts in ([g.identity_index, rot], [g.identity_index, s1, s2]):\n"
+        "    try:\n"
+        "        g.reynolds(Poly.monomial((3, 1), 1), elts)\n"
+        "    except CertificationError as err:\n"
+        "        print(err)\n"
+        "    else:\n"
+        "        raise SystemExit(4)\n"
+        "raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout == 2 * "B2: Reynolds set is not a reflection subgroup\n"
+
+
+@pytest.mark.parametrize("elt,wrong", [("g.simple_indices[1]", 0),
+                                       ("g.identity_index", 5)])
+def test_planted_length_raises_optimized(elt, wrong):
+    """Under python -O, a wrong entry of ``length`` (a simple reflection
+    of length 0, or e longer than its neighbours) leaves a simple
+    reflection of B3 with no right descent: act_poly raises a
+    CertificationError instead of returning a polynomial or looping."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov.groups import build_group\n"
+        "from coxcov.poly import Poly\n"
+        "from coxcov.reports import CertificationError\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "g = build_group('B3')\n"
+        f"g.length[{elt}] = {wrong}\n"
+        "try:\n"
+        "    g.act_poly(g.simple_indices[1], Poly.monomial((2, 1, 0), 1))\n"
+        "except CertificationError as err:\n"
+        "    print(err)\n"
+        "    raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout.startswith("B3: element ")
+    assert got.stdout.endswith(" has no right descent\n")

@@ -3,7 +3,12 @@ import os
 import subprocess
 import sys
 
+import random
+from fractions import Fraction
+
 import pytest
+
+from conftest import act_oracle, u_action_oracle
 
 from coxcov.covariants import form_e
 from coxcov.differentials import koszul_delta
@@ -207,6 +212,54 @@ def test_coset_reynolds_matches_full_average(code, use_class, stack_of):
     dec = ubar_decomposition(split, subgroup_invariants(split))
     for v in dec.vbar_basis:
         assert g.reynolds(v) == g.reynolds(v, split.wp_elements)
+
+
+# every catalogue group with two reflection classes, in each orientation
+# that split_group accepts
+SPLITS = [("B2", 0), ("B2", 1), ("B3", None), ("B4", None), ("I2(4)", 0),
+          ("I2(4)", 1), ("G2", 0), ("G2", 1), ("I2(8)", 0), ("I2(8)", 1),
+          ("F4", 0), ("F4", 1)]
+
+
+def _mean_oracle(g, p, elts):
+    total = Poly.zero(g.rank, g.field)
+    for w in elts:
+        total = total + act_oracle(g, w, p)
+    return total.scale(Fraction(1, len(elts)))
+
+
+@pytest.mark.parametrize("code,use_class", SPLITS)
+def test_reynolds_matches_substitution_mean(code, use_class, group_of):
+    # the breadth-first walk by reflections against the mean of the
+    # substitution oracle over W, H and W_p
+    g = group_of(code)
+    split = split_group(g, use_class)
+    rng = random.Random(g.order)
+    seeds = []
+    for degree in (2, 3, 4):
+        e = [0] * g.rank
+        for _ in range(degree):
+            e[rng.randrange(g.rank)] += 1
+        seeds.append(Poly.monomial(tuple(e), rng.randrange(1, 5), g.field))
+    for elts in (range(g.order), split.h_elements, split.wp_elements):
+        arg = None if elts is range(g.order) else elts
+        for p in seeds:
+            assert g.reynolds(p, arg) == _mean_oracle(g, p, list(elts))
+
+
+@pytest.mark.parametrize("code,use_class", SPLITS)
+def test_u_action_matrix_matches_per_element_solve(code, use_class,
+                                                   group_of):
+    g = group_of(code)
+    split = split_group(g, use_class)
+    dec = ubar_decomposition(split, subgroup_invariants(split))
+    if g.order <= 400:
+        elts = range(g.order)
+    else:
+        elts = random.Random(3).sample(range(g.order), 40) + \
+            [max(range(g.order), key=g.length.__getitem__)]
+    for w in elts:
+        assert dec.u_action_matrix(w) == u_action_oracle(dec, w)
 
 
 def test_planted_psibar_fails_through_cli_optimized(tmp_path):
