@@ -598,8 +598,7 @@ class ReflectionGroup:
                       else elt_indices)
         refls = [(t, alpha) for t, alpha in self.reflections if t in members]
         layer = {self.identity_index: p}
-        seen = set(layer)
-        total = p
+        seen, total = set(layer), p
         while layer:
             nxt = {}
             for v, img in layer.items():

@@ -189,7 +189,8 @@ class UbarDecomposition:
     u_basis: list           # basis of the W_p-reflection summand U
     inv_basis: list         # basis of Vbar^W
     u_degree: int           # common polynomial degree of U
-    _matrices: dict = field(default_factory=dict, init=False, repr=False)
+    _matrices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def u_action_matrix(self, w_idx: int):
         """Matrix of w on U in the chosen basis (columns = images), memoised:
@@ -197,19 +198,19 @@ class UbarDecomposition:
         else that of w' times that of s_i for a right descent w = w' s_i."""
         group, mats = self.split.group, self._matrices
         fld, n = group.field, len(self.u_basis)
-        if not mats:
+        if group.identity_index not in mats:
             solver = SparseSolver(fld)
             for y in self.u_basis:
                 solver.add(y.num, y.den)
-            mats[group.identity_index] = tuple(
-                tuple(fld.one if i == j else fld.zero for j in range(n))
-                for i in range(n))
             for s, alpha in zip(group.simple_indices, group.simple_roots):
                 imgs = [group.reflect(alpha, y) for y in self.u_basis]
                 sols = [solver.solve(img.num, img.den) for img in imgs]
                 certify(None not in sols, "U not W-stable")
                 mats[s] = tuple(tuple(sol.get(i, fld.zero) for sol in sols)
                                 for i in range(n))
+            mats[group.identity_index] = tuple(  # last: marks set-up done
+                tuple(fld.one if i == j else fld.zero for j in range(n))
+                for i in range(n))
         if w_idx not in mats:
             i, v = group.right_descent(w_idx)
             b = tuple(zip(*mats[group.simple_indices[i]]))

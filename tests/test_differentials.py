@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import divide_by_linear_form
+from conftest import act_oracle, divide_by_linear_form
 
 import coxcov.differentials as differentials
 from coxcov.coinvariants import CoinvariantBasis
@@ -128,15 +128,15 @@ def test_nabla_root_scaling_invariance(stack_of):
 
 def nabla_by_substitution(group, refl_idx, w, alpha):
     """Oracle: nabla_s(a tensor b) = (alpha wedge s.a) tensor
-    (1 - s)b/(alpha, x) on the full ambient, acting through the group
-    element and dividing by long division."""
+    (1 - s)b/(alpha, x) on the full ambient, acting by substitution
+    through the matrix of s and dividing by long division."""
     eidx = group.reflections[refl_idx][0]
     alpha = tuple(group.field.coerce(c) for c in alpha)
     form = mat_vec(group.gram, alpha, group.field)
     alpha_vec = Weil.vector(alpha, group.field)
     out = Weil.zero(group.rank, group.field, FULL_WEIL)
     for mask, p in w.terms.items():
-        q = p - group.act_poly(eidx, p)
+        q = p - act_oracle(group, eidx, p)
         if q:
             front = wedge_mul(alpha_vec, group.ext_image(eidx, mask))
             out = out + front.scale_poly(divide_by_linear_form(q, form))
