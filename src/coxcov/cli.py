@@ -236,6 +236,7 @@ def make_parser():
                    help="random elements per differential identity")
     v.add_argument("--config", default=None,
                    help="JSON config file; explicit flags win on conflict")
+    v.set_defaults(seed=None)   # so that an explicit --seed 0 wins too
 
     s = sub.add_parser("series", help="graded multiplicity series")
     _add_common(s)
@@ -266,8 +267,9 @@ def cmd_verify(args) -> int:
         return file_cfg.get(key, default)
 
     groups = pick(args.groups, "groups", list(DEFAULT_GROUPS))
+    allow_long = args.allow_long or file_cfg.get("allow_long", False)
     for g in groups:
-        if canonical_code(g) == "H4" and not args.allow_long:
+        if canonical_code(g) == "H4" and not allow_long:
             print("H4 is an opt-in long run: exact linear algebra at degree "
                   "~58; rerun with --allow-long.", file=sys.stderr)
             return 2
@@ -279,11 +281,11 @@ def cmd_verify(args) -> int:
     config = {
         "groups": [canonical_code(g) for g in groups],
         "checks": checks,
-        "seed": pick(args.seed if args.seed != 0 else None, "seed", 0),
+        "seed": pick(args.seed, "seed", 0),
         "c_long": pick(args.c_long, "c_long", None),
         "c_short": pick(args.c_short, "c_short", None),
         "cache_dir": pick(args.cache_dir, "cache_dir", None),
-        "allow_long": args.allow_long or file_cfg.get("allow_long", False),
+        "allow_long": allow_long,
         "n_samples": pick(args.samples, "samples", 50),
         "emit": args.emit,
     }

@@ -39,13 +39,20 @@ nf_den * D, brought to lowest terms by one gcd: integers alone, one path
 for every field.  Ideal membership (``in_j``) pairs p with the harmonics
 directly, without the columns.
 
-Pivot selection runs modulo a prime, on sparse rows of residues; the choice
-is certified by the exact invertibility of the resulting pairing matrix.  A
-recorded layout (the derivative multi-indices and standard monomials per
-degree, from the cache or from another realization of the same group) skips
-that search.  It is only a hint: the tables are inverted on it block by
-block as in a cold build, the same certificates run, and a layout that
-does not fit falls back to the search.
+The pivots come from one exact column echelon on the integer
+``SparseSolver``: the degree-d monomials, in grevlex order, are columns
+indexed by the candidate derivatives; a column that enlarges the span is a
+standard monomial, and the pivot key of its row, the first candidate at
+which its residual is nonzero, is its harmonic.  Eliminating a column
+against the earlier pivot columns leaves the Schur complement that clearing
+the pivot rows would, so this is the greedy row-and-column choice, with no
+prime to be unlucky with.  The choice is certified by the exact
+invertibility of the resulting pairing matrix.  A recorded layout (the
+derivative multi-indices and standard monomials per degree, from the cache
+or from another realization of the same group) skips that pass.  It is
+only a hint: the tables are inverted on it block by block as in a cold
+build, the same certificates run, and a layout that does not fit falls
+back to the pass.
 """
 
 from __future__ import annotations
@@ -57,9 +64,8 @@ from operator import add
 
 from .fields import Scalar
 from .groups import ReflectionGroup
-from .linalg import (SparseSolver, bareiss_jordan_inverse,
-                     field_prime_and_root, inverse_defect,
-                     modp_greedy_pivots, num_mod, support_blocks)
+from .linalg import (SparseSolver, bareiss_jordan_inverse, inverse_defect,
+                     support_blocks)
 from .poly import Poly, grevlex_key
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
@@ -256,7 +262,7 @@ class CoinvariantBasis:
 
     def _build_tables(self, recorded=None):
         """Build every degree table, from the recorded layout if it fits,
-        else by the mod-p pivot search.  Sets ``from_layout``."""
+        else by the exact column pass.  Sets ``from_layout``."""
         self._deriv_memo = {(0,) * self.rank: _weighted(self.xi)}
         self.from_layout = False
         if recorded:
@@ -271,11 +277,9 @@ class CoinvariantBasis:
 
     def _build_all(self):
         n = self.top
-        prime_root = field_prime_and_root(self.field)
         prev_indices = [(0,) * self.rank]
         for d in range(n, -1, -1):
-            cand_indices = self._candidates(prev_indices, n - d)
-            table = self._build_degree(d, cand_indices, prime_root)
+            table = self._build_degree(d, self._candidates(prev_indices, n - d))
             self.tables[d] = table
             prev_indices = table.indices
 
@@ -292,30 +296,29 @@ class CoinvariantBasis:
                     seen[tb] = True
         return sorted(seen.keys(), key=grevlex_key)
 
-    def _build_degree(self, d: int, cand_indices, prime_root) -> _DegreeTable:
-        """Degree-d table, pivots preselected modulo the prime of
-        ``prime_root`` = (p, root of min_poly mod p)."""
+    def _build_degree(self, d: int, cand_indices) -> _DegreeTable:
+        """Degree-d table by the exact column pass of the module
+        docstring, each column {candidate: entry} of the weighted
+        derivatives; it stops at dim H_d, and a smaller span raises
+        CertificationError."""
         k = self.h_dims[d]
-        monos = monomials_of_degree(self.rank, d)
-        cands = [(a, self._derivative(a)) for a in cand_indices]
-        cands = [(a, wh) for a, wh in cands if wh]
-        mono_pos = {m: i for i, m in enumerate(monos)}
-        p, root = prime_root
-        tries = 0
-        while True:
-            mat = [{mono_pos[e]: num_mod(c, p, root) for e, c in wh.items()}
-                   for _, wh in cands]
-            rows, cols = modp_greedy_pivots(mat, p, k)
-            if len(rows) == k:
-                try:
-                    return self._table([cands[i] for i in rows],
-                                       [monos[j] for j in cols])
-                except ValueError:
-                    pass
-            tries += 1
-            if tries >= 3:
-                return self._build_degree_exact(cands, monos, k)
-            p, root = field_prime_and_root(self.field, p + 2)
+        cands = [(a, wh) for a in cand_indices if (wh := self._derivative(a))]
+        cols: dict = {}
+        for i, (_, wh) in enumerate(cands):
+            for e, w in wh.items():
+                cols.setdefault(e, {})[i] = w
+        solver = SparseSolver(self.field)
+        rows, monos = [], []
+        for m in monomials_of_degree(self.rank, d):
+            if len(monos) == k:
+                break
+            if m in cols and solver.add(cols[m], 1):
+                rows.append(solver.rows[-1][0])
+                monos.append(m)
+        if len(monos) != k:
+            raise CertificationError(f"derivative span rank defect in degree "
+                                     f"{d}: {len(monos)} < dim H_d = {k}")
+        return self._table([cands[i] for i in rows], monos)
 
     def _table(self, chosen, monos) -> _DegreeTable:
         """Table of the chosen (index, weighted harmonic) pairs against
@@ -354,30 +357,6 @@ class CoinvariantBasis:
                 raise CertificationError(
                     f"inverse certification failed at {bad}")
         return _DegreeTable(monos, weighted, [a for a, _ in chosen], inv, den)
-
-    def _build_degree_exact(self, cands, monos, k) -> _DegreeTable:
-        """Exact greedy fallback (used when mod-p selection is unlucky)."""
-        solver = SparseSolver(self.field)
-        chosen = []
-        for cand in cands:
-            if solver.add(cand[1], 1):
-                chosen.append(cand)
-            if len(chosen) == k:
-                break
-        if len(chosen) != k:
-            raise CertificationError("derivative span rank defect")
-        # greedy standard monomials against the chosen harmonics
-        cols = []
-        colsolver = SparseSolver(self.field)
-        for m in monos:
-            col = {i: wh[m] for i, (_, wh) in enumerate(chosen) if m in wh}
-            if colsolver.add(col, 1):
-                cols.append(m)
-            if len(cols) == k:
-                break
-        if len(cols) != k:
-            raise CertificationError("standard monomial rank defect")
-        return self._table(chosen, cols)
 
     def _build_from_recorded(self, recorded):
         """Rebuild tables from recorded (degree -> (indices, monos)) data,

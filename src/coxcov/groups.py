@@ -30,7 +30,7 @@ from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
 from .poly import Poly
 from .reports import CertificationError, certify
-from .weil import Weil, wedge_mul
+from .weil import Weil, wedge_mul, wedge_terms
 
 
 class CatalogueError(ValueError):
@@ -762,8 +762,7 @@ class ReflectionGroup:
                 if cand.is_zero():
                     continue
                 cand = cand.content_normalized()
-                jac = _jacobian_det([psis[0], cand], f)
-                if not jac.is_zero():
+                if jacobian_minors([psis[0], cand], r):
                     psis.append(cand)
                     return psis
             raise CatalogueError("Reynolds seeds exhausted")
@@ -771,7 +770,9 @@ class ReflectionGroup:
 
     def jacobian_delta(self) -> Poly:
         if self._delta is None:
-            self._delta = _jacobian_det(self.basic_invariants(), self.field)
+            r = self.rank
+            minors = jacobian_minors(self.basic_invariants(), r)
+            self._delta = minors.get((1 << r) - 1, Poly.zero(r, self.field))
         return self._delta
 
     def root_form_product(self) -> Poly:
@@ -782,28 +783,17 @@ class ReflectionGroup:
         return out
 
 
-def _jacobian_det(psis, field: Field) -> Poly:
-    r = len(psis)
-    mat = [[psis[j].partial(i) for j in range(r)] for i in range(r)]
-    return _poly_det(mat, r, field)
-
-
-def _poly_det(mat, n: int, field: Field) -> Poly:
-    nv = mat[0][0].nv
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return mat[rows[0]][cols[0]]
-        total = Poly.zero(nv, field)
-        r0 = rows[0]
-        rest = rows[1:]
-        for k, c in enumerate(cols):
-            sub = rec(rest, cols[:k] + cols[k + 1:])
-            term = mat[r0][c] * sub
-            total = total + (term if k % 2 == 0 else -term)
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))
+def jacobian_minors(polys, nv: int) -> dict:
+    """dp_1 ^ ... ^ dp_k, for k >= 1 polynomials in nv variables, in the
+    exterior algebra on dx_0, ..., dx_{nv-1}, as {mask: Poly}, through
+    ``wedge_terms``: the entry at a k-subset of the variables is the k x k
+    minor of the Jacobian on those rows.  It is empty exactly when the
+    Jacobian has rank below k."""
+    out = None
+    for p in polys:
+        dp = {1 << i: q for i in range(nv) if (q := p.partial(i))}
+        out = dp if out is None else wedge_terms(out, dp)
+    return out
 
 
 def build_group(code: str, allow_long: bool = False) -> ReflectionGroup:

@@ -113,7 +113,7 @@ def build_lie(code: str, layout=None) -> LieAlgebraData:
     ``layout`` is an optional recorded table layout, {degree: (indices,
     monomials)}, such as the catalogue group's from the cache: the bridge
     group is the same W in another realization and has the same layout.
-    It is a hint only.  It skips the mod-p pivot search; every certificate
+    It is a hint only.  It skips the exact column pass; every certificate
     of the tables still runs, and a layout that does not fit falls back to
     a fresh build, so it can cost time but cannot change a verdict.
     """

@@ -1,5 +1,4 @@
-"""Exact linear algebra: one dense and one sparse elimination, and a mod-p
-preselector.
+"""Exact linear algebra: one dense and one sparse elimination.
 
 * ``fields.fraction_free_jordan`` is the dense elimination, on rows of
   numerators (ints over Q, power-basis tuples in Z[theta] over Q(theta)).
@@ -17,10 +16,11 @@ preselector.
   numerators (numerator tuples over Q(theta)), reduced fraction-free by
   cross-multiplication; a vector comes in as scalars or as numerators
   over one denominator, and only what ``solve`` and ``reduce_only``
-  return is scalars.
+  return is scalars.  Fed the columns of a coinvariant table one monomial
+  at a time, it also picks the table's pivots.
 
-``modp_greedy_pivots`` preselects the pivots of a table build modulo a
-prime, on sparse rows; every mod-p choice is certified exactly afterwards.
+``modp_greedy_pivots`` is the greedy pivot search modulo a prime that the
+table build once ran; no module of coxcov calls it.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ class SparseSolver:
 
     def reduce_only(self, vec: dict, den: int | None = None) -> dict:
         """The residual of a vector, as scalars: the vector minus the
-        element of the span that agrees with it at every pivot key."""
+        element of the span that agrees with it at every pivot key.  Only
+        tests call it; the coxbench tracer wraps it by this name."""
         vec, den = self._nums(vec, den)
         res, _, a = self._reduce(vec, {}, den)
         return {k: self.field.from_num(v, a) for k, v in res.items()}
@@ -320,82 +321,8 @@ def inverse_defect(mat, inv, den, field: Field | None = None):
 
 
 # ---------------------------------------------------------------------------
-# mod-p preselection
+# greedy pivots modulo a prime
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _has_root_mod(field: Field, p: int) -> bool:
-    """Whether min_poly has a root mod p: gcd(x^p - x, min_poly) over F_p
-    is not constant.  x^p mod min_poly comes by square-and-multiply on
-    numerator tuples (``Field.mul_num``), reduced mod p after each step."""
-    x = acc = (0, 1) + (0,) * (field.degree - 2)
-    for bit in bin(p)[3:]:
-        acc = field.mul_num(acc, acc)
-        if bit == "1":
-            acc = field.mul_num(acc, x)
-        acc = tuple(c % p for c in acc)
-    a, b = list(field.min_poly), [acc[0], acc[1] - 1, *acc[2:]]
-    while True:             # Euclid on coefficient lists, low to high
-        b = [c % p for c in b]
-        while b and not b[-1]:
-            b.pop()
-        if len(b) < 2:
-            return not b
-        inv, m = pow(b[-1], -1, p), len(b) - 1
-        while len(a) > m:
-            q = a.pop() * inv % p
-            for j in range(m):
-                a[j - m] = (a[j - m] - q * b[j]) % p
-        a, b = b, a
-
-
-def field_prime_and_root(field: Field, start: int = 99991):
-    """Deterministic prime p (and a root of min_poly mod p) for reduction:
-    the first prime >= start at which min_poly has a root mod p
-    (``_has_root_mod``), and the smallest such root, by scanning upward."""
-    p = start if start % 2 else start + 1
-    while True:
-        if _is_prime(p):
-            if field.degree == 1:
-                return p, 0
-            if _has_root_mod(field, p):
-                return p, next(x for x in range(p)
-                               if not num_mod(field.min_poly, p, x))
-        p += 2
-
-
-def num_mod(num, p: int, root: int) -> int:
-    """Image in Z/p, under theta -> root, of an integer numerator: an int,
-    or a tuple of power-basis coordinates."""
-    if isinstance(num, int):
-        return num % p
-    acc = 0
-    for c in reversed(num):
-        acc = (acc * root + c) % p
-    return acc
-
 
 def modp_greedy_pivots(rows, p: int, max_rank: int):
     """Greedy row/column pivot selection mod p of sparse rows {col: value}.
@@ -405,6 +332,11 @@ def modp_greedy_pivots(rows, p: int, max_rank: int):
     then cleared from the other unused rows (a used row never pivots
     again).  Returns (row_idx, col_idx) lists of length = attained rank
     (stops at max_rank).
+
+    No coxcov module calls it: the table build picks the same pivots by an
+    exact column pass.  It stays here only because the coxbench tracer
+    wraps it by this name; it moves to the test oracles with the
+    benchmark's next change.
     """
     rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
     holders = {}            # column -> the unused rows nonzero there

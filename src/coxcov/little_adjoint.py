@@ -23,7 +23,7 @@ from .covariants import (CovariantMap, CovariantStack, TargetSpace,
                          top_p_failures)
 from .differentials import dunkl, koszul_delta
 from .fields import Scalar
-from .groups import ReflectionGroup, _jacobian_det, _poly_det, mat_vec
+from .groups import ReflectionGroup, jacobian_minors, mat_vec
 from .linalg import SparseSolver, inverse, nullspace
 from .molien import (GradedSeries, class_traces, exterior_series,
                      graded_multiplicity_series)
@@ -162,23 +162,14 @@ def subgroup_invariants(split: SplitGroupData):
             if cand.is_zero():
                 continue
             cand = cand.content_normalized()
-            if _jacobian_full_rank(psibars + [cand], group.rank, group.field):
+            if jacobian_minors(psibars + [cand], group.rank):
                 psibars.append(cand)
                 found += 1
         certify(found == needed, f"could not find degree-{d} H-invariants")
     psibars.sort(key=lambda p: p.degree())
-    certify(not _jacobian_det(psibars, group.field).is_zero(),
+    certify(bool(jacobian_minors(psibars, group.rank)),
             "H-invariants algebraically dependent")
     return psibars
-
-
-def _jacobian_full_rank(polys, nv, field) -> bool:
-    """Whether the Jacobian matrix of ``polys`` in ``nv`` variables has
-    full column rank: some maximal minor is a nonzero polynomial."""
-    k = len(polys)
-    jac = [[p.partial(i) for p in polys] for i in range(nv)]
-    return any(not _poly_det([jac[i] for i in rows], k, field).is_zero()
-               for rows in combinations(range(nv), k))
 
 
 @dataclass
@@ -342,7 +333,7 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
             if cand.is_zero():
                 continue
             cand = cand.content_normalized()
-            if _jacobian_full_rank(phis_y + [cand], s, field):
+            if jacobian_minors(phis_y + [cand], s):
                 phis_y.append(cand)
                 found = True
                 break

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from coxcov.covariants import CovariantStack
-from coxcov.fields import scalar_inverse
+from coxcov.fields import Field, scalar_inverse
 from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
 from coxcov.poly import Poly
@@ -154,6 +154,35 @@ def u_action_oracle(dec, widx):
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
+def laplace_det(mat, field):
+    """Determinant of a square matrix of Polys by Laplace expansion along
+    the first row: the polynomial determinant that the wedge of the
+    differentials (``groups.jacobian_minors``) replaced, kept as its
+    oracle."""
+    n = len(mat)
+    nv = mat[0][0].nv
+
+    def rec(rows, cols):
+        if len(cols) == 1:
+            return mat[rows[0]][cols[0]]
+        total = Poly.zero(nv, field)
+        r0 = rows[0]
+        rest = rows[1:]
+        for k, c in enumerate(cols):
+            sub = rec(rest, cols[:k] + cols[k + 1:])
+            term = mat[r0][c] * sub
+            total = total + (term if k % 2 == 0 else -term)
+        return total
+
+    return rec(tuple(range(n)), tuple(range(n)))
+
+
+def jacobian_minor_oracle(polys, rows, field):
+    """The minor of the Jacobian of ``polys`` on the variables ``rows``
+    (entry (i, j) the partial of polys[j] in x_rows[i]), by Laplace."""
+    return laplace_det([[p.partial(i) for p in polys] for i in rows], field)
+
+
 def matrix_reflections(g):
     """(reflections, reflection_classes, class_ell, class_p) of g with each
     reflection found by applying its matrix to every root, the path that
@@ -173,6 +202,80 @@ def matrix_reflections(g):
     anchor_refl = g.roots.index(g.simple_roots[anchor]) % g.n_reflections
     ell = next(ci for ci, c in enumerate(classes) if anchor_refl in c)
     return reflections, classes, ell, 1 - ell
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _has_root_mod(field: Field, p: int) -> bool:
+    """Whether min_poly has a root mod p: gcd(x^p - x, min_poly) over F_p
+    is not constant.  x^p mod min_poly comes by square-and-multiply on
+    numerator tuples (``Field.mul_num``), reduced mod p after each step."""
+    x = acc = (0, 1) + (0,) * (field.degree - 2)
+    for bit in bin(p)[3:]:
+        acc = field.mul_num(acc, acc)
+        if bit == "1":
+            acc = field.mul_num(acc, x)
+        acc = tuple(c % p for c in acc)
+    a, b = list(field.min_poly), [acc[0], acc[1] - 1, *acc[2:]]
+    while True:             # Euclid on coefficient lists, low to high
+        b = [c % p for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if len(b) < 2:
+            return not b
+        inv, m = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > m:
+            q = a.pop() * inv % p
+            for j in range(m):
+                a[j - m] = (a[j - m] - q * b[j]) % p
+        a, b = b, a
+
+
+def field_prime_and_root(field: Field, start: int = 99991):
+    """Deterministic prime p (and a root of min_poly mod p) for reduction:
+    the first prime >= start at which min_poly has a root mod p
+    (``_has_root_mod``), and the smallest such root, by scanning upward."""
+    p = start if start % 2 else start + 1
+    while True:
+        if _is_prime(p):
+            if field.degree == 1:
+                return p, 0
+            if _has_root_mod(field, p):
+                return p, next(x for x in range(p)
+                               if not num_mod(field.min_poly, p, x))
+        p += 2
+
+
+def num_mod(num, p: int, root: int) -> int:
+    """Image in Z/p, under theta -> root, of an integer numerator: an int,
+    or a tuple of power-basis coordinates."""
+    if isinstance(num, int):
+        return num % p
+    acc = 0
+    for c in reversed(num):
+        acc = (acc * root + c) % p
+    return acc
 
 
 def dense_modp_pivots(matrix, p, max_rank):

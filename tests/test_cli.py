@@ -341,6 +341,36 @@ def test_config_file(tmp_path, capsys):
                            "--checks", "solomon")
     assert code == 0
     assert "molien" not in out
+    # an explicit --seed 0 wins over the file's seed, too
+    cfg.write_text('{"groups": ["A1"], "checks": "solomon", "seed": 3, '
+                   '"cache_dir": "%s"}' % tmp_path)
+    for flags, seed in (((), 3), (("--seed", "0"), 0), (("--seed", "2"), 2)):
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg),
+                               "--emit", "json", *flags)
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == seed, flags
+
+
+def test_h4_allowed_by_config_file(tmp_path, capsys, monkeypatch):
+    # the H4 guard reads allow_long from the config file; the suite is a
+    # stub, so no H4 is built
+    from coxcov import cli
+    seen = []
+
+    def stub(config):
+        seen.append(config)
+        return Report(config=config, records=[])
+
+    monkeypatch.setattr(cli, "run_suite", stub)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"groups": ["H4"], "allow_long": true}')
+    code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert seen[0]["groups"] == ["H4"] and seen[0]["allow_long"] is True
+    cfg.write_text('{"groups": ["H4"]}')
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and "allow-long" in err
+    assert len(seen) == 1
 
 
 def test_c_values_flow(tmp_path, capsys):

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (assert_canonical, homogeneous_part, pairing_route_nf,
-                      scalar_nf)
+from conftest import (assert_canonical, field_prime_and_root,
+                      homogeneous_part, num_mod, pairing_route_nf, scalar_nf)
 
 from coxcov.cli import DEFAULT_GROUPS
-from coxcov.coinvariants import (CoinvariantBasis, hilbert_coinvariants,
-                                 monomials_of_degree)
+from coxcov.coinvariants import (CoinvariantBasis, _weighted,
+                                 hilbert_coinvariants, monomials_of_degree)
 from coxcov.fields import QQ
-from coxcov.linalg import SparseSolver, bareiss_jordan_inverse, inverse
+from coxcov.linalg import (SparseSolver, bareiss_jordan_inverse, inverse,
+                           modp_greedy_pivots)
 from coxcov.poly import Poly
 from coxcov.weil import B_QUOTIENT, Weil
 
@@ -315,11 +316,9 @@ def test_phi_even_to_h_matches_oracle_solve(code):
 
 
 @pytest.mark.parametrize("code", ["A2", "B2", "I2(5)"])
-def test_exact_fallback_build(group_of, monkeypatch, code):
-    # force the exact greedy build that runs when the mod-p selection fails
-    import coxcov.coinvariants as coinvariants
-    monkeypatch.setattr(coinvariants, "modp_greedy_pivots",
-                        lambda mat, p, k: ([], []))
+def test_exact_fallback_build(group_of, code):
+    # the one exact column pass: every monomial's normal form is supported
+    # on the standard monomials and differs from it by an element of J
     g = group_of(code)
     cb = CoinvariantBasis(g)
     for d in range(cb.top + 1):
@@ -332,6 +331,58 @@ def test_exact_fallback_build(group_of, monkeypatch, code):
             if diff:
                 assert not solver.reduce_only(dict(diff.terms)), \
                     (code, d, m)
+
+
+def modp_layout(cb):
+    """{d: (indices, monos)} by the greedy pivot search modulo a prime,
+    degree by degree from the top, each degree's candidates the first
+    derivatives of the harmonics chosen one degree up: the search that the
+    exact column pass replaced, kept as its oracle."""
+    p, root = field_prime_and_root(cb.field)
+    cb._deriv_memo = {(0,) * cb.rank: _weighted(cb.xi)}
+    out, prev = {}, [(0,) * cb.rank]
+    for d in range(cb.top, -1, -1):
+        cands = [(a, wh) for a in cb._candidates(prev, cb.top - d)
+                 if (wh := cb._derivative(a))]
+        monos = monomials_of_degree(cb.rank, d)
+        pos = {m: j for j, m in enumerate(monos)}
+        mat = [{pos[e]: num_mod(c, p, root) for e, c in wh.items()}
+               for _, wh in cands]
+        rows, cols = modp_greedy_pivots(mat, p, cb.h_dims[d])
+        out[d] = [cands[i][0] for i in rows], [monos[j] for j in cols]
+        prev = out[d][0]
+    del cb._deriv_memo
+    return out
+
+
+@pytest.mark.parametrize("code", DEFAULT_GROUPS + ["I2(4)", "I2(7)"])
+def test_column_pass_layout_matches_modp_oracle(code, group_of):
+    # the pivot rows and columns of every table, against the mod-p search
+    cb = CoinvariantBasis(group_of(code))
+    assert cb.recorded_tables() == modp_layout(cb)
+
+
+def test_planted_candidate_loss_raises_optimized():
+    """Under python -O, a degree whose candidates span less than dim H_d
+    (all but the first first-order derivative of Xi dropped) stops the
+    build with the rank-defect certificate."""
+    child = (
+        "from coxcov.coinvariants import CoinvariantBasis\n"
+        "from coxcov.groups import build_group\n"
+        "from coxcov.reports import CertificationError\n"
+        "real = CoinvariantBasis._candidates\n"
+        "def planted(self, basis, order):\n"
+        "    return real(self, basis, order)[:1]\n"
+        "CoinvariantBasis._candidates = planted\n"
+        "try:\n"
+        "    CoinvariantBasis(build_group('A2'))\n"
+        "except CertificationError as err:\n"
+        "    ok = str(err).startswith('derivative span rank defect')\n"
+        "    raise SystemExit(3 if ok else 4)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env)
+    assert got.returncode == 3
 
 
 @pytest.mark.parametrize("code", ["A3", "B3", "H3", "I2(5)", "I2(8)"])

@@ -3,18 +3,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import (act_oracle, assert_canonical, divide_by_linear_form,
-                      mat_mul, mat_transpose, matrix_reflections,
-                      scalar_divided_difference)
+                      jacobian_minor_oracle, mat_mul, mat_transpose,
+                      matrix_reflections, scalar_divided_difference)
 
 from coxcov.cli import DEFAULT_GROUPS
 from coxcov.differentials import random_weil
 from coxcov.fields import QQ, QSQRT5
 from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
-                           build_group, canonical_code, mat_vec)
+                           build_group, canonical_code, jacobian_minors,
+                           mat_vec)
 from coxcov.poly import Poly
 
 CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
@@ -216,6 +218,24 @@ def test_jacobian_delta(group_of):
         for widx in g.simple_indices:
             det = g.det(widx)
             assert g.act_poly(widx, delta) == delta.scale(det)
+
+
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_jacobian_minors_match_laplace_oracle(group_of, code):
+    # every minor of the Jacobian of every prefix of the psi's, so Delta
+    # and each full-rank answer, against the Laplace expansion
+    g = group_of(code)
+    psis, r, zero = g.basic_invariants(), g.rank, Poly.zero(g.rank, g.field)
+    assert g.jacobian_delta() == jacobian_minor_oracle(psis, range(r),
+                                                       g.field)
+    for k in range(1, r + 1):
+        minors = jacobian_minors(psis[:k], r)
+        assert minors       # the psi's are algebraically independent
+        for rows in combinations(range(r), k):
+            want = jacobian_minor_oracle(psis[:k], rows, g.field)
+            assert minors.get(sum(1 << i for i in rows), zero) == want
+    # a dependent pair has no nonzero minor
+    assert not jacobian_minors([psis[0], psis[0] * psis[0]], r)
 
 
 def test_reynolds_examples(group_of):

@@ -7,14 +7,14 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from conftest import (FractionSparseSolver, dense_modp_pivots, gauss_det,
-                      gauss_inverse, gauss_nullspace)
+from conftest import (FractionSparseSolver, _is_prime, dense_modp_pivots,
+                      field_prime_and_root, gauss_det, gauss_inverse,
+                      gauss_nullspace, num_mod)
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5, Field
-from coxcov.linalg import (SparseSolver, _is_prime, bareiss_jordan_inverse,
-                           det, field_prime_and_root, inverse,
-                           inverse_defect, modp_greedy_pivots, nullspace,
-                           num_mod, support_blocks)
+from coxcov.linalg import (SparseSolver, bareiss_jordan_inverse, det,
+                           inverse, inverse_defect, modp_greedy_pivots,
+                           nullspace, support_blocks)
 
 
 def _rand_scalar(rng, field):
