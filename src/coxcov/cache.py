@@ -8,9 +8,9 @@ rebuilt on every load, and so are the tables' pairing inverses, block by
 block from the layout as in a cold build.  The layout is a hint, not a
 result: it lets the tables skip their pivot searches, every exact
 certification still runs on it, and a layout that does not fit is
-replaced by a fresh build.  The layout alone also serves the Lie side,
-whose bridge Weyl group is another realization of a catalogue group
-(``lie_bridge.build_lie``) with its own pairing matrices.
+replaced by a fresh build.  Only this module and ``coinvariants`` read
+the layout; the Lie side builds its tables itself
+(``lie_bridge.build_lie``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def cache_path(cache_dir: Path, code: str) -> Path:
 
 
 def save_group(cache_dir: Path, group: ReflectionGroup,
-               cb: CoinvariantBasis | None = None) -> Path:
+               cb: CoinvariantBasis) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -48,12 +48,10 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
         "code": group.code,
         "field": group.field.name,
         "order": group.order,
+        "tables": {str(d): {"indices": [list(a) for a in t.indices],
+                            "monomials": [list(m) for m in t.monos]}
+                   for d, t in cb.tables.items()},
     }
-    if cb is not None:
-        doc["tables"] = {
-            str(d): {"indices": [list(a) for a in t.indices],
-                     "monomials": [list(m) for m in t.monos]}
-            for d, t in cb.tables.items()}
     path = cache_path(cache_dir, group.code)
     # write beside the target, then rename over it: a reader sees the old
     # file or the new one, never a partial write
@@ -66,7 +64,7 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
     return path
 
 
-def load_layout(cache_dir: Path, code: str):
+def _load_layout(cache_dir: Path, code: str):
     """The recorded {degree: (indices, monomials)} of the group's cache
     file when it is present and of the current version, else None.  Never
     writes a file."""
@@ -85,7 +83,7 @@ def load_stack(cache_dir: Path, code: str, allow_long=False):
     """(group, coinvariant basis) from cache when fresh, else rebuilt (and
     the cache file rewritten).  Returns (group, cb, from_cache)."""
     group = build_group(code, allow_long=allow_long)
-    cb = CoinvariantBasis(group, precomputed=load_layout(cache_dir, code))
+    cb = CoinvariantBasis(group, precomputed=_load_layout(cache_dir, code))
     if not cb.from_layout:
         save_group(Path(cache_dir), group, cb)
     return group, cb, cb.from_layout

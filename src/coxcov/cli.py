@@ -24,7 +24,8 @@ from .covariants import (CovariantStack, constants_table, freeness_check,
                          j2_invariance_check, pr_structure_check,
                          solomon_check)
 from .differentials import differential_identity_suite
-from .groups import CatalogueError, build_group, canonical_code
+from .groups import (CatalogueError, build_group, canonical_code,
+                     catalogue_entry)
 from .little_adjoint import little_adjoint_suite
 from .molien import (covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
@@ -79,14 +80,13 @@ def _differentials_check(stack, seed, n_samples):
     return verdict("differentials", stack.group.code, [], details, t0)
 
 
-def _lie_jobs(code, lie_checks, layout):
+def _lie_jobs(code, lie_checks):
     """(record name, thunk) for each Lie-side record of the group.  The
     model is built by the first thunk that runs, so a failed model
-    certificate fails every Lie record with its message.  ``layout`` is
-    the catalogue group's table layout or None (see ``build_lie``)."""
+    certificate fails every Lie record with its message."""
     from .lie_bridge import (build_lie, phi_injectivity_test, reeder_record,
                              tau_harmonic_injectivity, weyl_denominator_check)
-    model = cache(partial(build_lie, code, layout))
+    model = cache(partial(build_lie, code))
     modules = ["adjoint"] if code != "A2" else ["adjoint", "s3c3"]
 
     def job(name, check, *args):
@@ -172,9 +172,7 @@ def _group_records(config: dict, code: str) -> list:
         else:
             jobs.append((check, partial(stack_checks[check], stack)))
     if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
-        layout = (cb.recorded_tables() if group_checks
-                  else cache_mod.load_layout(cache_dir, code))
-        jobs += _lie_jobs(code, lie_checks, layout)
+        jobs += _lie_jobs(code, lie_checks)
     records = []
     for name, run in jobs:
         t0 = perf_counter()
@@ -187,6 +185,8 @@ def _group_records(config: dict, code: str) -> list:
 
 def run_suite(config: dict) -> Report:
     codes = [canonical_code(code) for code in config["groups"]]
+    for code in codes:          # an unknown code fails before any work
+        catalogue_entry(code, config.get("allow_long", False))
     per_group = _map_groups(partial(_group_records, config), codes)
     return Report(config=_config_doc(config),
                   records=[r for records in per_group for r in records])
@@ -368,6 +368,7 @@ def cmd_cache(args) -> int:
         if code == "H4" and not args.allow_long:
             print("skipping H4 (needs --allow-long)", file=sys.stderr)
             continue
+        catalogue_entry(code, args.allow_long)
         codes.append(code)
     # a repeated group is loaded once; its later lines read that file
     distinct = list(dict.fromkeys(codes))

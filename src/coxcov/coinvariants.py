@@ -36,8 +36,7 @@ lcm of the table dens, from the pairing vector of x^e and M times it
 degree |T|.  A Poly already holds integer numerators c_e over one
 denominator D (see ``poly``), so nf(p) is sum_e c_e column(e) over
 nf_den * D, brought to lowest terms by one gcd: integers alone, one path
-for every field.  Ideal membership (``in_j``) pairs p with the harmonics
-directly, without the columns.
+for every field.  Ideal membership (``in_j``) is a zero normal form.
 
 The pivots come from one exact column echelon on the integer
 ``SparseSolver``: the degree-d monomials, in grevlex order, are columns
@@ -48,17 +47,16 @@ against the earlier pivot columns leaves the Schur complement that clearing
 the pivot rows would, so this is the greedy row-and-column choice, with no
 prime to be unlucky with.  The choice is certified by the exact
 invertibility of the resulting pairing matrix.  A recorded layout (the
-derivative multi-indices and standard monomials per degree, from the cache
-or from another realization of the same group) skips that pass.  It is
-only a hint: the tables are inverted on it block by block as in a cold
-build, the same certificates run, and a layout that does not fit falls
-back to the pass.
+derivative multi-indices and standard monomials per degree, from the
+group's cache file) skips that pass.  It is only a hint: the tables are
+inverted on it block by block as in a cold build, the same certificates
+run, and a layout that does not fit falls back to the pass.  Only this
+module and ``cache`` know the layout format.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import factorial, lcm
 from operator import add
 
@@ -66,7 +64,7 @@ from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse, inverse_defect,
                      support_blocks)
-from .poly import Poly, grevlex_key
+from .poly import Poly, grevlex_key, monomials_of_degree
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
 
@@ -77,20 +75,6 @@ def _weight(expo: tuple) -> int:
     for e in expo:
         w *= factorial(e)
     return w
-
-
-def monomials_of_degree(nv: int, d: int):
-    """Exponent tuples of total degree d, decreasing grevlex order."""
-    if d == 0:
-        return [(0,) * nv]
-    out = []
-    for bars in combinations_with_replacement(range(nv), d):
-        e = [0] * nv
-        for i in bars:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort(key=grevlex_key)
-    return out
 
 
 def hilbert_coinvariants(degrees, rank):
@@ -139,25 +123,6 @@ class _DegreeTable:
         self.indices = indices      # their derivative multi-indices
         self.inv = inv              # pairing matrix inverse is inv / den,
         self.den = den              # integer coordinates over one den
-
-    def pairing_vector(self, num: dict, field) -> list:
-        """<h_i, p> for every harmonic h_i, for p given by numerators (the
-        pairing vector of p is this over p's denominator)."""
-        mul = None if field.is_rational else field.mul_num
-        out = []
-        for wh in self.weighted:
-            small, big = (num, wh) if len(num) <= len(wh) else (wh, num)
-            if mul is None:
-                s = 0
-                for e, c in small.items():
-                    w = big.get(e)
-                    if w is not None:
-                        s += c * w
-            else:
-                s = _sum_nums([mul(c, w) for e, c in small.items()
-                               if (w := big.get(e)) is not None], field)
-            out.append(s)
-        return out
 
     def solve(self, v: list, field) -> dict:
         """Standard-monomial numerators, over ``den`` times the
@@ -360,8 +325,8 @@ class CoinvariantBasis:
 
     def _build_from_recorded(self, recorded):
         """Rebuild tables from recorded (degree -> (indices, monos)) data,
-        from a cache file or another realization of the group; ValueError
-        or KeyError if the layout does not fit this group.
+        from a cache file; ValueError or KeyError if the layout does not
+        fit this group.
 
         A layout that fits gives dim H_d derivatives of Xi of order
         |T| - d and as many monomials of degree d in every degree, and
@@ -384,20 +349,7 @@ class CoinvariantBasis:
             chosen = [(a, self._derivative(a)) for a in idxs]
             self.tables[d] = self._table(chosen, monos)
 
-    def recorded_tables(self):
-        return {d: (t.indices, t.monos) for d, t in self.tables.items()}
-
     # -- normal forms -----------------------------------------------------------
-
-    def _parts(self, p: Poly):
-        """(degree, numerators) of the homogeneous parts of p of degree
-        <= top, in increasing degree; all over p.den."""
-        parts: dict[int, dict] = {}
-        for e, c in p.num.items():
-            d = sum(e)
-            if d <= self.top:
-                parts.setdefault(d, {})[e] = c
-        return sorted(parts.items())
 
     def harmonic_class(self, d: int, v: list, den: int) -> Poly:
         """The degree-d class, on standard monomials, whose pairing
@@ -452,13 +404,8 @@ class CoinvariantBasis:
         return Poly.from_num(self.rank, self.field, out, self.nf_den * p.den)
 
     def in_j(self, p: Poly) -> bool:
-        """Exact ideal membership through the harmonic pairing."""
-        nonzero = bool if self.field.is_rational else any
-        for d, num in self._parts(p):
-            v = self.tables[d].pairing_vector(num, self.field)
-            if any(nonzero(x) for x in v):
-                return False
-        return True
+        """Exact ideal membership: p lies in J iff its normal form is 0."""
+        return not self.nf_poly(p)
 
     def nf_weil(self, w: Weil) -> Weil:
         out = {}

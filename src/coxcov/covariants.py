@@ -19,14 +19,14 @@ from fractions import Fraction
 from math import lcm
 from time import perf_counter
 
-from .coinvariants import CoinvariantBasis, monomials_of_degree
+from .coinvariants import CoinvariantBasis
 from .differentials import DunklParams, de_rham, dunkl
 from .fields import scalar_inverse
 from .groups import ReflectionGroup
 from .linalg import SparseSolver, det
 from .molien import (GradedSeries, covariant_series_product_formula,
                      graded_multiplicity_series, invariants_series)
-from .poly import Poly
+from .poly import Poly, monomials_of_degree
 from .reports import CheckRecord, certify, scalar_str, verdict
 from .weil import B_QUOTIENT, Weil, wedge_mul
 

@@ -131,11 +131,6 @@ class Field:
             return (Fraction(x),)
         return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
 
-    def theta(self) -> "Scalar":
-        if self.degree == 1:
-            raise ValueError("Q has no generator theta")
-        return self.scalar(0, 1)
-
     # -- integer numerators ---------------------------------------------
 
     def from_num(self, num, den: int = 1) -> "Scalar":

@@ -28,7 +28,7 @@ from operator import add
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
-from .poly import Poly
+from .poly import Poly, monomials_of_degree
 from .reports import CertificationError, certify
 from .weil import Weil, wedge_mul, wedge_terms
 
@@ -56,8 +56,9 @@ def _golden():
     return _GOLDEN
 
 
-def _catalogue_entry(code: str):
-    """(rank, field, gram rows, simple roots, degrees, invariant strategy)."""
+def catalogue_entry(code: str, allow_long: bool = False):
+    """(rank, field, gram rows, simple roots, degrees, invariant strategy);
+    CatalogueError off the catalogue, and for H4 unless ``allow_long``."""
     F2 = Fraction(2)
     if code == "A1":
         return 1, QQ, [[1]], [(1,)], (2,), ("A", None)
@@ -108,6 +109,9 @@ def _catalogue_entry(code: str):
         for i in range(1, r - 1):
             gram[i][i + 1] = gram[i + 1][i] = field.coerce(-1)
         simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+        if r == 4 and not allow_long:
+            raise CatalogueError("H4 is an opt-in long run; pass "
+                                 "allow_long=True / --allow-long")
         degrees = (2, 6, 10) if r == 3 else (2, 12, 20, 30)
         return r, field, gram, simples, degrees, ("H", None)
     if code == "D4":
@@ -192,11 +196,7 @@ class ReflectionGroup:
         if realization is None:
             code = canonical_code(code)
             rank, field, gram, simples, degrees, strategy = \
-                _catalogue_entry(code)
-            if code == "H4" and not allow_long:
-                raise CatalogueError(
-                    "H4 is an opt-in long run; pass allow_long=True / "
-                    "--allow-long")
+                catalogue_entry(code, allow_long)
         else:
             rank, field, gram, simples, degrees, strategy = realization
         self.code = code
@@ -754,18 +754,7 @@ class ReflectionGroup:
                 psis.append(ps.content_normalized())
             return psis
         if kind == "I2":
-            m = mdata
-            # deterministic seed scan in grevlex order at degree m
-            for a in range(m, -1, -1):
-                seed = Poly.monomial((a, m - a), 1, f)
-                cand = self.reynolds(seed)
-                if cand.is_zero():
-                    continue
-                cand = cand.content_normalized()
-                if jacobian_minors([psis[0], cand], r):
-                    psis.append(cand)
-                    return psis
-            raise CatalogueError("Reynolds seeds exhausted")
+            return psis + seed_invariants(r, f, (mdata,), self.reynolds, psis)
         raise CatalogueError(f"no invariant strategy for {self.code}")
 
     def jacobian_delta(self) -> Poly:
@@ -794,6 +783,33 @@ def jacobian_minors(polys, nv: int) -> dict:
         dp = {1 << i: q for i in range(nv) if (q := p.partial(i))}
         out = dp if out is None else wedge_terms(out, dp)
     return out
+
+
+def seed_invariants(nv: int, field: Field, degrees, average, known=()):
+    """Invariants of the given degrees, in increasing degree: per degree,
+    the first grevlex seed monomials whose ``average``, content-normalised,
+    is nonzero and keeps ``jacobian_minors(known + found + [cand])``
+    nonempty; CertificationError if the seeds run out.  This averaging
+    construction is certified by the Jacobian criterion (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1990, ch. 3): the last wedge is
+    that of ``known`` and the whole result, so it is their certificate of
+    algebraic independence, and no later check is needed."""
+    found = []
+    for d in sorted(set(degrees)):
+        need = degrees.count(d)
+        for m in monomials_of_degree(nv, d):
+            if not need:
+                break
+            cand = average(Poly.monomial(m, 1, field))
+            if cand.is_zero():
+                continue
+            cand = cand.content_normalized()
+            if jacobian_minors([*known, *found, cand], nv):
+                found.append(cand)
+                need -= 1
+        certify(not need, f"seeds exhausted in degree {d}: {need} "
+                "independent averaged invariant(s) missing")
+    return found
 
 
 def build_group(code: str, allow_long: bool = False) -> ReflectionGroup:

@@ -106,17 +106,10 @@ class LieAlgebraData:
         return total
 
 
-def build_lie(code: str, layout=None) -> LieAlgebraData:
+def build_lie(code: str) -> LieAlgebraData:
     """The certified matrix model of the Lie algebra of type ``code`` and
-    its bridge Weyl group with coinvariant tables.
-
-    ``layout`` is an optional recorded table layout, {degree: (indices,
-    monomials)}, such as the catalogue group's from the cache: the bridge
-    group is the same W in another realization and has the same layout.
-    It is a hint only.  It skips the exact column pass; every certificate
-    of the tables still runs, and a layout that does not fit falls back to
-    a fresh build, so it can cost time but cannot change a verdict.
-    """
+    its bridge Weyl group, whose coinvariant tables it builds by the exact
+    column pass (the catalogue W's layout, in other coordinates)."""
     code = code.upper()
     if code not in _MODELS:
         raise ValueError(f"no Lie model for {code!r} (A1, A2, B2)")
@@ -185,8 +178,7 @@ def build_lie(code: str, layout=None) -> LieAlgebraData:
                            for j in range(rank)) for i in range(rank)]
     return LieAlgebraData(code, dim, rank, form, brackets, pos, weights,
                           t_gram, weyl,
-                          CoinvariantBasis(weyl, precomputed=layout), mats,
-                          tau_coords)
+                          CoinvariantBasis(weyl), mats, tau_coords)
 
 
 # ---------------------------------------------------------------------------

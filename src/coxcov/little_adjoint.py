@@ -16,18 +16,17 @@ from itertools import combinations
 from math import prod
 from time import perf_counter
 
-from .coinvariants import (CoinvariantBasis, _pairing, hilbert_coinvariants,
-                           monomials_of_degree)
+from .coinvariants import CoinvariantBasis, _pairing, hilbert_coinvariants
 from .covariants import (CovariantMap, CovariantStack, TargetSpace,
                          free_basis_failures, pairing_constants,
                          top_p_failures)
 from .differentials import dunkl, koszul_delta
 from .fields import Scalar
-from .groups import ReflectionGroup, jacobian_minors, mat_vec
+from .groups import ReflectionGroup, mat_vec, seed_invariants
 from .linalg import SparseSolver, inverse, nullspace
 from .molien import (GradedSeries, class_traces, exterior_series,
                      graded_multiplicity_series)
-from .poly import Poly
+from .poly import Poly, monomials_of_degree
 from .reports import CheckRecord, certify, scalar_str, verdict
 from .weil import Weil
 
@@ -146,30 +145,14 @@ def h_invariant_degrees(split: SplitGroupData):
 
 
 def subgroup_invariants(split: SplitGroupData):
-    """Homogeneous generators of A^H, Reynolds-averaged from deterministic
-    seeds, with exact Jacobian certification."""
+    """Homogeneous generators of A^H in increasing degree, Reynolds
+    averages over H of seed monomials (``groups.seed_invariants``).  The
+    scan's last Jacobian wedge is that of all of them, so it certifies
+    that they are algebraically independent."""
     group = split.group
-    degrees = h_invariant_degrees(split)
-    psibars = []
-    for d in sorted(set(degrees)):
-        needed = degrees.count(d)
-        found = 0
-        for m in monomials_of_degree(group.rank, d):
-            if found == needed:
-                break
-            cand = group.reynolds(Poly.monomial(m, 1, group.field),
-                                  split.h_elements)
-            if cand.is_zero():
-                continue
-            cand = cand.content_normalized()
-            if jacobian_minors(psibars + [cand], group.rank):
-                psibars.append(cand)
-                found += 1
-        certify(found == needed, f"could not find degree-{d} H-invariants")
-    psibars.sort(key=lambda p: p.degree())
-    certify(bool(jacobian_minors(psibars, group.rank)),
-            "H-invariants algebraically dependent")
-    return psibars
+    return seed_invariants(
+        group.rank, group.field, h_invariant_degrees(split),
+        lambda seed: group.reynolds(seed, split.h_elements))
 
 
 @dataclass
@@ -317,27 +300,12 @@ def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvar
         dec.u_action_matrix(x) for x in dec.split.wp_elements))
     certify(len(action_group) == len(dec.split.wp_elements),
             "U action does not factor through W_p")
-    # basic invariants of the induced reflection action on K[U]
-    phis_y = []
-    for dy in range(2, s + 2):
-        found = False
-        for m in monomials_of_degree(s, dy):
-            seed = Poly.monomial(m, 1, field)
-            total = Poly.zero(s, field)
-            for mat in action_group:
-                # y_j -> sum_i mat[i][j] y_i, the induced ring map on K[U]
-                forms = [Poly.linear_form([mat[i][j] for i in range(s)], field)
-                         for j in range(s)]
-                total = total + seed.substitute(forms)
-            cand = total.scale(Fraction(1, len(action_group)))
-            if cand.is_zero():
-                continue
-            cand = cand.content_normalized()
-            if jacobian_minors(phis_y + [cand], s):
-                phis_y.append(cand)
-                found = True
-                break
-        certify(found, f"no K[U]^W invariant found in y-degree {dy}")
+    # basic invariants of the induced reflection action on K[U], averaged
+    # by y_j -> sum_i mat[i][j] y_i, the induced ring map of each matrix
+    images = [[Poly.linear_form([mat[i][j] for i in range(s)], field)
+               for j in range(s)] for mat in action_group]
+    phis_y = seed_invariants(s, field, range(2, s + 2), lambda seed: sum(
+        (seed.substitute(forms) for forms in images), Poly.zero(s, field)))
     phis = [p.substitute(dec.u_basis).content_normalized() for p in phis_y]
     return TildeInvariants(dec, phis_y, phis)
 

@@ -24,7 +24,7 @@ Iteration order for printing and pivoting is graded reverse lexicographic
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 from operator import add
 
@@ -34,6 +34,20 @@ from .fields import QQ, Field, Scalar
 def grevlex_key(expo: tuple) -> tuple:
     """Sort key so that sorted() lists monomials in decreasing grevlex order."""
     return (-sum(expo), tuple(expo[::-1]))
+
+
+def monomials_of_degree(nv: int, d: int):
+    """Exponent tuples of total degree d, decreasing grevlex order."""
+    if d == 0:
+        return [(0,) * nv]
+    out = []
+    for bars in combinations_with_replacement(range(nv), d):
+        e = [0] * nv
+        for i in bars:
+            e[i] += 1
+        out.append(tuple(e))
+    out.sort(key=grevlex_key)
+    return out
 
 
 def _scale_num(v: tuple, k: int) -> tuple:

@@ -1,3 +1,4 @@
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -478,14 +479,69 @@ def scalar_nf(cb, p):
 
 
 def pairing_route_nf(cb, p):
-    """The normal form of p degree by degree, through the pairing vector
-    against the harmonics and the table's solve: the route that the
-    per-monomial columns of ``nf_poly`` replaced."""
-    out = Poly.zero(cb.rank, cb.field)
-    for d, num in cb._parts(p):
-        out = out + cb.harmonic_class(
-            d, cb.tables[d].pairing_vector(num, cb.field), p.den)
-    return out
+    """The normal form of p degree by degree, on scalars: the pairing
+    vector of each homogeneous part against the weighted harmonics, times
+    the table's inverse M / den.  This is the route that the per-monomial
+    columns of ``nf_poly`` replaced, written out here so that it shares no
+    code with them."""
+    field = cb.field
+    to = field.from_num
+    parts = {}
+    for e, c in p.terms.items():
+        if sum(e) <= cb.top:
+            parts.setdefault(sum(e), {})[e] = c
+    out = {}
+    for d, terms in parts.items():
+        t = cb.tables[d]
+        vals = []
+        for wh in t.weighted:
+            s = field.zero
+            for e, c in terms.items():
+                if e in wh:
+                    s = s + c * to(wh[e])
+            vals.append(s)
+        for mono, row in zip(t.monos, t.inv):
+            s = field.zero
+            for x, v in zip(row, vals):
+                s = s + to(x, t.den) * v
+            if s:
+                out[mono] = s
+    return Poly(cb.rank, field, out)
+
+
+def layout_of(cb):
+    """{degree: (derivative multi-indices, standard monomials)} of the
+    tables of cb, the layout a cache file records."""
+    return {d: (t.indices, t.monos) for d, t in cb.tables.items()}
+
+
+def seed_scan_oracle(nv, field, degrees, average, known=()):
+    """The seed scan that three loops wrote out before
+    ``groups.seed_invariants`` replaced them: per degree, the seed
+    monomials in decreasing grevlex order (every exponent tuple of the
+    degree, sorted by its reverse), keeping the first ones whose
+    content-normalised average raises the rank of the Jacobian, tested by
+    its Laplace minors.  None if a degree runs out of seeds."""
+    found = []
+    for d in sorted(set(degrees)):
+        need = list(degrees).count(d)
+        seeds = sorted((e for e in product(range(d + 1), repeat=nv)
+                        if sum(e) == d), key=lambda e: e[::-1])
+        for e in seeds:
+            if not need:
+                break
+            cand = average(Poly.monomial(e, 1, field))
+            if cand.is_zero():
+                continue
+            cand = cand.content_normalized()
+            polys = [*known, *found, cand]
+            if any(jacobian_minor_oracle(polys, rows, field)
+                   for rows in combinations(range(nv), len(polys))):
+                found.append(cand)
+                need -= 1
+        if need:
+            return None
+    return found
 
 
 class FractionSparseSolver:

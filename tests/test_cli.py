@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -248,8 +249,9 @@ def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cache_mod.os, "replace", interrupted)
+    no_tables = SimpleNamespace(tables={})
     try:
-        cache_mod.save_group(tmp_path, group)       # a different document
+        cache_mod.save_group(tmp_path, group, no_tables)   # another document
     except KeyboardInterrupt:
         pass
     else:
@@ -263,7 +265,7 @@ def test_interrupted_cache_write_keeps_previous_file(tmp_path, capsys,
 def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
     # coxcov uses numpy nowhere, so no verify may import it; this one
     # loads every table from the cache, and the Lie side builds its Weyl
-    # group's tables from the same cached layout
+    # group's tables by the column pass
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "B2",
                            "--group", "A1", "--group", "A2",
                            "--cache-dir", str(tmp_path))
@@ -295,12 +297,12 @@ def test_warm_verify_does_not_load_numpy(tmp_path, capsys):
         return {(r["group"], r["check"]) for r in doc["results"]}
 
     warm_verify("--group", "B2", "--checks", "all", "--samples", "3")
-    # Lie side on the layout of the loaded tables
+    # the Lie side beside the loaded tables
     ran = warm_verify("--group", "A1", "--group", "A2", "--checks", "all",
                       "--samples", "3")
     assert {("A1", "reeder[adjoint]"), ("A2", "reeder[s3c3]"),
             ("A2", "weyl-denominator")} <= ran
-    # Lie checks only: the layout is read from the cache file
+    # Lie checks only: no cache file is read or written
     ran = warm_verify("--group", "B2", "--allow-long",
                       "--checks", "reeder,lie-bridge")
     assert {("B2", "reeder[adjoint]"), ("B2", "tau-injectivity")} <= ran
@@ -490,6 +492,30 @@ def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                              "--cache-dir", str(tmp_path))
     assert code == 2 and "Z9" in err
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unknown_code_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                              cpus):
+    # every code is looked up in the catalogue before a group is built, in
+    # this process or in a worker, and before a cache file is written
+    from coxcov import groups
+    _cpus(monkeypatch, cpus)
+    built = tmp_path / "built"
+    real = groups.ReflectionGroup.__init__
+
+    def recording(self, code, *args, **kwargs):
+        with open(built, "a") as f:
+            f.write(f"{code}\n")
+        real(self, code, *args, **kwargs)
+
+    monkeypatch.setattr(groups.ReflectionGroup, "__init__", recording)
+    cache = tmp_path / "cache"
+    for verb in (("verify", "--checks", "all"), ("cache", "build")):
+        code, out, err = run_cli(capsys, *verb, "--group", "A2", "--group",
+                                 "Z9", "--cache-dir", str(cache))
+        assert code == 2 and out == "" and "Z9" in err
+    assert not built.exists() and not cache.exists()
 
 
 def test_single_group_does_not_load_multiprocessing(tmp_path):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (assert_canonical, field_prime_and_root,
-                      homogeneous_part, num_mod, pairing_route_nf, scalar_nf)
+                      homogeneous_part, layout_of, num_mod, pairing_route_nf,
+                      scalar_nf)
 
 from coxcov.cli import DEFAULT_GROUPS
 from coxcov.coinvariants import (CoinvariantBasis, _weighted,
@@ -359,7 +360,7 @@ def modp_layout(cb):
 def test_column_pass_layout_matches_modp_oracle(code, group_of):
     # the pivot rows and columns of every table, against the mod-p search
     cb = CoinvariantBasis(group_of(code))
-    assert cb.recorded_tables() == modp_layout(cb)
+    assert layout_of(cb) == modp_layout(cb)
 
 
 def test_planted_candidate_loss_raises_optimized():
@@ -556,7 +557,8 @@ def test_lie_side_basis_keeps_columns_of_its_own(code, group_of):
     # a layout but not their coordinates, so not their columns either
     from coxcov.lie_bridge import build_lie
     cat = CoinvariantBasis(group_of(code))
-    lie = build_lie(code, cat.recorded_tables()).cb
+    lie = build_lie(code).cb
+    assert layout_of(lie) == layout_of(cat)
     assert lie._columns is not cat._columns
     rng = random.Random(f"lie-{code}")
     polys = [_random_field_poly(rng, cat.group, list(range(cat.top + 2)), 6)

@@ -128,7 +128,7 @@ def test_rational_sum():
 
 
 def test_theta_self_division():
-    t = QSQRT5.theta()
+    t = QSQRT5.scalar(0, 1)
     assert t / t == QSQRT5.one
 
 
@@ -140,7 +140,7 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QSQRT5.one / 0
     with pytest.raises(ZeroDivisionError):
-        QSQRT5.theta() / Fraction(0)
+        QSQRT5.scalar(0, 1) / Fraction(0)
     with pytest.raises(ZeroDivisionError):
         1 / QSQRT5.zero
     with pytest.raises(ZeroDivisionError):
@@ -251,7 +251,7 @@ def test_hash_agrees_with_equality():
         assert hash(x) == hash(value)
         assert len({x, value}) == 1
     assert len({QSQRT5.scalar(3), 3}) == 1
-    assert QSQRT5.theta() != Fraction(1)
+    assert QSQRT5.scalar(0, 1) != Fraction(1)
 
 
 @pytest.mark.parametrize("min_poly", [(1, 0, 2), (Fraction(1, 2), 0, 1)])
@@ -293,7 +293,7 @@ def test_root_interval_isolates_theta(field):
     assert all(value(t) for t in grid)
     assert len(changes) == field.degree
     assert sum(lo <= s and t <= hi for s, t in changes) == 1
-    t = field.theta()
+    t = field.scalar(0, 1)
     assert field.sign(t - lo) == 1 and field.sign(t - hi) == -1
     assert field.sign(field.zero) == 0
     assert field.sign(Fraction(-1, 3)) == -1
@@ -316,7 +316,7 @@ def test_exact_sign_of_tiny_values():
 def test_sign_needs_a_root_interval():
     bare = Field("Q(phi) without an order", (-1, -1, 1))
     with pytest.raises(ValueError, match="root interval"):
-        bare.sign(bare.theta())
+        bare.sign(bare.scalar(0, 1))
     assert bare.sign(bare.zero) == 0
 
 
@@ -328,7 +328,7 @@ def test_field_rejects_interval_without_one_sign_change(interval):
 
 def test_minimal_polynomial_root():
     for field in (QSQRT5, QCOSPI7, QCOSPI8):
-        t = field.theta()
+        t = field.scalar(0, 1)
         acc = field.zero
         power = field.one
         for c in field.min_poly:
@@ -350,7 +350,7 @@ def test_scalar_rejects_wrong_coordinate_count():
             field.scalar(*coords)
     assert QSQRT5.scalar(3) == 3
     assert QCOSPI8.scalar(1, 2, 3, 4) == \
-        QCOSPI8.scalar(1) + QCOSPI8.theta() * QCOSPI8.scalar(2, 3, 4)
+        QCOSPI8.scalar(1) + QCOSPI8.scalar(0, 1) * QCOSPI8.scalar(2, 3, 4)
     # a raise, unlike an assert, survives python -O
     code = ("from coxcov.fields import QQ, QSQRT5\n"
             "for f, cs in ((QQ, (1, 2)), (QSQRT5, (1, 2, 3))):\n"

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (act_oracle, assert_canonical, divide_by_linear_form,
                       jacobian_minor_oracle, mat_mul, mat_transpose,
-                      matrix_reflections, scalar_divided_difference)
+                      matrix_reflections, scalar_divided_difference,
+                      seed_scan_oracle)
 
 from coxcov.cli import DEFAULT_GROUPS
 from coxcov.differentials import random_weil
@@ -631,6 +632,64 @@ def test_reynolds_over_non_subgroup_raises_optimized():
                          capture_output=True, text=True, timeout=60)
     assert got.returncode == 3, got.stderr
     assert got.stdout == 2 * "B2: Reynolds set is not a reflection subgroup\n"
+
+
+@pytest.mark.parametrize("code", ["I2(4)", "I2(5)", "I2(7)", "I2(8)", "G2",
+                                  "bridge-A2", "bridge-B2"])
+def test_dihedral_invariants_match_seed_scan_oracle(code, group_of):
+    # the second basic invariant of a dihedral group, the first seed of
+    # its degree whose Reynolds average is independent of the quadric
+    if code.startswith("bridge-"):
+        from coxcov.lie_bridge import build_lie
+        g = build_lie(code[len("bridge-"):]).weyl
+    else:
+        g = group_of(code)
+    quadric = g.gram_quadratic()
+    want = seed_scan_oracle(2, g.field, g.degrees[1:], g.reynolds, [quadric])
+    assert g.basic_invariants() == [quadric] + want
+
+
+def test_planted_zero_average_raises_optimized():
+    """Under python -O, a scan whose every seed averages to zero stops
+    with a CertificationError: on its own, for a dihedral group's
+    invariants and for the invariants of a reflection subgroup."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov import groups\n"
+        "from coxcov.fields import QQ\n"
+        "from coxcov.little_adjoint import split_group, subgroup_invariants\n"
+        "from coxcov.poly import Poly\n"
+        "from coxcov.reports import CertificationError\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "def zero(self, p, elt_indices=None):\n"
+        "    return Poly.zero(p.nv, p.field)\n"
+        "groups.ReflectionGroup.reynolds = zero\n"
+        "runs = (lambda: groups.seed_invariants(\n"
+        "            2, QQ, (2,), lambda p: Poly.zero(2, QQ)),\n"
+        "        lambda: groups.build_group('I2(5)').basic_invariants(),\n"
+        "        lambda: subgroup_invariants(split_group(\n"
+        "            groups.build_group('B2'))))\n"
+        "for run in runs:\n"
+        "    try:\n"
+        "        run()\n"
+        "    except CertificationError as err:\n"
+        "        print(err)\n"
+        "    else:\n"
+        "        raise SystemExit(4)\n"
+        "raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout.splitlines() == [
+        "seeds exhausted in degree 2: 1 independent averaged invariant(s) "
+        "missing",
+        "seeds exhausted in degree 5: 1 independent averaged invariant(s) "
+        "missing",
+        "seeds exhausted in degree 2: 2 independent averaged invariant(s) "
+        "missing"]
 
 
 @pytest.mark.parametrize("elt,wrong", [("g.simple_indices[1]", 0),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import layout_of
+
 from coxcov.coinvariants import CoinvariantBasis
 from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
@@ -134,13 +136,13 @@ def test_planted_model_defect_raises_optimized():
 
 
 def _assert_same_tables(cb, oracle):
-    assert cb.recorded_tables() == oracle.recorded_tables()
+    assert layout_of(cb) == layout_of(oracle)
     for d, t in oracle.tables.items():
         assert (cb.tables[d].inv, cb.tables[d].den) == (t.inv, t.den)
 
 
 def _catalogue_layout(code):
-    return CoinvariantBasis(build_group(code)).recorded_tables()
+    return layout_of(CoinvariantBasis(build_group(code)))
 
 
 @pytest.mark.parametrize("code", ["A1", "A2", "B2"])
@@ -150,7 +152,8 @@ def test_bridge_tables_from_catalogue_layout(code):
     fresh mod-p build, which is the oracle."""
     fresh = build_lie(code).cb
     assert not fresh.from_layout
-    hinted = build_lie(code, _catalogue_layout(code)).cb
+    hinted = CoinvariantBasis(build_lie(code).weyl,
+                              precomputed=_catalogue_layout(code))
     assert hinted.from_layout
     _assert_same_tables(hinted, fresh)
 
@@ -183,7 +186,7 @@ def _negative_index(layout):
 ], ids=["foreign", "degree-dropped", "pair-dropped", "negative-index",
         "empty"])
 def test_bridge_layout_that_does_not_fit_falls_back(make):
-    hinted = build_lie("B2", make()).cb
+    hinted = CoinvariantBasis(build_lie("B2").weyl, precomputed=make())
     assert not hinted.from_layout
     _assert_same_tables(hinted, build_lie("B2").cb)
 

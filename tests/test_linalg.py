@@ -406,4 +406,4 @@ def test_solver_numerator_tuples_need_the_field():
         # a Q solver, fixed by rational scalars, refuses a Q(sqrt5) scalar
         s = SparseSolver()
         s.add({"a": Fraction(1, 2)})
-        s.add({"b": QSQRT5.theta()})
+        s.add({"b": QSQRT5.scalar(0, 1)})

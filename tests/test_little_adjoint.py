@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import act_oracle, u_action_oracle
+from conftest import act_oracle, seed_scan_oracle, u_action_oracle
 
 from coxcov.covariants import form_e
 from coxcov.differentials import koszul_delta
@@ -290,3 +290,33 @@ def test_planted_psibar_fails_through_cli_optimized(tmp_path):
     for rec in recs:
         assert rec["status"] == "fail"
         assert rec["details"]["witness"] == ["psibar not H-invariant"]
+
+
+@pytest.mark.parametrize("code", ["B2", "B3", "B4", "G2", "I2(8)", "F4"])
+def test_seed_scans_match_oracle(code, stack_of):
+    # the invariants of H averaged over H, and those of the image of W_p
+    # on K[U] averaged over its matrices (the mean, as the scan before
+    # seed_invariants took it), against the scan oracle
+    stack = stack_of(code)
+    g = stack.group
+    split = split_group(g)
+    psibars = subgroup_invariants(split)
+    assert psibars == seed_scan_oracle(
+        g.rank, g.field, h_invariant_degrees(split),
+        lambda p: g.reynolds(p, split.h_elements))
+    dec = ubar_decomposition(split, psibars)
+    s = len(dec.u_basis)
+    mats = list(dict.fromkeys(u_action_oracle(dec, x)
+                              for x in split.wp_elements))
+    images = [[Poly.linear_form([mat[i][j] for i in range(s)], g.field)
+               for j in range(s)] for mat in mats]
+
+    def mean(seed):
+        total = Poly.zero(s, g.field)
+        for forms in images:
+            total = total + seed.substitute(forms)
+        return total.scale(Fraction(1, len(images)))
+
+    want = seed_scan_oracle(s, g.field, range(2, s + 2), mean)
+    assert want is not None
+    assert tilde_invariants(dec, stack.cb).phis_y == want
