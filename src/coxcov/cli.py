@@ -106,23 +106,27 @@ def _lie_jobs(code, lie_checks):
     return jobs
 
 
-def _map_groups(fn, codes):
-    """``[fn(code) for code in codes]``.  With two or more groups and
-    CPUs in the affinity mask, the groups run side by side in workers
-    forked from this process, one per CPU, so that no worker imports
-    anything again; the results come back in the order of ``codes``.
-    Otherwise they run here and ``multiprocessing`` is never imported, as
-    on a platform without ``os.sched_getaffinity`` (there is one wherever
-    there is ``fork``)."""
-    cpus = (len(os.sched_getaffinity(0))
+def _cpu_count() -> int:
+    """The CPUs in the affinity mask; 1 on a platform without
+    ``os.sched_getaffinity`` (there is one wherever there is ``fork``)."""
+    return (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
-    workers = min(len(codes), cpus)
+
+
+def _map_groups(fn, items):
+    """``[fn(item) for item in items]``.  With two or more items and CPUs
+    in the affinity mask, the items run side by side in workers forked from
+    this process, one per CPU, handed out one at a time in the order given:
+    no worker imports anything again, and each inherits what this process
+    holds.  The results come back in the order of ``items``.  Otherwise
+    they run here and ``multiprocessing`` is never imported."""
+    workers = min(len(items), _cpu_count())
     if workers < 2:
-        return [fn(code) for code in codes]
+        return [fn(item) for item in items]
     import multiprocessing
     pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        return pool.map(fn, codes, chunksize=1)
+        return pool.map(fn, items, chunksize=1)
     except BaseException:
         pool.terminate()
         raise
@@ -131,11 +135,16 @@ def _map_groups(fn, codes):
         pool.join()
 
 
-def _group_records(config: dict, code: str) -> list:
-    """The check records of one group, in the order of the config's
-    checks, with a failed certificate as its FAIL record.  They depend on
-    the group, the config and the seed alone: every seeded check makes its
-    own generator from the seed."""
+# one task: all three read the stack's lazily built u_i, f_i and constants()
+STACK_TASK = ("constants", "freeness", "structure")
+LIE_CHECKS = ("reeder", "lie-bridge")   # one task too: one build_lie model
+
+
+def _group_jobs(config: dict, code: str) -> list:
+    """(check, record name, thunk) for each record of one group, in the
+    order of the config's checks, the Lie-side records last with
+    ``LIE_CHECKS`` as their check.  The group's stack is loaded here, so
+    the thunks share it."""
     checks = config["checks"]
     seed = config.get("seed", 0)
     cache_dir = config.get("cache_dir") or cache_mod.default_cache_dir()
@@ -144,9 +153,9 @@ def _group_records(config: dict, code: str) -> list:
     stack_checks = {"solomon": solomon_check, "constants": constants_table,
                     "freeness": freeness_check,
                     "structure": pr_structure_check, "molien": _molien_check}
-    lie_checks = [c for c in checks if c in ("reeder", "lie-bridge")]
-    group_checks = [c for c in checks if c not in ("reeder", "lie-bridge")]
-    jobs = []                          # (record name, thunk)
+    lie_checks = [c for c in checks if c in LIE_CHECKS]
+    group_checks = [c for c in checks if c not in LIE_CHECKS]
+    jobs = []
     if group_checks:
         group, cb, _ = cache_mod.load_stack(cache_dir, code,
                                             allow_long=allow_long)
@@ -155,41 +164,95 @@ def _group_records(config: dict, code: str) -> list:
         stack = CovariantStack(group, c_values=c_values, cb=cb)
     for check in group_checks:
         if check == "differentials":
-            jobs.append((check, partial(_differentials_check, stack, seed,
-                                        config.get("n_samples", 50))))
+            jobs.append((check, check, partial(
+                _differentials_check, stack, seed,
+                config.get("n_samples", 50))))
         elif check == "j2-invariance":
-            jobs.append((check, partial(j2_invariance_check, stack,
-                                        seed=seed)))
+            jobs.append((check, check, partial(j2_invariance_check, stack,
+                                               seed=seed)))
         elif check == "little-adjoint":
             if len(stack.group.reflection_classes) != 2:
                 continue
-            jobs.append((check, partial(little_adjoint_suite, stack)))
+            jobs.append((check, check, partial(little_adjoint_suite, stack)))
             if stack.group.code in ("B2", "G2", "I2(4)", "I2(8)"):
-                jobs.append(("little-adjoint-swapped", partial(
+                jobs.append((check, "little-adjoint-swapped", partial(
                     little_adjoint_suite, stack,
                     use_class=1 - stack.group.class_ell,
                     label="little-adjoint-swapped")))
         else:
-            jobs.append((check, partial(stack_checks[check], stack)))
+            jobs.append((check, check, partial(stack_checks[check], stack)))
     if lie_checks and code in LIE_CODES and (code != "B2" or allow_long):
-        jobs += _lie_jobs(code, lie_checks)
-    records = []
-    for name, run in jobs:
-        t0 = perf_counter()
-        try:
-            records.append(run())
-        except CertificationError as exc:
-            records.append(verdict(name, code, [str(exc)], {}, t0))
-    return records
+        jobs += [(LIE_CHECKS, name, run)
+                 for name, run in _lie_jobs(code, lie_checks)]
+    return jobs
+
+
+def _run_job(code: str, name: str, run):
+    """One record, with a failed certificate as its FAIL record."""
+    t0 = perf_counter()
+    try:
+        return run()
+    except CertificationError as exc:
+        return verdict(name, code, [str(exc)], {}, t0)
+
+
+def _group_records(config: dict, code: str) -> list:
+    """The check records of one group, in the order of the config's
+    checks, with a failed certificate as its FAIL record.  They depend on
+    the group, the config and the seed alone: every seeded check makes its
+    own generator from the seed."""
+    return [_run_job(code, name, run)
+            for _, name, run in _group_jobs(config, code)]
+
+
+_JOBS: list = []    # (code, name, thunk) of a split run, inherited by fork
+
+
+def _run_task(task: tuple) -> list:
+    """The records of the jobs ``task`` indexes in ``_JOBS``."""
+    return [_run_job(*_JOBS[i]) for i in task]
+
+
+def _split_records(config: dict, codes: list) -> list:
+    """The records of groups whose checks are split into tasks.  This
+    process loads each group's stack once; the workers inherit it through
+    fork, and only job indices and records cross the pipe.  A task is one
+    check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS`` together;
+    those tasks go out first, the rest in check order.  No stack outlives
+    the call."""
+    tasks: dict = {}
+    try:
+        for code in codes:
+            for check, name, run in _group_jobs(config, code):
+                key = STACK_TASK if check in STACK_TASK else check
+                tasks.setdefault((code, key), []).append(len(_JOBS))
+                _JOBS.append((code, name, run))
+        order = [tuple(tasks[key]) for key in
+                 sorted(tasks, key=lambda key: isinstance(key[1], str))]
+        records = [None] * len(_JOBS)
+        for task, got in zip(order, _map_groups(_run_task, order)):
+            for i, record in zip(task, got):
+                records[i] = record
+        return records
+    finally:
+        _JOBS.clear()
 
 
 def run_suite(config: dict) -> Report:
+    """Every check of every group of the config, in one report.  With at
+    least as many groups as CPUs each group is one unit of parallel work
+    (``_group_records``); with fewer, each group's checks are split into
+    tasks (``_split_records``), so that a lone group uses every CPU.  The
+    records come out in the same order either way."""
     codes = [canonical_code(code) for code in config["groups"]]
     for code in codes:          # an unknown code fails before any work
         catalogue_entry(code, config.get("allow_long", False))
-    per_group = _map_groups(partial(_group_records, config), codes)
-    return Report(config=_config_doc(config),
-                  records=[r for records in per_group for r in records])
+    if len(codes) >= _cpu_count():
+        records = [r for group in _map_groups(
+            partial(_group_records, config), codes) for r in group]
+    else:
+        records = _split_records(config, codes)
+    return Report(config=_config_doc(config), records=records)
 
 
 def _config_doc(config):

@@ -142,9 +142,11 @@ def class_sums(group: ReflectionGroup, w: Weil, classes=None,
     (all classes, or the class indices ``classes``), on the full ambient.
 
     ``images`` is an optional dict owned by the caller.  When it is given,
-    N_C is applied by linearity: each image N_C(b_mask tensor x^e) is
-    computed once, by the direct sum, and kept there as its terms
-    {mask: Poly} under (C, mask, e) for later calls.
+    N_C is applied by linearity: each image N_C(1 tensor x^e) is computed
+    once, by the direct sum, and kept there as its terms {mask: Poly}
+    under (C, e) for later calls.  The wedge part rides along:
+    nabla_s(b tensor x^e) = nabla_s(1 tensor x^e) wedge b, so
+    N_C(b_mask tensor x^e) = N_C(1 tensor x^e) wedge b_mask.
     """
     if classes is None:
         classes = range(len(group.reflection_classes))
@@ -157,24 +159,30 @@ def class_sums(group: ReflectionGroup, w: Weil, classes=None,
 
     if images is None:
         return [direct(ci, w) for ci in classes]
-    # the input's coefficients as numerators over one denominator
+    # the input's coefficients as numerators over one denominator; per
+    # mask, b_i wedge b_mask = sign b_(mask | i), kept as (mask | i, the
+    # sign times the mask's factor to that denominator) under the bit of i
     den = lcm(*(p.den for p in w.terms.values()))
+    wedges = {mask: {1 << i: (mask | 1 << i,
+                              den // p.den * merge_sign(1 << i, mask))
+                     for i in range(r) if not mask >> i & 1}
+              for mask, p in w.terms.items()}
     out = []
     for ci in classes:
         acc: dict = {}
         for mask, p in w.terms.items():
-            k = den // p.den
+            put = wedges[mask]
             for e, c in p.num.items():
-                img = images.get((ci, mask, e))
+                img = images.get((ci, e))
                 if img is None:
-                    basis = Weil(r, field,
-                                 {mask: Poly(r, field, {e: 1})})
-                    img = images[(ci, mask, e)] = direct(ci, basis).terms
-                if k != 1:
-                    c = c * k if field.is_rational else \
-                        tuple(x * k for x in c)
-                for m, q in img.items():
-                    acc.setdefault(m, []).append((c, q))
+                    one = Weil(r, field, {0: Poly(r, field, {e: 1})})
+                    img = images[(ci, e)] = direct(ci, one).terms
+                for bit, q in img.items():
+                    if bit in put:
+                        m, k = put[bit]
+                        acc.setdefault(m, []).append(
+                            (c * k if field.is_rational else
+                             tuple(x * k for x in c), q))
         out.append(Weil(r, field, {
             m: q for m, items in acc.items()
             if (q := Poly.combination(r, field, items, den))}))
@@ -283,7 +291,7 @@ def differential_identity_suite(group: ReflectionGroup, cb: CoinvariantBasis,
     params_list = [DunklParams.constant(group)]
     for _ in range(n_cfg):
         params_list.append(random_class_function(group, rng))
-    images: dict = {}       # class-sum images of basis elements, this call
+    images: dict = {}       # images N_C(1 tensor x^e), this call
     failures = []
 
     def record(square: Weil, identity: str, sample: int, cfg=None):

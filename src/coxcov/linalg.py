@@ -311,7 +311,13 @@ def inverse_defect(mat, inv, den, field: Field | None = None):
     for i, row in enumerate(mat):
         acc = [(0,) * field.degree] * n
         for c, irow in zip(row, inv):
-            if any(c):
+            if field.degree == 2 and any(c):
+                # a + c x written out, so no product is a call
+                (c0, c1), (t0, t1) = c, field._top
+                acc = [(a0 + c0 * x0 + (h := c1 * x1) * t0,
+                        a1 + c0 * x1 + c1 * x0 + h * t1)
+                       for (a0, a1), (x0, x1) in zip(acc, irow)]
+            elif any(c):
                 acc = [tuple(map(int.__add__, a, mul(c, x)))
                        for a, x in zip(acc, irow)]
         acc[i] = (acc[i][0] - den,) + acc[i][1:]

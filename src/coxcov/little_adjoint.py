@@ -16,7 +16,7 @@ from itertools import combinations
 from math import prod
 from time import perf_counter
 
-from .coinvariants import CoinvariantBasis, _pairing, hilbert_coinvariants
+from .coinvariants import _pairing, hilbert_coinvariants
 from .covariants import (CovariantMap, CovariantStack, TargetSpace,
                          free_basis_failures, pairing_constants,
                          top_p_failures)
@@ -291,7 +291,7 @@ class TildeInvariants:
     phis: list              # the same, expanded into A
 
 
-def tilde_invariants(dec: UbarDecomposition, cb: CoinvariantBasis) -> TildeInvariants:
+def tilde_invariants(dec: UbarDecomposition) -> TildeInvariants:
     group = dec.split.group
     field = group.field
     s = len(dec.u_basis)
@@ -424,7 +424,7 @@ def little_adjoint_suite(stack: CovariantStack,
     if chi_u.values != chi_wp.values:
         failures.append("character of U != reflection character of W_p")
 
-    tilde = tilde_invariants(dec, cb)
+    tilde = tilde_invariants(dec)
     phi_degrees = [p.degree() for p in tilde.phis]
     details["phi_degrees"] = phi_degrees
     for i, phi in enumerate(tilde.phis, start=1):

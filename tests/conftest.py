@@ -1,3 +1,4 @@
+import os
 from itertools import combinations, product
 from math import gcd
 
@@ -8,6 +9,13 @@ from coxcov.fields import Field, scalar_inverse
 from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
 from coxcov.poly import Poly
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask n CPUs wide: 2 forks two workers, 1 keeps
+    every group and check in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
 
 _GROUPS = {}
 _STACKS = {}

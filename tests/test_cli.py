@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import _cpus
 from coxcov.cli import main
 from coxcov.reports import (FAIL, PASS, CertificationError, CheckRecord,
                             Report)
@@ -385,13 +386,6 @@ def test_c_values_flow(tmp_path, capsys):
 
 # -- the groups of a run in forked workers, against the in-process path ------
 
-def _cpus(monkeypatch, n):
-    """Make the affinity mask n CPUs wide: 2 forks two workers, 1 keeps
-    every group in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 def _plant_freeness_failure(monkeypatch, cli, pids):
     """B2's freeness check raises a CertificationError; every freeness
     call writes the id of the process it ran in to ``pids``."""
@@ -451,6 +445,112 @@ def test_workers_match_in_process_run(tmp_path, capsys, monkeypatch):
         ("B2", "freeness", {"witness": ["planted: B2 freeness at x_0^2"]})]
     assert "FAIL     B2       freeness" in runs[2][4]
     assert "witness: ['planted: B2 freeness at x_0^2']" in runs[2][4]
+
+
+def _log_jobs(monkeypatch, cli, pids):
+    """Every check record of a run writes the id of the process it ran in
+    to ``pids``."""
+    real = cli._run_job
+
+    def logged(code, name, run):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(code, name, run)
+
+    monkeypatch.setattr(cli, "_run_job", logged)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("argv", [
+    ("--group", "H3"),
+    ("--group", "A2"),                              # the Lie-side records
+    ("--group", "B2", "--allow-long"),              # swapped and Lie records
+    # little-adjoint fails off c = 1, in a worker as in one process
+    ("--group", "B2", "--c-long", "2", "--c-short", "1/3")])
+def test_lone_group_split_matches_one_cpu(tmp_path, capsys, monkeypatch,
+                                          argv):
+    # with fewer groups than CPUs the group's checks run as tasks in
+    # workers; the report is byte for byte the one of a one-CPU run
+    import multiprocessing
+
+    from coxcov import cli
+    pids = tmp_path / "pids"
+    _log_jobs(monkeypatch, cli, pids)
+    outs = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--checks", "all",
+                               "--samples", "3", "--emit", "json",
+                               "--cache-dir", str(tmp_path))
+        outs[cpus] = code, out
+        assert not multiprocessing.active_children()
+        assert (os.getpid() in _ran_in(pids)) == (cpus == 1)
+    assert outs[2] == outs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_lone_group_certificate_failure_in_a_worker(tmp_path, capsys,
+                                                    monkeypatch):
+    from coxcov import cli
+    pids = tmp_path / "pids"
+    _plant_freeness_failure(monkeypatch, cli, pids)
+    outs = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        code, outs[cpus], _ = run_cli(capsys, "verify", "--group", "B2",
+                                      "--emit", "json", "--samples", "3",
+                                      "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert (os.getpid() in _ran_in(pids)) == (cpus == 1)
+    assert outs[2] == outs[1]
+    failed = [r for r in json.loads(outs[2])["results"]
+              if r["status"] == "fail"]
+    assert [(r["group"], r["check"], r["details"]) for r in failed] == [
+        ("B2", "freeness", {"witness": ["planted: B2 freeness at x_0^2"]})]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_lone_group_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    from coxcov import cli
+    _cpus(monkeypatch, 2)
+
+    def planted(stack):
+        raise RuntimeError("planted: molien on B2")
+
+    monkeypatch.setattr(cli, "_molien_check", planted)
+    code, out, err = run_cli(capsys, "verify", "--group", "B2", "--checks",
+                             "solomon,molien", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "RuntimeError: planted: molien on B2" in err
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_lone_group_cold_cache_written_once(tmp_path, capsys, monkeypatch):
+    # the stack is loaded before the pool forks, so a cold run writes the
+    # group's one cache file from this process
+    from coxcov import cache as cache_mod
+    written = tmp_path / "written"
+    real = cache_mod.save_group
+
+    def recording(*args, **kwargs):
+        with open(written, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "save_group", recording)
+    files = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        cache = tmp_path / f"cache{cpus}"
+        code, _, _ = run_cli(capsys, "verify", "--group", "H3", "--checks",
+                             "solomon,molien", "--cache-dir", str(cache))
+        assert code == 0
+        assert _ran_in(written) == {os.getpid()}
+        files[cpus] = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert len(files[2]) == 1 and files[2] == files[1]
 
 
 def test_cache_build_repeated_group(tmp_path, capsys, monkeypatch):
@@ -519,16 +619,18 @@ def test_unknown_code_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 def test_single_group_does_not_load_multiprocessing(tmp_path):
-    # one group runs in this process, and the pool's module stays unloaded
+    # one CPU, or one group with one check (one task) on two: the run stays
+    # in this process, and the pool's module stays unloaded
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    child = ("import os, sys\n"
-             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-             "from coxcov.cli import main\n"
-             f"code = main(['verify', '--group', 'A1', '--cache-dir', "
-             f"{str(tmp_path)!r}])\n"
-             "assert code == 0, code\n"
-             "assert 'multiprocessing' not in sys.modules\n")
-    got = subprocess.run([sys.executable, "-c", child], env=env,
-                         capture_output=True, text=True)
-    assert got.returncode == 0, got.stderr
+    for cpus, checks in (("{0}", "all"), ("{0, 1}", "solomon")):
+        child = ("import os, sys\n"
+                 f"os.sched_getaffinity = lambda pid: {cpus}\n"
+                 "from coxcov.cli import main\n"
+                 f"code = main(['verify', '--group', 'A1', '--checks', "
+                 f"{checks!r}, '--cache-dir', {str(tmp_path)!r}])\n"
+                 "assert code == 0, code\n"
+                 "assert 'multiprocessing' not in sys.modules\n")
+        got = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True)
+        assert got.returncode == 0, (cpus, checks, got.stderr)

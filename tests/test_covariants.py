@@ -293,7 +293,7 @@ def test_form_e_matches_oracle_on_u(stack_of):
     st = stack_of("B3")
     split = split_group(st.group)
     dec = ubar_decomposition(split, subgroup_invariants(split))
-    tilde = tilde_invariants(dec, st.cb)
+    tilde = tilde_invariants(dec)
     uspace = u_target_space(st, dec)
     gs = [make_g(st, dec, tilde, uspace, i)
           for i in range(1, len(dec.u_basis) + 1)]

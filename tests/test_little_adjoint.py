@@ -75,7 +75,7 @@ def test_b2_phi_and_maps(stack_of):
     st = stack_of("B2")
     split = split_group(st.group)
     dec = ubar_decomposition(split, subgroup_invariants(split))
-    tilde = tilde_invariants(dec, st.cb)
+    tilde = tilde_invariants(dec)
     assert [p.degree() for p in tilde.phis] == [4]
     # phi_1 = (x^2-y^2)^2 up to scale
     y = dec.u_basis[0]
@@ -319,4 +319,4 @@ def test_seed_scans_match_oracle(code, stack_of):
 
     want = seed_scan_oracle(s, g.field, range(2, s + 2), mean)
     assert want is not None
-    assert tilde_invariants(dec, stack.cb).phis_y == want
+    assert tilde_invariants(dec).phis_y == want

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import _cpus
+
 TRACER = Path(__file__).resolve().parents[1] / "coxbench" / "tracer.py"
 
 
@@ -27,10 +29,13 @@ def test_traced_names_resolve():
         assert attr in vars(owner), f"coxcov.{mod_name}.{path}"
 
 
-def test_tracer_sees_every_check(tmp_path):
+def test_tracer_sees_every_check(tmp_path, monkeypatch):
     """A traced run records a span for each check it runs: the checks must
-    be looked up where the tracer patches them, not captured at import."""
+    be looked up where the tracer patches them, not captured at import.
+    The tracer records in this process only, so the run is kept on one
+    CPU: on two, the lone group's checks would run in workers."""
     from coxcov import cli
+    _cpus(monkeypatch, 1)
     tracer = _load_tracer()
     t = tracer.Tracer("test")
     t.install()
