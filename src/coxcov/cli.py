@@ -213,22 +213,21 @@ def _run_task(task: tuple) -> list:
     return [_run_job(*_JOBS[i]) for i in task]
 
 
-def _split_records(config: dict, codes: list) -> list:
-    """The records of groups whose checks are split into tasks.  This
-    process loads each group's stack once; the workers inherit it through
-    fork, and only job indices and records cross the pipe.  A task is one
-    check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS`` together;
-    those tasks go out first, the rest in check order.  No stack outlives
-    the call."""
+def _split_records(config: dict, code: str) -> list:
+    """The records of a lone group whose checks are split into tasks.
+    This process loads the group's stack once; the workers inherit it
+    through fork, and only job indices and records cross the pipe.  A task
+    is one check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS``
+    together; those tasks go out first, the rest in check order.  No stack
+    outlives the call."""
     tasks: dict = {}
     try:
-        for code in codes:
-            for check, name, run in _group_jobs(config, code):
-                key = STACK_TASK if check in STACK_TASK else check
-                tasks.setdefault((code, key), []).append(len(_JOBS))
-                _JOBS.append((code, name, run))
+        for check, name, run in _group_jobs(config, code):
+            key = STACK_TASK if check in STACK_TASK else check
+            tasks.setdefault(key, []).append(len(_JOBS))
+            _JOBS.append((code, name, run))
         order = [tuple(tasks[key]) for key in
-                 sorted(tasks, key=lambda key: isinstance(key[1], str))]
+                 sorted(tasks, key=lambda key: isinstance(key, str))]
         records = [None] * len(_JOBS)
         for task, got in zip(order, _map_groups(_run_task, order)):
             for i, record in zip(task, got):
@@ -239,19 +238,19 @@ def _split_records(config: dict, codes: list) -> list:
 
 
 def run_suite(config: dict) -> Report:
-    """Every check of every group of the config, in one report.  With at
-    least as many groups as CPUs each group is one unit of parallel work
-    (``_group_records``); with fewer, each group's checks are split into
-    tasks (``_split_records``), so that a lone group uses every CPU.  The
-    records come out in the same order either way."""
+    """Every check of every group of the config, in one report.  Each
+    group is one unit of parallel work (``_group_records``), except a lone
+    group on two or more CPUs, whose checks are split into tasks
+    (``_split_records``) so that it uses every CPU.  The records come out
+    in the same order either way."""
     codes = [canonical_code(code) for code in config["groups"]]
     for code in codes:          # an unknown code fails before any work
         catalogue_entry(code, config.get("allow_long", False))
-    if len(codes) >= _cpu_count():
+    if len(codes) == 1 < _cpu_count():
+        records = _split_records(config, codes[0])
+    else:
         records = [r for group in _map_groups(
             partial(_group_records, config), codes) for r in group]
-    else:
-        records = _split_records(config, codes)
     return Report(config=_config_doc(config), records=records)
 
 

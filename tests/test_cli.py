@@ -469,8 +469,8 @@ def _log_jobs(monkeypatch, cli, pids):
     ("--group", "B2", "--c-long", "2", "--c-short", "1/3")])
 def test_lone_group_split_matches_one_cpu(tmp_path, capsys, monkeypatch,
                                           argv):
-    # with fewer groups than CPUs the group's checks run as tasks in
-    # workers; the report is byte for byte the one of a one-CPU run
+    # a lone group's checks run as tasks in workers on two CPUs; the
+    # report is byte for byte the one of a one-CPU run
     import multiprocessing
 
     from coxcov import cli
@@ -486,6 +486,50 @@ def test_lone_group_split_matches_one_cpu(tmp_path, capsys, monkeypatch,
         assert not multiprocessing.active_children()
         assert (os.getpid() in _ran_in(pids)) == (cpus == 1)
     assert outs[2] == outs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("groups", [("H3", "A2", "B2"), ("B2", "B2")])
+def test_several_groups_run_one_task_each(tmp_path, capsys, monkeypatch,
+                                          groups):
+    # only a lone group is split: several groups, even fewer than the CPUs
+    # and even one code named twice, run one worker per group, and the
+    # report is byte for byte the one of a one-CPU run
+    import multiprocessing
+
+    from coxcov import cli
+    ran = tmp_path / "ran"
+    real = cli._run_job
+
+    def logged(code, name, run):
+        with open(ran, "a") as f:
+            f.write(f"{code} {os.getpid()}\n")
+        return real(code, name, run)
+
+    monkeypatch.setattr(cli, "_run_job", logged)
+    argv = [arg for code in groups for arg in ("--group", code)]
+    outs = {}
+    for cpus in (4, 1):
+        _cpus(monkeypatch, cpus)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--allow-long",
+                               "--checks", "all", "--samples", "3",
+                               "--emit", "json",
+                               "--cache-dir", str(tmp_path / "cache"))
+        outs[cpus] = code, out.replace(str(tmp_path), "TMP")
+        assert not multiprocessing.active_children()
+        pids: dict = {}
+        for line in ran.read_text().splitlines():
+            code, pid = line.split()
+            pids.setdefault(code, set()).add(int(pid))
+        ran.unlink()
+        assert sorted(pids) == sorted(set(groups))
+        for code, got in pids.items():
+            if cpus == 1:
+                assert got == {os.getpid()}
+            else:
+                assert os.getpid() not in got
+                assert len(got) <= groups.count(code)
+    assert outs[4] == outs[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
