@@ -17,6 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from time import perf_counter
 
 from . import cache as cache_mod
@@ -45,22 +46,21 @@ class UsageError(ValueError):
     pass
 
 
-def _c_values_for(group, c_long, c_short):
-    if c_long is None and c_short is None:
-        return None
-    vals = []
-    for ci in range(len(group.reflection_classes)):
-        if ci == group.class_ell and c_long is not None:
-            vals.append(Fraction(c_long))
-        elif ci != group.class_ell and c_short is not None:
-            vals.append(Fraction(c_short))
-        else:
-            vals.append(Fraction(1))
-    return vals
+def _load(cache_dir, code, allow_long, c_long=None, c_short=None):
+    """The group's ``CovariantStack`` on its cached tables, with Dunkl
+    multiplicity ``c_long`` on the long reflection class and ``c_short`` on
+    the other; an absent value is 1, and with neither given c ≡ 1."""
+    group, cb, _ = cache_mod.load_stack(cache_dir, code,
+                                        allow_long=allow_long)
+    c_values = None
+    if c_long is not None or c_short is not None:
+        c_values = [Fraction(1 if c is None else c) for c in
+                    (c_long if ci == group.class_ell else c_short
+                     for ci in range(len(group.reflection_classes)))]
+    return CovariantStack(group, c_values=c_values, cb=cb)
 
 
 def _molien_check(stack):
-    t0 = perf_counter()
     g = stack.group
     failures = []
     triv = graded_multiplicity_series(g, g.character("trivial"))
@@ -69,15 +69,13 @@ def _molien_check(stack):
     refl = graded_multiplicity_series(g, g.character("reflection"))
     if refl != covariant_series_product_formula(g):
         failures.append("reflection-character series != product formula")
-    return verdict("molien", g.code, failures, {"series": refl.as_list()},
-                   t0)
+    return verdict("molien", g.code, failures, {"series": refl.as_list()})
 
 
 def _differentials_check(stack, seed, n_samples):
-    t0 = perf_counter()
     details = differential_identity_suite(stack.group, stack.cb, seed=seed,
                                           n_samples=n_samples)
-    return verdict("differentials", stack.group.code, [], details, t0)
+    return verdict("differentials", stack.group.code, [], details)
 
 
 def _lie_jobs(code, lie_checks):
@@ -113,26 +111,40 @@ def _cpu_count() -> int:
             if hasattr(os, "sched_getaffinity") else 1)
 
 
-def _map_groups(fn, items):
-    """``[fn(item) for item in items]``.  With two or more items and CPUs
-    in the affinity mask, the items run side by side in workers forked from
-    this process, one per CPU, handed out one at a time in the order given:
-    no worker imports anything again, and each inherits what this process
-    holds.  The results come back in the order of ``items``.  Otherwise
-    they run here and ``multiprocessing`` is never imported."""
-    workers = min(len(items), _cpu_count())
+def _parallel(thunks: list) -> list:
+    """``[run() for run in thunks]``.  With two or more thunks and CPUs in
+    the affinity mask, they run side by side in workers forked from this
+    process, one per CPU, handed out one at a time in the order given.  The
+    workers inherit the thunks through fork, with all this process holds,
+    so only indices and results cross the pipe.  The results are taken in
+    the order given, so the first thunk in that order that raises is the
+    one whose error is raised, as in one process; any error terminates the
+    pool.  Otherwise the thunks run here and ``multiprocessing`` is never
+    imported."""
+    workers = min(len(thunks), _cpu_count())
     if workers < 2:
-        return [fn(item) for item in items]
+        return [run() for run in thunks]
     import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    # with fork, the initializer's arguments reach each worker unpickled
+    pool = multiprocessing.get_context("fork").Pool(workers, _inherit,
+                                                    (thunks,))
     try:
-        return pool.map(fn, items, chunksize=1)
+        return list(pool.imap(_call, range(len(thunks))))
     except BaseException:
         pool.terminate()
         raise
     finally:
         pool.close()
         pool.join()
+
+
+def _inherit(thunks):          # in each worker: the thunks for _call
+    global _thunks
+    _thunks = thunks
+
+
+def _call(i):
+    return _thunks[i]()
 
 
 # one task: all three read the stack's lazily built u_i, f_i and constants()
@@ -157,11 +169,8 @@ def _group_jobs(config: dict, code: str) -> list:
     group_checks = [c for c in checks if c not in LIE_CHECKS]
     jobs = []
     if group_checks:
-        group, cb, _ = cache_mod.load_stack(cache_dir, code,
-                                            allow_long=allow_long)
-        c_values = _c_values_for(group, config.get("c_long"),
-                                 config.get("c_short"))
-        stack = CovariantStack(group, c_values=c_values, cb=cb)
+        stack = _load(cache_dir, code, allow_long, config.get("c_long"),
+                      config.get("c_short"))
     for check in group_checks:
         if check == "differentials":
             jobs.append((check, check, partial(
@@ -188,69 +197,55 @@ def _group_jobs(config: dict, code: str) -> list:
 
 
 def _run_job(code: str, name: str, run):
-    """One record, with a failed certificate as its FAIL record."""
+    """One record, with a failed certificate as its FAIL record.  This is
+    where every record's ``elapsed`` is stamped: the time of ``run``,
+    including any shared set-up its check is the first to need."""
     t0 = perf_counter()
     try:
-        return run()
+        record = run()
     except CertificationError as exc:
-        return verdict(name, code, [str(exc)], {}, t0)
+        record = verdict(name, code, [str(exc)], {})
+    record.elapsed = perf_counter() - t0
+    return record
 
 
-def _group_records(config: dict, code: str) -> list:
-    """The check records of one group, in the order of the config's
-    checks, with a failed certificate as its FAIL record.  They depend on
-    the group, the config and the seed alone: every seeded check makes its
-    own generator from the seed."""
-    return [_run_job(code, name, run)
-            for _, name, run in _group_jobs(config, code)]
-
-
-_JOBS: list = []    # (code, name, thunk) of a split run, inherited by fork
-
-
-def _run_task(task: tuple) -> list:
-    """The records of the jobs ``task`` indexes in ``_JOBS``."""
-    return [_run_job(*_JOBS[i]) for i in task]
-
-
-def _split_records(config: dict, code: str) -> list:
-    """The records of a lone group whose checks are split into tasks.
-    This process loads the group's stack once; the workers inherit it
-    through fork, and only job indices and records cross the pipe.  A task
-    is one check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS``
-    together; those tasks go out first, the rest in check order.  No stack
-    outlives the call."""
-    tasks: dict = {}
-    try:
-        for check, name, run in _group_jobs(config, code):
-            key = STACK_TASK if check in STACK_TASK else check
-            tasks.setdefault(key, []).append(len(_JOBS))
-            _JOBS.append((code, name, run))
-        order = [tuple(tasks[key]) for key in
-                 sorted(tasks, key=lambda key: isinstance(key, str))]
-        records = [None] * len(_JOBS)
-        for task, got in zip(order, _map_groups(_run_task, order)):
-            for i, record in zip(task, got):
-                records[i] = record
-        return records
-    finally:
-        _JOBS.clear()
+def _records(config: dict, code: str, jobs=None) -> list:
+    """The records of ``jobs``, some of the group's ``_group_jobs``, in
+    their order; by default the group's stack is loaded here and every
+    check of the config runs.  They depend on the group, the config and
+    the seed alone: every seeded check makes its own generator from the
+    seed."""
+    if jobs is None:
+        jobs = _group_jobs(config, code)
+    return [_run_job(code, name, run) for _, name, run in jobs]
 
 
 def run_suite(config: dict) -> Report:
-    """Every check of every group of the config, in one report.  Each
-    group is one unit of parallel work (``_group_records``), except a lone
-    group on two or more CPUs, whose checks are split into tasks
-    (``_split_records``) so that it uses every CPU.  The records come out
-    in the same order either way."""
+    """Every check of every group of the config, in one report, with the
+    groups run by ``_parallel``, one thunk per group.  A lone group on two
+    or more CPUs is split instead: this process loads its stack once, and
+    its jobs run by ``_parallel`` as tasks on that stack.  A task is one
+    check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS`` together;
+    those tasks go out first, the rest in check order.  The records come
+    out in the one-process order either way."""
     codes = [canonical_code(code) for code in config["groups"]]
     for code in codes:          # an unknown code fails before any work
         catalogue_entry(code, config.get("allow_long", False))
     if len(codes) == 1 < _cpu_count():
-        records = _split_records(config, codes[0])
+        jobs = _group_jobs(config, codes[0])
+        tasks: dict = {}
+        for i, (check, _, _) in enumerate(jobs):
+            key = STACK_TASK if check in STACK_TASK else check
+            tasks.setdefault(key, []).append(i)
+        order = [tasks[key] for key in
+                 sorted(tasks, key=lambda key: isinstance(key, str))]
+        got = _parallel([partial(_records, config, codes[0],
+                                 [jobs[i] for i in task]) for task in order])
+        ran = dict(zip(chain.from_iterable(order), chain.from_iterable(got)))
+        records = [ran[i] for i in range(len(jobs))]
     else:
-        records = [r for group in _map_groups(
-            partial(_group_records, config), codes) for r in group]
+        records = list(chain.from_iterable(_parallel(
+            [partial(_records, config, code) for code in codes])))
     return Report(config=_config_doc(config), records=records)
 
 
@@ -365,16 +360,15 @@ def cmd_series(args) -> int:
     for code in groups:
         code = canonical_code(code)
         if args.char == "little-adjoint":
-            group, cb, _ = cache_mod.load_stack(cache_dir, code,
-                                                allow_long=args.allow_long)
+            stack = _load(cache_dir, code, args.allow_long)
+            group = stack.group
             if len(group.reflection_classes) != 2:
                 raise UsageError(f"{code} has a single reflection class")
-            stack = CovariantStack(group, cb=cb)
             from .little_adjoint import (split_group, subgroup_invariants,
                                          u_target_space, ubar_decomposition)
-            split = split_group(stack.group)
+            split = split_group(group)
             dec = ubar_decomposition(split, subgroup_invariants(split))
-            chi = u_target_space(stack, dec).character(stack.group)
+            chi = u_target_space(stack, dec).character(group)
         else:
             group = build_group(code, allow_long=args.allow_long)
             chi = group.character(args.char)
@@ -394,11 +388,10 @@ def cmd_constants(args) -> int:
     records = []
     for code in groups:
         code = canonical_code(code)
-        group, cb, _ = cache_mod.load_stack(cache_dir, code,
-                                            allow_long=args.allow_long)
-        c_values = _c_values_for(group, args.c_long, args.c_short)
-        stack = CovariantStack(group, c_values=c_values, cb=cb)
-        records.append(constants_table(stack))
+        stack = _load(cache_dir, code, args.allow_long, args.c_long,
+                      args.c_short)
+        records.append(_run_job(code, "constants",
+                                partial(constants_table, stack)))
     report = Report(config={"groups": [canonical_code(g) for g in groups],
                             "checks": ["constants"], "seed": args.seed,
                             "cache_dir": str(cache_dir)},
@@ -434,8 +427,9 @@ def cmd_cache(args) -> int:
         codes.append(code)
     # a repeated group is loaded once; its later lines read that file
     distinct = list(dict.fromkeys(codes))
-    loaded = dict(zip(distinct, _map_groups(
-        partial(_cache_line, cache_dir, args.allow_long), distinct)))
+    loaded = dict(zip(distinct, _parallel(
+        [partial(_cache_line, cache_dir, args.allow_long, code)
+         for code in distinct])))
     for i, code in enumerate(codes):
         head, from_cache = loaded[code]
         src = "cache" if from_cache or code in codes[:i] else "rebuilt"

@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
 from .differentials import DunklParams, de_rham, dunkl
@@ -276,7 +275,6 @@ class CovariantStack:
 # ---------------------------------------------------------------------------
 
 def solomon_check(stack: CovariantStack) -> CheckRecord:
-    t0 = perf_counter()
     g = stack.group
     r = g.rank
     failures = []
@@ -310,7 +308,7 @@ def solomon_check(stack: CovariantStack) -> CheckRecord:
     if top != expected:
         failures.append("product of all p_i != det(G^{-1}) top (x) Delta")
     return verdict("solomon", g.code, failures,
-                   {"series": formula.as_list(), "dim_bw": solver.rank}, t0)
+                   {"series": formula.as_list(), "dim_bw": solver.rank})
 
 
 def pairing_constants(stack: CovariantStack, odd, even, half):
@@ -435,7 +433,6 @@ def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
 
 
 def constants_table(stack: CovariantStack) -> CheckRecord:
-    t0 = perf_counter()
     _, pattern, consts, failures = stack.constants()
     details = {
         "pattern": {f"{i},{j}": s for (i, j), s in sorted(pattern.items())},
@@ -444,11 +441,10 @@ def constants_table(stack: CovariantStack) -> CheckRecord:
     }
     if (1, 1) in consts:
         details["k11"] = scalar_str(consts[(1, 1)])
-    return verdict("constants", stack.group.code, failures, details, t0)
+    return verdict("constants", stack.group.code, failures, details)
 
 
 def freeness_check(stack: CovariantStack) -> CheckRecord:
-    t0 = perf_counter()
     g = stack.group
     r = g.rank
     failures = []
@@ -460,11 +456,10 @@ def freeness_check(stack: CovariantStack) -> CheckRecord:
     count, basis_failures = free_basis_failures(stack, gens, range(1, r),
                                                 molien)
     return verdict("freeness", g.code, failures + basis_failures,
-                   {"series": formula.as_list(), "ungraded": count}, t0)
+                   {"series": formula.as_list(), "ungraded": count})
 
 
 def pr_structure_check(stack: CovariantStack) -> CheckRecord:
-    t0 = perf_counter()
     r = stack.group.rank
     evals, _, consts, const_failures = stack.constants()
     failures = top_p_failures(stack, [stack.u(i) for i in range(1, r + 1)],
@@ -472,13 +467,12 @@ def pr_structure_check(stack: CovariantStack) -> CheckRecord:
                               evals, consts)
     if const_failures:
         failures.insert(0, "constants table failed")
-    return verdict("structure", stack.group.code, failures, {}, t0)
+    return verdict("structure", stack.group.code, failures, {})
 
 
 def j2_invariance_check(stack: CovariantStack, seed: int = 0) -> CheckRecord:
     """Perturb each psi_i by a random homogeneous element of J^2 of matching
     degree and check the p_i are unchanged."""
-    t0 = perf_counter()
     g = stack.group
     rng = random.Random(seed)
     psis = g.basic_invariants()
@@ -508,4 +502,4 @@ def j2_invariance_check(stack: CovariantStack, seed: int = 0) -> CheckRecord:
     return verdict("j2-invariance", g.code, failures,
                    {"perturbed": perturbed,
                     "note": "vacuous degrees skipped" if perturbed < g.rank
-                    else ""}, t0)
+                    else ""})

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from time import perf_counter
 
 from .coinvariants import CoinvariantBasis
 from .covariants import map_vec
@@ -222,7 +221,6 @@ def tau_closed_form(L: LieAlgebraData, root_coords) -> dict:
 
 
 def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
-    t0 = perf_counter()
     failures = []
     details: dict = {}
     # tau(t_alpha) against the closed form, every positive root
@@ -267,11 +265,10 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     if not (per >= bound and per > 0):
         failures.append("permanent lower bound fails")
     details["bound_equality"] = per == bound
-    return verdict("weyl-denominator", L.code, failures, details, t0)
+    return verdict("weyl-denominator", L.code, failures, details)
 
 
 def tau_harmonic_injectivity(L: LieAlgebraData) -> CheckRecord:
-    t0 = perf_counter()
     failures = []
     dims = []
     for m in range(L.n_pos + 1):
@@ -286,7 +283,7 @@ def tau_harmonic_injectivity(L: LieAlgebraData) -> CheckRecord:
         if rank != len(harms):
             failures.append(f"tau rank {rank} < dim A_{m} = {len(harms)}")
     return verdict("tau-injectivity", L.code, failures,
-                   {"rank": [[m, d, r] for m, d, r in dims]}, t0)
+                   {"rank": [[m, d, r] for m, d, r in dims]})
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +535,6 @@ def hom_from_hwv(L: LieAlgebraData, model: ModuleModel, hw: dict):
 def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:
     """Rank report for Phi^V on Hom_g(V, Lambda g); a rank defect is a
     finding about the injectivity conjecture, not an engine failure."""
-    t0 = perf_counter()
     model = module_model(L, model_name)
     failures = []
     per_degree = []
@@ -572,14 +568,12 @@ def phi_injectivity_test(L: LieAlgebraData, model_name: str) -> CheckRecord:
     if failures:
         details["witness"] = failures
     return CheckRecord(f"phi-injectivity[{model_name}]", L.code,
-                       FAIL if failures else FINDING, details,
-                       perf_counter() - t0)
+                       FAIL if failures else FINDING, details)
 
 
 def reeder_record(L: LieAlgebraData, model_name: str) -> CheckRecord:
     """Exact equality of the Molien series of the zero-weight character and
     the brute-force Lambda(g) covariant series."""
-    t0 = perf_counter()
     model = module_model(L, model_name)
     lie_side = lie_covariant_series(L, model)
     chi = L.weyl.character(model.zero_char)
@@ -593,5 +587,4 @@ def reeder_record(L: LieAlgebraData, model_name: str) -> CheckRecord:
         "equal": equal,
     }
     return CheckRecord(f"reeder[{model_name}]", L.code,
-                       PASS if equal else FINDING, details,
-                       perf_counter() - t0)
+                       PASS if equal else FINDING, details)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from time import perf_counter
 
 from .coinvariants import _pairing, hilbert_coinvariants
 from .covariants import (CovariantMap, CovariantStack, TargetSpace,
@@ -384,7 +383,6 @@ def _wp_reflection_character(split: SplitGroupData):
 def little_adjoint_suite(stack: CovariantStack,
                          use_class: int | None = None,
                          label: str = "little-adjoint") -> CheckRecord:
-    t0 = perf_counter()
     group = stack.group
     cb = stack.cb
     field = group.field
@@ -392,7 +390,7 @@ def little_adjoint_suite(stack: CovariantStack,
     failures = []
     details: dict = {}
     if len(group.reflection_classes) != 2:
-        return verdict(label, group.code, ["no length classes"], {}, t0)
+        return verdict(label, group.code, ["no length classes"], {})
 
     split = split_group(group, use_class)
     details["orientation"] = split.use_class
@@ -527,4 +525,4 @@ def little_adjoint_suite(stack: CovariantStack,
         details["free_subalgebra"] = [f"p_{i}" for i in free_subset]
 
     failures += top_p_failures(stack, vs, gs, evals, m_table)
-    return verdict(label, group.code, failures, details, t0)
+    return verdict(label, group.code, failures, details)

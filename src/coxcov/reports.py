@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from time import perf_counter
 
 from .fields import AlgNum
 
@@ -65,14 +64,13 @@ class CheckRecord:
         }
 
 
-def verdict(name: str, group: str, failures: list, details: dict,
-            started: float) -> CheckRecord:
-    """PASS record, or FAIL with the failures as its witness; ``elapsed``
-    runs from ``started``, a ``time.perf_counter()`` reading."""
+def verdict(name: str, group: str, failures: list,
+            details: dict) -> CheckRecord:
+    """PASS record, or FAIL with the failures as its witness.  Its
+    ``elapsed`` is left unset: the CLI stamps it (``cli._run_job``)."""
     if failures:
         details["witness"] = list(failures)
-    return CheckRecord(name, group, FAIL if failures else PASS, details,
-                       perf_counter() - started)
+    return CheckRecord(name, group, FAIL if failures else PASS, details)
 
 
 @dataclass

@@ -145,9 +145,6 @@ class Weil:
     def total_degrees(self) -> set:
         return {k + 2 * d for (k, d) in self.bidegrees()}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.total_degrees()) <= 1
-
     def total_degree(self) -> int:
         """Total degree of a homogeneous element; -1 for zero."""
         degs = self.total_degrees()

@@ -102,6 +102,38 @@ def test_constants_command(tmp_path, capsys):
     assert consts["1,1"] == "2"
 
 
+def test_constants_verb_fails_a_certificate_like_verify(tmp_path, capsys,
+                                                         monkeypatch):
+    # a failed certificate is a FAIL record with its witness, exit 1, from
+    # the constants verb as from verify
+    from coxcov import covariants
+
+    def planted(stack, *args):
+        raise CertificationError("planted: B2 constants")
+
+    monkeypatch.setattr(covariants, "pairing_constants", planted)
+    results = []
+    for verb in (("constants",), ("verify", "--checks", "constants")):
+        code, out, err = run_cli(capsys, *verb, "--group", "B2", "--emit",
+                                 "json", "--cache-dir", str(tmp_path))
+        assert code == 1 and "Traceback" not in err
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1] == [
+        {"check": "constants", "group": "B2", "status": "fail",
+         "details": {"witness": ["planted: B2 constants"]}}]
+
+
+def test_constants_verb_times_its_record(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "constants", "--group", "A2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert re.search(r"^PASS     A2       constants \[\d+\.\d\ds\]$", out,
+                     flags=re.M)
+    code, out, _ = run_cli(capsys, "constants", "--group", "A2", "--emit",
+                           "json", "--cache-dir", str(tmp_path))
+    assert code == 0 and "elapsed" not in out
+
+
 def test_cache_lifecycle(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cache", "build", "--group", "A2",
                            "--cache-dir", str(tmp_path))
@@ -636,6 +668,56 @@ def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                              "--cache-dir", str(tmp_path))
     assert code == 2 and "Z9" in err
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_group_in_order_raises(tmp_path, capsys, monkeypatch,
+                                             cpus):
+    # B2's error comes first in time, but A2 comes first in the order
+    # given, so A2's error is raised, on two CPUs as in one process
+    import multiprocessing
+    import time
+
+    from coxcov import cli
+    from coxcov.groups import CatalogueError
+    _cpus(monkeypatch, cpus)
+    real = cli.solomon_check
+
+    def planted(stack):
+        if stack.group.code == "A2":
+            time.sleep(0.5)
+            raise RuntimeError("planted: A2")
+        if stack.group.code == "B2":
+            raise CatalogueError("planted: B2")
+        return real(stack)
+
+    monkeypatch.setattr(cli, "solomon_check", planted)
+    code, out, err = run_cli(capsys, "verify", "--group", "A1", "--group",
+                             "A2", "--group", "B2", "--checks", "solomon",
+                             "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "RuntimeError: planted: A2" in err and "planted: B2" not in err
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus, groups, checks", [
+    (1, ("A2", "B2"), "all"),
+    # a lone group split into tasks, the Lie-side records among them
+    (2, ("A2",), "molien,reeder,lie-bridge"),
+    (4, ("A1", "A2", "B2"), "all")])
+def test_every_record_is_timed(tmp_path, monkeypatch, cpus, groups, checks):
+    from coxcov import cli
+    _cpus(monkeypatch, cpus)
+    report = cli.run_suite({"groups": list(groups),
+                            "checks": cli._parse_checks(checks),
+                            "seed": 0, "n_samples": 3,
+                            "cache_dir": str(tmp_path)})
+    names = {r.name for r in report.records}
+    assert {"molien", "reeder[adjoint]", "weyl-denominator"} <= names
+    assert all(r.elapsed is not None for r in report.records)
+    assert "elapsed" not in report.to_json()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
