@@ -13,6 +13,7 @@ Exit codes: 0 all pass (findings allowed), 1 at least one fail,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
@@ -49,7 +50,8 @@ class UsageError(ValueError):
 def _load(cache_dir, code, allow_long, c_long=None, c_short=None):
     """The group's ``CovariantStack`` on its cached tables, with Dunkl
     multiplicity ``c_long`` on the long reflection class and ``c_short`` on
-    the other; an absent value is 1, and with neither given c ≡ 1."""
+    the other; an absent value is 1, and with neither given c ≡ 1.  A
+    multiplicity with |T|_c = 0 is a ``UsageError``."""
     group, cb, _ = cache_mod.load_stack(cache_dir, code,
                                         allow_long=allow_long)
     c_values = None
@@ -57,7 +59,10 @@ def _load(cache_dir, code, allow_long, c_long=None, c_short=None):
         c_values = [Fraction(1 if c is None else c) for c in
                     (c_long if ci == group.class_ell else c_short
                      for ci in range(len(group.reflection_classes)))]
-    return CovariantStack(group, c_values=c_values, cb=cb)
+    try:
+        return CovariantStack(group, c_values=c_values, cb=cb)
+    except ValueError as exc:       # the degenerate multiplicity
+        raise UsageError(f"{code}: {exc}") from None
 
 
 def _molien_check(stack):
@@ -159,7 +164,7 @@ def _group_jobs(config: dict, code: str) -> list:
     the thunks share it."""
     checks = config["checks"]
     seed = config.get("seed", 0)
-    cache_dir = config.get("cache_dir") or cache_mod.default_cache_dir()
+    cache_dir = config["cache_dir"]
     allow_long = config.get("allow_long", False)
     # looked up per call, so that a wrapped check function is the one run
     stack_checks = {"solomon": solomon_check, "constants": constants_table,
@@ -228,9 +233,7 @@ def run_suite(config: dict) -> Report:
     check, or the checks of ``STACK_TASK`` or of ``LIE_CHECKS`` together;
     those tasks go out first, the rest in check order.  The records come
     out in the one-process order either way."""
-    codes = [canonical_code(code) for code in config["groups"]]
-    for code in codes:          # an unknown code fails before any work
-        catalogue_entry(code, config.get("allow_long", False))
+    codes = config["groups"]
     if len(codes) == 1 < _cpu_count():
         jobs = _group_jobs(config, codes[0])
         tasks: dict = {}
@@ -246,14 +249,8 @@ def run_suite(config: dict) -> Report:
     else:
         records = list(chain.from_iterable(_parallel(
             [partial(_records, config, code) for code in codes])))
-    return Report(config=_config_doc(config), records=records)
-
-
-def _config_doc(config):
-    doc = {k: v for k, v in config.items() if v is not None}
-    doc["cache_dir"] = str(doc.get("cache_dir") or
-                           cache_mod.default_cache_dir())
-    return doc
+    return Report(config={k: v for k, v in config.items() if v is not None},
+                  records=records)
 
 
 def _parse_checks(spec: str):
@@ -268,99 +265,140 @@ def _parse_checks(spec: str):
     return out
 
 
-def _add_common(p):
-    p.add_argument("--group", action="append", dest="groups", default=None,
-                   help="group code (repeatable); default: the full suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit", choices=["json", "text"], default="text")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--allow-long", action="store_true")
-    p.add_argument("--c-long", default=None,
-                   help="rational multiplicity on the long reflection class")
-    p.add_argument("--c-short", default=None,
-                   help="rational multiplicity on the short reflection class")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_rational(value) -> bool:
+    """An int, a string that ``Fraction`` parses, or None (not given)."""
+    try:
+        return value is None or _is_int(value) or (
+            isinstance(value, str) and Fraction(value) is not None)
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# what a given value of each config key must be
+VALID = {"groups": ("a list of group codes", _is_strings),
+         "checks": ("a comma list or a list of check names",
+                    lambda v: isinstance(v, str) or _is_strings(v)),
+         "seed": ("an integer", _is_int),
+         "samples": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+         "c_long": ("an integer or a fraction string", _is_rational),
+         "c_short": ("an integer or a fraction string", _is_rational),
+         "cache_dir": ("a string", lambda v: v is None or isinstance(v, str)),
+         "allow_long": ("true or false", lambda v: isinstance(v, bool))}
+# the groups a verb (a cache action) runs without --group
+VERB_GROUPS = {"verify": DEFAULT_GROUPS, "build": DEFAULT_GROUPS,
+               "series": ["A2"], "constants": ["B2"]}
+
+
+def _config_file(path) -> dict:
+    """The keys of a JSON config file."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError("a config file must hold a JSON object")
+    unknown = sorted(set(doc) - set(VALID))
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}; valid: "
+                         f"{', '.join(VALID)}")
+    return doc
+
+
+def make_config(args) -> dict:
+    """The one validated config of a verb: its flags over, for
+    ``verify``, its ``--config`` file, over the defaults, with only the
+    keys the verb reads, and values as given.  A bad value, in a flag or
+    in the file, raises ``UsageError``.  Every group code comes out
+    canonical and, unless it is only purged, looked up in the catalogue,
+    which refuses H4 without ``allow_long``."""
+    flags = vars(args)
+    file_keys = _config_file(args.config) if flags.get("config") else {}
+    given = {k: v for k, v in flags.items() if k in VALID and v is not None}
+    for key, value in chain(file_keys.items(), given.items()):
+        what, ok = VALID[key]
+        if not ok(value):
+            raise UsageError(f"{key} must be {what}, not {value!r}")
+    given = {**file_keys, **given}
+    action = flags.get("action")
+    if action == "inspect" and "groups" in given:
+        raise UsageError("cache inspect lists every file; it takes no --group")
+    config = {"groups": VERB_GROUPS.get(action or args.cmd), "checks": "all",
+              "seed": 0, "samples": 50, "allow_long": False,
+              "c_long": None, "c_short": None, **given,
+              "emit": flags.get("emit")}
+    checks = config["checks"]
+    config["checks"] = _parse_checks(
+        checks if isinstance(checks, str) else ",".join(checks))
+    config["cache_dir"] = (config.get("cache_dir") or
+                           str(cache_mod.default_cache_dir()))
+    if config["groups"] is not None:
+        config["groups"] = [canonical_code(g) for g in config["groups"]]
+        if action != "purge":       # a purge builds no group
+            for code in config["groups"]:
+                catalogue_entry(code, config["allow_long"])
+    config = {k: v for k, v in config.items() if k in flags}
+    if "samples" in config:     # the name a report gives it
+        config["n_samples"] = config.pop("samples")
+    return config
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # one line on stderr, exit 2
+        self.exit(2, f"error: {message}\n")
 
 
 def make_parser():
-    ap = argparse.ArgumentParser(prog="coxcov")
+    ap = _Parser(prog="coxcov")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
     v = sub.add_parser("verify", help="run verification checks")
-    _add_common(v)
-    v.add_argument("--checks", default=None,
-                   help="comma list from " + ",".join(ALL_CHECKS))
-    v.add_argument("--samples", type=int, default=None,
-                   help="random elements per differential identity")
-    v.add_argument("--config", default=None,
-                   help="JSON config file; explicit flags win on conflict")
-    v.set_defaults(seed=None)   # so that an explicit --seed 0 wins too
-
     s = sub.add_parser("series", help="graded multiplicity series")
-    _add_common(s)
-    s.add_argument("--char", default="reflection",
-                   choices=["trivial", "sign", "reflection", "little-adjoint"])
-
     c = sub.add_parser("constants", help="the k_ij table")
-    _add_common(c)
-
     k = sub.add_parser("cache", help="manage the on-disk cache")
     k.add_argument("action", choices=["build", "inspect", "purge"])
-    _add_common(k)
+    # each verb takes the options it reads; an option not given is None
+    for p in (v, s, c, k):
+        p.add_argument("--group", action="append", dest="groups",
+                       help="group code (repeatable)")
+        p.add_argument("--cache-dir")
+        p.add_argument("--allow-long", action="store_true", default=None)
+    for p in (v, s, c):
+        p.add_argument("--emit", choices=["json", "text"], default="text")
+    for p in (v, c):
+        p.add_argument("--seed", type=int)
+        for side in ("long", "short"):
+            p.add_argument(f"--c-{side}", help="rational multiplicity on the "
+                           f"{side} reflection class")
+    v.add_argument("--checks", help="comma list from " + ",".join(ALL_CHECKS))
+    v.add_argument("--samples", type=int,
+                   help="random elements per differential identity")
+    v.add_argument("--config",
+                   help="JSON config file; explicit flags win on conflict")
+    s.add_argument("--char", default="reflection",
+                   choices=["trivial", "sign", "reflection", "little-adjoint"])
     return ap
 
 
-def cmd_verify(args) -> int:
-    import json as _json
-    file_cfg = {}
-    if args.config:
-        try:
-            file_cfg = _json.loads(open(args.config).read())
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    groups = pick(args.groups, "groups", list(DEFAULT_GROUPS))
-    allow_long = args.allow_long or file_cfg.get("allow_long", False)
-    for g in groups:
-        if canonical_code(g) == "H4" and not allow_long:
-            print("H4 is an opt-in long run: exact linear algebra at degree "
-                  "~58; rerun with --allow-long.", file=sys.stderr)
-            return 2
-    checks = pick(args.checks, "checks", "all")
-    if isinstance(checks, str):
-        checks = _parse_checks(checks)
-    else:
-        checks = _parse_checks(",".join(checks))
-    config = {
-        "groups": [canonical_code(g) for g in groups],
-        "checks": checks,
-        "seed": pick(args.seed, "seed", 0),
-        "c_long": pick(args.c_long, "c_long", None),
-        "c_short": pick(args.c_short, "c_short", None),
-        "cache_dir": pick(args.cache_dir, "cache_dir", None),
-        "allow_long": allow_long,
-        "n_samples": pick(args.samples, "samples", 50),
-        "emit": args.emit,
-    }
+def cmd_verify(args, config) -> int:
     report = run_suite(config)
-    sys.stdout.write(report.to_json() if args.emit == "json"
+    sys.stdout.write(report.to_json() if config["emit"] == "json"
                      else report.to_text())
     return report.exit_code()
 
 
-def cmd_series(args) -> int:
-    import json as _json
-    groups = args.groups or ["A2"]
+def cmd_series(args, config) -> int:
     out = {}
-    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
-    for code in groups:
-        code = canonical_code(code)
+    for code in config["groups"]:
         if args.char == "little-adjoint":
-            stack = _load(cache_dir, code, args.allow_long)
+            stack = _load(config["cache_dir"], code, config["allow_long"])
             group = stack.group
             if len(group.reflection_classes) != 2:
                 raise UsageError(f"{code} has a single reflection class")
@@ -370,65 +408,49 @@ def cmd_series(args) -> int:
             dec = ubar_decomposition(split, subgroup_invariants(split))
             chi = u_target_space(stack, dec).character(group)
         else:
-            group = build_group(code, allow_long=args.allow_long)
+            group = build_group(code, allow_long=config["allow_long"])
             chi = group.character(args.char)
         series = graded_multiplicity_series(group, chi)
         out[code] = series.as_list()
-    if args.emit == "json":
-        sys.stdout.write(_json.dumps(out, sort_keys=True, indent=2) + "\n")
+    if config["emit"] == "json":
+        sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     else:
         for code, coeffs in out.items():
             sys.stdout.write(f"{code} {args.char}: {coeffs}\n")
     return 0
 
 
-def cmd_constants(args) -> int:
-    groups = args.groups or ["B2"]
-    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+def cmd_constants(args, config) -> int:
     records = []
-    for code in groups:
-        code = canonical_code(code)
-        stack = _load(cache_dir, code, args.allow_long, args.c_long,
-                      args.c_short)
+    for code in config["groups"]:
+        stack = _load(config["cache_dir"], code, config["allow_long"],
+                      config["c_long"], config["c_short"])
         records.append(_run_job(code, "constants",
                                 partial(constants_table, stack)))
-    report = Report(config={"groups": [canonical_code(g) for g in groups],
-                            "checks": ["constants"], "seed": args.seed,
-                            "cache_dir": str(cache_dir)},
+    report = Report(config={"groups": config["groups"],
+                            "checks": ["constants"], "seed": config["seed"],
+                            "cache_dir": config["cache_dir"]},
                     records=records)
-    sys.stdout.write(report.to_json() if args.emit == "json"
+    sys.stdout.write(report.to_json() if config["emit"] == "json"
                      else report.to_text())
     return report.exit_code()
 
 
-def cmd_cache(args) -> int:
-    import json as _json
-    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+def cmd_cache(args, config) -> int:
+    cache_dir, codes = config["cache_dir"], config["groups"]
     if args.action == "inspect":
-        sys.stdout.write(_json.dumps(cache_mod.inspect_cache(cache_dir),
-                                     indent=2) + "\n")
+        sys.stdout.write(json.dumps(cache_mod.inspect_cache(cache_dir),
+                                    indent=2) + "\n")
         return 0
     if args.action == "purge":
-        n = 0
-        if args.groups:
-            for g in args.groups:
-                n += cache_mod.purge_cache(cache_dir, canonical_code(g))
-        else:
-            n = cache_mod.purge_cache(cache_dir)
+        n = (sum(cache_mod.purge_cache(cache_dir, code) for code in codes)
+             if codes else cache_mod.purge_cache(cache_dir))
         sys.stdout.write(f"purged {n} cache file(s)\n")
         return 0
-    codes = []
-    for g in args.groups or DEFAULT_GROUPS:
-        code = canonical_code(g)
-        if code == "H4" and not args.allow_long:
-            print("skipping H4 (needs --allow-long)", file=sys.stderr)
-            continue
-        catalogue_entry(code, args.allow_long)
-        codes.append(code)
     # a repeated group is loaded once; its later lines read that file
     distinct = list(dict.fromkeys(codes))
     loaded = dict(zip(distinct, _parallel(
-        [partial(_cache_line, cache_dir, args.allow_long, code)
+        [partial(_cache_line, cache_dir, config["allow_long"], code)
          for code in distinct])))
     for i, code in enumerate(codes):
         head, from_cache = loaded[code]
@@ -453,16 +475,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    verbs = {"verify": cmd_verify, "series": cmd_series,
+             "constants": cmd_constants, "cache": cmd_cache}
     try:
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        if args.cmd == "series":
-            return cmd_series(args)
-        if args.cmd == "constants":
-            return cmd_constants(args)
-        if args.cmd == "cache":
-            return cmd_cache(args)
-        raise UsageError("no command")
+        return verbs[args.cmd](args, make_config(args))
     except (UsageError, CatalogueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,7 +110,8 @@ def catalogue_entry(code: str, allow_long: bool = False):
             gram[i][i + 1] = gram[i + 1][i] = field.coerce(-1)
         simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
         if r == 4 and not allow_long:
-            raise CatalogueError("H4 is an opt-in long run; pass "
+            raise CatalogueError("H4 is an opt-in long run (exact linear "
+                                 "algebra at degree ~58); pass "
                                  "allow_long=True / --allow-long")
         degrees = (2, 6, 10) if r == 3 else (2, 12, 20, 30)
         return r, field, gram, simples, degrees, ("H", None)

@@ -86,8 +86,7 @@ class LieAlgebraData:
     brackets: dict              # (i, j) -> coordinates {k: c} of [x_i, x_j]
     pos_roots: list             # (root coords, e index, f index)
     root_weights: list          # weight vector of each basis element
-    t_gram: list                # ((alpha_i, alpha_j)) on simple coroots
-    weyl: ReflectionGroup       # bridge realization over the t-coordinates
+    weyl: ReflectionGroup       # bridge group, Gram ((alpha_i, alpha_j))
     cb: CoinvariantBasis
     mats: list                  # defining-representation matrices of the basis
     tau_coords: list            # tau(x_i) for the Cartan coordinates x_i
@@ -95,14 +94,6 @@ class LieAlgebraData:
     @property
     def n_pos(self) -> int:
         return len(self.pos_roots)
-
-    def pair_roots(self, a_coords, b_coords) -> Fraction:
-        total = Fraction(0)
-        for i, x in enumerate(a_coords):
-            for j, y in enumerate(b_coords):
-                if x and y:
-                    total += x * self.t_gram[i][j] * y
-        return total
 
 
 def build_lie(code: str) -> LieAlgebraData:
@@ -176,8 +167,7 @@ def build_lie(code: str) -> LieAlgebraData:
     tau_coords = [_combine((weyl.gram_inv[i][j], s_imgs[j])
                            for j in range(rank)) for i in range(rank)]
     return LieAlgebraData(code, dim, rank, form, brackets, pos, weights,
-                          t_gram, weyl,
-                          CoinvariantBasis(weyl), mats, tau_coords)
+                          weyl, CoinvariantBasis(weyl), mats, tau_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +192,11 @@ def tau_map(L: LieAlgebraData, p: Poly) -> dict:
     return out
 
 
-def t_alpha_form(L: LieAlgebraData, root_coords) -> Poly:
-    """The linear polynomial (t_beta, x) in the bridge coordinates."""
-    coeffs = [sum(c * L.t_gram[j][i] for j, c in enumerate(root_coords))
-              for i in range(L.rank)]
-    return Poly.linear_form(coeffs, QQ)
-
-
 def tau_closed_form(L: LieAlgebraData, root_coords) -> dict:
     """sum over positive beta of (beta, alpha) e_beta wedge e_{-beta}."""
     acc: dict = {}
     for coords, ei, fi in L.pos_roots:
-        c = L.pair_roots(coords, root_coords)
+        c = L.weyl.inner.pair(coords, root_coords)
         if c:
             acc = add_terms(acc, {(1 << ei) | (1 << fi):
                                   merge_sign(1 << ei, 1 << fi) * c})
@@ -225,19 +208,19 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     details: dict = {}
     # tau(t_alpha) against the closed form, every positive root
     for coords, _, _ in L.pos_roots:
-        lhs = tau_map(L, t_alpha_form(L, coords))
+        lhs = tau_map(L, L.weyl.geometric_form(coords))
         if lhs != tau_closed_form(L, coords):
             failures.append(f"tau(t_alpha) mismatch at {coords}")
     # tau of the Weyl denominator
     P = Poly.constant(1, L.rank, QQ)
     for coords, _, _ in L.pos_roots:
-        P = P * t_alpha_form(L, coords)
+        P = P * L.weyl.geometric_form(coords)
     img = tau_map(L, P)
     blocks = {0: Fraction(1)}
     for coords, ei, fi in L.pos_roots:
         blocks = wedge_terms(blocks, {(1 << ei) | (1 << fi):
                                       Fraction(merge_sign(1 << ei, 1 << fi))})
-    amat = [[L.pair_roots(a[0], b[0]) for b in L.pos_roots]
+    amat = [[L.weyl.inner.pair(a[0], b[0]) for b in L.pos_roots]
             for a in L.pos_roots]
     per = Fraction(0)
     n = len(amat)
@@ -254,13 +237,13 @@ def weyl_denominator_check(L: LieAlgebraData) -> CheckRecord:
     for coords, _, _ in L.pos_roots:
         for i, c in enumerate(coords):
             rho[i] += Fraction(c, 2)
-    rr = L.pair_roots(rho, rho)
+    rr = L.weyl.inner.pair(rho, rho)
     bound = Fraction(1)
     for k in range(2, n + 1):
         bound *= k
     bound /= rr ** n
     for coords, _, _ in L.pos_roots:
-        bound *= L.pair_roots(coords, rho) ** 2
+        bound *= L.weyl.inner.pair(coords, rho) ** 2
     details["bound"] = str(bound)
     if not (per >= bound and per > 0):
         failures.append("permanent lower bound fails")

@@ -416,6 +416,95 @@ def test_c_values_flow(tmp_path, capsys):
     assert code == 0
 
 
+def test_config_values_echo_as_given(tmp_path, capsys):
+    # a file's int stays an int and a flag's value a string; a fraction
+    # string is read exactly, so "0.1" is the c of --c-long 1/10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "groups": ["B2"], "checks": ["solomon"], "c_long": 2,
+        "c_short": "0.1", "seed": 4, "samples": 3, "allow_long": True,
+        "cache_dir": str(tmp_path)}))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--emit",
+                           "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {
+        "groups": ["B2"], "checks": ["solomon"], "c_long": 2,
+        "c_short": "0.1", "seed": 4, "n_samples": 3, "allow_long": True,
+        "cache_dir": str(tmp_path), "emit": "json"}
+    code, flagged, _ = run_cli(capsys, "verify", "--config", str(cfg),
+                               "--emit", "json", "--c-long", "2",
+                               "--c-short", "1/10")
+    assert code == 0
+    flagged = json.loads(flagged)
+    assert flagged["config"]["c_long"] == "2"
+    assert flagged["results"] == doc["results"]
+
+
+# Each case exits 2 with one line on stderr that names the fault, and no
+# traceback.  A case is the argv, for ``verify`` the keys of a config file
+# it runs with (None: no file), and a word of the line.  Without a file the
+# run is A1 (or B2) alone.
+BAD_INPUT = {
+    "c-long-banana": (["verify", "--group", "A1", "--c-long", "banana"],
+                      None, "c_long"),
+    "c-long-over-zero": (["verify", "--group", "A1", "--c-long", "1/0"],
+                         None, "c_long"),
+    "c-zero-on-B2": (["verify", "--group", "B2", "--c-long", "0",
+                      "--c-short", "0"], None, "degenerate"),
+    "c-sum-zero-on-B2": (["verify", "--group", "B2", "--c-long", "1",
+                          "--c-short", "-1"], None, "degenerate"),
+    "samples-0": (["verify", "--group", "A1", "--samples", "0"], None,
+                  "samples"),
+    "samples-negative": (["verify", "--group", "A1", "--samples", "-3"],
+                         None, "samples"),
+    "series-c-long": (["series", "--group", "B2", "--char", "sign",
+                       "--c-long", "banana"], None, "--c-long"),
+    "series-seed": (["series", "--group", "A2", "--seed", "1"], None,
+                    "--seed"),
+    "cache-emit": (["cache", "build", "--group", "A1", "--emit", "json"],
+                   None, "--emit"),
+    "cache-seed": (["cache", "build", "--group", "A1", "--seed", "1"], None,
+                   "--seed"),
+    "cache-H4": (["cache", "build", "--group", "H4"], None, "allow-long"),
+    "cache-inspect-group": (["cache", "inspect", "--group", "A2"], None,
+                            "--group"),
+    "file-samples-string": (["verify"], {"samples": "ten"}, "samples"),
+    "file-samples-float": (["verify"], {"samples": 2.5}, "samples"),
+    "file-samples-0": (["verify"], {"samples": 0}, "samples"),
+    "file-list": (["verify"], ["A1"], "JSON object"),
+    "file-unknown-key": (["verify"], {"n_samples": 3}, "n_samples"),
+    "file-seed-string": (["verify"], {"seed": "x"}, "seed"),
+    "file-seed-bool": (["verify"], {"seed": True}, "seed"),
+    "file-seed-float": (["verify"], {"seed": 1.5}, "seed"),
+    "file-groups-string": (["verify"], {"groups": "A2"}, "groups"),
+    "file-checks-int": (["verify"], {"checks": 5}, "checks"),
+    "file-c-long-float": (["verify"], {"c_long": 0.1}, "c_long"),
+    "file-c-short-bool": (["verify"], {"c_short": True}, "c_short"),
+    "file-allow-long-string": (["verify"], {"allow_long": "no"},
+                               "allow_long"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    argv, file_keys, word = BAD_INPUT[case]
+    argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    if argv[0] == "verify":
+        argv += ["--checks", "solomon"]
+    if file_keys is not None:
+        cfg = tmp_path / "cfg.json"
+        if isinstance(file_keys, dict):
+            file_keys = {"groups": ["A1"], **file_keys}
+        cfg.write_text(json.dumps(file_keys))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, (code, err)
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert word in err and "Traceback" not in err
+
+
 # -- the groups of a run in forked workers, against the in-process path ------
 
 def _plant_freeness_failure(monkeypatch, cli, pids):

@@ -14,7 +14,7 @@ from coxcov.linalg import SparseSolver
 from coxcov.lie_bridge import (build_lie, hom_from_hwv, hwv_basis,
                                lie_covariant_series, module_model,
                                phi_injectivity_test, phi_map, reeder_record,
-                               t_alpha_form, tau_closed_form,
+                               tau_closed_form,
                                tau_harmonic_injectivity, tau_map,
                                weyl_denominator_check)
 from coxcov.poly import Poly
@@ -210,7 +210,7 @@ def test_pairing_normalization():
 def test_tau_t_alpha_a1():
     L = build_lie("A1")
     # tau(t_alpha) = (alpha, alpha) e ^ f with (alpha, alpha) = 2
-    img = tau_map(L, t_alpha_form(L, (1,)))
+    img = tau_map(L, L.weyl.geometric_form((1,)))
     _, ei, fi = L.pos_roots[0]
     assert img == {(1 << ei) | (1 << fi): Fraction(2)}
 
@@ -219,7 +219,7 @@ def test_tau_closed_form_all_roots():
     for code in ["A1", "A2", "B2"]:
         L = build_lie(code)
         for coords, _, _ in L.pos_roots:
-            assert tau_map(L, t_alpha_form(L, coords)) == \
+            assert tau_map(L, L.weyl.geometric_form(coords)) == \
                 tau_closed_form(L, coords)
 
 
