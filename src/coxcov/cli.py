@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
@@ -318,8 +319,10 @@ def make_config(args) -> dict:
     ``verify``, its ``--config`` file, over the defaults, with only the
     keys the verb reads, and values as given.  A bad value, in a flag or
     in the file, raises ``UsageError``.  Every group code comes out
-    canonical and, unless it is only purged, looked up in the catalogue,
-    which refuses H4 without ``allow_long``."""
+    canonical and looked up in the catalogue, which refuses H4 without
+    ``allow_long`` except in a purge (a purge builds no group).  A
+    ``c_short`` is refused unless a group of the run has a second
+    reflection class (B, F4 and the I2(m) with m even)."""
     flags = vars(args)
     file_keys = _config_file(args.config) if flags.get("config") else {}
     given = {k: v for k, v in flags.items() if k in VALID and v is not None}
@@ -342,9 +345,15 @@ def make_config(args) -> dict:
                            str(cache_mod.default_cache_dir()))
     if config["groups"] is not None:
         config["groups"] = [canonical_code(g) for g in config["groups"]]
-        if action != "purge":       # a purge builds no group
-            for code in config["groups"]:
-                catalogue_entry(code, config["allow_long"])
+        strategies = [catalogue_entry(code, config["allow_long"] or
+                                      action == "purge")[5]
+                      for code in config["groups"]]
+        if config["c_short"] is not None and not any(
+                kind in ("B", "F4") or kind == "I2" and m % 2 == 0
+                for kind, m in strategies):
+            raise UsageError("c_short is read only on a group with two "
+                             "reflection classes, and no group of the run "
+                             "has them")
     config = {k: v for k, v in config.items() if k in flags}
     if "samples" in config:     # the name a report gives it
         config["n_samples"] = config.pop("samples")
@@ -356,10 +365,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+class _Formatter(argparse.HelpFormatter):
+    def _split_lines(self, text, width):    # keeps a check name whole
+        return textwrap.wrap(text, width, break_on_hyphens=False)
+
+
 def make_parser():
     ap = _Parser(prog="coxcov")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    v = sub.add_parser("verify", help="run verification checks")
+    v = sub.add_parser("verify", help="run verification checks",
+                       formatter_class=_Formatter)
     s = sub.add_parser("series", help="graded multiplicity series")
     c = sub.add_parser("constants", help="the k_ij table")
     k = sub.add_parser("cache", help="manage the on-disk cache")
@@ -377,7 +392,7 @@ def make_parser():
         for side in ("long", "short"):
             p.add_argument(f"--c-{side}", help="rational multiplicity on the "
                            f"{side} reflection class")
-    v.add_argument("--checks", help="comma list from " + ",".join(ALL_CHECKS))
+    v.add_argument("--checks", help="comma list from " + ", ".join(ALL_CHECKS))
     v.add_argument("--samples", type=int,
                    help="random elements per differential identity")
     v.add_argument("--config",

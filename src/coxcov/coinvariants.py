@@ -77,7 +77,7 @@ def _weight(expo: tuple) -> int:
     return w
 
 
-def hilbert_coinvariants(degrees, rank):
+def hilbert_coinvariants(degrees):
     """Coefficients of prod (1-t^{d_i})/(1-t)^r = prod [d_i]_t."""
     series = [1]
     for d in degrees:
@@ -157,7 +157,7 @@ class CoinvariantBasis:
         self.rank = group.rank
         self.psis = group.basic_invariants()
         self.top = group.n_reflections
-        self.h_dims = hilbert_coinvariants(group.degrees, group.rank)
+        self.h_dims = hilbert_coinvariants(group.degrees)
         if len(self.h_dims) != self.top + 1:
             raise CertificationError("sum (d_i - 1) != number of reflections")
         if sum(self.h_dims) != group.order:

@@ -29,7 +29,7 @@ from operator import add
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
 from .poly import Poly, monomials_of_degree
-from .reports import CertificationError, certify
+from .reports import certify
 from .weil import Weil, wedge_mul, wedge_terms
 
 
@@ -220,6 +220,7 @@ class ReflectionGroup:
         self._class_data: dict = {}
         self._ext_images: dict = {}
         self._taylor_data: dict = {}
+        self._walks: dict = {}
         gens = [self.reflection_matrix(a) for a in self.simple_roots]
         parents = self._build_roots(gens)
         self._build_elements([self._root_perm(g) for g in gens])
@@ -248,7 +249,7 @@ class ReflectionGroup:
         positive roots, then their negatives in the same order).
 
         Not the positive system of ``simple_roots``: on I2(8) it lists
-        (1 - theta^2, -theta) ~ (-2.41, -1.85).  Descents use ``length``.
+        (1 - theta^2, -theta) ~ (-2.41, -1.85).  The closure records descents.
 
         Returns {root u: (i, v)} for each root that is not simple, with
         u = gens[i] v for a root v reached before u, in the order reached.
@@ -291,7 +292,8 @@ class ReflectionGroup:
         """Breadth-first closure over root permutations, bounded by the
         group order; elements new in a layer are sorted by their matrix.
         Each step multiplies on the right by a simple reflection, so the
-        layer of w, kept in ``length``, is its Coxeter length.
+        layer of w, kept in ``length``, is its Coxeter length, and the step
+        (i, v) by which w = v s_i is first reached is a right descent of w.
 
         The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
         the simple roots a_i (S has them as columns), and w is orthogonal
@@ -342,11 +344,12 @@ class ReflectionGroup:
         perms = [ident]
         elements = [matrix(numerators(ident))]
         length = [0]
+        descents = [None]
         layer = [ident]
         while layer:
             nxt = []
             for pw in layer:
-                for pg in gen_perms:
+                for i, pg in enumerate(gen_perms):
                     p = _compose(pw, pg)
                     if p not in index:
                         if len(index) == self.order:
@@ -354,14 +357,15 @@ class ReflectionGroup:
                                 f"{self.code}: closure passed {self.order} "
                                 f"elements")
                         index[p] = -1
-                        nxt.append((p, numerators(p)))
+                        nxt.append((p, numerators(p), (i, index[pw])))
             nxt.sort(key=lambda pm: pm[1])
-            for p, nums in nxt:
+            for p, nums, step in nxt:
                 index[p] = len(perms)
                 perms.append(p)
                 elements.append(matrix(nums))
+                descents.append(step)
             length += [length[-1] + 1] * len(nxt)
-            layer = [p for p, _ in nxt]
+            layer = [p for p, _, _ in nxt]
         if len(elements) != self.order:
             raise CatalogueError(
                 f"{self.code}: closure produced {len(elements)} elements, "
@@ -373,6 +377,7 @@ class ReflectionGroup:
                     f"{self.code}: element not orthogonal for the Gram form")
         self.elements = elements
         self.length = length
+        self._descents = descents
         self.root_perms = perms
         self.perm_index = index
         self.identity_index = 0
@@ -547,14 +552,9 @@ class ReflectionGroup:
         return self._taylor(alpha, p, 0)
 
     def right_descent(self, w_idx: int):
-        """(i, w s_i) for the first i with l(w s_i) < l(w); at w != e, a
-        CertificationError if there is none (``length`` is wrong)."""
-        for i, s in enumerate(self.simple_indices):
-            v = self.mul(w_idx, s)
-            if self.length[v] < self.length[w_idx]:
-                return i, v
-        raise CertificationError(f"{self.code}: element {w_idx} has no "
-                                 f"right descent")
+        """(i, w s_i) with l(w s_i) = l(w) - 1 at w != e: the step by which
+        the closure first reached w (None at e)."""
+        return self._descents[w_idx]
 
     def act_poly(self, w_idx: int, p: Poly) -> Poly:
         """(w.p)(x) = p(w^{-1} x) along a reduced word, one reflection per
@@ -590,29 +590,40 @@ class ReflectionGroup:
             out = out + ext.scale_poly(self.act_poly(w_idx, p))
         return out
 
+    def walk(self, reflections) -> dict:
+        """The subgroup generated by the reflections ``reflections``
+        (element indices), breadth-first from e by left multiplication:
+        {u: (v, alpha)} in the order reached, u = t v for the reflection t
+        in alpha and an element v reached before u; e first, with None.
+        Memoised per generating set."""
+        key = frozenset(reflections)
+        if key not in self._walks:
+            refls = [(t, alpha) for t, alpha in self.reflections if t in key]
+            walk, order = {self.identity_index: None}, [self.identity_index]
+            for v in order:                   # grows while it is walked
+                for t, alpha in refls:
+                    u = self.mul(t, v)
+                    if u not in walk:
+                        walk[u] = (v, alpha)
+                        order.append(u)
+            self._walks[key] = walk
+        return self._walks[key]
+
     def reynolds(self, p: Poly, elt_indices=None) -> Poly:
-        """The mean of w.p over ``elt_indices`` (default W), walked from e
-        breadth-first by the reflections t in the set, t.(v.p) per element;
+        """The mean of w.p over ``elt_indices`` (default W), along the
+        ``walk`` of the reflections t in the set, t.(v.p) per element;
         CertificationError unless the walk yields the set (a reflection
         subgroup) exactly."""
         members = set(range(self.order) if elt_indices is None
                       else elt_indices)
-        refls = [(t, alpha) for t, alpha in self.reflections if t in members]
-        layer = {self.identity_index: p}
-        seen, total = set(layer), p
-        while layer:
-            nxt = {}
-            for v, img in layer.items():
-                for t, alpha in refls:
-                    u = self.mul(t, v)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt[u] = self.reflect(alpha, img)
-                        total = total + nxt[u]
-            layer = nxt
-        certify(seen == members, f"{self.code}: Reynolds set is not a "
-                "reflection subgroup")
-        return total.scale(Fraction(1, len(members)))
+        walk = self.walk(t for t, _ in self.reflections if t in members)
+        certify(walk.keys() == members, f"{self.code}: Reynolds set is not "
+                "a reflection subgroup")
+        images = {}
+        for u, step in walk.items():
+            images[u] = self.reflect(step[1], images[step[0]]) if step else p
+        return sum(images.values(), Poly.zero(p.nv, p.field)).scale(
+            Fraction(1, len(members)))
 
     # -- conjugacy classes and characters ----------------------------------
 

@@ -54,18 +54,6 @@ class SplitGroupData:
         return 1 - self.use_class
 
 
-def _subgroup_closure(group: ReflectionGroup, gen_indices):
-    out = [group.identity_index]
-    seen = set(out)
-    for w in out:                         # grows while it is walked
-        for g in gen_indices:
-            m = group.mul(w, g)
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-    return sorted(out)
-
-
 def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGroupData:
     if len(group.reflection_classes) != 2:
         raise ValueError("no length classes: group has a single reflection class")
@@ -74,7 +62,7 @@ def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGr
     other = 1 - use_class
     h_gens = [group.reflections[k][0]
               for k in group.reflection_classes[use_class]]
-    h_elements = _subgroup_closure(group, h_gens)
+    h_elements = sorted(group.walk(h_gens))
     h_set = set(h_elements)
     refl_of_elt = {eidx: k for k, (eidx, _) in enumerate(group.reflections)}
     p_simple = [j for j, si in enumerate(group.simple_indices)
@@ -82,7 +70,7 @@ def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGr
     wp_gens = [group.simple_indices[j] for j in p_simple]
     r_p = len(wp_gens)
     r_ell = group.rank - r_p
-    wp_elements = _subgroup_closure(group, wp_gens)
+    wp_elements = sorted(group.walk(wp_gens))
     if len(h_elements) * len(wp_elements) != group.order:
         raise ValueError("order identity |W| = |H| |W_p| fails")
     # normality of H
@@ -157,7 +145,6 @@ def subgroup_invariants(split: SplitGroupData):
 @dataclass
 class UbarDecomposition:
     split: SplitGroupData
-    psibars: list
     vbar_basis: list        # W-stable complement representatives, by degree
     u_basis: list           # basis of the W_p-reflection summand U
     inv_basis: list         # basis of Vbar^W
@@ -257,8 +244,7 @@ def ubar_decomposition(split: SplitGroupData, psibars) -> UbarDecomposition:
     certify(len(inv_basis) + len(u_basis) == len(vbar), "Vbar split defect")
     u_degs = {y.degree() for y in u_basis}
     certify(len(u_degs) == 1, "U not homogeneous")
-    return UbarDecomposition(split, psibars, vbar, u_basis, inv_basis,
-                             u_degs.pop())
+    return UbarDecomposition(split, vbar, u_basis, inv_basis, u_degs.pop())
 
 
 def _psibar_monomials(psibars, degree):
@@ -285,7 +271,6 @@ def _psibar_monomials(psibars, degree):
 
 @dataclass
 class TildeInvariants:
-    dec: UbarDecomposition
     phis_y: list            # invariants in the y-variables (K[U])
     phis: list              # the same, expanded into A
 
@@ -306,7 +291,7 @@ def tilde_invariants(dec: UbarDecomposition) -> TildeInvariants:
     phis_y = seed_invariants(s, field, range(2, s + 2), lambda seed: sum(
         (seed.substitute(forms) for forms in images), Poly.zero(s, field)))
     phis = [p.substitute(dec.u_basis).content_normalized() for p in phis_y]
-    return TildeInvariants(dec, phis_y, phis)
+    return TildeInvariants(phis_y, phis)
 
 
 def u_target_space(stack: CovariantStack, dec: UbarDecomposition) -> TargetSpace:
@@ -377,7 +362,7 @@ def _wp_reflection_character(split: SplitGroupData):
         return tuple(tuple(cols[j][i] for j in range(len(basis)))
                      for i in range(len(basis)))
 
-    return group.character_from_action(matrix_at, name="refl_Wp"), matrix_at
+    return group.character_from_action(matrix_at, name="refl_Wp")
 
 
 def little_adjoint_suite(stack: CovariantStack,
@@ -418,7 +403,7 @@ def little_adjoint_suite(stack: CovariantStack,
     # U carries the reflection representation of W_p: compare characters
     uspace = u_target_space(stack, dec)
     chi_u = uspace.character(group)
-    chi_wp, _ = _wp_reflection_character(split)
+    chi_wp = _wp_reflection_character(split)
     if chi_u.values != chi_wp.values:
         failures.append("character of U != reflection character of W_p")
 
@@ -437,7 +422,7 @@ def little_adjoint_suite(stack: CovariantStack,
     # each y-monomial of y-degree k, expanded into A once, and the rank of
     # the normal forms of these expansions in H; both checks below read them
     y_degs = tuple(i + 1 for i in range(1, s + 1))
-    htilde = hilbert_coinvariants(y_degs, s)
+    htilde = hilbert_coinvariants(y_degs)
     top_y = max(y_degs)
     expans, rank_h = [], []
     for k in range(max(top_y, len(htilde) - 1) + 1):

@@ -149,6 +149,10 @@ def test_cache_lifecycle(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cache", "purge",
                            "--cache-dir", str(tmp_path))
     assert code == 0 and "purged 1" in out
+    # a purge builds no group, so H4 needs no --allow-long
+    code, out, _ = run_cli(capsys, "cache", "purge", "--group", "H4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and "purged 0" in out
     # purge then verify: transparent rebuild
     code, out, _ = run_cli(capsys, "verify", "--group", "A2",
                            "--checks", "solomon",
@@ -444,7 +448,7 @@ def test_config_values_echo_as_given(tmp_path, capsys):
 # Each case exits 2 with one line on stderr that names the fault, and no
 # traceback.  A case is the argv, for ``verify`` the keys of a config file
 # it runs with (None: no file), and a word of the line.  Without a file the
-# run is A1 (or B2) alone.
+# run is the groups of the argv alone.
 BAD_INPUT = {
     "c-long-banana": (["verify", "--group", "A1", "--c-long", "banana"],
                       None, "c_long"),
@@ -467,6 +471,12 @@ BAD_INPUT = {
     "cache-seed": (["cache", "build", "--group", "A1", "--seed", "1"], None,
                    "--seed"),
     "cache-H4": (["cache", "build", "--group", "H4"], None, "allow-long"),
+    "purge-unknown": (["cache", "purge", "--group", "Z9"], None, "Z9"),
+    "c-short-one-class": (["verify", "--group", "A2", "--c-short", "5"],
+                          None, "c_short"),
+    "constants-c-short-one-class": (["constants", "--group", "A2",
+                                     "--c-short", "5"], None, "c_short"),
+    "file-c-short-one-class": (["verify"], {"c_short": "1/2"}, "c_short"),
     "cache-inspect-group": (["cache", "inspect", "--group", "A2"], None,
                             "--group"),
     "file-samples-string": (["verify"], {"samples": "ten"}, "samples"),
@@ -503,6 +513,18 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "120"])
+def test_verify_help_keeps_check_names_whole(capsys, monkeypatch, columns):
+    from coxcov.cli import ALL_CHECKS
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    lines = out.splitlines()
+    for name in ALL_CHECKS:
+        assert any(re.search(rf"(^|[ ,]){name}(,|$)", line)
+                   for line in lines), name
 
 
 # -- the groups of a run in forked workers, against the in-process path ------

@@ -39,9 +39,9 @@ def j_span_solver(g, d):
 
 
 def test_hilbert_series_examples():
-    assert hilbert_coinvariants((2,), 1) == [1, 1]
-    assert hilbert_coinvariants((2, 3), 2) == [1, 2, 2, 1]
-    assert hilbert_coinvariants((2, 4), 2) == [1, 2, 2, 2, 1]
+    assert hilbert_coinvariants((2,)) == [1, 1]
+    assert hilbert_coinvariants((2, 3)) == [1, 2, 2, 1]
+    assert hilbert_coinvariants((2, 4)) == [1, 2, 2, 2, 1]
 
 
 def test_dims_and_delta(stack_of):

@@ -692,31 +692,34 @@ def test_planted_zero_average_raises_optimized():
         "missing"]
 
 
-@pytest.mark.parametrize("elt,wrong", [("g.simple_indices[1]", 0),
-                                       ("g.identity_index", 5)])
-def test_planted_length_raises_optimized(elt, wrong):
-    """Under python -O, a wrong entry of ``length`` (a simple reflection
-    of length 0, or e longer than its neighbours) leaves a simple
-    reflection of B3 with no right descent: act_poly raises a
-    CertificationError instead of returning a polynomial or looping."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    child = (
-        "import sys\n"
-        "from coxcov.groups import build_group\n"
-        "from coxcov.poly import Poly\n"
-        "from coxcov.reports import CertificationError\n"
-        "if not sys.flags.optimize:\n"
-        "    raise SystemExit(5)\n"
-        "g = build_group('B3')\n"
-        f"g.length[{elt}] = {wrong}\n"
-        "try:\n"
-        "    g.act_poly(g.simple_indices[1], Poly.monomial((2, 1, 0), 1))\n"
-        "except CertificationError as err:\n"
-        "    print(err)\n"
-        "    raise SystemExit(3)\n")
-    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert got.returncode == 3, got.stderr
-    assert got.stdout.startswith("B3: element ")
-    assert got.stdout.endswith(" has no right descent\n")
+@pytest.mark.parametrize("code", DEFAULT_GROUPS)
+def test_right_descent_is_a_recorded_step(code, group_of):
+    # every w != e was first reached as v s_i one layer down, and act_poly
+    # follows that step; e has none
+    g = group_of(code)
+    assert g.right_descent(g.identity_index) is None
+    for w in range(g.order):
+        if w != g.identity_index:
+            i, v = g.right_descent(w)
+            assert g.mul(v, g.simple_indices[i]) == w
+            assert g.length[v] == g.length[w] - 1
+
+
+def test_reynolds_walks_each_set_once(monkeypatch):
+    # a second mean over one set, and a mean over the H that split_group
+    # walked, multiply no group elements
+    from coxcov.groups import ReflectionGroup
+    from coxcov.little_adjoint import split_group
+    g = build_group("B3")
+    calls = []
+    mul = ReflectionGroup.mul
+    monkeypatch.setattr(ReflectionGroup, "mul",
+                        lambda self, i, j: calls.append(1) or mul(self, i, j))
+    p = Poly.monomial((4, 2, 0), 1)
+    first = g.reynolds(p)
+    assert len(calls) == g.order * g.n_reflections
+    assert g.reynolds(p) == first and len(calls) == g.order * g.n_reflections
+    split = split_group(g)
+    calls.clear()
+    g.reynolds(p, split.h_elements)
+    assert not calls

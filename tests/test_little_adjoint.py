@@ -157,16 +157,16 @@ def test_coset_table_matches_scan(code, group_of):
 def test_split_rejects_overlapping_wp(group_of, monkeypatch):
     # a "W_p" of the right order that lies inside H passes the order and
     # normality checks, but its cosets cannot fill the table
-    import coxcov.little_adjoint as la
-    closure = la._subgroup_closure
+    from coxcov.groups import ReflectionGroup
+    walk = ReflectionGroup.walk
     found = []
 
     def inside_h(group, gens):
-        out = closure(group, gens)
+        out = sorted(walk(group, gens))
         found.append(out)
         return out if len(found) == 1 else found[0][:len(out)]
 
-    monkeypatch.setattr(la, "_subgroup_closure", inside_h)
+    monkeypatch.setattr(ReflectionGroup, "walk", inside_h)
     with pytest.raises(ValueError, match="W != W_p H"):
         split_group(group_of("B2"))
 
