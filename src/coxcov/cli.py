@@ -55,11 +55,13 @@ def _load(cache_dir, code, allow_long, c_long=None, c_short=None):
     multiplicity with |T|_c = 0 is a ``UsageError``."""
     group, cb, _ = cache_mod.load_stack(cache_dir, code,
                                         allow_long=allow_long)
+    # read here, so that a failed closure certificate is raised as itself
+    classes = group.reflection_classes
     c_values = None
     if c_long is not None or c_short is not None:
         c_values = [Fraction(1 if c is None else c) for c in
                     (c_long if ci == group.class_ell else c_short
-                     for ci in range(len(group.reflection_classes)))]
+                     for ci in range(len(classes)))]
     try:
         return CovariantStack(group, c_values=c_values, cb=cb)
     except ValueError as exc:       # the degenerate multiplicity
@@ -122,35 +124,108 @@ def _parallel(thunks: list) -> list:
     the affinity mask, they run side by side in workers forked from this
     process, one per CPU, handed out one at a time in the order given.  The
     workers inherit the thunks through fork, with all this process holds,
-    so only indices and results cross the pipe.  The results are taken in
-    the order given, so the first thunk in that order that raises is the
-    one whose error is raised, as in one process; any error terminates the
-    pool.  Otherwise the thunks run here and ``multiprocessing`` is never
-    imported."""
+    so only indices and pickled results cross the pipes.  The results are
+    taken in the order given, so the first thunk in that order that fails
+    is the one whose error is raised, as in one process, with the worker's
+    traceback as its cause; a worker that exits without its result fails
+    its thunk.  Any error kills and reaps every worker.  coxcov starts no
+    thread, so a forked worker lacks none."""
     workers = min(len(thunks), _cpu_count())
     if workers < 2:
         return [run() for run in thunks]
-    import multiprocessing
-    # with fork, the initializer's arguments reach each worker unpickled
-    pool = multiprocessing.get_context("fork").Pool(workers, _inherit,
-                                                    (thunks,))
+    import pickle
+    import select
+    import signal
+    sys.stdout.flush()      # or each worker inherits the unwritten output
+    sys.stderr.flush()
+    pids, pipes, busy, got = [], [], {}, {}   # busy: results -> (tasks, i)
+    todo = iter(range(len(thunks)))
+
+    def hand_out(tasks, results):   # the next thunk, while none has failed
+        i = next(todo, None)
+        if i is not None and all(ok for ok, _ in got.values()):
+            pickle.dump(i, tasks)
+            tasks.flush()
+            busy[results] = tasks, i
+
     try:
-        return list(pool.imap(_call, range(len(thunks))))
+        for _ in range(workers):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(thunks, task_r, result_w, [task_w, result_r, *(
+                    f.fileno() for f in chain.from_iterable(pipes))])
+            pids.append(pid)
+            os.close(task_r)
+            os.close(result_w)
+            pipes.append((open(task_w, "wb"), open(result_r, "rb")))
+            hand_out(*pipes[-1])
+        out = []
+        while len(out) < len(thunks):
+            if len(out) in got:
+                ok, value = got.pop(len(out))
+                if not ok:
+                    exc, tb = value
+                    raise exc from (WorkerTraceback(tb) if tb else None)
+                out.append(value)
+                continue
+            for results in select.select(list(busy), [], [])[0]:
+                tasks, i = busy.pop(results)
+                try:
+                    got[i] = pickle.load(results)
+                except (EOFError, pickle.UnpicklingError):   # a cut result
+                    got[i] = False, (RuntimeError(
+                        f"a worker exited without the result of task {i}"),
+                        None)
+                hand_out(tasks, results)
+        return out
     except BaseException:
-        pool.terminate()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        pool.close()
-        pool.join()
+        for f in chain.from_iterable(pipes):   # end of input: workers leave
+            f.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-def _inherit(thunks):          # in each worker: the thunks for _call
-    global _thunks
-    _thunks = thunks
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an error raised in a worker."""
 
 
-def _call(i):
-    return _thunks[i]()
+def _serve(thunks, tasks: int, results: int, parent_ends: list):
+    """A worker, which first closes the pipe ends of the parent that it
+    inherited, so that its input ends when the parent closes it.  For each
+    index pickled on the pipe ``tasks`` it writes the pickled (True,
+    result) of that thunk, or (False, (error, traceback text)), on the
+    pipe ``results``.  It leaves with ``os._exit`` at the end of its input,
+    or on an error of its own, and never returns."""
+    try:
+        import pickle
+        import traceback
+        for fd in parent_ends:
+            os.close(fd)
+        tasks, results = open(tasks, "rb"), open(results, "wb")
+        while True:
+            try:
+                i = pickle.load(tasks)
+            except EOFError:
+                break
+            try:
+                msg = pickle.dumps((True, thunks[i]()))
+            except BaseException as exc:
+                tb = traceback.format_exc()
+                try:
+                    msg = pickle.dumps((False, (exc, tb)))
+                    pickle.loads(msg)
+                except Exception:
+                    msg = pickle.dumps((False, (RuntimeError(
+                        f"unpicklable error in a worker: {exc!r}"), tb)))
+            results.write(msg)
+            results.flush()
+    finally:
+        os._exit(0)
 
 
 # one task: all three read the stack's lazily built u_i, f_i and constants()

@@ -17,7 +17,9 @@ roots (W acts faithfully on them), enumerated breadth-first from the simple
 reflections with each layer sorted by the element's matrix over the
 catalogue field.  That matrix, the action on V, is built once and kept in
 ``elements``; products, inverses, conjugates and classes are permutation
-operations.
+operations.  A group is built with its roots; the closure of its elements
+and reflections is built the first time it is read (``_CLOSURE``), so work
+that needs only the roots and the basic invariants never pays for it.
 """
 
 from __future__ import annotations
@@ -191,6 +193,13 @@ class ClassFunction:
 # the group itself
 # ---------------------------------------------------------------------------
 
+# the attributes of the closure: the first read of any builds them all
+_CLOSURE = frozenset({
+    "elements", "root_perms", "perm_index", "identity_index",
+    "simple_indices", "inverse_idx", "_descents", "reflections",
+    "reflection_classes", "refl_class_of", "class_ell", "class_p"})
+
+
 class ReflectionGroup:
     def __init__(self, code: str, allow_long: bool = False,
                  realization=None):
@@ -221,10 +230,18 @@ class ReflectionGroup:
         self._ext_images: dict = {}
         self._taylor_data: dict = {}
         self._walks: dict = {}
-        gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        parents = self._build_roots(gens)
-        self._build_elements([self._root_perm(g) for g in gens])
-        self._build_reflections(parents)
+        self._gens = [self.reflection_matrix(a) for a in self.simple_roots]
+        self._root_parents = self._build_roots(self._gens)
+
+    def __getattr__(self, name):
+        """Reached only for an attribute not yet set: one of ``_CLOSURE``
+        builds the closure, with all its certificates, and is read."""
+        if name not in _CLOSURE:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        self._build_elements([self._root_perm(g) for g in self._gens])
+        self._build_reflections(self._root_parents)
+        return getattr(self, name)
 
     # -- construction ---------------------------------------------------
 
@@ -292,8 +309,8 @@ class ReflectionGroup:
         """Breadth-first closure over root permutations, bounded by the
         group order; elements new in a layer are sorted by their matrix.
         Each step multiplies on the right by a simple reflection, so the
-        layer of w, kept in ``length``, is its Coxeter length, and the step
-        (i, v) by which w = v s_i is first reached is a right descent of w.
+        layer of w is its Coxeter length, and the step (i, v) by which
+        w = v s_i is first reached is a right descent of w.
 
         The matrix of w is [w a_1 .. w a_r] S^{-1}, read off the images of
         the simple roots a_i (S has them as columns), and w is orthogonal
@@ -343,7 +360,6 @@ class ReflectionGroup:
         index = {ident: 0}
         perms = [ident]
         elements = [matrix(numerators(ident))]
-        length = [0]
         descents = [None]
         layer = [ident]
         while layer:
@@ -364,7 +380,6 @@ class ReflectionGroup:
                 perms.append(p)
                 elements.append(matrix(nums))
                 descents.append(step)
-            length += [length[-1] + 1] * len(nxt)
             layer = [p for p, _, _ in nxt]
         if len(elements) != self.order:
             raise CatalogueError(
@@ -376,7 +391,6 @@ class ReflectionGroup:
                 raise CatalogueError(
                     f"{self.code}: element not orthogonal for the Gram form")
         self.elements = elements
-        self.length = length
         self._descents = descents
         self.root_perms = perms
         self.perm_index = index
@@ -779,7 +793,7 @@ class ReflectionGroup:
     def root_form_product(self) -> Poly:
         """Product over reflections of the plain linear forms alpha^T x."""
         out = Poly.constant(1, self.rank, self.field)
-        for _, alpha in self.reflections:
+        for alpha in self.positive_roots:       # the order of ``reflections``
             out = out * Poly.linear_form(alpha, self.field)
         return out
 

@@ -67,10 +67,20 @@ def split_group(group: ReflectionGroup, use_class: int | None = None) -> SplitGr
     refl_of_elt = {eidx: k for k, (eidx, _) in enumerate(group.reflections)}
     p_simple = [j for j, si in enumerate(group.simple_indices)
                 if group.refl_class_of[refl_of_elt[si]] == other]
-    wp_gens = [group.simple_indices[j] for j in p_simple]
-    r_p = len(wp_gens)
+    r_p = len(p_simple)
     r_ell = group.rank - r_p
-    wp_elements = sorted(group.walk(wp_gens))
+    # W_p, generated by the simple reflections of class p, is walked from
+    # all the reflections in it, the walk that the Reynolds mean over W_p
+    # reads.  They are found down the recorded descents: w lies in W_p
+    # exactly when its reduced word uses only those simple reflections
+    # (Humphreys 1990, §1.10).
+    wp = {group.identity_index}
+    for w in range(group.order):      # a descent leads to an earlier index
+        step = group.right_descent(w)
+        if step and step[0] in p_simple and step[1] in wp:
+            wp.add(w)
+    wp_elements = sorted(group.walk(t for t, _ in group.reflections
+                                    if t in wp))
     if len(h_elements) * len(wp_elements) != group.order:
         raise ValueError("order identity |W| = |H| |W_p| fails")
     # normality of H

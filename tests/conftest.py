@@ -192,6 +192,24 @@ def jacobian_minor_oracle(polys, rows, field):
     return laplace_det([[p.partial(i) for p in polys] for i in rows], field)
 
 
+def coxeter_lengths(g):
+    """The Coxeter length of each element, as its distance from e in the
+    Cayley graph of the simple reflections, breadth-first over ``mul``:
+    independent of the layers and descents that the closure recorded."""
+    length = {g.identity_index: 0}
+    frontier = [g.identity_index]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in g.simple_indices:
+                u = g.mul(w, s)
+                if u not in length:
+                    length[u] = length[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return [length[w] for w in range(g.order)]
+
+
 def matrix_reflections(g):
     """(reflections, reflection_classes, class_ell, class_p) of g with each
     reflection found by applying its matrix to every root, the path that

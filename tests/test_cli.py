@@ -544,6 +544,12 @@ def _plant_freeness_failure(monkeypatch, cli, pids):
     monkeypatch.setattr(cli, "freeness_check", planted)
 
 
+def _assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _ran_in(pids):
     got = {int(line) for line in pids.read_text().split()}
     pids.unlink()
@@ -552,8 +558,6 @@ def _ran_in(pids):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_workers_match_in_process_run(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-
     from coxcov import cli
     pids = tmp_path / "pids"
     _plant_freeness_failure(monkeypatch, cli, pids)
@@ -578,7 +582,7 @@ def test_workers_match_in_process_run(tmp_path, capsys, monkeypatch):
             else:                   # the timings [1.23s] left out
                 out = re.sub(r" \[\d+\.\d\ds\]$", "", out, flags=re.M)
             outs.append(out)
-        assert not multiprocessing.active_children()
+        _assert_no_child_left()
         assert (_ran_in(pids) == {os.getpid()}) == (cpus == 1)
         runs[cpus] = outs
     assert runs[2] == runs[1]
@@ -614,8 +618,6 @@ def test_lone_group_split_matches_one_cpu(tmp_path, capsys, monkeypatch,
                                           argv):
     # a lone group's checks run as tasks in workers on two CPUs; the
     # report is byte for byte the one of a one-CPU run
-    import multiprocessing
-
     from coxcov import cli
     pids = tmp_path / "pids"
     _log_jobs(monkeypatch, cli, pids)
@@ -626,7 +628,7 @@ def test_lone_group_split_matches_one_cpu(tmp_path, capsys, monkeypatch,
                                "--samples", "3", "--emit", "json",
                                "--cache-dir", str(tmp_path))
         outs[cpus] = code, out
-        assert not multiprocessing.active_children()
+        _assert_no_child_left()
         assert (os.getpid() in _ran_in(pids)) == (cpus == 1)
     assert outs[2] == outs[1]
 
@@ -638,8 +640,6 @@ def test_several_groups_run_one_task_each(tmp_path, capsys, monkeypatch,
     # only a lone group is split: several groups, even fewer than the CPUs
     # and even one code named twice, run one worker per group, and the
     # report is byte for byte the one of a one-CPU run
-    import multiprocessing
-
     from coxcov import cli
     ran = tmp_path / "ran"
     real = cli._run_job
@@ -659,7 +659,7 @@ def test_several_groups_run_one_task_each(tmp_path, capsys, monkeypatch,
                                "--emit", "json",
                                "--cache-dir", str(tmp_path / "cache"))
         outs[cpus] = code, out.replace(str(tmp_path), "TMP")
-        assert not multiprocessing.active_children()
+        _assert_no_child_left()
         pids: dict = {}
         for line in ran.read_text().splitlines():
             code, pid = line.split()
@@ -698,8 +698,6 @@ def test_lone_group_certificate_failure_in_a_worker(tmp_path, capsys,
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_lone_group_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-
     from coxcov import cli
     _cpus(monkeypatch, 2)
 
@@ -711,7 +709,7 @@ def test_lone_group_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                              "solomon,molien", "--cache-dir", str(tmp_path))
     assert code == 3 and out == ""
     assert "RuntimeError: planted: molien on B2" in err
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -756,8 +754,6 @@ def test_cache_build_repeated_group(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-
     from coxcov import cli
     _cpus(monkeypatch, 2)
     real = cli.solomon_check
@@ -773,12 +769,12 @@ def test_worker_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                              "--cache-dir", str(tmp_path))
     assert code == 3 and out == ""
     assert "Traceback" in err and "RuntimeError: planted: solomon on A2" in err
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
     code, out, err = run_cli(capsys, "verify", "--group", "A2", "--group",
                              "Z9", "--checks", "solomon",
                              "--cache-dir", str(tmp_path))
     assert code == 2 and "Z9" in err
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -787,7 +783,6 @@ def test_first_failing_group_in_order_raises(tmp_path, capsys, monkeypatch,
                                              cpus):
     # B2's error comes first in time, but A2 comes first in the order
     # given, so A2's error is raised, on two CPUs as in one process
-    import multiprocessing
     import time
 
     from coxcov import cli
@@ -809,7 +804,7 @@ def test_first_failing_group_in_order_raises(tmp_path, capsys, monkeypatch,
                              "--cache-dir", str(tmp_path))
     assert code == 3 and out == ""
     assert "RuntimeError: planted: A2" in err and "planted: B2" not in err
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -857,17 +852,143 @@ def test_unknown_code_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
 
 def test_single_group_does_not_load_multiprocessing(tmp_path):
     # one CPU, or one group with one check (one task) on two: the run stays
-    # in this process, and the pool's module stays unloaded
+    # in this process; a lone group split into tasks, several groups and a
+    # cache build on two CPUs fork their workers directly.  The pool's
+    # module stays unloaded in every case.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    for cpus, checks in (("{0}", "all"), ("{0, 1}", "solomon")):
+    cache = str(tmp_path)
+    for cpus, argv in (
+            ("{0}", ["verify", "--group", "A1", "--checks", "all"]),
+            ("{0, 1}", ["verify", "--group", "A1", "--checks", "solomon"]),
+            ("{0, 1}", ["verify", "--group", "B2", "--checks",
+                        "solomon,molien"]),
+            ("{0, 1}", ["verify", "--group", "A1", "--group", "B2",
+                        "--checks", "all", "--samples", "3"]),
+            ("{0, 1}", ["cache", "build", "--group", "A2", "--group", "B3",
+                        "--cache-dir", str(tmp_path / "cold")])):
         child = ("import os, sys\n"
                  f"os.sched_getaffinity = lambda pid: {cpus}\n"
                  "from coxcov.cli import main\n"
-                 f"code = main(['verify', '--group', 'A1', '--checks', "
-                 f"{checks!r}, '--cache-dir', {str(tmp_path)!r}])\n"
+                 f"code = main({argv + ['--cache-dir', cache]!r})\n"
                  "assert code == 0, code\n"
                  "assert 'multiprocessing' not in sys.modules\n")
         got = subprocess.run([sys.executable, "-c", child], env=env,
                              capture_output=True, text=True)
-        assert got.returncode == 0, (cpus, checks, got.stderr)
+        assert got.returncode == 0, (cpus, argv, got.stderr)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_worker_exit_without_result_exits_3(tmp_path, capsys, monkeypatch):
+    # a worker that leaves without its result fails its thunk: the run
+    # exits 3 instead of waiting for the result, and no child is left
+    import signal
+
+    from coxcov import cli
+    _cpus(monkeypatch, 2)
+    real = cli.solomon_check
+
+    def planted(stack):
+        if stack.group.code == "A2":
+            os._exit(1)
+        return real(stack)
+
+    def hung(signum, frame):
+        raise TimeoutError("still waiting for the dead worker")
+
+    monkeypatch.setattr(cli, "solomon_check", planted)
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--group", "A1", "--group",
+                                 "A2", "--group", "B2", "--checks", "solomon",
+                                 "--cache-dir", str(tmp_path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert code == 3 and out == ""
+    assert "a worker exited without the result of task 1" in err
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("planted: unpicklable")
+        self.hook = lambda: None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_worker_unpicklable_error_exits_3(tmp_path, capsys, monkeypatch):
+    # an error that cannot cross the pipe still fails its thunk, with the
+    # worker's traceback
+    from coxcov import cli
+    _cpus(monkeypatch, 2)
+    real = cli.solomon_check
+
+    def planted(stack):
+        if stack.group.code == "A2":
+            raise _Unpicklable()
+        return real(stack)
+
+    monkeypatch.setattr(cli, "solomon_check", planted)
+    code, out, err = run_cli(capsys, "verify", "--group", "A1", "--group",
+                             "A2", "--group", "B2", "--checks", "solomon",
+                             "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "unpicklable error in a worker" in err
+    assert "_Unpicklable: planted: unpicklable" in err
+    _assert_no_child_left()
+
+
+def _plant_non_orthogonal_closure(monkeypatch):
+    """Conjugate the generators of every closure by a root permutation
+    that is no isometry (it swaps the first two positive roots and their
+    negatives), as in ``test_planted_non_orthogonal_closure_raises_optimized``."""
+    from coxcov.groups import ReflectionGroup
+    real = ReflectionGroup._build_elements
+
+    def planted(self, gen_perms):
+        n = len(self.positive_roots)
+        sigma = list(range(2 * n))
+        sigma[0], sigma[1], sigma[n], sigma[n + 1] = 1, 0, n + 1, n
+        real(self, [tuple(sigma[g[sigma[k]]] for k in range(2 * n))
+                    for g in gen_perms])
+
+    monkeypatch.setattr(ReflectionGroup, "_build_elements", planted)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("groups", [("B2",), ("B2", "B3")])
+def test_planted_non_orthogonal_closure_exits_2(tmp_path, capsys,
+                                                monkeypatch, cpus, groups):
+    # the closure is built on first use, and its certificate still stops
+    # the run: in this process, in the parent of a lone group's tasks, or
+    # in a worker, whose error crosses the pipe
+    _plant_non_orthogonal_closure(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    argv = [arg for code in groups for arg in ("--group", code)]
+    code, out, err = run_cli(capsys, "verify", *argv, "--samples", "3",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: B2: element not orthogonal for the Gram form\n"
+    _assert_no_child_left()
+
+
+def test_cache_build_skips_the_closure(tmp_path, capsys, monkeypatch):
+    # the tables need the roots and the basic invariants alone; only the
+    # I2 seed scan, which averages over the group, builds the closure
+    from coxcov.groups import ReflectionGroup
+    _cpus(monkeypatch, 1)
+    real = ReflectionGroup._build_elements
+    closed = []
+
+    def recording(self, gen_perms):
+        closed.append(self.code)
+        real(self, gen_perms)
+
+    monkeypatch.setattr(ReflectionGroup, "_build_elements", recording)
+    code, out, _ = run_cli(capsys, "cache", "build", "--group", "A4",
+                           "--group", "B4", "--group", "F4", "--group", "H3",
+                           "--group", "I2(5)", "--cache-dir", str(tmp_path))
+    assert code == 0 and out.count("(rebuilt)") == 5
+    assert closed == ["I2(5)"]

@@ -7,10 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (act_oracle, assert_canonical, divide_by_linear_form,
-                      jacobian_minor_oracle, mat_mul, mat_transpose,
-                      matrix_reflections, scalar_divided_difference,
-                      seed_scan_oracle)
+from conftest import (act_oracle, assert_canonical, coxeter_lengths,
+                      divide_by_linear_form, jacobian_minor_oracle, mat_mul,
+                      mat_transpose, matrix_reflections,
+                      scalar_divided_difference, seed_scan_oracle)
 
 from coxcov.cli import DEFAULT_GROUPS
 from coxcov.differentials import random_weil
@@ -144,7 +144,7 @@ def test_action_is_group_action_fuzz(group_of):
             elts = range(g.order)
         else:
             elts = random.Random(7).sample(range(g.order), 60) + \
-                [max(range(g.order), key=g.length.__getitem__)]
+                [max(range(g.order), key=coxeter_lengths(g).__getitem__)]
         p = Poly.monomial((2,) + (1,) * (g.rank - 1), 3, g.field) + \
             Poly.monomial((0,) * (g.rank - 1) + (3,), -1, g.field)
         for w in elts:
@@ -172,14 +172,20 @@ def test_reflect_on_every_root(code, group_of):
 @pytest.mark.parametrize("code", CATALOGUE)
 def test_lengths_are_coxeter_lengths(code, group_of):
     # right multiplication by a simple reflection changes the length by
-    # one, and the one longest element has length |T|
+    # one, and the one longest element has length |T|; the recorded
+    # descents reach e from w in l(w) steps, so they spell a reduced word
     g = group_of(code)
-    assert g.length[g.identity_index] == 0
+    length = coxeter_lengths(g)
+    assert length[g.identity_index] == 0
     for w in range(g.order):
         for s in g.simple_indices:
-            assert abs(g.length[g.mul(w, s)] - g.length[w]) == 1
-    assert max(g.length) == g.n_reflections
-    assert g.length.count(g.n_reflections) == 1
+            assert abs(length[g.mul(w, s)] - length[w]) == 1
+        v, steps = w, 0
+        while v != g.identity_index:
+            v, steps = g.right_descent(v)[1], steps + 1
+        assert steps == length[w]
+    assert max(length) == g.n_reflections
+    assert length.count(g.n_reflections) == 1
 
 
 def test_positive_roots_are_not_the_simple_system(group_of):
@@ -498,8 +504,10 @@ def test_closure_bounded_by_order():
     # the A3 realization with degrees of the same sum but product 20 < 24
     gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     simples = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # the closure is built, and certified, on first use
+    group = build_custom_group("X", QQ, gram, simples, (2, 2, 5))
     with pytest.raises(CatalogueError, match="closure passed 20 elements"):
-        build_custom_group("X", QQ, gram, simples, (2, 2, 5))
+        group.elements
 
 
 def test_gram_certificates():
@@ -574,7 +582,8 @@ def test_planted_non_orthogonal_closure_raises_optimized(code):
     no isometry (it swaps the first two positive roots and their
     negatives) close up to a group of the right order whose elements are
     not orthogonal: the certificate on integer numerators stops the build
-    with a CatalogueError, over Q and over Q(theta)."""
+    with a CatalogueError, over Q and over Q(theta), when the closure is
+    first read."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     child = (
@@ -591,7 +600,7 @@ def test_planted_non_orthogonal_closure_raises_optimized(code):
         "                for g in gen_perms])\n"
         "ReflectionGroup._build_elements = planted\n"
         "try:\n"
-        f"    ReflectionGroup({code!r})\n"
+        f"    ReflectionGroup({code!r}).elements\n"
         "except CatalogueError as err:\n"
         "    print(err)\n"
         "    raise SystemExit(3)\n")
@@ -697,12 +706,13 @@ def test_right_descent_is_a_recorded_step(code, group_of):
     # every w != e was first reached as v s_i one layer down, and act_poly
     # follows that step; e has none
     g = group_of(code)
+    length = coxeter_lengths(g)
     assert g.right_descent(g.identity_index) is None
     for w in range(g.order):
         if w != g.identity_index:
             i, v = g.right_descent(w)
             assert g.mul(v, g.simple_indices[i]) == w
-            assert g.length[v] == g.length[w] - 1
+            assert length[v] == length[w] - 1
 
 
 def test_reynolds_walks_each_set_once(monkeypatch):
@@ -711,6 +721,7 @@ def test_reynolds_walks_each_set_once(monkeypatch):
     from coxcov.groups import ReflectionGroup
     from coxcov.little_adjoint import split_group
     g = build_group("B3")
+    g.reflection_classes        # the closure's conjugacy pass, not counted
     calls = []
     mul = ReflectionGroup.mul
     monkeypatch.setattr(ReflectionGroup, "mul",

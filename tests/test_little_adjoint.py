@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import act_oracle, seed_scan_oracle, u_action_oracle
+from conftest import (act_oracle, coxeter_lengths, seed_scan_oracle,
+                      u_action_oracle)
 
 from coxcov.covariants import form_e
 from coxcov.differentials import koszul_delta
@@ -154,6 +155,17 @@ def test_coset_table_matches_scan(code, group_of):
             assert split.quotient[w] == want
 
 
+@pytest.mark.parametrize("code,sizes", [("B4", [16, 24]), ("F4", [6, 192])])
+def test_suite_walks_each_subgroup_once(code, sizes):
+    # split_group walks H from its reflections and W_p from all of its
+    # own, the walk that the Reynolds means over H and W_p then read
+    from coxcov.covariants import CovariantStack
+    from coxcov.groups import build_group
+    stack = CovariantStack(build_group(code))
+    assert little_adjoint_suite(stack).status == "pass"
+    assert sorted(map(len, stack.group._walks.values())) == sizes
+
+
 def test_split_rejects_overlapping_wp(group_of, monkeypatch):
     # a "W_p" of the right order that lies inside H passes the order and
     # normality checks, but its cosets cannot fill the table
@@ -257,7 +269,7 @@ def test_u_action_matrix_matches_per_element_solve(code, use_class,
         elts = range(g.order)
     else:
         elts = random.Random(3).sample(range(g.order), 40) + \
-            [max(range(g.order), key=g.length.__getitem__)]
+            [max(range(g.order), key=coxeter_lengths(g).__getitem__)]
     for w in elts:
         assert dec.u_action_matrix(w) == u_action_oracle(dec, w)
 
