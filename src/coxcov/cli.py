@@ -23,9 +23,9 @@ from itertools import chain
 from time import perf_counter
 
 from . import cache as cache_mod
-from .covariants import (CovariantStack, constants_table, freeness_check,
-                         j2_invariance_check, pr_structure_check,
-                         solomon_check)
+from .covariants import (CovariantStack, DegenerateMultiplicity,
+                         constants_table, freeness_check, j2_invariance_check,
+                         pr_structure_check, solomon_check)
 from .differentials import differential_identity_suite
 from .groups import (CatalogueError, build_group, canonical_code,
                      catalogue_entry)
@@ -64,7 +64,7 @@ def _load(cache_dir, code, allow_long, c_long=None, c_short=None):
                      for ci in range(len(classes)))]
     try:
         return CovariantStack(group, c_values=c_values, cb=cb)
-    except ValueError as exc:       # the degenerate multiplicity
+    except DegenerateMultiplicity as exc:
         raise UsageError(f"{code}: {exc}") from None
 
 
@@ -264,7 +264,7 @@ def _group_jobs(config: dict, code: str) -> list:
             if len(stack.group.reflection_classes) != 2:
                 continue
             jobs.append((check, check, partial(little_adjoint_suite, stack)))
-            if stack.group.code in ("B2", "G2", "I2(4)", "I2(8)"):
+            if stack.group.rank == 2:     # B2, G2, I2(4) and I2(8)
                 jobs.append((check, "little-adjoint-swapped", partial(
                     little_adjoint_suite, stack,
                     use_class=1 - stack.group.class_ell,
@@ -420,12 +420,12 @@ def make_config(args) -> dict:
                            str(cache_mod.default_cache_dir()))
     if config["groups"] is not None:
         config["groups"] = [canonical_code(g) for g in config["groups"]]
-        strategies = [catalogue_entry(code, config["allow_long"] or
-                                      action == "purge")[5]
-                      for code in config["groups"]]
+        entries = [catalogue_entry(code, config["allow_long"] or
+                                   action == "purge")
+                   for code in config["groups"]]
         if config["c_short"] is not None and not any(
-                kind in ("B", "F4") or kind == "I2" and m % 2 == 0
-                for kind, m in strategies):
+                kind in ("B", "F4") or kind == "I2" and degrees[1] % 2 == 0
+                for *_, degrees, (kind, _) in entries):
             raise UsageError("c_short is read only on a group with two "
                              "reflection classes, and no group of the run "
                              "has them")

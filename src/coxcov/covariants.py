@@ -154,6 +154,10 @@ def form_e(a: CovariantMap, b: CovariantMap) -> Weil:
     return stack.cb.nf_weil(total)
 
 
+class DegenerateMultiplicity(ValueError):
+    """A Dunkl multiplicity with |T|_c = 0."""
+
+
 class CovariantStack:
     """Group, coinvariant tables, Dunkl parameters, and the derived
     generators p_i, f_i, u_i (all 1-indexed as in the grading d_1 <= ...)."""
@@ -170,7 +174,7 @@ class CovariantStack:
                 raise ValueError("one multiplicity per reflection class")
             self.params = DunklParams(group, vals)
         if not self.params.t_c():
-            raise ValueError("degenerate multiplicity: |T|_c = 0")
+            raise DegenerateMultiplicity("degenerate multiplicity: |T|_c = 0")
         self._p: dict[int, Weil] = {}
         # components only: a CovariantMap refers back to its stack, and
         # keeping one here would make every stack a reference cycle

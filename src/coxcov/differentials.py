@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm
 
 from .coinvariants import CoinvariantBasis
-from .fields import Scalar, scalar_inverse
-from .groups import ClassFunction, ReflectionGroup
+from .fields import Scalar
+from .groups import ReflectionGroup
 from .poly import Poly
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil, merge_sign
@@ -102,26 +102,20 @@ def koszul_delta(group: ReflectionGroup, w: Weil,
 
 
 def nabla_s(group: ReflectionGroup, refl_idx: int, w: Weil,
-            cb: CoinvariantBasis | None = None, alpha=None) -> Weil:
+            cb: CoinvariantBasis | None = None) -> Weil:
     """nabla_s(a tensor b) = (alpha wedge a) tensor d_s(b), where
     d_s(b) = (b - s.b)/(alpha, x) is ``ReflectionGroup.divided_difference``.
 
     This is Dunkl's (alpha wedge s.a) tensor (1 - s)b/(alpha, x): every
     vector v has s.v - v in Q alpha, so s.a - a is a sum of terms that each
     contain alpha and alpha wedge s.a = alpha wedge a.  Only the root is
-    used, and the result does not depend on its scaling; ``alpha``
-    replaces the stored root (same hyperplane required) so that invariance
-    can be exercised.
+    used, and the result does not depend on its scaling.
     """
     if w.ambient == B_QUOTIENT:
         if cb is None:
             raise ValueError("need a coinvariant basis to reduce")
-        return cb.nf_weil(nabla_s(group, refl_idx, CoinvariantBasis.lift(w),
-                                  alpha=alpha))
-    if alpha is None:
-        alpha = group.reflections[refl_idx][1]
-    else:
-        alpha = tuple(group.field.coerce(c) for c in alpha)
+        return cb.nf_weil(nabla_s(group, refl_idx, CoinvariantBasis.lift(w)))
+    alpha = group.reflections[refl_idx][1]
     acc: dict = {}
     for mask, p in w.terms.items():
         q = group.divided_difference(alpha, p)
@@ -222,21 +216,6 @@ def dunkl_squares(group: ReflectionGroup, w: Weil, params_list,
     zero = Weil.zero(group.rank, group.field, FULL_WEIL)
     return [sum((n.scale(c.values[a] * c.values[b]) for a, b, n in pairs
                  if c.values[a] * c.values[b]), zero) for c in params_list]
-
-
-def delta_d_eigenvalue(params: DunklParams, chi: ClassFunction) -> Scalar:
-    """Closed-form eigenvalue of delta D_c on a copy of the module with
-    character chi inside the polynomial coefficients."""
-    group = params.group
-    chi1 = chi.at_identity()
-    inv1 = scalar_inverse(chi1)
-    total = group.field.zero
-    for ci, cls in enumerate(group.reflection_classes):
-        rep_elt = group.reflections[cls[0]][0]
-        term = params.values[ci] * len(cls) * \
-            (group.field.one - chi.at(rep_elt) * inv1)
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ catalogue field.  That matrix, the action on V, is built once and kept in
 operations.  A group is built with its roots; the closure of its elements
 and reflections is built the first time it is read (``_CLOSURE``), so work
 that needs only the roots and the basic invariants never pays for it.
+
+The basic invariants follow one rule.  The first is the Gram quadratic.
+For each later degree k, the catalogue entry's seed vector v gives the
+content-normalised power sum of (u, x)^k over the W-orbit of v, each pair
++-u once: v is the first fundamental coweight for A_r (its form is x_1),
+e_r for B_r, (0,0,0,1) for F4 and the first simple root for H.  The orbit
+is walked from the simple reflections, as the roots are, so these groups
+need no closure.  The I2(m) and the groups of ``build_custom_group`` have
+no seed: their invariants past degree 2 come from the seed scan of
+``seed_invariants``, whose Reynolds averages need the closure.
 """
 
 from __future__ import annotations
@@ -59,30 +69,36 @@ def _golden():
 
 
 def catalogue_entry(code: str, allow_long: bool = False):
-    """(rank, field, gram rows, simple roots, degrees, invariant strategy);
-    CatalogueError off the catalogue, and for H4 unless ``allow_long``."""
-    F2 = Fraction(2)
+    """(rank, field, gram rows, simple roots, degrees, (kind, seed)), with
+    the kind letter of the type and the seed vector v of the basic
+    invariants: past degree 2 they are the power sums of the forms (u, x)
+    over the W-orbit of v, or with seed None (I2) the seed scan of
+    ``seed_invariants``.  CatalogueError off the catalogue, and for H4
+    unless ``allow_long``."""
     if code == "A1":
-        return 1, QQ, [[1]], [(1,)], (2,), ("A", None)
+        return 1, QQ, [[1]], [(1,)], (2,), ("A", (1,))
     if code in ("A2", "A3", "A4"):
         r = int(code[1])
         gram = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                  for j in range(r)] for i in range(r)]
         simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-        return r, QQ, gram, simples, tuple(range(2, r + 2)), ("A", None)
+        # the first fundamental coweight, whose form is x_1
+        seed = tuple(Fraction(r - j, r + 1) for j in range(r))
+        return r, QQ, gram, simples, tuple(range(2, r + 2)), ("A", seed)
     if code in ("B2", "B3", "B4"):
         r = int(code[1])
         gram = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         simples = [tuple((1 if j == i else (-1 if j == i + 1 else 0))
                          for j in range(r)) for i in range(r - 1)]
         simples.append(tuple(1 if j == r - 1 else 0 for j in range(r)))
-        return r, QQ, gram, simples, tuple(2 * k for k in range(1, r + 1)), ("B", None)
+        return (r, QQ, gram, simples, tuple(2 * k for k in range(1, r + 1)),
+                ("B", simples[-1]))
     if code == "I2(4)":
         gram = [[1, -1], [-1, 2]]
-        return 2, QQ, gram, [(1, 0), (0, 1)], (2, 4), ("I2", 4)
+        return 2, QQ, gram, [(1, 0), (0, 1)], (2, 4), ("I2", None)
     if code == "G2":
         gram = [[2, -3], [-3, 6]]
-        return 2, QQ, gram, [(1, 0), (0, 1)], (2, 6), ("I2", 6)
+        return 2, QQ, gram, [(1, 0), (0, 1)], (2, 6), ("I2", None)
     if code in ("I2(5)", "I2(7)", "I2(8)"):
         m = int(code[3])
         if m == 5:
@@ -95,12 +111,12 @@ def catalogue_entry(code: str, allow_long: bool = False):
             field = QCOSPI8
             c = field.scalar(0, Fraction(1, 2))
         gram = [[field.one, -c], [-c, field.one]]
-        return 2, field, gram, [(1, 0), (0, 1)], (2, m), ("I2", m)
+        return 2, field, gram, [(1, 0), (0, 1)], (2, m), ("I2", None)
     if code == "F4":
         gram = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
         h = Fraction(1, 2)
         simples = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
-        return 4, QQ, gram, simples, (2, 6, 8, 12), ("F4", None)
+        return 4, QQ, gram, simples, (2, 6, 8, 12), ("F4", simples[2])
     if code in ("H3", "H4"):
         r = int(code[1])
         field = QSQRT5
@@ -116,7 +132,7 @@ def catalogue_entry(code: str, allow_long: bool = False):
                                  "algebra at degree ~58); pass "
                                  "allow_long=True / --allow-long")
         degrees = (2, 6, 10) if r == 3 else (2, 12, 20, 30)
-        return r, field, gram, simples, degrees, ("H", None)
+        return r, field, gram, simples, degrees, ("H", simples[0])
     if code == "D4":
         raise CatalogueError("repeated degrees unsupported")
     raise CatalogueError(f"unknown group code {code!r}")
@@ -182,12 +198,6 @@ class ClassFunction:
     values: tuple
     name: str = ""
 
-    def at(self, elt_idx: int) -> Scalar:
-        return self.values[self.group.class_of_element(elt_idx)]
-
-    def at_identity(self) -> Scalar:
-        return self.at(self.group.identity_index)
-
 
 # ---------------------------------------------------------------------------
 # the group itself
@@ -205,10 +215,10 @@ class ReflectionGroup:
                  realization=None):
         if realization is None:
             code = canonical_code(code)
-            rank, field, gram, simples, degrees, strategy = \
+            rank, field, gram, simples, degrees, (_, seed) = \
                 catalogue_entry(code, allow_long)
         else:
-            rank, field, gram, simples, degrees, strategy = realization
+            rank, field, gram, simples, degrees, (_, seed) = realization
         self.code = code
         self.rank = rank
         self.field = field
@@ -220,8 +230,9 @@ class ReflectionGroup:
         for d in degrees:
             self.order *= d
         self.n_reflections = sum(d - 1 for d in degrees)
-        self._strategy = strategy
         self.simple_roots = [tuple(field.coerce(c) for c in s) for s in simples]
+        self._seed = None if seed is None else \
+            tuple(field.coerce(c) for c in seed)
         self._psis = None
         self._delta = None
         self._conj_classes = None
@@ -231,7 +242,7 @@ class ReflectionGroup:
         self._taylor_data: dict = {}
         self._walks: dict = {}
         self._gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        self._root_parents = self._build_roots(self._gens)
+        self._root_parents = self._build_roots()
 
     def __getattr__(self, name):
         """Reached only for an attribute not yet set: one of ``_CLOSURE``
@@ -259,45 +270,50 @@ class ReflectionGroup:
         return tuple(tuple(cols[j][i] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def _build_roots(self, gens):
-        """The orbit of the simple roots under the simple reflections
-        ``gens``: ``positive_roots`` (of each pair +-a the one with the
-        larger coordinate key, sorted by that key), then ``roots`` (the
-        positive roots, then their negatives in the same order).
+    def _orbit(self, starts, bound: int, name: str) -> dict:
+        """The orbit of the vectors ``starts`` under the simple reflections
+        ``_gens``, breadth-first: {u: (i, v)} in the order reached, with
+        u = _gens[i] v for a vector v reached before u, and None at each
+        start; CatalogueError once it passes ``bound`` vectors."""
+        walk = dict.fromkeys(starts)
+        order = list(walk)
+        for v in order:                   # grows while it is walked
+            for i, g in enumerate(self._gens):
+                u = mat_vec(g, v, self.field)
+                if u not in walk:
+                    if len(order) == bound:
+                        raise CatalogueError(f"{self.code}: {name} orbit "
+                                             f"passed {bound} vectors")
+                    walk[u] = (i, v)
+                    order.append(u)
+        return walk
+
+    def _build_roots(self):
+        """The orbit of the simple roots: ``positive_roots`` (of each pair
+        +-a the one with the larger coordinate key, sorted by that key),
+        then ``roots`` (the positive roots, then their negatives in the
+        same order).
 
         Not the positive system of ``simple_roots``: on I2(8) it lists
         (1 - theta^2, -theta) ~ (-2.41, -1.85).  The closure records descents.
 
-        Returns {root u: (i, v)} for each root that is not simple, with
-        u = gens[i] v for a root v reached before u, in the order reached.
+        Returns the ``_orbit`` steps {root u: (i, v)} of the roots that are
+        not simple.
         """
         f = self.field
-        orbit = list(dict.fromkeys(self.simple_roots))
-        seen = set(orbit)
-        parents = {}
-        for v in orbit:                   # grows while it is walked
-            for i, g in enumerate(gens):
-                u = mat_vec(g, v, f)
-                if u not in seen:
-                    if len(orbit) == 2 * self.n_reflections:
-                        raise CatalogueError(
-                            f"{self.code}: root orbit passed "
-                            f"{2 * self.n_reflections} roots")
-                    seen.add(u)
-                    orbit.append(u)
-                    parents[u] = (i, v)
-        negs = {v: tuple(-c for c in v) for v in orbit}
-        pos = sorted((v for v in orbit if _coords_key(v, f) >
+        walk = self._orbit(self.simple_roots, 2 * self.n_reflections, "root")
+        negs = {v: tuple(-c for c in v) for v in walk}
+        pos = sorted((v for v in walk if _coords_key(v, f) >
                       _coords_key(negs[v], f)),
                      key=lambda v: _coords_key(v, f))
         self.roots = pos + [negs[v] for v in pos]
-        if len(pos) != self.n_reflections or set(self.roots) != seen:
+        if len(pos) != self.n_reflections or set(self.roots) != walk.keys():
             raise CatalogueError(
                 f"{self.code}: got {len(pos)} positive roots, expected "
                 f"{self.n_reflections}")
         self.positive_roots = pos
         self._root_index = {v: i for i, v in enumerate(self.roots)}
-        return parents
+        return {u: step for u, step in walk.items() if step}
 
     def _root_perm(self, m) -> tuple:
         """The permutation of ``roots`` by the matrix m (None at a root
@@ -730,58 +746,23 @@ class ReflectionGroup:
         return not self.jacobian_delta().is_zero()
 
     def _compute_invariants(self):
-        kind, mdata = self._strategy
-        f = self.field
-        r = self.rank
+        """The Gram quadratic, then one invariant per later degree k: the
+        content-normalised power sum of the k-th powers of the forms (u, x)
+        over the W-orbit of the seed vector, each pair +-u once; without a
+        seed, the seed scan of ``seed_invariants``, averaged over W."""
         psis = [self.gram_quadratic()]
-        if kind == "A":
-            if r == 1:
-                return [Poly.monomial((2,), 1, f)]
-            # embedding z_1 = x_1, z_j = x_j - x_{j-1}, z_{r+1} = -x_r
-            zforms = []
-            for j in range(r + 1):
-                coeffs = [0] * r
-                if j == 0:
-                    coeffs[0] = 1
-                elif j < r:
-                    coeffs[j] = 1
-                    coeffs[j - 1] = -1
-                else:
-                    coeffs[r - 1] = -1
-                zforms.append(Poly.linear_form(coeffs, f))
-            for k in range(3, r + 2):
-                ps = Poly.zero(r, f)
-                for z in zforms:
-                    ps = ps + z ** k
-                psis.append(ps.content_normalized())
-            return psis
-        if kind == "B":
-            for k in range(2, r + 1):
-                terms = {tuple(2 * k if j == i else 0 for j in range(r)): f.one
-                         for i in range(r)}
-                psis.append(Poly(r, f, terms))
-            return psis
-        if kind == "F4":
-            shorts = [a for a in self.positive_roots
-                      if self.inner.pair(a, a) == 1]
-            certify(len(shorts) == 12, f"F4 has {len(shorts)} short "
-                    "positive roots, not 12")
-            for k in (6, 8, 12):
-                ps = Poly.zero(r, f)
-                for a in shorts:
-                    ps = ps + self.geometric_form(a) ** k
-                psis.append(ps.content_normalized())
-            return psis
-        if kind == "H":
-            for k in self.degrees[1:]:
-                ps = Poly.zero(r, f)
-                for a in self.positive_roots:
-                    ps = ps + self.geometric_form(a) ** k
-                psis.append(ps.content_normalized())
-            return psis
-        if kind == "I2":
-            return psis + seed_invariants(r, f, (mdata,), self.reynolds, psis)
-        raise CatalogueError(f"no invariant strategy for {self.code}")
+        if self._seed is None:
+            return psis + seed_invariants(self.rank, self.field,
+                                          self.degrees[1:], self.reynolds,
+                                          psis)
+        forms = {}
+        for u in self._orbit([self._seed], self.order, "seed"):
+            if tuple(-c for c in u) not in forms:
+                forms[u] = self.geometric_form(u)
+        zero = Poly.zero(self.rank, self.field)
+        return psis + [sum((form ** k for form in forms.values()),
+                           zero).content_normalized()
+                       for k in self.degrees[1:]]
 
     def jacobian_delta(self) -> Poly:
         if self._delta is None:
@@ -843,13 +824,10 @@ def build_group(code: str, allow_long: bool = False) -> ReflectionGroup:
 
 
 def build_custom_group(code: str, field: Field, gram, simples,
-                       degrees, strategy=("I2", None)) -> ReflectionGroup:
+                       degrees) -> ReflectionGroup:
     """Reflection group from an explicit realization (used by the Lie
-    bridge, whose Cartan coordinates fix their own Gram matrix)."""
-    rank = len(simples[0])
-    if strategy == ("I2", None):
-        strategy = ("I2", degrees[-1])
-    if rank == 1:
-        strategy = ("A", None)
-    realization = (rank, field, gram, simples, tuple(degrees), strategy)
+    bridge, whose Cartan coordinates fix their own Gram matrix), with the
+    basic invariants of the seed scan."""
+    realization = (len(simples[0]), field, gram, simples, tuple(degrees),
+                   (None, None))
     return ReflectionGroup(code, realization=realization)

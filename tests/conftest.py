@@ -570,6 +570,42 @@ def seed_scan_oracle(nv, field, degrees, average, known=()):
     return found
 
 
+def basic_invariants_oracle(g):
+    """The basic invariants of a catalogue group as each type wrote them
+    out before one power-sum rule replaced them: A_r as the power sums of
+    z_1 = x_1, z_j = x_j - x_{j-1}, z_{r+1} = -x_r; B_r as the sums of
+    the x_i^(2k); F4 as the power sums of the forms of its 12 positive
+    short roots; H as those of all its positive roots; and the I2(m) by
+    ``seed_scan_oracle`` in degree m.  Each is content-normalised, after
+    the Gram quadratic."""
+    f, r, kind = g.field, g.rank, g.code[0]
+    psis = [g.gram_quadratic()]
+
+    def power_sums(forms, degrees):
+        return [sum((z ** k for z in forms), Poly.zero(r, f))
+                .content_normalized() for k in degrees]
+
+    if g.code == "A1":
+        return [Poly.monomial((2,), 1, f)]
+    if kind == "A":
+        zs = [Poly.linear_form([(i == j) - (i == j - 1) for i in range(r)],
+                               f) for j in range(r + 1)]
+        return psis + power_sums(zs, range(3, r + 2))
+    if kind == "B":
+        return psis + [Poly(r, f, {tuple(2 * k * (i == j) for j in range(r)):
+                                   1 for i in range(r)})
+                       for k in range(2, r + 1)]
+    if kind == "F":
+        shorts = [a for a in g.positive_roots if g.inner.pair(a, a) == 1]
+        assert len(shorts) == 12
+        return psis + power_sums([g.geometric_form(a) for a in shorts],
+                                 g.degrees[1:])
+    if kind == "H":
+        return psis + power_sums([g.geometric_form(a)
+                                  for a in g.positive_roots], g.degrees[1:])
+    return psis + seed_scan_oracle(r, f, g.degrees[1:], g.reynolds, psis)
+
+
 class FractionSparseSolver:
     """Incremental sparse echelon on scalars (``Fraction`` or ``AlgNum``),
     each row scaled to 1 at its pivot: the solver that the integer

@@ -712,6 +712,40 @@ def test_lone_group_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     _assert_no_child_left()
 
 
+def test_swapped_little_adjoint_on_the_dihedral_groups(monkeypatch):
+    # the swapped record runs on the rank-2 groups with two classes
+    from conftest import get_stack
+    from coxcov import cli
+    monkeypatch.setattr(cli, "_load",
+                        lambda cache_dir, code, *_: get_stack(code))
+    config = {"checks": ["little-adjoint"], "cache_dir": None}
+    names = {code: [name for _, name, _ in cli._group_jobs(config, code)]
+             for code in ["A2", "B2", "B3", "B4", "I2(4)", "I2(5)", "G2",
+                          "I2(7)", "I2(8)", "F4", "H3"]}
+    assert {code for code, got in names.items() if got} == \
+        {"B2", "B3", "B4", "I2(4)", "G2", "I2(8)", "F4"}
+    assert {code for code, got in names.items()
+            if "little-adjoint-swapped" in got} == {"B2", "I2(4)", "G2",
+                                                    "I2(8)"}
+
+
+@pytest.mark.parametrize("c_flags", [[], ["--c-long", "2"]])
+def test_stack_value_error_exits_3(tmp_path, capsys, monkeypatch, c_flags):
+    # only |T|_c = 0 is a usage error: any other ValueError raised while
+    # the stack is built is an internal error
+    from coxcov.covariants import DunklParams
+    _cpus(monkeypatch, 1)
+
+    def planted(params):
+        raise ValueError("planted: |T|_c unreadable")
+
+    monkeypatch.setattr(DunklParams, "t_c", planted)
+    code, out, err = run_cli(capsys, "verify", "--group", "B2", "--checks",
+                             "solomon", *c_flags, "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "ValueError: planted: |T|_c unreadable" in err
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_lone_group_cold_cache_written_once(tmp_path, capsys, monkeypatch):
     # the stack is loaded before the pool forks, so a cold run writes the

@@ -7,17 +7,18 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (act_oracle, assert_canonical, coxeter_lengths,
-                      divide_by_linear_form, jacobian_minor_oracle, mat_mul,
-                      mat_transpose, matrix_reflections,
-                      scalar_divided_difference, seed_scan_oracle)
+from conftest import (act_oracle, assert_canonical, basic_invariants_oracle,
+                      coxeter_lengths, divide_by_linear_form,
+                      jacobian_minor_oracle, mat_mul, mat_transpose,
+                      matrix_reflections, scalar_divided_difference,
+                      seed_scan_oracle)
 
 from coxcov.cli import DEFAULT_GROUPS
 from coxcov.differentials import random_weil
 from coxcov.fields import QQ, QSQRT5
-from coxcov.groups import (CatalogueError, InnerProduct, build_custom_group,
-                           build_group, canonical_code, jacobian_minors,
-                           mat_vec)
+from coxcov.groups import (CatalogueError, InnerProduct, ReflectionGroup,
+                           build_custom_group, build_group, canonical_code,
+                           jacobian_minors, mat_vec)
 from coxcov.poly import Poly
 
 CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
@@ -208,6 +209,13 @@ def test_basic_invariants_properties(group_of):
                 assert g.act_poly(widx, psi) == psi
 
 
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_basic_invariants_match_the_per_type_oracle(code, group_of):
+    # one power sum over a seed's W-orbit, against each type written out
+    g = group_of(code)
+    assert g.basic_invariants() == basic_invariants_oracle(g)
+
+
 def test_basic_invariant_examples(group_of):
     assert group_of("A1").basic_invariants()[0] == Poly.monomial((2,), 1)
     b2 = group_of("B2").basic_invariants()
@@ -295,10 +303,10 @@ def test_characters(group_of):
     sgn = g.character("sign")
     refl = g.character("reflection")
     assert all(v == g.field.one for v in triv.values)
-    assert refl.at(g.identity_index) == g.rank
+    assert refl.values[g.class_of_element(g.identity_index)] == g.rank
     # sign is multiplicative on reflections
     for idx, _ in g.reflections:
-        assert sgn.at(idx) == -g.field.one
+        assert sgn.values[g.class_of_element(idx)] == -g.field.one
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +518,17 @@ def test_closure_bounded_by_order():
         group.elements
 
 
+def test_seed_orbit_bounded_by_order():
+    # the same realization with a seed: the seed's orbit (24 vectors under
+    # the true A3) passes the claimed order 20 before any closure is built
+    gram = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    simples = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    group = ReflectionGroup("X", realization=(3, QQ, gram, simples,
+                                              (2, 2, 5), ("A", (1, 3, 6))))
+    with pytest.raises(CatalogueError, match="seed orbit passed 20 vectors"):
+        group.basic_invariants()
+
+
 def test_gram_certificates():
     with pytest.raises(CatalogueError, match="not positive definite"):
         InnerProduct([[1, 2], [2, 1]], QQ)
@@ -644,17 +663,19 @@ def test_reynolds_over_non_subgroup_raises_optimized():
 
 
 @pytest.mark.parametrize("code", ["I2(4)", "I2(5)", "I2(7)", "I2(8)", "G2",
-                                  "bridge-A2", "bridge-B2"])
+                                  "bridge-A1", "bridge-A2", "bridge-B2"])
 def test_dihedral_invariants_match_seed_scan_oracle(code, group_of):
     # the second basic invariant of a dihedral group, the first seed of
-    # its degree whose Reynolds average is independent of the quadric
+    # its degree whose Reynolds average is independent of the quadric; a
+    # rank-1 bridge group has the quadric alone
     if code.startswith("bridge-"):
         from coxcov.lie_bridge import build_lie
         g = build_lie(code[len("bridge-"):]).weyl
     else:
         g = group_of(code)
     quadric = g.gram_quadratic()
-    want = seed_scan_oracle(2, g.field, g.degrees[1:], g.reynolds, [quadric])
+    want = seed_scan_oracle(g.rank, g.field, g.degrees[1:], g.reynolds,
+                            [quadric])
     assert g.basic_invariants() == [quadric] + want
 
 

@@ -1,6 +1,6 @@
 """Guards on the invariants of the north star: no floating point and no
-clock on a verification path, and report bytes that depend on the config
-and the seed alone."""
+clock on a verification path, report bytes that depend on the config and
+the seed alone, and no function in ``src/`` that only tests call."""
 
 import ast
 import os
@@ -15,6 +15,10 @@ from coxcov.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxcov"
 MATH_NAMES = {"gcd", "lcm", "prod", "factorial"}    # exact on ints
 TIMING_SITE = ("cli.py", "_run_job")    # the one clock read: elapsed
+# called from outside src/ alone: the two that coxbench's tracer wraps by
+# name, and the argparse overrides that argparse calls
+UNCALLED_ALLOWED = {"linalg.modp_greedy_pivots", "linalg.reduce_only",
+                    "cli.error", "cli._split_lines"}
 
 
 def breaches(text: str, name: str) -> list:
@@ -73,6 +77,45 @@ def test_guard_allows_the_timing_site():
             "def _run_job():\n    return perf_counter()\n")
     assert breaches(text, "cli.py") == []
     assert breaches(text, "reports.py")
+
+
+def uncalled(sources: dict) -> list:
+    """Each function or method defined in the sources {module: text}
+    whose name is read nowhere in them outside its own body, as
+    "module.name"; dunder methods, which Python calls, are left out."""
+    trees = {mod: ast.parse(text, filename=mod)
+             for mod, text in sources.items()}
+    reads: dict = {}        # name: [(module, node id)] of each Name/Attribute
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            reads.setdefault(name, []).append((mod, id(node)))
+    found = []
+    for mod, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or \
+                    fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            body = {id(node) for node in ast.walk(fn)}
+            if all(m == mod and i in body for m, i in reads.get(fn.name, ())):
+                found.append(f"{mod}.{fn.name}")
+    return found
+
+
+def test_every_src_function_has_a_src_caller():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert sorted(set(uncalled(sources)) - UNCALLED_ALLOWED) == []
+
+
+def test_uncalled_guard_sees_a_planted_helper():
+    text = ("def used():\n    return 1\n\n"
+            "def helper(n):\n    return helper(n - 1) if n else used()\n\n"
+            "class K:\n    def __init__(self):\n        self.f = used\n"
+            "    def method(self):\n        return 2\n")
+    assert uncalled({"planted": text}) == ["planted.helper", "planted.method"]
+    assert uncalled({"planted": text,
+                     "other": "from planted import K, helper\n"
+                              "K().method() + helper(2)\n"}) == []
 
 
 def test_report_bytes_ignore_hash_seed_and_optimize(tmp_path, capsys):

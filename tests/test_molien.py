@@ -128,7 +128,7 @@ def per_element_series(g, chis):
             det_sq[2 * k] = t if k % 2 == 0 else -t
         contrib = _u_mul(traces, _u_divide_exact(numer, det_sq, field), field)
         for chi, acc in zip(chis, accs):
-            cw = chi.at(idx)
+            cw = chi.values[g.class_of_element(idx)]
             for i, c in enumerate(contrib):
                 acc[i] = acc[i] + c * cw
     out = []
