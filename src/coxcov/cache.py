@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .coinvariants import CoinvariantBasis
 from .groups import ReflectionGroup, build_group
+from .poly import unpack
 
 CACHE_VERSION = 5
 
@@ -49,7 +50,8 @@ def save_group(cache_dir: Path, group: ReflectionGroup,
         "field": group.field.name,
         "order": group.order,
         "tables": {str(d): {"indices": [list(a) for a in t.indices],
-                            "monomials": [list(m) for m in t.monos]}
+                            "monomials": [list(unpack(m, group.rank))
+                                          for m in t.monos]}
                    for d, t in cb.tables.items()},
     }
     path = cache_path(cache_dir, group.code)

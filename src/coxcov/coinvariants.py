@@ -19,7 +19,8 @@ p minus its normal form lies in J_d.  Homogeneous polynomials of degree
 above |T| reduce to zero outright.
 
 Every harmonic is kept as the vector {e: c * e!}, with the apolar weight
-multiplied in; in this form a derivative only shifts exponents, so every
+multiplied in, keyed by the packed monomial keys of ``poly``; in this form
+a derivative only shifts exponents (it subtracts the key of x_i), so every
 entry of every harmonic is an entry of the weighted Xi.  Xi is
 content-normalised, so the weighted Xi has integer coordinates (the build
 raises ValueError if it does not), and the inverse of the pairing matrix
@@ -34,9 +35,10 @@ each exponent e it meets: standard-monomial numerators over nf_den, the
 lcm of the table dens, from the pairing vector of x^e and M times it
 (integer sums; over Q(theta) products of numerator tuples), empty above
 degree |T|.  A Poly already holds integer numerators c_e over one
-denominator D (see ``poly``), so nf(p) is sum_e c_e column(e) over
-nf_den * D, brought to lowest terms by one gcd: integers alone, one path
-for every field.  Ideal membership (``in_j``) is a zero normal form.
+denominator D, keyed like the columns (see ``poly``), so nf(p) is
+sum_e c_e column(e) over nf_den * D, brought to lowest terms by one gcd:
+integers alone, one path for every field.  Ideal membership (``in_j``) is
+a zero normal form.
 
 The pivots come from one exact column echelon on the integer
 ``SparseSolver``: the degree-d monomials, in grevlex order, are columns
@@ -56,25 +58,17 @@ module and ``cache`` know the layout format.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 from operator import add
 
 from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse, inverse_defect,
                      support_blocks)
-from .poly import Poly, grevlex_key, monomials_of_degree
+from .poly import (DEGREE_MASK, MAX_DEGREE, Poly, grevlex_key, key_factorial,
+                   key_layout, monomials_of_degree, pack, unpack)
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
-
-
-@lru_cache(maxsize=None)
-def _weight(expo: tuple) -> int:
-    w = 1
-    for e in expo:
-        w *= factorial(e)
-    return w
 
 
 def hilbert_coinvariants(degrees):
@@ -94,12 +88,14 @@ def hilbert_coinvariants(degrees):
 def _pairing(h: Poly, p: Poly) -> Scalar:
     """Apolar pairing of two homogeneous polynomials of the same degree."""
     small, big = (p, h) if len(p.num) <= len(h.num) else (h, p)
-    total = h.field.zero
-    bterms = big.terms
-    for e, c in small.terms.items():
-        other = bterms.get(e)
+    field = h.field
+    total = field.zero
+    bnum = big.num
+    for e, c in small.num.items():
+        other = bnum.get(e)
         if other is not None:
-            total = total + c * other * _weight(e)
+            total = total + field.from_num(c, small.den) * \
+                field.from_num(other, big.den) * key_factorial(e)
     return total
 
 
@@ -110,15 +106,16 @@ def _weighted(h: Poly) -> dict:
     if h.den != 1:
         raise ValueError("harmonic with a non-integral coefficient")
     if h.field.is_rational:
-        return {e: c * _weight(e) for e, c in h.num.items()}
-    return {e: tuple(x * _weight(e) for x in c) for e, c in h.num.items()}
+        return {e: c * key_factorial(e) for e, c in h.num.items()}
+    return {e: tuple(x * key_factorial(e) for x in c)
+            for e, c in h.num.items()}
 
 
 class _DegreeTable:
     __slots__ = ("monos", "weighted", "indices", "inv", "den")
 
     def __init__(self, monos, weighted, indices, inv, den):
-        self.monos = monos          # standard monomials (expo tuples)
+        self.monos = monos          # standard monomials (keys)
         self.weighted = weighted    # selected harmonics, in _weighted form
         self.indices = indices      # their derivative multi-indices
         self.inv = inv              # pairing matrix inverse is inv / den,
@@ -170,7 +167,7 @@ class CoinvariantBasis:
         self._build_tables(precomputed)
         # nf(x^e) per exponent, over nf_den, filled by nf_poly on demand
         self.nf_den = lcm(*(t.den for t in self.tables.values()))
-        self._columns: dict[tuple, tuple] = {}
+        self._columns: dict[int, tuple] = {}
 
     # -- certification ------------------------------------------------------
 
@@ -185,14 +182,14 @@ class CoinvariantBasis:
             d = psi.degree()
             if d > self.top:
                 continue
-            for m in monomials_of_degree(self.rank, self.top - d):
+            for m in map(pack, monomials_of_degree(self.rank, self.top - d)):
                 total = 0 if mul is None else (0,) * self.field.degree
                 for e, c in psi.num.items():
-                    key = tuple(map(add, e, m))
+                    key = e + m
                     v = xi.get(key)
                     if v is None:
                         continue
-                    w = _weight(key)
+                    w = key_factorial(key)
                     if mul is None:
                         total += c * v * w
                     else:
@@ -217,9 +214,10 @@ class CoinvariantBasis:
             i = next(k for k, v in enumerate(index) if v)
             parent = list(index)
             parent[i] -= 1
-            got = {e[:i] + (e[i] - 1,) + e[i + 1:]: w
+            shift, one = key_layout(self.rank)[i]
+            got = {e - one: w
                    for e, w in self._derivative(tuple(parent)).items()
-                   if e[i]}
+                   if e >> shift & MAX_DEGREE}
             memo[index] = got
         return got
 
@@ -274,7 +272,7 @@ class CoinvariantBasis:
                 cols.setdefault(e, {})[i] = w
         solver = SparseSolver(self.field)
         rows, monos = [], []
-        for m in monomials_of_degree(self.rank, d):
+        for m in map(pack, monomials_of_degree(self.rank, d)):
             if len(monos) == k:
                 break
             if m in cols and solver.add(cols[m], 1):
@@ -347,7 +345,7 @@ class CoinvariantBasis:
                     and all(shaped(m, d) for m in monos)):
                 raise ValueError(f"recorded layout does not fit degree {d}")
             chosen = [(a, self._derivative(a)) for a in idxs]
-            self.tables[d] = self._table(chosen, monos)
+            self.tables[d] = self._table(chosen, list(map(pack, monos)))
 
     # -- normal forms -----------------------------------------------------------
 
@@ -358,11 +356,11 @@ class CoinvariantBasis:
         return Poly.from_num(self.rank, self.field, t.solve(v, self.field),
                              t.den * den)
 
-    def _column(self, e: tuple):
+    def _column(self, e: int):
         """The normal form of x^e as (standard monomial, numerator) pairs
         over ``nf_den``, memoised: from the table of its degree, the solve
         of its pairing vector against the harmonics; empty above top."""
-        t = self.tables.get(sum(e))
+        t = self.tables.get(e & DEGREE_MASK)
         col = ()
         if t is not None:
             field = self.field
@@ -432,9 +430,9 @@ class CoinvariantBasis:
         """Basis of the inverse system of J in degree d (plain pairing)."""
         if d > self.top:
             return []
-        to = self.field.from_num
-        return [Poly(self.rank, self.field,
-                     {e: to(c, _weight(e)) for e, c in wh.items()})
+        to, r = self.field.from_num, self.rank
+        return [Poly(r, self.field, {unpack(e, r): to(c, key_factorial(e))
+                                     for e, c in wh.items()})
                 for wh in self.tables[d].weighted]
 
     def invariant_harmonics(self, d: int):

@@ -71,7 +71,7 @@ class TargetSpace:
         self.action = action      # elt_idx -> dim x dim matrix rows
 
     def character(self, group: ReflectionGroup):
-        return group.character_from_action(self.action, name=f"chi_{self.name}")
+        return group.character_from_action(self.action)
 
 
 @dataclass
@@ -181,6 +181,9 @@ class CovariantStack:
         self._f: dict[int, tuple] = {}
         self._u: dict[int, tuple] = {}
         self._p_products: dict[int, Weil] = {}
+        # (id(comps), mask) -> (comps, comps of the map times p_i); the
+        # entry holds comps, so that its id is not reused
+        self._p_times: dict[tuple, tuple] = {}
         self._vspace = None
         self._constants = None
 
@@ -206,18 +209,34 @@ class CovariantStack:
         return got
 
     def p_product(self, mask: int) -> Weil:
-        """Wedge of p_i over the 1-based indices i with bit (i-1) set."""
+        """Wedge of p_i over the 1-based indices i with bit (i-1) set: the
+        memoised product of the lower bits times p of the top bit."""
         got = self._p_products.get(mask)
         if got is None:
-            g = self.group
-            got = Weil.one(g.rank, g.field, B_QUOTIENT)
-            for i in range(1, g.rank + 1):
-                if mask & (1 << (i - 1)):
-                    got = self.cb.nf_weil(
-                        wedge_mul(CoinvariantBasis.lift(got),
-                                  CoinvariantBasis.lift(self.p(i))))
+            i = mask.bit_length()
+            rest = mask ^ (1 << i >> 1)
+            if not rest:
+                got = self.p(i) if mask else \
+                    Weil.one(self.group.rank, self.group.field, B_QUOTIENT)
+            else:
+                lift = CoinvariantBasis.lift
+                got = self.cb.nf_weil(wedge_mul(lift(self.p_product(rest)),
+                                                lift(self.p(i))))
             self._p_products[mask] = got
         return got
+
+    def times_p(self, gen: CovariantMap, mask: int) -> CovariantMap:
+        """gen times p_S in B, S the 1-based bits of mask.  A product by
+        one p_i is memoised per components and i: the freeness and top-p
+        checks both meet it.  A longer one is not, so that the memo stays
+        small."""
+        key = (id(gen.comps), mask)
+        got = self._p_times.get(key)
+        if got is None:
+            got = (gen.comps, gen.mul_weil(self.p_product(mask)).comps)
+            if not mask & (mask - 1):
+                self._p_times[key] = got
+        return CovariantMap(self, gen.space, got[1], gen.name)
 
     def f(self, i: int) -> CovariantMap:
         comps = self._f.get(i)
@@ -279,9 +298,27 @@ class CovariantStack:
 # ---------------------------------------------------------------------------
 
 def solomon_check(stack: CovariantStack) -> CheckRecord:
+    """The 2^r products p_S are a basis of B^W: each p_i is fixed by every
+    simple reflection s_j (one witness per failing pair), the products are
+    nonzero and independent, their degrees give the product formula, and
+    so does the Molien series; the top product is det(G^-1) b_1^...^b_r
+    (x) Delta.
+
+    Invariance is tested on the generators p_i alone.  W acts on
+    Lambda V (x) S(V) by algebra automorphisms, and J, generated by invariants,
+    is W-stable, so the action descends to B by automorphisms; a product
+    of invariants in B is then invariant (Solomon, "Invariants of finite
+    reflection groups", Nagoya Math. J. 22, 1963).  The products are
+    formed in B, as nf_weil of wedge products, so the check also rests on
+    the certified tables and on the one exterior product ``wedge_mul``."""
     g = stack.group
     r = g.rank
     failures = []
+    for i in range(1, r + 1):
+        p = stack.p(i)
+        for j, widx in enumerate(g.simple_indices, 1):
+            if stack.cb.act_b(widx, p) != p:
+                failures.append(f"p_{i} not invariant under s_{j}")
     solver = SparseSolver(g.field)
     series = GradedSeries.zero()
     for mask in range(1 << r):
@@ -292,9 +329,6 @@ def solomon_check(stack: CovariantStack) -> CheckRecord:
         if not solver.add(*weil_vec(prod)):
             failures.append(f"p-product {mask:b} dependent")
         series = series + GradedSeries.monomial(prod.total_degree())
-        for widx in g.simple_indices:
-            if stack.cb.act_b(widx, prod) != prod:
-                failures.append(f"p-product {mask:b} not invariant")
     if solver.rank != 2 ** r:
         failures.append(f"dim B^W basis rank {solver.rank} != 2^r")
     formula = invariants_series(g)
@@ -371,10 +405,9 @@ def free_basis_failures(stack: CovariantStack, gens, subset, molien):
     for nsub in range(1 << len(subset)):
         mask = sum(1 << (idx - 1) for t, idx in enumerate(subset)
                    if nsub & (1 << t))
-        pprod = stack.p_product(mask) if mask else None
         for gen in gens:
             # p_0 = 1, and a generator is already in normal form
-            el = gen.mul_weil(pprod) if mask else gen
+            el = stack.times_p(gen, mask) if mask else gen
             if el.is_zero():
                 failures.append(
                     f"free-basis element p_{mask:b}*{gen.name} vanished")
@@ -393,14 +426,18 @@ def free_basis_failures(stack: CovariantStack, gens, subset, molien):
     return sum(len(els) for els in by_degree.values()), failures
 
 
-def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
+def top_p_failures(stack: CovariantStack, odd, even, pairing):
     """The multiplication formulas for the top invariant p_r on a generator
-    family (odd_i, even_i), i = 1..n, given its E-values and constants from
-    ``pairing_constants``: E(odd_{n-i+1}, even_i) = k p_r, the relations
+    family (odd_i, even_i), i = 1..n, given its ``pairing_constants``:
+    E(odd_{n-i+1}, even_i) = k p_r, the relations
     p_r x_i = -sum_{j != i} E(odd_{n-j+1}, even_i) / k_j x_j for x = even
-    and x = odd, and E(p_r a, b) = (-1)^|a| E(a, p_r b)."""
+    and x = odd, and E(p_r a, b) = (-1)^|a| E(a, p_r b).  Where the
+    constants table has E(odd_{n-j+1}, even_i) = k p_s, its term is
+    k / k_j times the memoised x_j p_s (``times_p``)."""
+    evals, pattern, consts, _ = pairing
     n = len(odd)
-    p_r = stack.p(stack.group.rank)
+    r = stack.group.rank
+    p_r = stack.p(r)
     failures = []
     for i in range(1, n + 1):
         k_i = consts.get((n - i + 1, i))
@@ -409,8 +446,8 @@ def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
         elif evals[(n - i + 1, i)] != p_r.scale(k_i):
             failures.append(
                 f"E({odd[n - i].name},{even[i - 1].name}) != k_{i} p_r")
-    pr_even = [x.mul_weil(p_r) for x in even]
-    pr_odd = [x.mul_weil(p_r) for x in odd]
+    pr_even = [stack.times_p(x, 1 << (r - 1)) for x in even]
+    pr_odd = [stack.times_p(x, 1 << (r - 1)) for x in odd]
     for i in range(1, n + 1):
         res_even = pr_even[i - 1]
         res_odd = pr_odd[i - 1]
@@ -421,9 +458,16 @@ def top_p_failures(stack: CovariantStack, odd, even, evals, consts):
             coeff = evals[(n - j + 1, i)]     # E(odd_{n-j+1}, even_i)
             if coeff.is_zero():
                 continue
-            coeff = coeff.scale(scalar_inverse(k_j))
-            res_even = res_even + even[j - 1].mul_weil(coeff)
-            res_odd = res_odd + odd[j - 1].mul_weil(coeff)
+            k = consts.get((n - j + 1, i))
+            if k is None:       # off the table: a failure already
+                coeff = coeff.scale(scalar_inverse(k_j))
+                res_even = res_even + even[j - 1].mul_weil(coeff)
+                res_odd = res_odd + odd[j - 1].mul_weil(coeff)
+                continue
+            mask = 1 << (pattern[(n - j + 1, i)] - 1)
+            c = k * scalar_inverse(k_j)
+            res_even = res_even + stack.times_p(even[j - 1], mask).scale(c)
+            res_odd = res_odd + stack.times_p(odd[j - 1], mask).scale(c)
         for res, gen in ((res_even, even[i - 1]), (res_odd, odd[i - 1])):
             if not res.is_zero():
                 failures.append(f"p_r {gen.name} relation residual nonzero")
@@ -465,11 +509,10 @@ def freeness_check(stack: CovariantStack) -> CheckRecord:
 
 def pr_structure_check(stack: CovariantStack) -> CheckRecord:
     r = stack.group.rank
-    evals, _, consts, const_failures = stack.constants()
+    pairing = stack.constants()
     failures = top_p_failures(stack, [stack.u(i) for i in range(1, r + 1)],
-                              [stack.f(i) for i in range(1, r + 1)],
-                              evals, consts)
-    if const_failures:
+                              [stack.f(i) for i in range(1, r + 1)], pairing)
+    if pairing[3]:
         failures.insert(0, "constants table failed")
     return verdict("structure", stack.group.code, failures, {})
 

@@ -20,7 +20,7 @@ from math import lcm
 from .coinvariants import CoinvariantBasis
 from .fields import Scalar
 from .groups import ReflectionGroup
-from .poly import Poly
+from .poly import Poly, unpack
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil, merge_sign
 
@@ -169,7 +169,8 @@ def class_sums(group: ReflectionGroup, w: Weil, classes=None,
             for e, c in p.num.items():
                 img = images.get((ci, e))
                 if img is None:
-                    one = Weil(r, field, {0: Poly(r, field, {e: 1})})
+                    one = Weil(r, field, {0: Poly(r, field,
+                                                  {unpack(e, r): 1})})
                     img = images[(ci, e)] = direct(ci, one).terms
                 for bit, q in img.items():
                     if bit in put:

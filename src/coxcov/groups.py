@@ -34,13 +34,12 @@ no seed: their invariants past degree 2 come from the seed scan of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
-from .poly import Poly, monomials_of_degree
+from .poly import MAX_DEGREE, Poly, key_layout, monomials_of_degree
 from .reports import certify
 from .weil import Weil, wedge_mul, wedge_terms
 
@@ -185,18 +184,6 @@ class InnerProduct:
                     if vj:
                         total = total + ui * self.gram[i][j] * vj
         return total
-
-
-# ---------------------------------------------------------------------------
-# class functions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClassFunction:
-    """Values on the conjugacy classes of a group (one scalar per class)."""
-    group: "ReflectionGroup"
-    values: tuple
-    name: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +490,11 @@ class ReflectionGroup:
         for the root ``alpha``.  By Taylor's formula the reflection s in
         alpha maps p to p(x - c l alpha) = u_0 - l (u_1 - l (...)), so
         start 0 gives s.p and start 1 gives (p - s.p)/l.  It runs on p's
-        integer numerators, with c alpha and -G alpha over one denominator
-        each; the 1/k of each step and those denominators go into the
-        step's denominator, and one gcd at the end makes it canonical."""
+        integer numerators and packed keys (a derivative step subtracts the
+        key of x_i, a Horner step adds it; neither raises the degree), with
+        c alpha and -G alpha over one denominator each; the 1/k of each
+        step and those denominators go into the step's denominator, and one
+        gcd at the end makes it canonical."""
         f = self.field
         data = self._taylor_data.get(alpha)
         if data is None:
@@ -515,9 +504,12 @@ class ReflectionGroup:
             steps, step_den = f.clear([c * a for a in alpha])
             minus, minus_den = f.clear([-g for g in form])
             nonzero = bool if f.degree == 1 else any
-            data = ([(i, a) for i, a in enumerate(steps) if nonzero(a)],
+            layout = key_layout(self.rank)
+            data = ([(*layout[i], a) for i, a in enumerate(steps)
+                     if nonzero(a)],
                     step_den,
-                    [(i, g) for i, g in enumerate(minus) if nonzero(g)],
+                    [(layout[i][1], g) for i, g in enumerate(minus)
+                     if nonzero(g)],
                     minus_den)
             self._taylor_data[alpha] = data
         steps, step_den, minus_form, minus_den = data
@@ -531,10 +523,10 @@ class ReflectionGroup:
             nxt: dict = {}
             get = nxt.get
             for e, v in u.items():
-                for i, a in steps:
-                    n = e[i]
+                for shift, one, a in steps:
+                    n = e >> shift & MAX_DEGREE
                     if n:
-                        e2 = e[:i] + (n - 1,) + e[i + 1:]
+                        e2 = e - one
                         if rational:
                             nxt[e2] = get(e2, 0) + a * n * v
                         else:
@@ -560,8 +552,8 @@ class ReflectionGroup:
                 {e: tuple(x * k for x in v) for e, v in u.items()}
             get = nxt.get
             for e, v in acc.items():
-                for i, g in minus_form:
-                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                for one, g in minus_form:
+                    e2 = e + one
                     if rational:
                         nxt[e2] = get(e2, 0) + v * g
                     else:
@@ -695,26 +687,28 @@ class ReflectionGroup:
             got = self._class_data[name] = compute(self)
         return got
 
-    def character(self, name: str) -> ClassFunction:
+    def character(self, name: str) -> tuple:
+        """The trivial, sign or reflection character: one scalar per
+        conjugacy class, in the order of ``conjugacy_classes``."""
         classes = self.conjugacy_classes()
         if name == "trivial":
             vals = tuple(self.field.one for _ in classes)
         elif name == "sign":
             vals = tuple(self.det(rep) for rep, _ in classes)
         elif name == "reflection":
-            return self.character_from_action(self.elements.__getitem__,
-                                              name)
+            return self.character_from_action(self.elements.__getitem__)
         else:
             raise ValueError(f"unknown character {name!r}")
-        return ClassFunction(self, vals, name)
+        return vals
 
-    def character_from_action(self, matrices_at, name="") -> ClassFunction:
-        """Character from a callable elt_idx -> square matrix over the field."""
+    def character_from_action(self, matrices_at) -> tuple:
+        """Character, one scalar per class, from a callable elt_idx ->
+        square matrix over the field."""
         vals = []
         for rep, _ in self.conjugacy_classes():
             m = matrices_at(rep)
             vals.append(sum((m[k][k] for k in range(len(m))), self.field.zero))
-        return ClassFunction(self, tuple(vals), name)
+        return tuple(vals)
 
     # -- basic invariants ---------------------------------------------------
 
@@ -727,8 +721,10 @@ class ReflectionGroup:
                 for alpha in self.simple_roots:
                     certify(self.divided_difference(alpha, psi).is_zero(),
                             "candidate invariant not W-invariant")
-            certify(self._independence_certified(),
-                    "invariants not independent")
+            # the seed scan's last Jacobian wedge already certified it
+            if self._seed is not None:
+                certify(self._independence_certified(),
+                        "invariants not independent")
         return self._psis
 
     def _independence_certified(self) -> bool:

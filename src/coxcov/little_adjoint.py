@@ -372,7 +372,7 @@ def _wp_reflection_character(split: SplitGroupData):
         return tuple(tuple(cols[j][i] for j in range(len(basis)))
                      for i in range(len(basis)))
 
-    return group.character_from_action(matrix_at, name="refl_Wp")
+    return group.character_from_action(matrix_at)
 
 
 def little_adjoint_suite(stack: CovariantStack,
@@ -414,7 +414,7 @@ def little_adjoint_suite(stack: CovariantStack,
     uspace = u_target_space(stack, dec)
     chi_u = uspace.character(group)
     chi_wp = _wp_reflection_character(split)
-    if chi_u.values != chi_wp.values:
+    if chi_u != chi_wp:
         failures.append("character of U != reflection character of W_p")
 
     tilde = tilde_invariants(dec)
@@ -492,8 +492,9 @@ def little_adjoint_suite(stack: CovariantStack,
             failures.append(f"delta g_{i} != 0")
 
     # the E-pattern, graded freeness and the top-p formulas, as for V
-    evals, _, m_table, pair_failures = pairing_constants(
-        stack, vs, gs, [i * q_poly for i in range(1, s + 1)])
+    pairing = pairing_constants(stack, vs, gs,
+                                [i * q_poly for i in range(1, s + 1)])
+    _, _, m_table, pair_failures = pairing
     failures += pair_failures
     details["m_constants"] = {f"{i},{j}": scalar_str(v)
                               for (i, j), v in sorted(m_table.items())}
@@ -519,5 +520,5 @@ def little_adjoint_suite(stack: CovariantStack,
         failures += free_basis_failures(stack, gs + vs, free_subset, molien)[1]
         details["free_subalgebra"] = [f"p_{i}" for i in free_subset]
 
-    failures += top_p_failures(stack, vs, gs, evals, m_table)
+    failures += top_p_failures(stack, vs, gs, pairing)
     return verdict(label, group.code, failures, details)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .fields import Field, scalar_inverse
-from .groups import ClassFunction, ReflectionGroup
+from .groups import ReflectionGroup
 from .linalg import det
 from .reports import certify
 
@@ -160,12 +160,13 @@ def _molien_factors(group: ReflectionGroup):
 
 
 def graded_multiplicity_series(group: ReflectionGroup,
-                               chi: ClassFunction) -> GradedSeries:
-    """Multiplicity series of the chi-isotypic part of B; exact."""
+                               chi: tuple) -> GradedSeries:
+    """Multiplicity series of the chi-isotypic part of B, for chi given by
+    its values on the conjugacy classes; exact."""
     field = group.field
     top = 2 * group.n_reflections + group.rank
     acc = [field.zero] * (top + 1)
-    for cw, factor in zip(chi.values, _class_factors(group)):
+    for cw, factor in zip(chi, _class_factors(group)):
         if cw:
             for i, c in enumerate(factor):
                 if c:

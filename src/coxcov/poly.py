@@ -2,20 +2,36 @@
 
 A polynomial keeps its coefficients as integer numerators over one
 positive common denominator, the layout of FLINT's ``fmpq_mpoly``:
-``num`` maps exponent tuples (length = nv, nonnegative ints) to
-numerators, an ``int`` over Q and a tuple of ``field.degree`` ints in the
-power basis 1, theta, ... over Q(theta), and ``den`` is the denominator of
-all of them.  The form is canonical: ``den > 0``, the gcd of ``den`` and
-every numerator entry is 1, and no zero numerator is stored, so equal
-polynomials have equal ``num`` and ``den``, and ``==`` and ``hash`` are
-structural.
+``num`` maps monomial keys to numerators, an ``int`` over Q and a tuple of
+``field.degree`` ints in the power basis 1, theta, ... over Q(theta), and
+``den`` is the denominator of all of them.  The form is canonical:
+``den > 0``, the gcd of ``den`` and every numerator entry is 1, and no zero
+numerator is stored, so equal polynomials have equal ``num`` and ``den``,
+and ``==`` and ``hash`` are structural.
+
+A monomial key is one non-negative int, the packed exponent vector of
+Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  The exponent of x_i sits in a field
+of ``EXPONENT_BITS`` = 7 bits, variable 0 in the most significant one, so
+that keys compare as their exponent tuples do; below them a field of
+``DEGREE_BITS`` = 8 bits holds the total degree, so ``key & DEGREE_MASK``
+reads it without unpacking.  ``pack`` and ``unpack`` convert, and
+``key_layout(nv)`` gives each variable's shift and the key of x_i.  So a
+product of monomials is one integer add, and d/dx_i subtracts the key of
+x_i.  A key holds monomials of total degree at most ``MAX_DEGREE`` = 127,
+so no exponent can carry into the next variable's field: ``pack`` raises
+``CertificationError`` past it, and so does a product, whose degree field
+(at most 127 + 127) then sets its top bit, the guard, which one test per
+product reads.  This is a check that raises, not an ``assert``, so it holds
+under ``python -O`` too.  Exponent tuples stay at the boundaries: the
+constructor ``Poly(nv, field, {expo: scalar})``, ``monomial``, ``terms``,
+``sorted_terms`` and ``monomials_of_degree`` take or give them.
 
 Products, sums, scaling and derivatives run on the integers alone (over
 Q(theta) through ``Field.mul_num``), with one gcd at the end of each.  A
 scalar coefficient (``Fraction`` or ``AlgNum``) is built only when a
 consumer reads ``terms``, which makes a new dict on every read.  The
-constructor ``Poly(nv, field, {expo: scalar})`` takes ``int``,
-``Fraction`` or ``AlgNum`` values.
+constructor takes ``int``, ``Fraction`` or ``AlgNum`` values.
 
 Iteration order for printing and pivoting is graded reverse lexicographic
 (grevlex).
@@ -24,11 +40,58 @@ Iteration order for printing and pivoting is graded reverse lexicographic
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement
-from math import gcd, lcm
-from operator import add
+from math import factorial, gcd, lcm
+from operator import add, or_
 
 from .fields import QQ, Field, Scalar
+from .reports import CertificationError
+
+EXPONENT_BITS = 7
+DEGREE_BITS = 8
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1
+DEGREE_MASK = MAX_DEGREE            # key & DEGREE_MASK: the total degree
+_GUARD = 1 << EXPONENT_BITS         # set in a product past MAX_DEGREE
+
+
+def pack(expo) -> int:
+    """The key of an exponent tuple; CertificationError past MAX_DEGREE."""
+    key = deg = 0
+    for x in expo:
+        if x < 0:
+            raise ValueError(f"negative exponent in {tuple(expo)}")
+        key = key << EXPONENT_BITS | x
+        deg += x
+    if deg > MAX_DEGREE:
+        raise CertificationError(f"monomial {tuple(expo)} past degree "
+                                 f"{MAX_DEGREE}")
+    return key << DEGREE_BITS | deg
+
+
+@lru_cache(maxsize=None)
+def key_layout(nv: int) -> tuple:
+    """(shift, key of x_i) per variable i: exponent i of key k is
+    ``k >> shift & MAX_DEGREE``."""
+    return tuple((s, 1 << s | 1) for s in
+                 range(DEGREE_BITS + EXPONENT_BITS * (nv - 1),
+                       DEGREE_BITS - 1, -EXPONENT_BITS))
+
+
+def unpack(key: int, nv: int) -> tuple:
+    """The exponent tuple of a key in nv variables."""
+    return tuple(key >> s & MAX_DEGREE for s, _ in key_layout(nv))
+
+
+@lru_cache(maxsize=None)
+def key_factorial(key: int) -> int:
+    """e! = prod_i e_i! for the exponent vector e of a key."""
+    w = 1
+    key >>= DEGREE_BITS
+    while key:
+        w *= factorial(key & MAX_DEGREE)
+        key >>= EXPONENT_BITS
+    return w
 
 
 def grevlex_key(expo: tuple) -> tuple:
@@ -58,8 +121,12 @@ class Poly:
     __slots__ = ("nv", "field", "num", "den")
 
     def __init__(self, nv: int, field: Field, terms: dict):
+        """The polynomial sum_e terms[e] x^e, e exponent tuples of length
+        nv."""
+        if any(len(e) != nv for e in terms):
+            raise ValueError(f"exponent tuple not of length {nv}")
         nums, den = field.clear(list(terms.values()))
-        num = dict(zip(terms, nums))
+        num = dict(zip(map(pack, terms), nums))
         self.nv = nv
         self.field = field
         # lowest-terms scalars over their least common denominator already
@@ -150,10 +217,10 @@ class Poly:
 
     @property
     def terms(self) -> dict:
-        """{exponent: scalar}, a new dict on every read."""
-        den = self.den
+        """{exponent tuple: scalar}, a new dict on every read."""
+        den, nv = self.den, self.nv
         to = self.field.from_num
-        return {e: to(c, den) for e, c in self.num.items()}
+        return {unpack(e, nv): to(c, den) for e, c in self.num.items()}
 
     def __bool__(self):
         return bool(self.num)
@@ -172,10 +239,10 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.num:
             return -1
-        return max(sum(e) for e in self.num)
+        return max(e & DEGREE_MASK for e in self.num)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.num}
+        degs = {e & DEGREE_MASK for e in self.num}
         return len(degs) <= 1
 
     def sorted_terms(self):
@@ -263,29 +330,33 @@ class Poly:
         if field.degree == 1:
             for e2, c2 in b.items():
                 for e1, c1 in a.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     out[e] = get(e, 0) + c1 * c2
-            out = {e: c for e, c in out.items() if c}
         elif field.degree == 2:
             # written out: every H3 and I2(5) coefficient is quadratic
             r0, r1 = field._top
             for e2, (b0, b1) in b.items():
                 for e1, (a0, a1) in a.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     hi = a1 * b1
                     c0 = a0 * b0 + hi * r0
                     c1 = a0 * b1 + a1 * b0 + hi * r1
                     s = get(e)
                     out[e] = (c0, c1) if s is None else (s[0] + c0, s[1] + c1)
-            out = {e: c for e, c in out.items() if c[0] or c[1]}
         else:
             mul = field.mul_num
             for e2, c2 in b.items():
                 for e1, c1 in a.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     c = mul(c1, c2)
                     s = get(e)
                     out[e] = c if s is None else tuple(map(add, s, c))
+        # before the zeros go: past MAX_DEGREE keys may have merged
+        if reduce(or_, out, 0) & _GUARD:
+            raise CertificationError(f"product past degree {MAX_DEGREE}")
+        if field.degree == 1:
+            out = {e: c for e, c in out.items() if c}
+        else:
             out = {e: c for e, c in out.items() if any(c)}
         return Poly.from_num(self.nv, field, out, self.den * other.den)
 
@@ -328,12 +399,12 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         rational = self.field.degree == 1
+        shift, one = key_layout(self.nv)[i]
         out = {}
         for e, c in self.num.items():
-            k = e[i]
+            k = e >> shift & MAX_DEGREE
             if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = \
-                    c * k if rational else _scale_num(c, k)
+                out[e - one] = c * k if rational else _scale_num(c, k)
         return Poly.from_num(self.nv, self.field, out, self.den)
 
     # -- structure -----------------------------------------------------
@@ -375,7 +446,9 @@ class Poly:
         flat = self.num.values() if rational else \
             chain.from_iterable(self.num.values())
         g = gcd(*flat)
-        lead = self.num[min(self.num, key=grevlex_key)]
+        nv = self.nv
+        lead = self.num[min(self.num,
+                            key=lambda e: grevlex_key(unpack(e, nv)))]
         if (lead if rational else next(x for x in lead if x)) < 0:
             g = -g
         if rational:

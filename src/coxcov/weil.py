@@ -9,7 +9,7 @@ exterior degree + 2 * polynomial degree.
 from __future__ import annotations
 
 from .fields import Field, QQ
-from .poly import Poly
+from .poly import DEGREE_MASK, Poly
 
 FULL_WEIL = "W"
 B_QUOTIENT = "B"
@@ -139,7 +139,7 @@ class Weil:
         for mask, p in self.terms.items():
             k = bin(mask).count("1")
             for e in p.num:
-                out.add((k, sum(e)))
+                out.add((k, e & DEGREE_MASK))
         return out
 
     def total_degrees(self) -> set:

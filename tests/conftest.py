@@ -8,7 +8,7 @@ from coxcov.covariants import CovariantStack
 from coxcov.fields import Field, scalar_inverse
 from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
-from coxcov.poly import Poly
+from coxcov.poly import Poly, unpack
 
 def _cpus(monkeypatch, n):
     """Make the affinity mask n CPUs wide: 2 forks two workers, 1 keeps
@@ -441,9 +441,10 @@ def scale_by_clear(p, c):
                          p.den * d)
 
 
-def scalar_divided_difference(group, alpha, p):
-    """{expo: scalar} of (p - s.p)/(alpha, x): the Taylor sum of
-    ``ReflectionGroup.divided_difference`` on scalar term dicts."""
+def scalar_taylor(group, alpha, p, start=1):
+    """{expo: scalar} of s.p (start 0) or of (p - s.p)/(alpha, x) (start
+    1): the Taylor sum of ``ReflectionGroup._taylor`` on scalar term dicts
+    keyed by exponent tuples."""
     f = group.field
     form = [sum((g * a for g, a in zip(row, alpha)), f.zero)
             for row in group.gram]
@@ -460,7 +461,7 @@ def scalar_divided_difference(group, alpha, p):
                     nxt[e2] = nxt[e2] + t if e2 in nxt else t
         taylor.append({e: v for e, v in nxt.items() if v})
     acc = {}
-    for u in reversed(taylor[1:]):
+    for u in reversed(taylor[start:]):
         nxt = dict(u)
         for e, v in acc.items():
             for i, g in enumerate(form):
@@ -469,6 +470,87 @@ def scalar_divided_difference(group, alpha, p):
                     nxt[e2] = nxt[e2] - v * g if e2 in nxt else -v * g
         acc = nxt
     return {e: v for e, v in acc.items() if v}
+
+
+# -- tuple-keyed oracles: the integer kernels on exponent tuples that the
+# packed monomial keys replaced ----------------------------------------------
+
+def tuple_num(p):
+    """(numerators keyed by exponent tuples, den) of a Poly."""
+    return {unpack(e, p.nv): c for e, c in p.num.items()}, p.den
+
+
+def _num_ops(field):
+    """(add, mul) of numerators: ints over Q, power-basis tuples else."""
+    if field.is_rational:
+        return int.__add__, int.__mul__
+    return (lambda a, b: tuple(x + y for x, y in zip(a, b))), field.mul_num
+
+
+def _lowest(num, den, field):
+    """(num, den) in canonical form: zeros dropped, the gcd divided out."""
+    num = {e: c for e, c in num.items()
+           if (c if field.is_rational else any(c))}
+    if not num:
+        return {}, 1
+    flat = list(num.values()) if field.is_rational else \
+        [x for c in num.values() for x in c]
+    g = gcd(den, *flat)
+    if field.is_rational:
+        return {e: c // g for e, c in num.items()}, den // g
+    return {e: tuple(x // g for x in c) for e, c in num.items()}, den // g
+
+
+def tuple_mul(p, q):
+    """(num, den) of p q, exponent tuples added coordinatewise."""
+    add, mul = _num_ops(p.field)
+    (a, da), (b, db) = tuple_num(p), tuple_num(q)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = mul(c1, c2)
+            out[e] = add(out[e], c) if e in out else c
+    return _lowest(out, da * db, p.field)
+
+
+def tuple_partial(p, i):
+    """(num, den) of d/dx_i p, on exponent tuples."""
+    num, den = tuple_num(p)
+    scale = (lambda c, k: c * k) if p.field.is_rational else \
+        (lambda c, k: tuple(x * k for x in c))
+    return _lowest({e[:i] + (e[i] - 1,) + e[i + 1:]: scale(c, e[i])
+                    for e, c in num.items() if e[i]}, den, p.field)
+
+
+def tuple_nf(cb, p):
+    """(num, den) of nf(p) by the columns of ``nf_poly`` on exponent
+    tuples: the column of x^e is M times its pairing vector against the
+    weighted harmonics of its degree, over nf_den; none above the top."""
+    field = cb.field
+    add, mul = _num_ops(field)
+    zero = 0 if field.is_rational else (0,) * field.degree
+    num, den = tuple_num(p)
+    weighted = {}
+    out = {}
+    for e, c in num.items():
+        d = sum(e)
+        if d > cb.top:
+            continue
+        t = cb.tables[d]
+        if d not in weighted:
+            weighted[d] = [{unpack(k, cb.rank): w for k, w in wh.items()}
+                           for wh in t.weighted]
+        f = cb.nf_den // t.den
+        vec = [wh.get(e, zero) for wh in weighted[d]]
+        for mono, row in zip(standard_monomials(cb, d), t.inv):
+            s = zero
+            for x, v in zip(row, vec):
+                s = add(s, mul(x, v))
+            s = mul(mul(c, s), f if field.is_rational
+                    else (f,) + (0,) * (field.degree - 1))
+            out[mono] = add(out[mono], s) if mono in out else s
+    return _lowest(out, cb.nf_den * den, field)
 
 
 def scalar_nf(cb, p):
@@ -484,8 +566,10 @@ def scalar_nf(cb, p):
     out = {}
     for d, terms in parts.items():
         t = cb.tables[d]
-        weighted = [{e: to(c) for e, c in wh.items()} for wh in t.weighted]
-        inv = gauss_inverse([[wh.get(m, field.zero) for m in t.monos]
+        weighted = [{unpack(e, cb.rank): to(c) for e, c in wh.items()}
+                    for wh in t.weighted]
+        monos = standard_monomials(cb, d)
+        inv = gauss_inverse([[wh.get(m, field.zero) for m in monos]
                        for wh in weighted], field)
         vals = []
         for wh in weighted:
@@ -495,7 +579,7 @@ def scalar_nf(cb, p):
                 if w is not None:
                     s = s + c * w
             vals.append(s)
-        for mono, row in zip(t.monos, inv):
+        for mono, row in zip(monos, inv):
             s = field.zero
             for r, v in zip(row, vals):
                 s = s + r * v
@@ -521,12 +605,13 @@ def pairing_route_nf(cb, p):
         t = cb.tables[d]
         vals = []
         for wh in t.weighted:
+            wh = {unpack(e, cb.rank): w for e, w in wh.items()}
             s = field.zero
             for e, c in terms.items():
                 if e in wh:
                     s = s + c * to(wh[e])
             vals.append(s)
-        for mono, row in zip(t.monos, t.inv):
+        for mono, row in zip(standard_monomials(cb, d), t.inv):
             s = field.zero
             for x, v in zip(row, vals):
                 s = s + to(x, t.den) * v
@@ -535,10 +620,16 @@ def pairing_route_nf(cb, p):
     return Poly(cb.rank, field, out)
 
 
+def standard_monomials(cb, d):
+    """The exponent tuples of the standard monomials of degree d."""
+    return [unpack(m, cb.rank) for m in cb.tables[d].monos]
+
+
 def layout_of(cb):
     """{degree: (derivative multi-indices, standard monomials)} of the
     tables of cb, the layout a cache file records."""
-    return {d: (t.indices, t.monos) for d, t in cb.tables.items()}
+    return {d: (t.indices, standard_monomials(cb, d))
+            for d, t in cb.tables.items()}
 
 
 def seed_scan_oracle(nv, field, degrees, average, known=()):

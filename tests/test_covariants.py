@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import standard_monomials
+
 from coxcov.coinvariants import CoinvariantBasis
 from coxcov.covariants import (constants_table, form_e, freeness_check,
                                j2_invariance_check, pr_structure_check,
@@ -195,7 +197,7 @@ def test_bw_molien_oracle(stack_of):
             if (q - k) % 2 or q - k < 0:
                 continue
             d = (q - k) // 2
-            for m in (cb.tables[d].monos if d <= cb.top else []):
+            for m in (standard_monomials(cb, d) if d <= cb.top else []):
                 basis.append((mask, m))
         if not basis:
             assert series[q] == 0
@@ -242,6 +244,7 @@ def test_dropped_stack_is_freed_without_the_collector(stack_of):
     import weakref
     st = _fresh_stack(stack_of, "B2")
     assert constants_table(st).status == "pass"
+    assert pr_structure_check(st).status == "pass"     # fills times_p
     assert st.u(1).stack is st and st.f(2).stack is st
     ref = weakref.ref(st)
     gc.disable()
@@ -301,3 +304,74 @@ def test_form_e_matches_oracle_on_u(stack_of):
     for a in gens:
         for b in gens:
             assert form_e(a, b) == _form_e_oracle(a, b), (a.name, b.name)
+
+
+CATALOGUE_BUT_H4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)",
+                    "I2(5)", "G2", "I2(7)", "I2(8)", "F4", "H3"]
+
+
+@pytest.mark.parametrize("code", CATALOGUE_BUT_H4)
+def test_every_p_product_is_invariant(code, stack_of):
+    # the oracle of solomon_check's invariance on the generators: all 2^r
+    # products p_S, each fixed by every simple reflection
+    st = stack_of(code)
+    g = st.group
+    for mask in range(1 << g.rank):
+        prod = st.p_product(mask)
+        for widx in g.simple_indices:
+            assert st.cb.act_b(widx, prod) == prod, (code, mask, widx)
+
+
+def test_planted_non_invariant_generator_fails_solomon_optimized():
+    """Under python -O, a p_1 of B2 plus b_0 x_0, which the simple
+    reflection s_1 (it swaps the coordinates) moves to b_1 x_1 and s_2
+    fixes, fails the check with one witness, for s_1."""
+    from pathlib import Path
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = (
+        "import sys\n"
+        "from coxcov.covariants import CovariantStack, solomon_check\n"
+        "from coxcov.groups import build_group\n"
+        "from coxcov.poly import Poly\n"
+        "from coxcov.weil import Weil\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "st = CovariantStack(build_group('B2'))\n"
+        "bad = Weil(2, st.group.field, {0b01: Poly.variable(0, 2)})\n"
+        "st._p[1] = st.p(1) + st.cb.nf_weil(bad)\n"
+        "rec = solomon_check(st)\n"
+        "print(rec.status)\n"
+        "print(*[w for w in rec.details['witness'] if 'invariant' in w],\n"
+        "      sep='\\n')\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == ["fail", "p_1 not invariant under s_1"]
+
+
+@pytest.mark.parametrize("code", ["B3", "G2"])
+def test_times_p_is_mul_weil_once(code, stack_of, monkeypatch):
+    # gen p_S is gen.mul_weil(p_S); a product by one p_i is computed once
+    # per generator and i, and the top-p check then makes no product
+    from coxcov.covariants import CovariantMap
+    st = _fresh_stack(stack_of, code)
+    r = st.group.rank
+    gens = [m(i) for m in (st.f, st.u) for i in range(1, r + 1)]
+    for mask in range(1, 1 << r):
+        for gen in gens:
+            want = gen.mul_weil(st.p_product(mask)).comps
+            assert st.times_p(gen, mask).comps == want
+    calls = []
+    real = CovariantMap.mul_weil
+    monkeypatch.setattr(CovariantMap, "mul_weil",
+                        lambda self, p: calls.append(1) or real(self, p))
+    assert pr_structure_check(st).status == "pass"
+    assert not calls
+    # freeness over p_1 .. p_{r-1} multiplies again by two or more of them
+    assert freeness_check(st).status == "pass"
+    longer = [m for m in range(1 << (r - 1)) if m & (m - 1)]
+    assert len(calls) == len(gens) * len(longer)

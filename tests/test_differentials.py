@@ -51,7 +51,7 @@ def delta_d_eigenvalue(params, chi):
     group = params.group
 
     def at(idx):
-        return chi.values[group.class_of_element(idx)]
+        return chi[group.class_of_element(idx)]
 
     inv1 = scalar_inverse(at(group.identity_index))
     total = group.field.zero

@@ -10,7 +10,7 @@ import pytest
 from conftest import (act_oracle, assert_canonical, basic_invariants_oracle,
                       coxeter_lengths, divide_by_linear_form,
                       jacobian_minor_oracle, mat_mul, mat_transpose,
-                      matrix_reflections, scalar_divided_difference,
+                      matrix_reflections, scalar_taylor,
                       seed_scan_oracle)
 
 from coxcov.cli import DEFAULT_GROUPS
@@ -302,11 +302,11 @@ def test_characters(group_of):
     triv = g.character("trivial")
     sgn = g.character("sign")
     refl = g.character("reflection")
-    assert all(v == g.field.one for v in triv.values)
-    assert refl.values[g.class_of_element(g.identity_index)] == g.rank
+    assert all(v == g.field.one for v in triv)
+    assert refl[g.class_of_element(g.identity_index)] == g.rank
     # sign is multiplicative on reflections
     for idx, _ in g.reflections:
-        assert sgn.values[g.class_of_element(idx)] == -g.field.one
+        assert sgn[g.class_of_element(idx)] == -g.field.one
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,7 @@ def test_divided_difference_matches_scalar_oracle(code, group_of):
             for p in inputs:
                 got = g.divided_difference(root, p)
                 assert_canonical(got)
-                assert got.terms == scalar_divided_difference(g, root, p)
+                assert got.terms == scalar_taylor(g, root, p)
 
 
 # ---------------------------------------------------------------------------
@@ -755,3 +755,57 @@ def test_reynolds_walks_each_set_once(monkeypatch):
     calls.clear()
     g.reynolds(p, split.h_elements)
     assert not calls
+
+
+@pytest.mark.parametrize("code", CATALOGUE)
+def test_independence_certified_once(code, monkeypatch):
+    # the seed scan's last Jacobian wedge is the certificate of the I2
+    # groups' invariants, so only the power-sum groups evaluate the
+    # Jacobian again
+    from coxcov.groups import ReflectionGroup
+    calls = []
+    real = ReflectionGroup._independence_certified
+    monkeypatch.setattr(ReflectionGroup, "_independence_certified",
+                        lambda self: calls.append(1) or real(self))
+    g = build_group(code)
+    g.basic_invariants()
+    assert len(calls) == (g._seed is not None)
+
+
+def test_planted_dependent_invariant_raises_optimized():
+    """Under python -O, a dependent candidate stops basic_invariants: the
+    seed scan of I2(8), every seed averaged to a power of the quadric,
+    runs out of seeds, and B3 with psi_2 = psi_1^2 fails the Jacobian
+    certificate."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = (
+        "import sys\n"
+        "from coxcov.groups import ReflectionGroup, build_group\n"
+        "from coxcov.reports import CertificationError\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(5)\n"
+        "def quadric_power(self, p, elt_indices=None):\n"
+        "    return self.gram_quadratic() ** (p.degree() // 2)\n"
+        "ReflectionGroup.reynolds = quadric_power\n"
+        "real = ReflectionGroup._compute_invariants\n"
+        "def squared(self):\n"
+        "    ps = real(self)\n"
+        "    return [ps[0], ps[0] * ps[0]] + ps[2:]\n"
+        "for code, plant in (('I2(8)', None), ('B3', squared)):\n"
+        "    if plant:\n"
+        "        ReflectionGroup._compute_invariants = plant\n"
+        "    try:\n"
+        "        build_group(code).basic_invariants()\n"
+        "    except CertificationError as err:\n"
+        "        print(err)\n"
+        "    else:\n"
+        "        raise SystemExit(4)\n"
+        "raise SystemExit(3)\n")
+    got = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout.splitlines() == [
+        "seeds exhausted in degree 8: 1 independent averaged invariant(s) "
+        "missing",
+        "invariants not independent"]

@@ -11,7 +11,7 @@ from conftest import (assert_canonical, divide_by_linear_form, scalar_add,
                       scalar_mul, scale_by_clear)
 
 from coxcov.fields import QCOSPI7, QCOSPI8, QQ, QSQRT5
-from coxcov.poly import Poly
+from coxcov.poly import Poly, pack
 
 
 def xvar(i, nv=2, field=QQ):
@@ -263,19 +263,19 @@ def test_common_denominator_is_reduced():
     half = Poly.monomial((1, 0), Fraction(1, 2))
     got = half + half
     assert_canonical(got)
-    assert (got.num, got.den) == ({(1, 0): 1}, 1)
+    assert (got.num, got.den) == ({pack((1, 0)): 1}, 1)
     # (2/3 x) (3/2 y) = xy, and 3/4 x - 1/4 x = 1/2 x
     got = Poly.monomial((1, 0), Fraction(2, 3)) * \
         Poly.monomial((0, 1), Fraction(3, 2))
-    assert (got.num, got.den) == ({(1, 1): 1}, 1)
+    assert (got.num, got.den) == ({pack((1, 1)): 1}, 1)
     got = Poly.monomial((1, 0), Fraction(3, 4)) - \
         Poly.monomial((1, 0), Fraction(1, 4))
-    assert (got.num, got.den) == ({(1, 0): 1}, 2)
+    assert (got.num, got.den) == ({pack((1, 0)): 1}, 2)
     # over Q(sqrt5): (1 + sqrt5)/2 x times (-1 + sqrt5)/2 y = xy
     a = QSQRT5.scalar(Fraction(1, 2), Fraction(1, 2))
     b = QSQRT5.scalar(Fraction(-1, 2), Fraction(1, 2))
     got = Poly.monomial((1, 0), a, QSQRT5) * Poly.monomial((0, 1), b, QSQRT5)
-    assert (got.num, got.den) == ({(1, 1): (1, 0)}, 1)
+    assert (got.num, got.den) == ({pack((1, 1)): (1, 0)}, 1)
 
 
 def test_integer_coefficient_construction():
@@ -287,7 +287,7 @@ def test_integer_coefficient_construction():
     coeffs = [rng.randrange(-9, 10) or 1 for _ in monos]
     p = Poly(4, QQ, dict(zip(monos, coeffs)))
     assert_canonical(p)
-    assert p.den == 1 and p.num == dict(zip(monos, coeffs))
+    assert p.den == 1 and p.num == dict(zip(map(pack, monos), coeffs))
     assert len(p.terms) == len(monos)
     assert all(type(c) is Fraction for c in p.terms.values())
     pt = [Fraction(1, 2), Fraction(-2), Fraction(3, 5), Fraction(1)]
@@ -295,5 +295,5 @@ def test_integer_coefficient_construction():
                * pt[3] ** e[3] for e, c in zip(monos, coeffs))
     assert p.eval_scalars(pt) == want
     # zero values are dropped, and an all-zero dict is the zero polynomial
-    assert Poly(2, QQ, {(1, 0): 0, (0, 1): 2}).num == {(0, 1): 2}
+    assert Poly(2, QQ, {(1, 0): 0, (0, 1): 2}).num == {pack((0, 1)): 2}
     assert Poly(2, QSQRT5, {(1, 0): 0}) == Poly.zero(2, QSQRT5)
