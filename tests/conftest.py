@@ -10,6 +10,11 @@ from coxcov.groups import build_group
 from coxcov.linalg import SparseSolver
 from coxcov.poly import Poly, unpack
 
+# every catalogue group but the opt-in H4
+CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
+             "G2", "I2(7)", "I2(8)", "F4", "H3"]
+
+
 def _cpus(monkeypatch, n):
     """Make the affinity mask n CPUs wide: 2 forks two workers, 1 keeps
     every group and check in this process."""

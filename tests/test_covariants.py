@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import standard_monomials
+from conftest import CATALOGUE, standard_monomials
 
 from coxcov.coinvariants import CoinvariantBasis
 from coxcov.covariants import (constants_table, form_e, freeness_check,
@@ -306,11 +306,7 @@ def test_form_e_matches_oracle_on_u(stack_of):
             assert form_e(a, b) == _form_e_oracle(a, b), (a.name, b.name)
 
 
-CATALOGUE_BUT_H4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)",
-                    "I2(5)", "G2", "I2(7)", "I2(8)", "F4", "H3"]
-
-
-@pytest.mark.parametrize("code", CATALOGUE_BUT_H4)
+@pytest.mark.parametrize("code", CATALOGUE)
 def test_every_p_product_is_invariant(code, stack_of):
     # the oracle of solomon_check's invariance on the generators: all 2^r
     # products p_S, each fixed by every simple reflection

@@ -7,10 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (act_oracle, assert_canonical, basic_invariants_oracle,
-                      coxeter_lengths, divide_by_linear_form,
-                      jacobian_minor_oracle, mat_mul, mat_transpose,
-                      matrix_reflections, scalar_taylor,
+from conftest import (CATALOGUE, act_oracle, assert_canonical,
+                      basic_invariants_oracle, coxeter_lengths,
+                      divide_by_linear_form, jacobian_minor_oracle, mat_mul,
+                      mat_transpose, matrix_reflections, scalar_taylor,
                       seed_scan_oracle)
 
 from coxcov.cli import DEFAULT_GROUPS
@@ -21,8 +21,6 @@ from coxcov.groups import (CatalogueError, InnerProduct, ReflectionGroup,
                            jacobian_minors, mat_vec)
 from coxcov.poly import Poly
 
-CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
-             "G2", "I2(7)", "I2(8)", "F4", "H3"]
 
 DEGREE_TABLE = {
     "A1": (2,), "A2": (2, 3), "A3": (2, 3, 4), "A4": (2, 3, 4, 5),

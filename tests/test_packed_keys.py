@@ -12,14 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (assert_canonical, scalar_taylor, tuple_mul, tuple_nf,
-                      tuple_num, tuple_partial)
+from conftest import (CATALOGUE, assert_canonical, scalar_taylor, tuple_mul,
+                      tuple_nf, tuple_num, tuple_partial)
 
 from coxcov.poly import (DEGREE_MASK, MAX_DEGREE, Poly, key_layout,
                          monomials_of_degree, pack, unpack)
-
-CATALOGUE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "I2(4)", "I2(5)",
-             "G2", "I2(7)", "I2(8)", "F4", "H3"]
 
 
 def _random_expo(rng, nv, degree):
