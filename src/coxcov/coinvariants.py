@@ -65,8 +65,9 @@ from .fields import Scalar
 from .groups import ReflectionGroup
 from .linalg import (SparseSolver, bareiss_jordan_inverse, inverse_defect,
                      support_blocks)
-from .poly import (DEGREE_MASK, MAX_DEGREE, Poly, grevlex_key, key_factorial,
-                   key_layout, monomials_of_degree, pack, unpack)
+from .poly import (DEGREE_MASK, EXPONENT_MASK, Poly, grevlex_key,
+                   key_factorial, key_layout, monomials_of_degree, pack,
+                   unpack)
 from .reports import CertificationError
 from .weil import B_QUOTIENT, FULL_WEIL, Weil
 
@@ -217,7 +218,7 @@ class CoinvariantBasis:
             shift, one = key_layout(self.rank)[i]
             got = {e - one: w
                    for e, w in self._derivative(tuple(parent)).items()
-                   if e >> shift & MAX_DEGREE}
+                   if e >> shift & EXPONENT_MASK}
             memo[index] = got
         return got
 

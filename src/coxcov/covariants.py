@@ -431,9 +431,11 @@ def top_p_failures(stack: CovariantStack, odd, even, pairing):
     family (odd_i, even_i), i = 1..n, given its ``pairing_constants``:
     E(odd_{n-i+1}, even_i) = k p_r, the relations
     p_r x_i = -sum_{j != i} E(odd_{n-j+1}, even_i) / k_j x_j for x = even
-    and x = odd, and E(p_r a, b) = (-1)^|a| E(a, p_r b).  Where the
-    constants table has E(odd_{n-j+1}, even_i) = k p_s, its term is
-    k / k_j times the memoised x_j p_s (``times_p``)."""
+    and x = odd, and E(p_r a, b) = (-1)^|a| E(a, p_r b).  The term of j
+    is k / k_j times the memoised x_j p_s (``times_p``), read from the
+    constants table's E(odd_{n-j+1}, even_i) = k p_s; an E the table lacks
+    is zero or already a failure of ``pairing_constants``, and adds no
+    term."""
     evals, pattern, consts, _ = pairing
     n = len(odd)
     r = stack.group.rank
@@ -453,16 +455,8 @@ def top_p_failures(stack: CovariantStack, odd, even, pairing):
         res_odd = pr_odd[i - 1]
         for j in range(1, n + 1):
             k_j = consts.get((j, n - j + 1))
-            if j == i or k_j is None:
-                continue
-            coeff = evals[(n - j + 1, i)]     # E(odd_{n-j+1}, even_i)
-            if coeff.is_zero():
-                continue
-            k = consts.get((n - j + 1, i))
-            if k is None:       # off the table: a failure already
-                coeff = coeff.scale(scalar_inverse(k_j))
-                res_even = res_even + even[j - 1].mul_weil(coeff)
-                res_odd = res_odd + odd[j - 1].mul_weil(coeff)
+            k = consts.get((n - j + 1, i))    # E(odd_{n-j+1}, even_i) = k p_s
+            if j == i or k_j is None or k is None:
                 continue
             mask = 1 << (pattern[(n - j + 1, i)] - 1)
             c = k * scalar_inverse(k_j)

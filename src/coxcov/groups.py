@@ -39,7 +39,7 @@ from operator import add
 
 from .fields import QQ, QSQRT5, QCOSPI7, QCOSPI8, Field, Scalar, scalar_inverse
 from .linalg import bareiss_jordan_inverse, det, inverse
-from .poly import MAX_DEGREE, Poly, key_layout, monomials_of_degree
+from .poly import EXPONENT_MASK, Poly, key_layout, monomials_of_degree
 from .reports import certify
 from .weil import Weil, wedge_mul, wedge_terms
 
@@ -524,7 +524,7 @@ class ReflectionGroup:
             get = nxt.get
             for e, v in u.items():
                 for shift, one, a in steps:
-                    n = e >> shift & MAX_DEGREE
+                    n = e >> shift & EXPONENT_MASK
                     if n:
                         e2 = e - one
                         if rational:

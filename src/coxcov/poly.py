@@ -12,20 +12,21 @@ and ``==`` and ``hash`` are structural.
 A monomial key is one non-negative int, the packed exponent vector of
 Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007).  The exponent of x_i sits in a field
-of ``EXPONENT_BITS`` = 7 bits, variable 0 in the most significant one, so
-that keys compare as their exponent tuples do; below them a field of
-``DEGREE_BITS`` = 8 bits holds the total degree, so ``key & DEGREE_MASK``
-reads it without unpacking.  ``pack`` and ``unpack`` convert, and
-``key_layout(nv)`` gives each variable's shift and the key of x_i.  So a
-product of monomials is one integer add, and d/dx_i subtracts the key of
-x_i.  A key holds monomials of total degree at most ``MAX_DEGREE`` = 127,
-so no exponent can carry into the next variable's field: ``pack`` raises
-``CertificationError`` past it, and so does a product, whose degree field
-(at most 127 + 127) then sets its top bit, the guard, which one test per
-product reads.  This is a check that raises, not an ``assert``, so it holds
-under ``python -O`` too.  Exponent tuples stay at the boundaries: the
-constructor ``Poly(nv, field, {expo: scalar})``, ``monomial``, ``terms``,
-``sorted_terms`` and ``monomials_of_degree`` take or give them.
+of ``EXPONENT_BITS`` = 7 bits (read with ``EXPONENT_MASK``), variable 0 in
+the most significant one, so that keys compare as their exponent tuples
+do; below them a field of ``DEGREE_BITS`` = 8 bits holds the total degree,
+so ``key & DEGREE_MASK`` reads it without unpacking.  ``pack`` and
+``unpack`` convert, and ``key_layout(nv)`` gives each variable's shift and
+the key of x_i.  So a product of monomials is one integer add, and d/dx_i
+subtracts the key of x_i.  A key holds monomials of total degree at most
+``MAX_DEGREE`` = 127, so no exponent can carry into the next variable's
+field: ``pack`` raises ``CertificationError`` past it, and so does a
+product, whose degree field (at most 127 + 127) then sets its top bit, the
+guard, which one test per product reads.  This is a check that raises, not
+an ``assert``, so it holds under ``python -O`` too.  Exponent tuples stay
+at the boundaries: the constructor ``Poly(nv, field, {expo: scalar})``,
+``monomial``, ``terms``, ``sorted_terms`` and ``monomials_of_degree`` take
+or give them.
 
 Products, sums, scaling and derivatives run on the integers alone (over
 Q(theta) through ``Field.mul_num``), with one gcd at the end of each.  A
@@ -49,10 +50,11 @@ from .fields import QQ, Field, Scalar
 from .reports import CertificationError
 
 EXPONENT_BITS = 7
+EXPONENT_MASK = (1 << EXPONENT_BITS) - 1    # key >> shift & EXPONENT_MASK
 DEGREE_BITS = 8
-MAX_DEGREE = (1 << EXPONENT_BITS) - 1
-DEGREE_MASK = MAX_DEGREE            # key & DEGREE_MASK: the total degree
-_GUARD = 1 << EXPONENT_BITS         # set in a product past MAX_DEGREE
+_GUARD = 1 << (DEGREE_BITS - 1)     # set in a product past MAX_DEGREE
+DEGREE_MASK = _GUARD - 1            # key & DEGREE_MASK: the total degree
+MAX_DEGREE = DEGREE_MASK            # <= EXPONENT_MASK: every exponent fits
 
 
 def pack(expo) -> int:
@@ -72,7 +74,7 @@ def pack(expo) -> int:
 @lru_cache(maxsize=None)
 def key_layout(nv: int) -> tuple:
     """(shift, key of x_i) per variable i: exponent i of key k is
-    ``k >> shift & MAX_DEGREE``."""
+    ``k >> shift & EXPONENT_MASK``."""
     return tuple((s, 1 << s | 1) for s in
                  range(DEGREE_BITS + EXPONENT_BITS * (nv - 1),
                        DEGREE_BITS - 1, -EXPONENT_BITS))
@@ -80,7 +82,7 @@ def key_layout(nv: int) -> tuple:
 
 def unpack(key: int, nv: int) -> tuple:
     """The exponent tuple of a key in nv variables."""
-    return tuple(key >> s & MAX_DEGREE for s, _ in key_layout(nv))
+    return tuple(key >> s & EXPONENT_MASK for s, _ in key_layout(nv))
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +91,7 @@ def key_factorial(key: int) -> int:
     w = 1
     key >>= DEGREE_BITS
     while key:
-        w *= factorial(key & MAX_DEGREE)
+        w *= factorial(key & EXPONENT_MASK)
         key >>= EXPONENT_BITS
     return w
 
@@ -402,7 +404,7 @@ class Poly:
         shift, one = key_layout(self.nv)[i]
         out = {}
         for e, c in self.num.items():
-            k = e >> shift & MAX_DEGREE
+            k = e >> shift & EXPONENT_MASK
             if k:
                 out[e - one] = c * k if rational else _scale_num(c, k)
         return Poly.from_num(self.nv, self.field, out, self.den)

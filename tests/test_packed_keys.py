@@ -15,8 +15,8 @@ import pytest
 from conftest import (CATALOGUE, assert_canonical, scalar_taylor, tuple_mul,
                       tuple_nf, tuple_num, tuple_partial)
 
-from coxcov.poly import (DEGREE_MASK, MAX_DEGREE, Poly, key_layout,
-                         monomials_of_degree, pack, unpack)
+from coxcov.poly import (DEGREE_MASK, EXPONENT_MASK, MAX_DEGREE, Poly,
+                         key_layout, monomials_of_degree, pack, unpack)
 
 
 def _random_expo(rng, nv, degree):
@@ -50,7 +50,7 @@ def test_packed_order_is_tuple_order():
         for i, (shift, one) in enumerate(key_layout(nv)):
             unit = tuple(int(j == i) for j in range(nv))
             assert one == pack(unit)
-            assert all(pack(e) >> shift & MAX_DEGREE == e[i] for e in expos)
+            assert all(pack(e) >> shift & EXPONENT_MASK == e[i] for e in expos)
 
 
 def _random_field_poly(rng, g, degrees, nterms):
